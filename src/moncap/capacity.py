@@ -14,7 +14,7 @@ s-normalized capacity, set to 0 at s = 0 by definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -196,9 +196,8 @@ def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
         if _is_pure_p_laplacian(flux) and s == 1.0:
             cp_value = None  # filled below from this very report
         elif with_cp:
-            cp_opts = SolverOptions(tol_res=opts.tol_res,
-                                    max_newton=opts.max_newton,
-                                    inner_tol=opts.inner_tol)
+            # the caller's start belongs to another flux and level
+            cp_opts = replace(opts, init="linear_blend", init_field=None)
             cp_report, _ = compute_capacity(
                 mesh, p_laplacian(flux.p), e, f, 1.0, cp_opts, with_cp=False)
             cp_value = cp_report.c_inner
@@ -274,8 +273,9 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
     opts = opts or SolverOptions()
     cp_value = None
     if with_cp:
-        cp_value = p_capacity(mesh, flux.p, e, f,
-                              SolverOptions(max_newton=opts.max_newton))
+        # the caller's start belongs to another flux and level
+        cp_value = p_capacity(mesh, flux.p, e, f, replace(
+            opts, init="linear_blend", init_field=None))
     out = []
     prev_u = None
     prev_s = None
@@ -284,13 +284,10 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
             report = _zero_s_report(mesh, flux, f, cp_value)
             out.append((s, report))
             continue
-        solve_opts = SolverOptions(
-            tol_res=opts.tol_res, max_newton=opts.max_newton,
-            eps_schedule=opts.eps_schedule, inner_tol=opts.inner_tol,
-            picard_fallback=opts.picard_fallback)
+        solve_opts = opts
         if prev_u is not None and prev_s not in (None, 0.0):
-            solve_opts.init = "given"
-            solve_opts.init_field = prev_u * (s / prev_s)
+            solve_opts = replace(opts, init="given",
+                                 init_field=prev_u * (s / prev_s))
         try:
             report, pf = compute_capacity(mesh, flux, e, f, s, solve_opts,
                                           with_cp=False, cp_hint=cp_value)

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -103,7 +104,10 @@ def _prepare(args):
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tol_res is not None:
-        cfg.solver.tol_res = args.tol_res
+        try:
+            cfg.solver = replace(cfg.solver, tol_res=args.tol_res)
+        except InvalidInput as exc:
+            raise ConfigError(str(exc), "--tol-res") from exc
     return cfg, _out_dir(args, cfg), config_hash(cfg.raw)
 
 

@@ -8,9 +8,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .flux import (Flux, adversarial_fixture, anisotropic_p, combine,
-                   flat_core_p, linear_matrix, p_laplacian, s_transform,
-                   weighted_p_laplacian)
+from .flux import CONFIG_KINDS, Flux
 from .mesh import ShapeExpr, shape_from_json
 from .solver import SolverOptions
 
@@ -19,23 +17,12 @@ _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
              "clip_E_to_F"}
 _MESH_KEYS = {"N", "L"}
 _FLUX_KEYS = {"kind", "p", "params"}
-_SOLVER_KEYS = {"tol_res", "max_newton", "eps_schedule", "inner_tol", "init",
-                "init_seed", "picard_fallback", "jacobian_floor"}
-_SUITE_KEYS = {"name", "instances", "fluxes", "s_grid", "n_refine"}
+_SOLVER_KEYS = {"tol_res", "max_newton", "eps_schedule", "init", "init_seed",
+                "picard_fallback", "jacobian_floor"}
+_SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
 _CHECK_KEYS = {"n_samples", "xi_radius"}
 _CHAIN_KEYS = {"mode", "shapes", "fixed"}
 _ORACLE_KEYS = {"value", "radial", "strip", "reference_flux", "tol"}
-
-_FLUX_PARAM_KEYS = {
-    "p_laplacian": set(),
-    "weighted_p_laplacian": {"w_min", "w_max", "kx", "ky"},
-    "anisotropic_p": {"alpha", "beta"},
-    "linear_matrix": {"M"},
-    "flat_core_p": {"rho0"},
-    "s_transformed": {"inner", "s"},
-    "weighted_sum": {"parts"},
-    "adversarial_fixture": set(),
-}
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str):
@@ -58,63 +45,51 @@ def _number(value, path: str, integer=False) -> float:
     return int(value) if integer else float(value)
 
 
+def _parts(value, path: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2 and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ConfigError("parts must be a list of two [weight, flux] pairs",
+                          path)
+    return [(_number(w, f"{path}[{k}]"), parse_flux(f, f"{path}[{k}]"))
+            for k, (w, f) in enumerate(value)]
+
+
+def _matrix(value, path: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"expected a numeric matrix, got {value!r}",
+                          path) from exc
+
+
 def parse_flux(spec, path: str = "flux") -> Flux:
     if not isinstance(spec, dict):
         raise ConfigError("flux spec must be an object", path)
     _reject_unknown(spec, _FLUX_KEYS, path)
     kind = _need(spec, "kind", path)
-    if kind not in _FLUX_PARAM_KEYS:
+    entry = CONFIG_KINDS.get(kind)
+    if entry is None:
         raise ConfigError(f"unknown flux kind {kind!r}", path)
     params = spec.get("params", {})
+    ppath = f"{path}.params"
     if not isinstance(params, dict):
-        raise ConfigError("params must be an object", f"{path}.params")
-    _reject_unknown(params, _FLUX_PARAM_KEYS[kind], f"{path}.params")
+        raise ConfigError("params must be an object", ppath)
+    _reject_unknown(params, {prm.name for prm in entry.params}, ppath)
 
-    if kind == "adversarial_fixture":
-        return adversarial_fixture()
-    if kind == "linear_matrix":
-        m = _need(params, "M", f"{path}.params")
-        return linear_matrix(np.asarray(m, dtype=float))
-    if kind == "s_transformed":
-        inner = parse_flux(_need(params, "inner", f"{path}.params"),
-                           f"{path}.params.inner")
-        s = _number(_need(params, "s", f"{path}.params"), f"{path}.params.s")
-        return s_transform(inner, s)
-    if kind == "weighted_sum":
-        parts = _need(params, "parts", f"{path}.params")
-        if not isinstance(parts, list) or len(parts) != 2:
-            raise ConfigError("parts must be a list of two [weight, flux] "
-                              "pairs", f"{path}.params.parts")
-        (w1, f1), (w2, f2) = parts
-        return combine(parse_flux(f1, f"{path}.params.parts[0]"),
-                       parse_flux(f2, f"{path}.params.parts[1]"),
-                       _number(w1, f"{path}.params.parts[0]"),
-                       _number(w2, f"{path}.params.parts[1]"))
+    args = [_number(_need(spec, "p", path), f"{path}.p")] \
+        if entry.needs_p else []
+    kwargs = {}
+    for prm in entry.params:
+        value = params.get(prm.name, prm.default)
+        if value is None:
+            raise ConfigError(f"missing required key {prm.name!r}", ppath)
+        kwargs[prm.name] = _PARAM_PARSERS[prm.type](
+            value, f"{ppath}.{prm.name}")
+    return entry.build(*args, **kwargs)
 
-    p = _number(_need(spec, "p", path), f"{path}.p")
-    if kind == "p_laplacian":
-        return p_laplacian(p)
-    if kind == "weighted_p_laplacian":
-        return weighted_p_laplacian(
-            p,
-            _number(_need(params, "w_min", f"{path}.params"),
-                    f"{path}.params.w_min"),
-            _number(_need(params, "w_max", f"{path}.params"),
-                    f"{path}.params.w_max"),
-            _number(params.get("kx", 1.0), f"{path}.params.kx"),
-            _number(params.get("ky", 1.0), f"{path}.params.ky"))
-    if kind == "anisotropic_p":
-        return anisotropic_p(
-            p,
-            _number(_need(params, "alpha", f"{path}.params"),
-                    f"{path}.params.alpha"),
-            _number(_need(params, "beta", f"{path}.params"),
-                    f"{path}.params.beta"))
-    if kind == "flat_core_p":
-        return flat_core_p(
-            p, _number(_need(params, "rho0", f"{path}.params"),
-                       f"{path}.params.rho0"))
-    raise ConfigError(f"unhandled flux kind {kind!r}", path)
+
+_PARAM_PARSERS = {"number": _number, "matrix": _matrix, "flux": parse_flux,
+                  "parts": _parts}
 
 
 def parse_shape(spec, path: str) -> ShapeExpr:
@@ -142,8 +117,6 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
         kwargs["eps_schedule"] = tuple(
             _number(v, f"{path}.eps_schedule[{k}]")
             for k, v in enumerate(sched))
-    if "inner_tol" in spec:
-        kwargs["inner_tol"] = _number(spec["inner_tol"], f"{path}.inner_tol")
     if "init" in spec:
         if spec["init"] not in ("zero", "linear_blend", "random"):
             raise ConfigError("init must be zero|linear_blend|random",
@@ -238,7 +211,6 @@ class ExperimentConfig:
                 "fluxes": [parse_flux(fs, f"suite.fluxes[{k}]")
                            for k, fs in enumerate(suite.get("fluxes", []))],
                 "s_grid": suite.get("s_grid"),
-                "n_refine": suite.get("n_refine"),
             }
 
         self.check = {"n_samples": 10_000, "xi_radius": 10.0}

@@ -12,28 +12,22 @@ verifies the declarations by randomized sampling.
 
 All evaluation routines are vectorized: ``x`` and ``xi`` may be arrays of
 shape (..., 2) and broadcast against each other.
+
+A kind is defined once: its constructor and its ``FLUX_KINDS`` entry (value,
+Jacobian, config param spec), which evaluation and ``config.parse_flux`` look
+up.  Adding a kind is one constructor, one entry, and a member of the shipped
+family in tests/test_flux.py.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInput
-
-KINDS = (
-    "p_laplacian",
-    "weighted_p_laplacian",
-    "anisotropic_p",
-    "linear_matrix",
-    "flat_core_p",
-    "s_transformed",
-    "weighted_sum",
-)
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,6 @@ class Flux:
     c2: float = 1.0
     b1: float = 0.0
     b2: float = 0.0
-    differentiable: bool = True
 
     @property
     def q(self) -> float:
@@ -214,7 +207,6 @@ def s_transform(flux: Flux, s: float) -> Flux:
         c2=sp * flux.c2,
         b1=flux.b1,
         b2=abs(s) * flux.b2,
-        differentiable=flux.differentiable,
     )
 
 
@@ -240,7 +232,6 @@ def combine(f1: Flux, f2: Flux, w1: float, w2: float) -> Flux:
         c2=w1 * f1.c2 + w2 * f2.c2,
         b1=w1 * f1.b1 + w2 * f2.b1,
         b2=w1 * f1.b2 + w2 * f2.b2,
-        differentiable=f1.differentiable and f2.differentiable,
     )
 
 
@@ -250,13 +241,177 @@ def adversarial_fixture() -> Flux:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one registry entry per kind
+
+_EYE = np.eye(2)
 
 
 def _weight(flux: Flux, x):
     prm = flux.params
     phase = np.sin(2.0 * np.pi * (prm["kx"] * x[..., 0] + prm["ky"] * x[..., 1]))
     return prm["w_min"] + (prm["w_max"] - prm["w_min"]) * 0.5 * (1.0 + phase)
+
+
+def _power_factor(p, xi, bxi, eps):
+    """(xi.B xi + eps^2)^((p-2)/2), given bxi = B xi; the q > 0 guard is the
+    |xi| > 0 guard that p < 2 needs at eps = 0."""
+    q = np.sum(bxi * xi, axis=-1, keepdims=True) + eps * eps
+    safe = np.where(q > 0.0, q, 1.0)
+    return np.where(q > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
+
+
+def _power_jacobian(p, xi, bxi, b, eps):
+    """Derivative of _power_factor(p, xi, bxi, eps) * bxi in xi."""
+    if p == 2.0:
+        return np.broadcast_to(b, xi.shape + (2,)).copy()
+    q0 = np.sum(bxi * xi, axis=-1)
+    q = q0 + eps * eps
+    safe = np.where(q > 0.0, q, 1e-300)
+    fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
+    outer = bxi[..., :, None] * bxi[..., None, :]
+    return (safe ** ((p - 2.0) / 2.0))[..., None, None] * b \
+        + fac2[..., None, None] * outer
+
+
+def _weighted_value(flux, x, xi, eps):
+    return _weight(flux, x)[..., None] * _power_factor(flux.p, xi, xi, eps) \
+        * xi
+
+
+def _weighted_jacobian(flux, x, xi, eps):
+    return _weight(flux, x)[..., None, None] \
+        * _power_jacobian(flux.p, xi, xi, _EYE, eps)
+
+
+def _axis_scaled(flux, xi):
+    al, be = flux.params["alpha"], flux.params["beta"]
+    return np.stack([al * xi[..., 0], be * xi[..., 1]], axis=-1)
+
+
+def _anisotropic_value(flux, x, xi, eps):
+    bxi = _axis_scaled(flux, xi)
+    return _power_factor(flux.p, xi, bxi, eps) * bxi
+
+
+def _anisotropic_jacobian(flux, x, xi, eps):
+    b = np.diag([flux.params["alpha"], flux.params["beta"]])
+    return _power_jacobian(flux.p, xi, _axis_scaled(flux, xi), b, eps)
+
+
+def _core_excess(t, eps):
+    """(t)+ smoothed to (t + sqrt(t^2 + eps^2)) / 2, and its derivative."""
+    if eps > 0.0:
+        root = np.sqrt(t * t + eps * eps)
+        return 0.5 * (t + root), 0.5 * (1.0 + t / root)
+    return np.maximum(t, 0.0), (t > 0.0).astype(float)
+
+
+def _flat_core_value(flux, x, xi, eps):
+    m = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True) + eps * eps)
+    pos, _ = _core_excess(m - flux.params["rho0"], eps)
+    fac = np.where(m > 0.0,
+                   pos ** (flux.p - 1.0) / np.where(m > 0.0, m, 1.0), 0.0)
+    return fac * xi
+
+
+def _flat_core_jacobian(flux, x, xi, eps):
+    p = flux.p
+    r = np.sqrt(np.sum(xi * xi, axis=-1) + eps * eps)
+    r = np.where(r > 0.0, r, 1e-300)
+    pos, dpos = _core_excess(r - flux.params["rho0"], eps)
+    g = pos ** (p - 1.0)
+    dg = np.where(
+        pos > 0.0,
+        (p - 1.0) * np.where(pos > 0.0, pos, 1.0) ** (p - 2.0) * dpos,
+        0.0)
+    hat = xi / r[..., None]
+    outer = hat[..., :, None] * hat[..., None, :]
+    return (g / r)[..., None, None] * (_EYE - outer) \
+        + dg[..., None, None] * outer
+
+
+def _s_value(flux, x, xi, eps):
+    s, inner = flux.params["s"], flux.params["inner"]
+    return s * _entry(inner).value(inner, x, s * xi, abs(s) * eps)
+
+
+def _s_jacobian(flux, x, xi, eps):
+    s, inner = flux.params["s"], flux.params["inner"]
+    return s * s * _entry(inner).jacobian(inner, x, s * xi, abs(s) * eps)
+
+
+def _sum_value(flux, x, xi, eps):
+    return sum(w * _entry(f).value(f, x, xi, eps)
+               for w, f in flux.params["parts"])
+
+
+def _sum_jacobian(flux, x, xi, eps):
+    return sum(w * _entry(f).jacobian(f, x, xi, eps)
+               for w, f in flux.params["parts"])
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config parameter of a flux kind: its name, its value type
+    (number, matrix, flux or parts) and, when optional, its default."""
+
+    name: str
+    type: str = "number"
+    default: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class FluxKind:
+    """One flux kind.  ``value(flux, x, xi, eps)`` is the eps-smoothed flux
+    (eps = 0 is the true flux), ``jacobian`` with the same arguments its
+    exact derivative in xi.  A config builds the kind as
+    ``build(p, **params)``, without p when ``needs_p`` is false."""
+
+    value: Callable
+    jacobian: Callable
+    build: Callable[..., Flux]
+    params: tuple[Param, ...] = ()
+    needs_p: bool = True
+
+
+FLUX_KINDS: dict[str, FluxKind] = {
+    "p_laplacian": FluxKind(
+        lambda fl, x, xi, eps: _power_factor(fl.p, xi, xi, eps) * xi,
+        lambda fl, x, xi, eps: _power_jacobian(fl.p, xi, xi, _EYE, eps),
+        p_laplacian),
+    "weighted_p_laplacian": FluxKind(
+        _weighted_value, _weighted_jacobian, weighted_p_laplacian,
+        (Param("w_min"), Param("w_max"), Param("kx", default=1.0),
+         Param("ky", default=1.0))),
+    "anisotropic_p": FluxKind(_anisotropic_value, _anisotropic_jacobian,
+                              anisotropic_p, (Param("alpha"), Param("beta"))),
+    "linear_matrix": FluxKind(
+        lambda fl, x, xi, eps: xi @ fl.params["M"].T,
+        lambda fl, x, xi, eps: np.broadcast_to(
+            fl.params["M"], xi.shape + (2,)).copy(),
+        lambda M: linear_matrix(M), (Param("M", "matrix"),), needs_p=False),
+    "flat_core_p": FluxKind(_flat_core_value, _flat_core_jacobian,
+                            flat_core_p, (Param("rho0"),)),
+    "s_transformed": FluxKind(
+        _s_value, _s_jacobian, lambda inner, s: s_transform(inner, s),
+        (Param("inner", "flux"), Param("s")), needs_p=False),
+    "weighted_sum": FluxKind(
+        _sum_value, _sum_jacobian,
+        lambda parts: combine(parts[0][1], parts[1][1],
+                              parts[0][0], parts[1][0]),
+        (Param("parts", "parts"),), needs_p=False),
+}
+
+# a config may also name the adversarial fixture, a linear_matrix flux
+CONFIG_KINDS = {**FLUX_KINDS, "adversarial_fixture": replace(
+    FLUX_KINDS["linear_matrix"], build=adversarial_fixture, params=())}
+
+
+def _entry(flux: Flux) -> FluxKind:
+    try:
+        return FLUX_KINDS[flux.kind]
+    except KeyError:
+        raise InvalidInput(f"unknown flux kind {flux.kind!r}") from None
 
 
 def eval_flux(flux: Flux, x, xi) -> np.ndarray:
@@ -267,45 +422,7 @@ def eval_flux(flux: Flux, x, xi) -> np.ndarray:
         raise InvalidInput("points and gradients must have trailing dim 2")
     if not np.all(np.isfinite(xi)):
         raise InvalidInput("non-finite gradient components")
-
-    kind = flux.kind
-    p = flux.p
-    if kind == "p_laplacian":
-        r2 = np.sum(xi * xi, axis=-1, keepdims=True)
-        safe = np.where(r2 > 0.0, r2, 1.0)
-        fac = np.where(r2 > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
-        return fac * xi
-    if kind == "weighted_p_laplacian":
-        w = _weight(flux, x)[..., None]
-        r2 = np.sum(xi * xi, axis=-1, keepdims=True)
-        safe = np.where(r2 > 0.0, r2, 1.0)
-        fac = np.where(r2 > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
-        return w * fac * xi
-    if kind == "anisotropic_p":
-        al, be = flux.params["alpha"], flux.params["beta"]
-        bxi = np.stack([al * xi[..., 0], be * xi[..., 1]], axis=-1)
-        q = np.sum(bxi * xi, axis=-1, keepdims=True)
-        safe = np.where(q > 0.0, q, 1.0)
-        fac = np.where(q > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
-        return fac * bxi
-    if kind == "linear_matrix":
-        m = flux.params["M"]
-        return xi @ m.T
-    if kind == "flat_core_p":
-        rho0 = flux.params["rho0"]
-        r = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True))
-        g = np.maximum(r - rho0, 0.0) ** (p - 1.0)
-        fac = np.where(r > 0.0, g / np.where(r > 0.0, r, 1.0), 0.0)
-        return fac * xi
-    if kind == "s_transformed":
-        s = flux.params["s"]
-        return s * eval_flux(flux.params["inner"], x, s * xi)
-    if kind == "weighted_sum":
-        out = 0.0
-        for w, f in flux.params["parts"]:
-            out = out + w * eval_flux(f, x, xi)
-        return out
-    raise InvalidInput(f"unknown flux kind {kind!r}")
+    return _entry(flux).value(flux, x, xi, 0.0)
 
 
 def eval_flux_smoothed(flux: Flux, x, xi, eps: float) -> np.ndarray:
@@ -318,39 +435,8 @@ def eval_flux_smoothed(flux: Flux, x, xi, eps: float) -> np.ndarray:
     """
     if eps == 0.0:
         return eval_flux(flux, x, xi)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    kind = flux.kind
-    p = flux.p
-    if kind in ("p_laplacian", "weighted_p_laplacian"):
-        m2 = np.sum(xi * xi, axis=-1, keepdims=True) + eps * eps
-        out = m2 ** ((p - 2.0) / 2.0) * xi
-        if kind == "weighted_p_laplacian":
-            out = _weight(flux, x)[..., None] * out
-        return out
-    if kind == "anisotropic_p":
-        al, be = flux.params["alpha"], flux.params["beta"]
-        bxi = np.stack([al * xi[..., 0], be * xi[..., 1]], axis=-1)
-        q = np.sum(bxi * xi, axis=-1, keepdims=True) + eps * eps
-        return q ** ((p - 2.0) / 2.0) * bxi
-    if kind == "linear_matrix":
-        return xi @ flux.params["M"].T
-    if kind == "flat_core_p":
-        rho0 = flux.params["rho0"]
-        m = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True) + eps * eps)
-        t = m - rho0
-        pos = 0.5 * (t + np.sqrt(t * t + eps * eps))
-        return pos ** (p - 1.0) / m * xi
-    if kind == "s_transformed":
-        s = flux.params["s"]
-        return s * eval_flux_smoothed(flux.params["inner"], x, s * xi,
-                                      abs(s) * eps)
-    if kind == "weighted_sum":
-        out = 0.0
-        for w, f in flux.params["parts"]:
-            out = out + w * eval_flux_smoothed(f, x, xi, eps)
-        return out
-    raise InvalidInput(f"unknown flux kind {kind!r}")
+    return _entry(flux).value(flux, np.asarray(x, dtype=float),
+                              np.asarray(xi, dtype=float), eps)
 
 
 def flux_jacobian(flux: Flux, x, xi, eps: float = 0.0) -> np.ndarray:
@@ -361,73 +447,8 @@ def flux_jacobian(flux: Flux, x, xi, eps: float = 0.0) -> np.ndarray:
     same way), so the result stays bounded at the singular sets.  eval_flux
     itself is never regularized.
     """
-    if not flux.differentiable:
-        raise InvalidInput(f"flux kind {flux.kind!r} has no Jacobian")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    kind = flux.kind
-    p = flux.p
-    eye = np.eye(2)
-
-    if kind in ("p_laplacian", "weighted_p_laplacian"):
-        r2 = np.sum(xi * xi, axis=-1)
-        m2 = r2 + eps * eps
-        outer = xi[..., :, None] * xi[..., None, :]
-        if p == 2.0:
-            jac = np.broadcast_to(eye, outer.shape).copy()
-        else:
-            safe = np.where(m2 > 0.0, m2, 1e-300)
-            fac2 = np.where(r2 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
-            jac = (safe ** ((p - 2.0) / 2.0))[..., None, None] * eye \
-                + fac2[..., None, None] * outer
-        if kind == "weighted_p_laplacian":
-            jac = _weight(flux, x)[..., None, None] * jac
-        return jac
-    if kind == "anisotropic_p":
-        al, be = flux.params["alpha"], flux.params["beta"]
-        b = np.diag([al, be])
-        bxi = np.stack([al * xi[..., 0], be * xi[..., 1]], axis=-1)
-        q0 = np.sum(bxi * xi, axis=-1)
-        q = q0 + eps * eps
-        if p == 2.0:
-            return np.broadcast_to(b, xi.shape + (2,)).copy()
-        safe = np.where(q > 0.0, q, 1e-300)
-        fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
-        outer = bxi[..., :, None] * bxi[..., None, :]
-        return (safe ** ((p - 2.0) / 2.0))[..., None, None] * b \
-            + fac2[..., None, None] * outer
-    if kind == "linear_matrix":
-        m = flux.params["M"]
-        return np.broadcast_to(m, xi.shape + (2,)).copy()
-    if kind == "flat_core_p":
-        rho0 = flux.params["rho0"]
-        r = np.sqrt(np.sum(xi * xi, axis=-1) + eps * eps)
-        r = np.where(r > 0.0, r, 1e-300)
-        t = r - rho0
-        if eps > 0.0:
-            pos = 0.5 * (t + np.sqrt(t * t + eps * eps))
-            dpos = 0.5 * (1.0 + t / np.sqrt(t * t + eps * eps))
-        else:
-            pos = np.maximum(t, 0.0)
-            dpos = (t > 0.0).astype(float)
-        g = pos ** (p - 1.0)
-        dg = np.where(
-            pos > 0.0,
-            (p - 1.0) * np.where(pos > 0.0, pos, 1.0) ** (p - 2.0) * dpos,
-            0.0)
-        hat = xi / r[..., None]
-        outer = hat[..., :, None] * hat[..., None, :]
-        return (g / r)[..., None, None] * (eye - outer) \
-            + dg[..., None, None] * outer
-    if kind == "s_transformed":
-        s = flux.params["s"]
-        return s * s * flux_jacobian(flux.params["inner"], x, s * xi, eps=abs(s) * eps)
-    if kind == "weighted_sum":
-        out = 0.0
-        for w, f in flux.params["parts"]:
-            out = out + w * flux_jacobian(f, x, xi, eps=eps)
-        return out
-    raise InvalidInput(f"unknown flux kind {kind!r}")
+    return _entry(flux).jacobian(flux, np.asarray(x, dtype=float),
+                                 np.asarray(xi, dtype=float), eps)
 
 
 # ---------------------------------------------------------------------------

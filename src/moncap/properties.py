@@ -10,7 +10,7 @@ solves are counted as skips and fail the suite beyond 2% of instances.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -560,16 +560,15 @@ def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
         gap = max(reach * 0.8 - r_e, 2.0 * mesh.h)
         flux = flat_core_p(2.0, float(rng.uniform(0.2, 1.6) / gap))
 
-        init_opts = [SolverOptions(init="linear_blend"),
-                     SolverOptions(init="zero")]
+        init_opts = [replace(opts, init="linear_blend"),
+                     replace(opts, init="zero")]
         for k in range(n_inits - len(init_opts)):
-            init_opts.append(SolverOptions(init="random",
-                                           init_seed=seed + 37 * i + k))
+            init_opts.append(replace(
+                opts, init="random",
+                init_seed=opts.init_seed + seed + 37 * i + k))
         caps, fields = [], []
         failed = False
         for so in init_opts:
-            so.max_newton = opts.max_newton
-            so.tol_res = opts.tol_res
             try:
                 rep, pf = compute_capacity(mesh, flux, e, f, 1.0, so,
                                            with_cp=False)

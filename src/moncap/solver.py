@@ -5,7 +5,8 @@ The path: a short damped-Newton pass on the true flux (cheap when the
 problem is smooth, and it preserves initialization-dependent solutions for
 merely monotone fluxes), then continuation that fully solves the
 eps-smoothed problem at each eps of the schedule, then a true-flux polish.
-Inner linear solves use preconditioned GMRES; step lengths backtrack on the
+Each Newton step solves directly with a sparse LU factor of the assembled
+Jacobian, freed before the next step factors; step lengths backtrack on the
 free-node residual max-norm; a Picard fallback preconditioned by the p=2
 stiffness matrix runs before declaring divergence.  Convergence is always
 declared on the TRUE flux residual, so reported capacities belong to the
@@ -14,7 +15,7 @@ problem actually posed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from .mesh import Mesh, NodeSet, validate_pair
 DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     tol_res: Optional[float] = None      # default 1e-10 * max(1, |s|^(p-1))
     max_newton: int = 200
@@ -36,7 +37,6 @@ class SolverOptions:
     ls_backtrack: float = 0.5
     ls_decrease: float = 1e-4
     ls_min_step: float = 1e-8
-    inner_tol: float = 1e-10
     init: str = "linear_blend"           # zero | linear_blend | given | random
     init_field: Optional[np.ndarray] = None
     init_seed: int = 0
@@ -52,7 +52,7 @@ class SolverOptions:
         if any(e <= 0 for e in eps) or any(
                 eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise InvalidInput("eps_schedule must be positive and strictly decreasing")
-        self.eps_schedule = eps
+        object.__setattr__(self, "eps_schedule", eps)
 
     def resolve_tol(self, flux: Flux, s: float) -> float:
         if self.tol_res is not None:
@@ -94,12 +94,6 @@ def _free_residual_max(r: np.ndarray, free: np.ndarray) -> float:
     return float(np.max(np.abs(r[free])))
 
 
-def _gmres(op, rhs, precond, rtol, maxiter=200):
-    x, info = spla.gmres(op, rhs, M=precond, rtol=rtol, atol=0.0,
-                         maxiter=maxiter)
-    return x, info
-
-
 def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
                     opts: Optional[SolverOptions] = None) -> PotentialField:
     """Solve for the capacitary potential of e in f at boundary level s.
@@ -117,12 +111,7 @@ def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         # zero, or random basin start fails, retry once from the default
         # blend (for merely monotone fluxes any converged solution carries
         # the same capacity)
-        retry = SolverOptions(
-            tol_res=opts.tol_res, max_newton=opts.max_newton,
-            eps_schedule=opts.eps_schedule, inner_tol=opts.inner_tol,
-            picard_fallback=opts.picard_fallback,
-            jacobian_floor=opts.jacobian_floor)
-        return _solve(mesh, flux, e, f, s, retry)
+        return _solve(mesh, flux, e, f, s, replace(opts, init="linear_blend"))
 
 
 def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
@@ -305,11 +294,9 @@ class _NewtonState:
                                 shift=opts.jacobian_floor)
             kff = k[free][:, free]
             try:
-                lu = spla.splu(kff.tocsc())
+                delta = spla.splu(kff.tocsc()).solve(-r[free])
             except RuntimeError:
                 break
-            precond = spla.LinearOperator(kff.shape, lu.solve)
-            delta, _ = _gmres(kff, -r[free], precond, opts.inner_tol)
             if not np.all(np.isfinite(delta)):
                 break
             t = 1.0

@@ -76,6 +76,17 @@ class TestBadConfig:
         cfg = write_cfg(tmp_path / "cfg.json", body)
         assert main(["capacity", cfg]) == 2
 
+    @pytest.mark.parametrize("block,key", [("solver", "inner_tol"),
+                                           ("suite", "n_refine")])
+    def test_retired_keys_exit_2(self, tmp_path, capsys, block, key):
+        body = strip_cfg(str(tmp_path / "out"))
+        body[block] = {key: 1e-10}
+        if block == "suite":
+            body[block]["name"] = "order"
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["capacity", cfg]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["capacity", str(tmp_path / "nope.json")]) == 2
 
@@ -279,6 +290,12 @@ class TestEnvAndFlags:
     def test_tol_res_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", strip_cfg(str(tmp_path / "o")))
         assert main(["capacity", cfg, "--tol-res", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_tol_res_flag_exit_2(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path / "c.json", strip_cfg(str(tmp_path / "o")))
+        assert main(["capacity", cfg, "--tol-res", value]) == 2
+        assert "--tol-res: tol_res must be positive" in capsys.readouterr().err
 
 
 class TestConfigHash:

@@ -84,8 +84,6 @@ class TestJacobian:
     @pytest.mark.parametrize("flux", shipped_family(),
                              ids=lambda f: f"{f.kind}-p{f.p}")
     def test_matches_finite_differences(self, flux):
-        if not flux.differentiable:
-            pytest.skip("no jacobian")
         rng = np.random.default_rng(42)
         n = 1000
         radii = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))

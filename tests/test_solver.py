@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from moncap import solver
+from moncap.capacity import compute_capacity, sweep_s
 from moncap.errors import SolverDiverged
-from moncap.flux import flat_core_p, linear_matrix, p_laplacian, s_transform
+from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
+                         p_laplacian, s_transform)
 from moncap.mesh import (build_mesh, complement, disk, halfplane, rasterize,
                          shape_none)
+from moncap.properties import run_invariance_suite
 from moncap.solver import SolverOptions, solve_dirichlet
 
 
@@ -225,3 +229,70 @@ class TestOptionsValidation:
         opts = SolverOptions()
         assert opts.resolve_tol(p_laplacian(3.0), 1.0) == pytest.approx(1e-10)
         assert opts.resolve_tol(p_laplacian(3.0), 4.0) == pytest.approx(16e-10)
+
+
+class TestOptionsReachSolve:
+    """Every config-settable option reaches each solve made on the caller's
+    behalf: the retry, the C_p solve, the sweep and the invariance suite."""
+
+    SET = dict(tol_res=3e-9, max_newton=77, eps_schedule=(1e-3, 1e-5),
+               init_seed=11, picard_fallback=False, jacobian_floor=2e-8)
+
+    def _record(self, monkeypatch, fail_first=False):
+        real = solver._solve
+        seen = []
+
+        def recording(mesh, flux, e, f, s, opts):
+            seen.append(opts)
+            if fail_first and len(seen) == 1:
+                raise SolverDiverged("forced")
+            return real(mesh, flux, e, f, s, opts)
+        monkeypatch.setattr(solver, "_solve", recording)
+        return seen
+
+    def _assert_carried(self, seen, skip=()):
+        assert seen
+        for opts in seen:
+            for name, value in self.SET.items():
+                if name not in skip:
+                    assert getattr(opts, name) == value, name
+
+    def test_retry(self, monkeypatch):
+        seen = self._record(monkeypatch, fail_first=True)
+        mesh = build_mesh(12)
+        e, f = annulus_sets(mesh)
+        solve_dirichlet(mesh, p_laplacian(2.0), e, f, 1.0,
+                        SolverOptions(init="zero", **self.SET))
+        assert [o.init for o in seen] == ["zero", "linear_blend"]
+        self._assert_carried(seen)
+
+    def test_cp_solve(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        mesh = build_mesh(12)
+        e, f = annulus_sets(mesh)
+        compute_capacity(mesh, anisotropic_p(2.0, 2.0, 0.5), e, f, 1.0,
+                         SolverOptions(init="zero", **self.SET))
+        # the C_p solve starts from the blend on purpose
+        assert [o.init for o in seen] == ["zero", "linear_blend"]
+        self._assert_carried(seen)
+
+    def test_sweep_s(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        mesh = build_mesh(12)
+        e, f = annulus_sets(mesh)
+        sweep_s(mesh, anisotropic_p(2.0, 2.0, 0.5), e, f, [0.5, 1.0],
+                SolverOptions(init="zero", **self.SET), with_cp=True)
+        # C_p from the blend, the first point from the caller's start, the
+        # next warm-started from the previous field
+        assert [o.init for o in seen] == ["linear_blend", "zero", "given"]
+        self._assert_carried(seen)
+
+    def test_invariance_suite(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        run_invariance_suite(build_mesh(12), 2, seed=5, n_inits=3,
+                             opts=SolverOptions(**self.SET))
+        assert {"linear_blend", "zero", "random"} <= {o.init for o in seen}
+        self._assert_carried(seen, skip=("init_seed",))
+        # each random start draws from a seed offset by the caller's
+        random_seeds = {o.init_seed for o in seen if o.init == "random"}
+        assert random_seeds == {11 + 5 + 37 * i for i in range(2)}
