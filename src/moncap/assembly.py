@@ -5,9 +5,16 @@ with the flux evaluated at triangle barycenters (one-point quadrature,
 exact for P1 fields when the flux has no x-dependence).  The residual
 vector r_i = <A u, phi_i> is assembled by a fixed-order scatter, so
 identical inputs give bitwise identical outputs.
+
+Matrices are filled, not rebuilt: the mesh caches its CSR pattern and the
+slot of each element-block entry in it, and one ``bincount`` per call sums
+the blocks into the data array.  A solve's ``FreeBlock`` does the same for
+the free-free block, from only the triangles that touch free nodes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +39,18 @@ def _gradient_coefficients(mesh: Mesh) -> np.ndarray:
                       axis=1) / det[:, None]
         mesh._cache[key] = np.stack([gx, gy], axis=1)  # (ntri, 2, 3)
     return mesh._cache[key]
+
+
+class _Pattern(NamedTuple):
+    indptr: np.ndarray    # CSR row pointers, (n_nodes + 1,)
+    indices: np.ndarray   # CSR column indices, sorted within each row
+    slots: np.ndarray     # (ntri, 9): CSR slot of each element-block entry
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Index arrays shared by many matrices must not be sorted in place."""
+    a.setflags(write=False)
+    return a
 
 
 def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -97,35 +116,131 @@ def jacobian_apply(mesh: Mesh, flux: Flux, u: np.ndarray, w: np.ndarray,
     return out
 
 
+def _pattern(mesh: Mesh) -> _Pattern:
+    """CSR pattern of the P1 operator, cached on the mesh at first use.
+
+    Threads sharing a fresh mesh may each build it; the builds are equal,
+    so whichever lands in the cache serves them all (as for the gradient
+    coefficients and the p=2 stiffness matrix).
+    """
+    key = "pattern"
+    if key not in mesh._cache:
+        n = mesh.n_nodes
+        tri = mesh.triangles
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        entries = rows * n + cols
+        # np.unique(entries, return_inverse=True), from one stable sort
+        order = np.argsort(entries, kind="stable")
+        ordered = entries[order]
+        first = np.empty(ordered.size, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        keys = ordered[first]
+        itype = np.int32 if max(n, keys.size) < 2 ** 31 else np.int64
+        slots = np.empty(entries.size, dtype=itype)
+        slots[order] = np.cumsum(first, dtype=itype) - 1
+        indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        mesh._cache[key] = _Pattern(
+            _frozen(indptr), _frozen((keys % n).astype(itype)),
+            _frozen(slots.reshape(-1, 9)))
+    return mesh._cache[key]
+
+
+class FreeBlock:
+    """Free-free block of the operator for one solve.
+
+    Holds the triangles with at least one free node, a map from their
+    element-block entries to the slots of the free-free CSC matrix (entries
+    in a fixed row or column go to a spare slot that is dropped), and that
+    matrix's index arrays.  Built per solve, not cached on the mesh: a suite
+    visits many free sets on one mesh.
+    """
+
+    def __init__(self, mesh: Mesh, free: np.ndarray):
+        pat = _pattern(mesh)
+        nnz = pat.indices.size
+        n = mesh.n_nodes
+        ids = np.arange(1, nnz + 1, dtype=pat.slots.dtype)
+        marker = sp.csr_matrix((ids, pat.indices, pat.indptr), shape=(n, n))
+        sub = marker[free][:, free].tocsc()
+        self.free = free
+        self.shape = sub.shape
+        self.indptr = _frozen(sub.indptr)
+        self.indices = _frozen(sub.indices)
+        # full-pattern CSR slot of each free-free CSC slot
+        self.gather = sub.data - 1
+        to_block = np.full(nnz, self.gather.size, dtype=pat.slots.dtype)
+        to_block[self.gather] = np.arange(self.gather.size)
+        self.tri_mask = free[mesh.triangles].any(axis=1)
+        self.slots = to_block[pat.slots[self.tri_mask]].ravel()
+        self.triangles = mesh.triangles[self.tri_mask]
+        self.barycenters = mesh.barycenters[self.tri_mask]
+        self.grad_coeff = _gradient_coefficients(mesh)[self.tri_mask]
+
+    def _csc(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def take(self, k: sp.csr_matrix) -> sp.csc_matrix:
+        """k[free][:, free] of a matrix assembled on the mesh pattern."""
+        return self._csc(k.data[self.gather])
+
+    def assemble(self, blocks: np.ndarray) -> sp.csc_matrix:
+        data = np.bincount(self.slots, weights=blocks.ravel(),
+                           minlength=self.gather.size + 1)
+        return self._csc(data[:-1])
+
+
+def _element_blocks(mesh: Mesh, g: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """block_kl = |T| g_k^T . jac . g_l, shape (ntri, 3, 3)."""
+    return mesh.tri_area * (g.transpose(0, 2, 1) @ (jac @ g))
+
+
+def _full_matrix(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
+    pat = _pattern(mesh)
+    data = np.bincount(pat.slots.ravel(), weights=blocks.ravel(),
+                       minlength=pat.indices.size)
+    return sp.csr_matrix((data, pat.indices, pat.indptr),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
+
+
 def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
-                    shift: float = 0.0) -> sp.csr_matrix:
+                    shift: float = 0.0, block: Optional[FreeBlock] = None
+                    ) -> sp.csr_matrix | sp.csc_matrix:
     """Assembled sparse Jacobian of the residual at u.
 
     ``shift`` adds shift*I to the per-triangle 2x2 flux Jacobian (a
     Levenberg-style conditioning floor for degenerate fluxes; the residual
     itself is never shifted, so the converged solution is unaffected).
+
+    Without ``block`` the result is the full CSR matrix.  With it, the flux
+    Jacobian is evaluated only on the triangles that touch free nodes and
+    the result is the free-free CSC matrix, bitwise equal to
+    ``jacobian_matrix(...)[free][:, free]``.
     """
     u = _check_field(mesh, u)
-    g = _gradient_coefficients(mesh)
-    grads_u = gradients(mesh, u)
-    jac = flux_jacobian(flux, mesh.barycenters, grads_u, eps=eps)
+    if block is None:
+        g, tri, x = _gradient_coefficients(mesh), mesh.triangles, \
+            mesh.barycenters
+    else:
+        g, tri, x = block.grad_coeff, block.triangles, block.barycenters
+    grads_u = np.einsum("tck,tk->tc", g, u[tri])
+    jac = flux_jacobian(flux, x, grads_u, eps=eps)
     if shift != 0.0:
         jac = jac + shift * np.eye(2)
-    # block_kl = |T| * g_k^T . jac . g_l
-    blocks = mesh.tri_area * np.einsum("tck,tcd,tdl->tkl", g, jac, g)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+    blocks = _element_blocks(mesh, g, jac)
+    if block is None:
+        return _full_matrix(mesh, blocks)
+    return block.assemble(blocks)
 
 
 def p2_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix of the Laplacian, cached on the mesh."""
     key = "p2_stiffness"
     if key not in mesh._cache:
-        from .flux import p_laplacian
-        zero = np.zeros(mesh.n_nodes)
-        mesh._cache[key] = jacobian_matrix(mesh, p_laplacian(2.0), zero, 0.0)
+        g = _gradient_coefficients(mesh)
+        mesh._cache[key] = _full_matrix(
+            mesh, _element_blocks(mesh, g, np.eye(2)))
     return mesh._cache[key]

@@ -76,8 +76,12 @@ def parse_flux(spec, path: str = "flux") -> Flux:
         raise ConfigError("params must be an object", ppath)
     _reject_unknown(params, {prm.name for prm in entry.params}, ppath)
 
-    args = [_number(_need(spec, "p", path), f"{path}.p")] \
-        if entry.needs_p else []
+    if entry.needs_p:
+        args = [_number(_need(spec, "p", path), f"{path}.p")]
+    elif "p" in spec:
+        raise ConfigError(f"flux kind {kind!r} takes no p", f"{path}.p")
+    else:
+        args = []
     kwargs = {}
     for prm in entry.params:
         value = params.get(prm.name, prm.default)

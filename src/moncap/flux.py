@@ -53,27 +53,27 @@ class Flux:
 
     def describe(self) -> dict:
         """JSON-friendly description (used in configs and reports)."""
-        params = {}
-        for k, v in self.params.items():
-            if isinstance(v, Flux):
-                params[k] = v.describe()
-            elif isinstance(v, np.ndarray):
-                params[k] = v.tolist()
-            elif isinstance(v, (list, tuple)):
-                params[k] = [
-                    w.describe() if isinstance(w, Flux) else w for w in v
-                ]
-            else:
-                params[k] = v
         return {
             "kind": self.kind,
             "p": self.p,
-            "params": params,
+            "params": {k: _describe_param(v) for k, v in self.params.items()},
             "c1": self.c1,
             "c2": self.c2,
             "b1": self.b1,
             "b2": self.b2,
         }
+
+
+def _describe_param(v):
+    """A flux parameter as JSON-friendly data; weighted_sum parts become
+    [weight, description] pairs, nested to any depth."""
+    if isinstance(v, Flux):
+        return v.describe()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_describe_param(w) for w in v]
+    return v
 
 
 def _check_p(p):

@@ -5,12 +5,13 @@ The path: a short damped-Newton pass on the true flux (cheap when the
 problem is smooth, and it preserves initialization-dependent solutions for
 merely monotone fluxes), then continuation that fully solves the
 eps-smoothed problem at each eps of the schedule, then a true-flux polish.
-Each Newton step solves directly with a sparse LU factor of the assembled
-Jacobian, freed before the next step factors; step lengths backtrack on the
-free-node residual max-norm; a Picard fallback preconditioned by the p=2
-stiffness matrix runs before declaring divergence.  Convergence is always
-declared on the TRUE flux residual, so reported capacities belong to the
-problem actually posed.
+Each Newton step solves directly with a sparse LU factor of the Jacobian's
+free-free block (assembled straight into that block from the triangles that
+touch free nodes), freed before the next step factors; step lengths
+backtrack on the free-node residual max-norm; a Picard fallback
+preconditioned by the p=2 stiffness matrix runs before declaring
+divergence.  Convergence is always declared on the TRUE flux residual, so
+reported capacities belong to the problem actually posed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import jacobian_matrix, p2_stiffness, residual
+from .assembly import FreeBlock, jacobian_matrix, p2_stiffness, residual
 from .errors import InvalidInput, SolverDiverged
 from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
@@ -77,14 +78,15 @@ class PotentialField:
     touches_outer_boundary: bool = False
 
 
-def _linear_blend_init(mesh: Mesh, free: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _linear_blend_init(mesh: Mesh, block: FreeBlock,
+                       u: np.ndarray) -> np.ndarray:
     """Solve the p=2 problem with the same boundary data; cheap and inside
     the comparison cone."""
     k = p2_stiffness(mesh)
-    kff = k[free][:, free].tocsc()
-    rhs = -k[free][:, ~free] @ u[~free]
+    free = block.free
+    fixed = np.where(free, 0.0, u)
     out = u.copy()
-    out[free] = spla.splu(kff).solve(rhs)
+    out[free] = spla.splu(block.take(k)).solve(-(k @ fixed)[free])
     return out
 
 
@@ -138,10 +140,11 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     if not free.any():
         return make_field(u, 0.0, 0, True, [0.0])
 
+    block = FreeBlock(mesh, free)
     if opts.init == "zero":
         pass
     elif opts.init == "linear_blend":
-        u = _linear_blend_init(mesh, free, u)
+        u = _linear_blend_init(mesh, block, u)
     elif opts.init == "given":
         if opts.init_field is None:
             raise InvalidInput("init='given' requires init_field")
@@ -156,7 +159,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         raise InvalidInput(f"unknown init {opts.init!r}")
 
     history: list[float] = []
-    state = _NewtonState(mesh, flux, free, opts, history)
+    state = _NewtonState(mesh, flux, block, opts, history)
 
     rmax = state.true_rmax(u)
     if rmax <= tol:
@@ -253,10 +256,11 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 class _NewtonState:
     """Shared bookkeeping for the staged Newton solve."""
 
-    def __init__(self, mesh, flux, free, opts, history):
+    def __init__(self, mesh, flux, block, opts, history):
         self.mesh = mesh
         self.flux = flux
-        self.free = free
+        self.block = block
+        self.free = block.free
         self.opts = opts
         self.history = history
         self.iterations = 0
@@ -290,11 +294,10 @@ class _NewtonState:
             self._track(rmax, u)
         it = 0
         while it < max_iter and self.budget() > 0 and rmax > target:
-            k = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
-                                shift=opts.jacobian_floor)
-            kff = k[free][:, free]
+            kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
+                                  shift=opts.jacobian_floor, block=self.block)
             try:
-                delta = spla.splu(kff.tocsc()).solve(-r[free])
+                delta = spla.splu(kff).solve(-r[free])
             except RuntimeError:
                 break
             if not np.all(np.isfinite(delta)):
@@ -325,8 +328,7 @@ class _NewtonState:
         """Fixed-point sweeps on the true residual, preconditioned by the
         p=2 stiffness matrix."""
         free = self.free
-        k = p2_stiffness(self.mesh)
-        lu = spla.splu(k[free][:, free].tocsc())
+        lu = spla.splu(self.block.take(p2_stiffness(self.mesh)))
         r = residual(self.mesh, self.flux, u)
         rmax = _free_residual_max(r, free)
         self._track(rmax, u)

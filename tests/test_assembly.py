@@ -1,11 +1,27 @@
+import threading
+
 import numpy as np
 import pytest
 
-from moncap.assembly import (gradients, jacobian_apply, jacobian_matrix,
-                             p2_stiffness, pairing, residual)
-from moncap.flux import (flat_core_p, linear_matrix, p_laplacian,
+from moncap.assembly import (FreeBlock, gradients, jacobian_apply,
+                             jacobian_matrix, p2_stiffness, pairing, residual)
+from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
+                         linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
-from moncap.mesh import build_mesh
+from moncap.mesh import build_mesh, disk, rasterize, rect
+
+# one flux of each kind; a kind added to FLUX_KINDS needs an entry here
+KIND_EXAMPLES = {
+    "p_laplacian": p_laplacian(3.0),
+    "weighted_p_laplacian": weighted_p_laplacian(3.0, 1.0, 2.0),
+    "anisotropic_p": anisotropic_p(1.5, 2.0, 0.5),
+    "linear_matrix": linear_matrix([[1.0, 0.5], [-0.5, 1.0]]),
+    "flat_core_p": flat_core_p(2.0, 0.5),
+    "s_transformed": s_transform(p_laplacian(3.0), -0.7),
+    "weighted_sum": combine(p_laplacian(2.0),
+                            linear_matrix([[1.0, 0.5], [-0.5, 1.0]]),
+                            1.0, 0.5),
+}
 
 
 def rand_field(mesh, seed, scale=1.0):
@@ -136,13 +152,19 @@ class TestJacobianApply:
             - jacobian_apply(m, fl, u, w2, 1e-6)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
-    def test_matrix_matches_apply(self):
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6])
+    @pytest.mark.parametrize("shift", [0.0, 1e-9])
+    @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
+    def test_matrix_matches_apply(self, kind, shift, eps):
+        # shift*I on each 2x2 flux Jacobian adds shift times the p=2
+        # stiffness matrix
         m = build_mesh(5)
-        fl = weighted_p_laplacian(3.0, 1.0, 2.0)
+        fl = KIND_EXAMPLES[kind]
         u, w = rand_field(m, 8), rand_field(m, 9)
-        k = jacobian_matrix(m, fl, u, 1e-6)
-        assert np.allclose(k @ w, jacobian_apply(m, fl, u, w, 1e-6),
-                           rtol=1e-12)
+        k = jacobian_matrix(m, fl, u, eps, shift)
+        expected = jacobian_apply(m, fl, u, w, eps) + shift * (
+            p2_stiffness(m) @ w)
+        assert np.allclose(k @ w, expected, rtol=1e-12, atol=1e-13)
 
 
 class TestStiffness:
@@ -158,3 +180,92 @@ class TestStiffness:
         u = 2.0 * m.nodes[:, 0] + 3.0 * m.nodes[:, 1]
         g = gradients(m, u)
         assert np.allclose(g, [2.0, 3.0], rtol=1e-13)
+
+
+def assert_same_csc(a, b):
+    assert a.format == b.format == "csc"
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+def pair_free(mesh, e_shape, f_shape):
+    e = rasterize(e_shape, mesh, "E")
+    f = rasterize(f_shape, mesh, "F")
+    return f.mask & ~e.mask
+
+
+class TestFreeBlock:
+    """The free block is k[free][:, free], bit for bit, built from only the
+    triangles that touch free nodes."""
+
+    def check(self, m, free, fl, u, eps=1e-8, shift=1e-9):
+        k = jacobian_matrix(m, fl, u, eps, shift)
+        block = FreeBlock(m, free)
+        got = jacobian_matrix(m, fl, u, eps, shift, block=block)
+        assert_same_csc(got, k[free][:, free].tocsc())
+        k2 = p2_stiffness(m)
+        assert_same_csc(block.take(k2), k2[free][:, free].tocsc())
+        assert np.array_equal(block.tri_mask,
+                              free[m.triangles].any(axis=1))
+
+    @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
+    def test_random_masks(self, kind):
+        m = build_mesh(9)
+        rng = np.random.default_rng(3)
+        for frac in (0.1, 0.5, 0.9, 1.0):
+            free = rng.random(m.n_nodes) < frac
+            self.check(m, free, KIND_EXAMPLES[kind], rand_field(m, 4))
+
+    @pytest.mark.parametrize("e_shape,f_shape", [
+        (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
+        # F reaches the outer boundary of the square
+        (disk(0.2, 0.3, 0.1), rect(0.0, 0.0, 0.6, 1.0)),
+        # F is the whole square
+        (disk(0.5, 0.5, 0.2), rect(0.0, 0.0, 1.0, 1.0)),
+    ])
+    def test_rasterised_pairs(self, e_shape, f_shape):
+        m = build_mesh(16)
+        free = pair_free(m, e_shape, f_shape)
+        assert free.any()
+        for fl in (p_laplacian(3.0), flat_core_p(2.0, 0.5)):
+            self.check(m, free, fl, rand_field(m, 5))
+
+    def test_single_free_node(self):
+        m = build_mesh(8)
+        for i, j in ((4, 4), (0, 3), (8, 8)):
+            free = np.zeros(m.n_nodes, dtype=bool)
+            free[m.node_index(i, j)] = True
+            self.check(m, free, p_laplacian(3.0), rand_field(m, 6))
+            assert FreeBlock(m, free).shape == (1, 1)
+
+    def test_fresh_mesh_shared_by_two_threads(self):
+        # the suite's jobs=2 path shares one mesh, so its lazy caches may
+        # be filled by two threads at once
+        m = build_mesh(24)
+        fl = p_laplacian(3.0)
+        u = rand_field(m, 7)
+        free = pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def work(slot):
+            start.wait()
+            full = jacobian_matrix(m, fl, u, 1e-8, 1e-9)
+            block = jacobian_matrix(m, fl, u, 1e-8, 1e-9,
+                                    block=FreeBlock(m, free))
+            results[slot] = (full, block, p2_stiffness(m))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        (full_a, block_a, k2_a), (full_b, block_b, k2_b) = results
+        for a, b in ((full_a, full_b), (k2_a, k2_b)):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert a.data.tobytes() == b.data.tobytes()
+        assert_same_csc(block_a, block_b)
+        assert_same_csc(block_a, full_a[free][:, free].tocsc())

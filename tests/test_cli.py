@@ -87,6 +87,15 @@ class TestBadConfig:
         assert main(["capacity", cfg]) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
+    def test_p_on_kind_without_p_exit_2(self, tmp_path, capsys):
+        body = strip_cfg(str(tmp_path / "out"))
+        body["flux"] = {"kind": "linear_matrix", "p": 3.0,
+                        "params": {"M": [[1.0, 0.0], [0.0, 1.0]]}}
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["capacity", cfg]) == 2
+        assert "flux.p: flux kind 'linear_matrix' takes no p" \
+            in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["capacity", str(tmp_path / "nope.json")]) == 2
 

@@ -47,6 +47,20 @@ def test_each_kind_parses_to_its_constructor(spec, expected):
      "flux.params.parts"),
     ({"kind": "linear_matrix", "params": {"M": [["a", 1.0], [0.0, 1.0]]}},
      "expected a numeric matrix", "flux.params.M"),
+    ({"kind": "linear_matrix", "p": 3.0, "params": {"M": M}},
+     "flux kind 'linear_matrix' takes no p", "flux.p"),
+    ({"kind": "s_transformed", "p": 2.0,
+      "params": {"inner": P2, "s": -2.0}},
+     "flux kind 's_transformed' takes no p", "flux.p"),
+    ({"kind": "weighted_sum", "p": 2.0,
+      "params": {"parts": [[1.0, P2], [0.5, P2]]}},
+     "flux kind 'weighted_sum' takes no p", "flux.p"),
+    ({"kind": "adversarial_fixture", "p": 2.0},
+     "flux kind 'adversarial_fixture' takes no p", "flux.p"),
+    ({"kind": "weighted_sum", "params": {"parts": [
+        [1.0, P2], [0.5, {"kind": "linear_matrix", "p": 2.0,
+                          "params": {"M": M}}]]}},
+     "takes no p", "flux.params.parts[1].p"),
 ])
 def test_bad_spec_names_its_path(spec, message, path):
     with pytest.raises(ConfigError) as exc:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,14 @@ class TestCombine:
     def test_mismatched_p_rejected(self):
         with pytest.raises(InvalidInput):
             combine(p_laplacian(2.0), p_laplacian(3.0), 1.0, 1.0)
+
+    def test_nested_describe_is_json(self):
+        inner = combine(p_laplacian(2.0), linear_matrix(np.eye(2)), 1.0, 2.0)
+        c = combine(p_laplacian(2.0), inner, 1.0, 0.5)
+        parts = json.loads(json.dumps(c.describe()))["params"]["parts"]
+        assert parts[0] == [1.0, p_laplacian(2.0).describe()]
+        assert parts[1][1]["params"]["parts"][1] == [
+            2.0, linear_matrix(np.eye(2)).describe()]
 
 
 class TestSymmetricPartEnergy:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moncap.errors import InvalidInput
-from moncap.flux import flat_core_p, linear_matrix, p_laplacian
+from moncap.flux import combine, flat_core_p, linear_matrix, p_laplacian
 from moncap.mesh import build_mesh, disk, rasterize
 from moncap.properties import (default_flux_family, rerun_subadditivity_case,
                                run_bounds_suite, run_convergence_study,
@@ -37,6 +37,13 @@ class TestOrderSuite:
     def test_worst_margin_reported_even_on_pass(self):
         rep = run_order_suite(MESH, [p_laplacian(2.0)], 4, seed=4)
         assert "worst_margin" in rep.to_dict()
+
+    def test_weighted_sum_flux(self):
+        # the suite cache keys each solve on flux.describe(), which must be
+        # JSON-serialisable for the nested parts of a weighted sum too
+        flux = combine(p_laplacian(2.0), p_laplacian(2.0), 1.0, 0.5)
+        rep = run_order_suite(build_mesh(12), [flux], 1, 0)
+        assert rep.passed
 
     def test_parallel_matches_serial(self):
         a = run_order_suite(MESH, [p_laplacian(2.0)], 6, seed=5, jobs=1)

@@ -216,6 +216,53 @@ class TestDivergence:
         assert err.field.residual_max == min(err.history)
 
 
+class TestFreeBlockWork:
+    """The Newton solve assembles only the triangles that touch free nodes."""
+
+    def test_flux_jacobian_rows_per_assembly(self, monkeypatch):
+        from moncap import assembly
+        mesh = build_mesh(32)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        free = f.mask & ~e.mask
+        touching = int(np.count_nonzero(free[mesh.triangles].any(axis=1)))
+        rows, calls = [], []
+        real_jac, real_matrix = assembly.flux_jacobian, solver.jacobian_matrix
+
+        def counting_jac(flux, x, xi, *args, **kwargs):
+            rows.append(len(xi))
+            return real_jac(flux, x, xi, *args, **kwargs)
+
+        def counting_matrix(*args, **kwargs):
+            calls.append(1)
+            return real_matrix(*args, **kwargs)
+        monkeypatch.setattr(assembly, "flux_jacobian", counting_jac)
+        monkeypatch.setattr(solver, "jacobian_matrix", counting_matrix)
+        field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
+        assert field.converged and field.iterations > 0
+        assert 0 < touching < mesh.n_triangles and calls
+        assert sum(rows) == touching * len(calls)
+
+
+class TestLinearBlendInit:
+    def test_matches_free_free_solve(self):
+        # the blend start equals the p=2 solve written with explicit
+        # free/fixed blocks, on the acceptance annulus
+        from scipy.sparse.linalg import spsolve
+        from moncap.assembly import FreeBlock, p2_stiffness
+        for n in (32, 64):
+            mesh = build_mesh(n)
+            e, f = annulus_sets(mesh, 0.1, 0.4)
+            free = f.mask & ~e.mask
+            u = np.where(e.mask, 1.0, 0.0)
+            got = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u)
+            k = p2_stiffness(mesh)
+            expected = u.copy()
+            expected[free] = spsolve(k[free][:, free].tocsc(),
+                                     -k[free][:, ~free] @ u[~free])
+            assert np.array_equal(got[~free], u[~free])
+            assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)
+
+
 class TestOptionsValidation:
     def test_bad_eps_schedule(self):
         with pytest.raises(ValueError):
