@@ -34,6 +34,14 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+def _seed(text: str) -> int:
+    """numpy seeds must be non-negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moncap",
@@ -45,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--jobs", type=int, default=1,
                        help="bound on concurrent workers")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol-res", type=float, default=None,

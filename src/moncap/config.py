@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .flux import CONFIG_KINDS, Flux
 from .mesh import ShapeExpr, shape_from_json
 from .solver import SolverOptions
@@ -24,6 +25,14 @@ _CHECK_KEYS = {"n_samples", "xi_radius"}
 _CHAIN_KEYS = {"mode", "shapes", "fixed"}
 _ORACLE_KEYS = {"value", "radial", "strip", "reference_flux", "tol"}
 
+# Largest accepted mesh.N and N_list entry: the mesh alone grows like N^2
+# (6.3 MB at N = 256) and a solve's LU factor faster, so larger grids end
+# in a memory error rather than a result on a desk machine.
+MAX_MESH_N = 1024
+# Accepted mesh.L: at every accepted N, element areas h^2 and gradient
+# coefficients 1/h stay far inside floating-point range.
+MESH_L_RANGE = (1e-100, 1e100)
+
 
 def _reject_unknown(obj: dict, allowed: set, path: str):
     unknown = set(obj) - allowed
@@ -38,10 +47,12 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _number(value, path: str, integer=False) -> float:
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number (Python's json also reads NaN and Infinity)."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
     if not ok or (integer and int(value) != value):
-        kind = "integer" if integer else "number"
-        raise ConfigError(f"expected a {kind}, got {value!r}", path)
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"expected {kind}, got {value!r}", path)
     return int(value) if integer else float(value)
 
 
@@ -139,8 +150,15 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
                                            f"{path}.jacobian_floor")
     try:
         return SolverOptions(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
+    except InvalidInput as exc:
+        raise ConfigError(str(exc), f"{path}.{exc.field}") from exc
+
+
+def _mesh_n(value, path: str) -> int:
+    n = _number(value, path, integer=True)
+    if not 2 <= n <= MAX_MESH_N:
+        raise ConfigError(f"N must be between 2 and {MAX_MESH_N}", path)
+    return n
 
 
 class ExperimentConfig:
@@ -159,13 +177,12 @@ class ExperimentConfig:
             if not isinstance(mesh, dict):
                 raise ConfigError("mesh must be an object", "mesh")
             _reject_unknown(mesh, _MESH_KEYS, "mesh")
-            self.mesh_n = _number(_need(mesh, "N", "mesh"), "mesh.N",
-                                  integer=True)
-            if self.mesh_n < 2:
-                raise ConfigError("N must be >= 2", "mesh.N")
+            self.mesh_n = _mesh_n(_need(mesh, "N", "mesh"), "mesh.N")
             self.mesh_l = _number(mesh.get("L", 1.0), "mesh.L")
-            if self.mesh_l <= 0:
-                raise ConfigError("L must be positive", "mesh.L")
+            lo, hi = MESH_L_RANGE
+            if not lo <= self.mesh_l <= hi:
+                raise ConfigError(f"L must be between {lo:g} and {hi:g}",
+                                  "mesh.L")
 
         self.flux = parse_flux(raw["flux"]) if "flux" in raw else None
         self.e_shape = parse_shape(raw["E"], "E") if "E" in raw else None
@@ -173,7 +190,9 @@ class ExperimentConfig:
         self.s = _number(raw.get("s", 1.0), "s")
         self.solver = parse_solver(raw["solver"]) if "solver" in raw \
             else SolverOptions()
-        self.seed = int(_number(raw.get("seed", 0), "seed", integer=True))
+        self.seed = _number(raw.get("seed", 0), "seed", integer=True)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", "seed")
         self.output_dir = raw.get("output_dir", "out")
         if not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string", "output_dir")
@@ -195,7 +214,7 @@ class ExperimentConfig:
             lst = raw["N_list"]
             if not isinstance(lst, list) or not lst:
                 raise ConfigError("N_list must be a nonempty list", "N_list")
-            self.n_list = [int(_number(v, f"N_list[{k}]", integer=True))
+            self.n_list = [_mesh_n(v, f"N_list[{k}]")
                            for k, v in enumerate(lst)]
 
         self.suite = None

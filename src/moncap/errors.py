@@ -2,7 +2,12 @@
 
 
 class InvalidInput(ValueError):
-    """Arguments violate an operation's preconditions."""
+    """Arguments violate an operation's preconditions; ``field`` names the
+    offending argument when there is one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class MeshMismatch(InvalidInput):

@@ -7,7 +7,11 @@ merely monotone fluxes), then continuation that fully solves the
 eps-smoothed problem at each eps of the schedule, then a true-flux polish.
 Each Newton step solves directly with a sparse LU factor of the Jacobian's
 free-free block (assembled straight into that block from the triangles that
-touch free nodes), freed before the next step factors; step lengths
+touch free nodes), freed before the next step factors.  The block's rows
+and columns follow the mesh's cached nested-dissection order of the free
+nodes, so every factor keeps that order (``permc_spec="NATURAL"``) instead
+of computing a COLAMD ordering per step; SuperLU's row partial pivoting
+stays on for skew and shifted degenerate Jacobians.  Step lengths
 backtrack on the free-node residual max-norm; a Picard fallback
 preconditioned by the p=2 stiffness matrix runs before declaring
 divergence.  Convergence is always declared on the TRUE flux residual, so
@@ -16,6 +20,7 @@ reported capacities belong to the problem actually posed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
@@ -47,18 +52,38 @@ class SolverOptions:
     jacobian_floor: float = 1e-9         # conditioning shift, see ledger
 
     def __post_init__(self):
-        if self.tol_res is not None and not self.tol_res > 0:
-            raise InvalidInput("tol_res must be positive")
+        # a budget below one step, a non-finite or negative floor, or an
+        # infinite target would let Picard or nothing at all carry a solve
+        # that reports itself converged
+        if self.tol_res is not None and not 0 < self.tol_res < math.inf:
+            raise InvalidInput("tol_res must be positive and finite",
+                               "tol_res")
+        for name in ("max_newton", "init_seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer))
+                    and not isinstance(value, bool) and value >= 0):
+                raise InvalidInput(f"{name} must be an integer >= 0", name)
+        if not 0 <= self.jacobian_floor < math.inf:
+            raise InvalidInput("jacobian_floor must be finite and >= 0",
+                               "jacobian_floor")
         eps = tuple(self.eps_schedule)
-        if any(e <= 0 for e in eps) or any(
+        if not all(0 < e < math.inf for e in eps) or any(
                 eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise InvalidInput("eps_schedule must be positive and strictly decreasing")
+            raise InvalidInput("eps_schedule must be positive, finite and "
+                               "strictly decreasing", "eps_schedule")
         object.__setattr__(self, "eps_schedule", eps)
 
     def resolve_tol(self, flux: Flux, s: float) -> float:
         if self.tol_res is not None:
             return self.tol_res
-        return 1e-10 * max(1.0, abs(s) ** (flux.p - 1.0))
+        try:
+            tol = 1e-10 * max(1.0, abs(s) ** (flux.p - 1.0))
+        except OverflowError:
+            tol = math.inf
+        if not math.isfinite(tol):
+            raise InvalidInput(f"|s|^(p-1) overflows at s = {s!r}, "
+                               f"p = {flux.p!r}", "s")
+        return tol
 
 
 @dataclass
@@ -78,15 +103,20 @@ class PotentialField:
     touches_outer_boundary: bool = False
 
 
+def _factor(a):
+    """LU factor of a free-free block, kept in its dissection order."""
+    return spla.splu(a, permc_spec="NATURAL")
+
+
 def _linear_blend_init(mesh: Mesh, block: FreeBlock,
                        u: np.ndarray) -> np.ndarray:
     """Solve the p=2 problem with the same boundary data; cheap and inside
     the comparison cone."""
     k = p2_stiffness(mesh)
-    free = block.free
-    fixed = np.where(free, 0.0, u)
+    nodes = block.nodes
+    fixed = np.where(block.free, 0.0, u)
     out = u.copy()
-    out[free] = spla.splu(block.take(k)).solve(-(k @ fixed)[free])
+    out[nodes] = _factor(block.take(k)).solve(-(k @ fixed)[nodes])
     return out
 
 
@@ -261,6 +291,7 @@ class _NewtonState:
         self.flux = flux
         self.block = block
         self.free = block.free
+        self.nodes = block.nodes
         self.opts = opts
         self.history = history
         self.iterations = 0
@@ -286,7 +317,7 @@ class _NewtonState:
         (u, last rmax of that residual).  Tracks the best TRUE iterate only
         when iterating the true residual."""
         opts = self.opts
-        free = self.free
+        free, nodes = self.free, self.nodes
         true_pass = residual_eps == 0.0
         r = residual(self.mesh, self.flux, u, eps=residual_eps)
         rmax = _free_residual_max(r, free)
@@ -297,7 +328,7 @@ class _NewtonState:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
                                   shift=opts.jacobian_floor, block=self.block)
             try:
-                delta = spla.splu(kff).solve(-r[free])
+                delta = _factor(kff).solve(-r[nodes])
             except RuntimeError:
                 break
             if not np.all(np.isfinite(delta)):
@@ -306,7 +337,7 @@ class _NewtonState:
             accepted = False
             while t >= opts.ls_min_step:
                 u_try = u.copy()
-                u_try[free] += t * delta
+                u_try[nodes] += t * delta
                 r_try = residual(self.mesh, self.flux, u_try,
                                  eps=residual_eps)
                 rmax_try = _free_residual_max(r_try, free)
@@ -327,8 +358,8 @@ class _NewtonState:
     def picard(self, u, target, max_sweeps):
         """Fixed-point sweeps on the true residual, preconditioned by the
         p=2 stiffness matrix."""
-        free = self.free
-        lu = spla.splu(self.block.take(p2_stiffness(self.mesh)))
+        free, nodes = self.free, self.nodes
+        lu = _factor(self.block.take(p2_stiffness(self.mesh)))
         r = residual(self.mesh, self.flux, u)
         rmax = _free_residual_max(r, free)
         self._track(rmax, u)
@@ -336,12 +367,12 @@ class _NewtonState:
         for _ in range(max_sweeps):
             if rmax <= target:
                 break
-            step = lu.solve(r[free])
+            step = lu.solve(r[nodes])
             t = omega
             accepted = False
             while t >= 1e-10:
                 u_try = u.copy()
-                u_try[free] -= t * step
+                u_try[nodes] -= t * step
                 r_try = residual(self.mesh, self.flux, u_try)
                 rmax_try = _free_residual_max(r_try, free)
                 if rmax_try < rmax:

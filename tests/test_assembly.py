@@ -1,10 +1,13 @@
+import gc
 import threading
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from moncap.assembly import (FreeBlock, gradients, jacobian_apply,
-                             jacobian_matrix, p2_stiffness, pairing, residual)
+from moncap.assembly import (FreeBlock, _dissection_rank, gradients,
+                             jacobian_apply, jacobian_matrix, p2_stiffness,
+                             pairing, residual)
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
@@ -196,17 +199,23 @@ def pair_free(mesh, e_shape, f_shape):
     return f.mask & ~e.mask
 
 
+def sub_block(k, nodes):
+    return k[nodes][:, nodes].tocsc()
+
+
 class TestFreeBlock:
-    """The free block is k[free][:, free], bit for bit, built from only the
-    triangles that touch free nodes."""
+    """The free block is k[nodes][:, nodes], bit for bit, with ``nodes`` the
+    free nodes in dissection order, built from only the triangles that
+    touch free nodes."""
 
     def check(self, m, free, fl, u, eps=1e-8, shift=1e-9):
         k = jacobian_matrix(m, fl, u, eps, shift)
         block = FreeBlock(m, free)
+        assert np.array_equal(np.sort(block.nodes), np.flatnonzero(free))
         got = jacobian_matrix(m, fl, u, eps, shift, block=block)
-        assert_same_csc(got, k[free][:, free].tocsc())
+        assert_same_csc(got, sub_block(k, block.nodes))
         k2 = p2_stiffness(m)
-        assert_same_csc(block.take(k2), k2[free][:, free].tocsc())
+        assert_same_csc(block.take(k2), sub_block(k2, block.nodes))
         assert np.array_equal(block.tri_mask,
                               free[m.triangles].any(axis=1))
 
@@ -268,4 +277,61 @@ class TestFreeBlock:
             assert np.array_equal(a.indices, b.indices)
             assert a.data.tobytes() == b.data.tobytes()
         assert_same_csc(block_a, block_b)
-        assert_same_csc(block_a, full_a[free][:, free].tocsc())
+        nodes = FreeBlock(m, free).nodes
+        assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
+        assert_same_csc(block_a, sub_block(full_a, nodes))
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33])
+    def test_rank_is_a_permutation(self, n):
+        m = build_mesh(n)
+        rank = _dissection_rank(m)
+        assert np.array_equal(np.sort(rank), np.arange(m.n_nodes))
+
+    def test_built_once_per_mesh_at_first_use(self):
+        m = build_mesh(12)
+        assert "dissection_rank" not in m._cache
+        free = pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        FreeBlock(m, free)
+        rank = m._cache["dissection_rank"]
+        assert not rank.flags.writeable
+        FreeBlock(m, ~free)
+        assert _dissection_rank(m) is rank
+
+    def test_build_leaves_no_garbage_cycles(self):
+        # cycles left per fresh mesh wait for a full collection, which let
+        # the peak RSS of repeated N = 256 solves creep upwards
+        gc.collect()
+        gc.disable()
+        try:
+            _dissection_rank(build_mesh(16))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_first_separator_is_numbered_last(self):
+        # the middle grid line splits the square first, so it closes the
+        # order: every other node is eliminated before it
+        m = build_mesh(16)
+        rank = _dissection_rank(m)
+        mid = [m.node_index(8, j) for j in range(17)]
+        assert sorted(rank[mid]) == list(range(m.n_nodes - 17, m.n_nodes))
+
+    def test_less_fill_than_colamd(self):
+        # the block in dissection order, factored without reordering,
+        # fills less than COLAMD's order of the same block in mask order
+        m = build_mesh(128)
+        free = pair_free(m, disk(0.5, 0.5, 0.12), disk(0.5, 0.5, 0.38))
+        block = FreeBlock(m, free)
+        k = jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 11), 1e-10,
+                            1e-9)
+
+        def fill(a, spec):
+            lu = spla.splu(a, permc_spec=spec)
+            return lu.L.nnz + lu.U.nnz
+
+        nd = fill(jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 11),
+                                  1e-10, 1e-9, block=block), "NATURAL")
+        colamd = fill(k[free][:, free].tocsc(), "COLAMD")
+        assert nd < 0.85 * colamd

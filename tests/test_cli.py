@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moncap.cli import main
+from moncap.config import _SOLVER_KEYS, MAX_MESH_N, MESH_L_RANGE
 from moncap.reporting import config_hash
 
 
@@ -315,3 +322,149 @@ class TestConfigHash:
 
     def test_differs_on_content(self):
         assert config_hash({"seed": 3}) != config_hash({"seed": 4})
+
+
+def annulus_cfg(out_dir, n=24, solver=None):
+    body = {
+        "mesh": {"N": n},
+        "flux": {"kind": "p_laplacian", "p": 3.0},
+        "E": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.1}},
+        "F": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.4}},
+        "s": 1.0,
+        "output_dir": out_dir,
+    }
+    if solver is not None:
+        body["solver"] = solver
+    return body
+
+
+class TestOptionsThatSkipNewton:
+    # each of these used to exit 0 with converged: true, Newton skipped
+    # and Picard (or an indefinite Jacobian) carrying the solve
+    @pytest.mark.parametrize("key,value", [
+        ("max_newton", -1), ("jacobian_floor", float("nan")),
+        ("jacobian_floor", float("inf")), ("jacobian_floor", -1.0),
+    ])
+    def test_exit_2_with_path(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path / "c.json", annulus_cfg(
+            str(tmp_path / "o"), solver={key: value}))
+        assert main(["capacity", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: solver.{key}: " in captured.err
+        assert captured.out == ""
+
+
+class TestMeshCeiling:
+    @pytest.mark.parametrize("body_edit,path", [
+        (lambda b: b["mesh"].update(N=100_000), "mesh.N"),
+        (lambda b: b["mesh"].update(N=1), "mesh.N"),
+        (lambda b: b.update(N_list=[8, 10 ** 9]), "N_list[1]"),
+        (lambda b: b.update(N_list=[1]), "N_list[0]"),
+    ])
+    def test_exit_2_before_any_mesh_is_built(self, tmp_path, capsys,
+                                             monkeypatch, body_edit, path):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr("moncap.cli.build_mesh", no_mesh)
+        body = annulus_cfg(str(tmp_path / "o"), n=8)
+        body_edit(body)
+        cfg = write_cfg(tmp_path / "c.json", body)
+        for command in ("capacity", "converge"):
+            assert main([command, cfg]) == 2
+            assert f"config error: {path}: N must be between 2 and" \
+                in capsys.readouterr().err
+
+
+# values no field should crash on: non-finite, negative, huge, wrong type
+_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+    st.sampled_from([0, -1, 1e308, -1e308, 1e-308, True, None, "zero"]),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+)
+# mesh sizes small or above the ceiling only: no example allocates much
+_MESH_N = st.one_of(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=MAX_MESH_N + 1, max_value=10 ** 12),
+    st.sampled_from([1, 0, -5, 2.5, float("nan"), float("inf"), "8", [8]]),
+)
+
+
+def _run_capacity(body):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        cfg = write_cfg(pathlib.Path(tmp) / "c.json", body)
+        rc = main(["capacity", cfg, "--out", tmp])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+class TestConfigFuzz:
+    """Any config value ends in a documented exit code, never a
+    traceback (an exception escaping ``main`` fails the test too)."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(),
+           key=st.sampled_from(["s", "mesh.N", "mesh.L"] + [
+               f"solver.{k}" for k in sorted(_SOLVER_KEYS)]))
+    def test_one_bad_value(self, data, key):
+        body = annulus_cfg("unused", n=8, solver={})
+        value = data.draw(_MESH_N if key == "mesh.N" else _JUNK)
+        block, _, name = key.rpartition(".")
+        (body[block] if block else body)[name] = value
+        _run_capacity(body)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(s=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(min_value=2, max_value=10),
+           length=st.floats(min_value=MESH_L_RANGE[0],
+                            max_value=MESH_L_RANGE[1]),
+           max_newton=st.integers(min_value=0, max_value=10 ** 9),
+           floor=st.sampled_from([0.0, 1e-300, 1e-9, 1e300]))
+    def test_extreme_accepted_values(self, s, n, length, max_newton, floor):
+        body = annulus_cfg("unused", n=n, solver={
+            "max_newton": max_newton, "jacobian_floor": floor})
+        body["s"] = s
+        body["mesh"]["L"] = length
+        for key in ("E", "F"):
+            body[key]["disk"] = {k: v * length
+                                 for k, v in body[key]["disk"].items()}
+        _run_capacity(body)
+
+
+class TestNegativeSeed:
+    # numpy's default_rng raised a ValueError traceback on either
+    def test_config_seed_exit_2(self, tmp_path, capsys):
+        body = strip_cfg(str(tmp_path / "o"))
+        body["seed"] = -1
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["capacity", cfg]) == 2
+        assert "config error: seed: seed must be >= 0" \
+            in capsys.readouterr().err
+
+    def test_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", strip_cfg(str(tmp_path / "o")))
+        assert main(["suite", cfg, "--name", "order", "--seed", "-1"]) == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+
+class TestFoundByFuzzing:
+    @pytest.mark.parametrize("edit,message", [
+        # |s|^(p-1) of the default tolerance overflowed in Python floats
+        (lambda b: b.update(s=1e308), "invalid input: |s|^(p-1) overflows"),
+        # element areas underflowed and the start's LU factor was singular
+        (lambda b: b["mesh"].update(L=1e-160),
+         "config error: mesh.L: L must be between"),
+    ])
+    def test_exit_2_not_traceback(self, tmp_path, capsys, edit, message):
+        body = annulus_cfg(str(tmp_path / "o"), n=8)
+        edit(body)
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["capacity", cfg]) == 2
+        assert message in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import pytest
 
-from moncap.config import parse_flux
+from moncap.config import (MAX_MESH_N, ExperimentConfig, parse_flux,
+                           parse_solver)
 from moncap.errors import ConfigError
 from moncap.flux import (adversarial_fixture, anisotropic_p, combine,
                          flat_core_p, linear_matrix, p_laplacian, s_transform,
@@ -67,3 +68,58 @@ def test_bad_spec_names_its_path(spec, message, path):
         parse_flux(spec)
     assert exc.value.path == path
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("max_newton", -1, "max_newton must be an integer >= 0"),
+    ("max_newton", 1.5, "expected an integer"),
+    ("max_newton", float("inf"), "expected an integer"),
+    # JSON has no NaN or Infinity, though Python's json module reads them
+    ("jacobian_floor", float("nan"), "expected a number, got nan"),
+    ("jacobian_floor", float("inf"), "expected a number, got inf"),
+    ("jacobian_floor", -1.0, "jacobian_floor must be finite and >= 0"),
+    ("init_seed", -3, "init_seed must be an integer >= 0"),
+    ("tol_res", float("inf"), "expected a number, got inf"),
+    ("tol_res", 0.0, "tol_res must be positive and finite"),
+    ("eps_schedule", [1e-2, 1e-1], "eps_schedule must be positive"),
+])
+def test_bad_solver_option_names_its_key(key, value, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_solver({key: value})
+    assert exc.value.path.startswith(f"solver.{key}")
+    assert message in str(exc.value)
+
+
+def annulus_raw(**overrides):
+    raw = {"mesh": {"N": 8}, "flux": P2,
+           "E": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.1}},
+           "F": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.4}}}
+    raw.update(overrides)
+    return raw
+
+
+@pytest.mark.parametrize("raw,path", [
+    (annulus_raw(mesh={"N": 1}), "mesh.N"),
+    (annulus_raw(mesh={"N": MAX_MESH_N + 1}), "mesh.N"),
+    (annulus_raw(mesh={"N": 100_000}), "mesh.N"),
+    (annulus_raw(mesh={"N": 8, "L": float("inf")}), "mesh.L"),
+    (annulus_raw(mesh={"N": 8, "L": float("nan")}), "mesh.L"),
+    (annulus_raw(mesh={"N": 8, "L": 0.0}), "mesh.L"),
+    (annulus_raw(mesh={"N": 8, "L": 1e-160}), "mesh.L"),
+    (annulus_raw(mesh={"N": 8, "L": 1e160}), "mesh.L"),
+    (annulus_raw(s=float("nan")), "s"),
+    (annulus_raw(s=float("-inf")), "s"),
+    (annulus_raw(N_list=[8, 0]), "N_list[1]"),
+    (annulus_raw(N_list=[8, MAX_MESH_N + 1]), "N_list[1]"),
+])
+def test_out_of_range_names_its_path(raw, path):
+    # parsing builds no mesh, so an out-of-range size allocates nothing
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(raw)
+    assert exc.value.path == path
+
+
+def test_mesh_size_bounds_accepted():
+    cfg = ExperimentConfig(annulus_raw(mesh={"N": MAX_MESH_N},
+                                       N_list=[2, MAX_MESH_N]))
+    assert cfg.mesh_n == MAX_MESH_N and cfg.n_list == [2, MAX_MESH_N]

@@ -3,7 +3,7 @@ import pytest
 
 from moncap import solver
 from moncap.capacity import compute_capacity, sweep_s
-from moncap.errors import SolverDiverged
+from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform)
 from moncap.mesh import (build_mesh, complement, disk, halfplane, rasterize,
@@ -151,6 +151,21 @@ class TestFlatCore:
         assert spread <= 1e-6 * (1.0 + abs(np.mean(energies)))
 
 
+class TestRandomStart:
+    def test_drawn_in_mask_order(self):
+        # the factor's dissection order of the free nodes must not reach
+        # the random start: its draw fills u[free] in node-index order
+        mesh = build_mesh(16)
+        e, f = annulus_sets(mesh)
+        free = f.mask & ~e.mask
+        opts = SolverOptions(init="random", init_seed=5, tol_res=1e300)
+        pf = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 0.8, opts)
+        assert pf.iterations == 0
+        draw = np.random.default_rng(5).uniform(0.0, 0.8,
+                                                size=int(free.sum()))
+        assert np.array_equal(pf.u[free], draw)
+
+
 class TestSkewMatrix:
     def test_skew_equals_laplace_when_f_interior(self):
         # interior free rows of the skew part cancel on this mesh, so the
@@ -271,6 +286,22 @@ class TestOptionsValidation:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             SolverOptions(tol_res=-1.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_newton", -1), ("max_newton", 2.0), ("max_newton", True),
+        ("jacobian_floor", float("nan")), ("jacobian_floor", float("inf")),
+        ("jacobian_floor", -1.0), ("init_seed", -1),
+        ("tol_res", float("inf")), ("eps_schedule", (float("inf"), 1e-2)),
+        ("eps_schedule", (1e-2, float("nan"))),
+    ])
+    def test_rejected_value_names_its_field(self, key, value):
+        with pytest.raises(InvalidInput) as exc:
+            SolverOptions(**{key: value})
+        assert exc.value.field == key
+
+    def test_zero_newton_budget_and_floor_accepted(self):
+        opts = SolverOptions(max_newton=0, jacobian_floor=0.0)
+        assert opts.max_newton == 0 and opts.jacobian_floor == 0.0
 
     def test_default_tol_scales_with_s(self):
         opts = SolverOptions()
