@@ -117,25 +117,20 @@ def sandwich_constants(flux: Flux, area_f: float, diam_f: float):
     return k1, k2, k3
 
 
-def _is_pure_p_laplacian(flux: Flux) -> bool:
-    return flux.kind == "p_laplacian"
-
-
-def _infinite_report(mesh: Mesh, flux: Flux, f: NodeSet, s: float) -> CapacityReport:
+def _report(mesh: Mesh, flux: Flux, f: NodeSet, s: float,
+            **values) -> CapacityReport:
+    """A report on F with the flux, area, diameter and sandwich constants
+    filled in; values holds the rest."""
     area_f = node_area(mesh, f)
     diam_f = node_diameter(mesh, f)
     k1, k2, k3 = sandwich_constants(flux, area_f, diam_f)
-    inf = math.inf
     return CapacityReport(
-        c_energy=inf, c_inner=inf, c_outer=inf, c_hat=inf, s=float(s),
-        cp_value=None, k1=k1, k2=k2, k3=k3,
+        s=float(s), k1=k1, k2=k2, k3=k3,
         c1=flux.c1, c2=flux.c2, b1=flux.b1, b2=flux.b2, p=flux.p,
-        area_f=area_f, diam_f=diam_f, residual_max=float("nan"),
-        tol_cap=float("nan"), compatible=False, converged=False,
-        three_formula_ok=True)
+        area_f=area_f, diam_f=diam_f, **values)
 
 
-def _build_report(mesh, flux, e, f, s, pf, cp_value) -> CapacityReport:
+def _build_report(mesh, flux, e, f, s, pf) -> CapacityReport:
     r = residual(mesh, flux, pf.u)
     c_hat = float(np.sum(r[e.mask]))
     c_inner = s * c_hat
@@ -145,18 +140,11 @@ def _build_report(mesh, flux, e, f, s, pf, cp_value) -> CapacityReport:
     tol_cap = n_constrained * pf.tol_res * max(1.0, abs(s))
     three_ok = (abs(c_energy - c_inner) <= tol_cap
                 and abs(c_inner - c_outer) <= tol_cap)
-    area_f = node_area(mesh, f)
-    diam_f = node_diameter(mesh, f)
-    k1, k2, k3 = sandwich_constants(flux, area_f, diam_f)
-    return CapacityReport(
-        c_energy=c_energy, c_inner=c_inner, c_outer=c_outer,
-        c_hat=c_hat, s=float(s), cp_value=cp_value,
-        k1=k1, k2=k2, k3=k3,
-        c1=flux.c1, c2=flux.c2, b1=flux.b1, b2=flux.b2, p=flux.p,
-        area_f=area_f, diam_f=diam_f,
+    return _report(
+        mesh, flux, f, s, c_energy=c_energy, c_inner=c_inner,
+        c_outer=c_outer, c_hat=c_hat, cp_value=None,
         residual_max=pf.residual_max, tol_cap=tol_cap,
-        compatible=True, converged=pf.converged,
-        three_formula_ok=three_ok)
+        converged=pf.converged, three_formula_ok=three_ok)
 
 
 # optional observer invoked with every converged CapacityReport; the
@@ -183,29 +171,33 @@ def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
     try:
         validate_pair(e, f, mesh)
     except IncompatiblePair:
-        return _infinite_report(mesh, flux, f, s), None
+        inf = math.inf
+        return _report(mesh, flux, f, s, c_energy=inf, c_inner=inf,
+                       c_outer=inf, c_hat=inf, cp_value=None,
+                       residual_max=math.nan, tol_cap=math.nan,
+                       compatible=False, converged=False), None
 
     try:
         pf = solve_dirichlet(mesh, flux, e, f, s, opts)
     except SolverDiverged as exc:
-        exc.report = _build_report(mesh, flux, e, f, s, exc.field, None)
+        exc.report = _build_report(mesh, flux, e, f, s, exc.field)
         raise
 
-    cp_value = cp_hint
-    if cp_value is None and with_cp:
-        if _is_pure_p_laplacian(flux) and s == 1.0:
-            cp_value = None  # filled below from this very report
-        elif with_cp:
+    report = _build_report(mesh, flux, e, f, s, pf)
+    # an infinite capacity belongs to incompatible pairs alone
+    if not all(map(math.isfinite,
+                   (report.c_energy, report.c_inner, report.c_outer))):
+        raise InvalidInput(f"the capacity overflows at s = {s!r}", "s")
+    report.cp_value = cp_hint
+    if cp_hint is None and with_cp:
+        if flux.kind == "p_laplacian" and s == 1.0:
+            report.cp_value = report.c_inner
+        else:
             # the caller's start belongs to another flux and level
             cp_opts = replace(opts, init="linear_blend", init_field=None)
             cp_report, _ = compute_capacity(
                 mesh, p_laplacian(flux.p), e, f, 1.0, cp_opts, with_cp=False)
-            cp_value = cp_report.c_inner
-
-    report = _build_report(mesh, flux, e, f, s, pf, cp_value)
-    if report.cp_value is None and with_cp and _is_pure_p_laplacian(flux) \
-            and s == 1.0:
-        report.cp_value = report.c_inner
+            report.cp_value = cp_report.c_inner
     if _AUDIT is not None and report.converged:
         _AUDIT(report)
     return report, pf
@@ -281,8 +273,10 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
     prev_s = None
     for s in s_values:
         if s == 0.0:
-            report = _zero_s_report(mesh, flux, f, cp_value)
-            out.append((s, report))
+            out.append((s, _report(
+                mesh, flux, f, s, c_energy=0.0, c_inner=0.0, c_outer=0.0,
+                c_hat=0.0, cp_value=cp_value, residual_max=0.0,
+                tol_cap=0.0)))
             continue
         solve_opts = opts
         if prev_u is not None and prev_s not in (None, 0.0):
@@ -299,17 +293,6 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
         if pf is not None:
             prev_u, prev_s = pf.u, s
     return out
-
-
-def _zero_s_report(mesh, flux, f, cp_value):
-    area_f = node_area(mesh, f)
-    diam_f = node_diameter(mesh, f)
-    k1, k2, k3 = sandwich_constants(flux, area_f, diam_f)
-    return CapacityReport(
-        c_energy=0.0, c_inner=0.0, c_outer=0.0, c_hat=0.0, s=0.0,
-        cp_value=cp_value, k1=k1, k2=k2, k3=k3,
-        c1=flux.c1, c2=flux.c2, b1=flux.b1, b2=flux.b2, p=flux.p,
-        area_f=area_f, diam_f=diam_f, residual_max=0.0, tol_cap=0.0)
 
 
 def scaled_flux_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,

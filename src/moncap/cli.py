@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="bound on concurrent workers")
+                       help="bound on concurrent workers of the order, "
+                       "subadditivity and bounds suites")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
@@ -238,10 +239,9 @@ def _run_suite(cfg, name, jobs):
             # p < 2 members make the continuity proxy unattainable (the
             # max jump near s=0 shrinks by 2^(p-1) < 1.5 per halving)
             chosen = [fl for fl in fluxes if fl.p >= 2.0]
-        return properties.run_s_suite(mesh, chosen, grid, seed, opts, jobs)
+        return properties.run_s_suite(mesh, chosen, grid, seed, opts)
     if name == "invariance":
-        return properties.run_invariance_suite(mesh, instances, seed, opts,
-                                               jobs)
+        return properties.run_invariance_suite(mesh, instances, seed, opts)
     if name == "sequence":
         if cfg.chain is None:
             raise ConfigError("sequence suite needs a chain block")
@@ -276,23 +276,18 @@ def cmd_converge(args) -> int:
     _require(cfg, "flux", "e_shape", "f_shape", "n_list", "oracle")
     t0 = time.time()
     orc = cfg.oracle
-    tol = float(orc.get("tol", 0.05))
-    oracle_value = None
-    reference_flux = orc.get("reference_flux")
-    if "value" in orc:
-        oracle_value = float(orc["value"])
-    elif "radial" in orc:
+    oracle_value = orc.get("value")
+    if oracle_value is None and "radial" in orc:
         r = orc["radial"]
         oracle_value = radial_p_capacity(
-            RadialSpec(int(r.get("n", 2)), float(r["p"]), float(r["r"]),
-                       float(r["R"])))
-    elif "strip" in orc:
-        s = orc["strip"]
-        oracle_value = strip_capacity(float(s["p"]), float(s["a"]),
-                                      float(s["b"]), float(s.get("Ly", 1.0)))
+            RadialSpec(r["n"], r["p"], r["r"], r["R"]))
+    elif oracle_value is None and "strip" in orc:
+        strip = orc["strip"]
+        oracle_value = strip_capacity(strip["p"], strip["a"], strip["b"],
+                                      strip["Ly"])
     report = properties.run_convergence_study(
         cfg.e_shape, cfg.f_shape, cfg.flux, cfg.n_list, oracle_value,
-        tol, cfg.mesh_l, reference_flux, cfg.solver)
+        orc["tol"], cfg.mesh_l, orc.get("reference_flux"), cfg.solver)
     write_json(os.path.join(out_dir, f"converge-{h[:12]}.json"),
                report.to_dict())
     print(report.summary_line())

@@ -19,11 +19,14 @@ _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
 _MESH_KEYS = {"N", "L"}
 _FLUX_KEYS = {"kind", "p", "params"}
 _SOLVER_KEYS = {"tol_res", "max_newton", "eps_schedule", "init", "init_seed",
-                "picard_fallback", "jacobian_floor"}
+                "jacobian_floor"}
 _SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
 _CHECK_KEYS = {"n_samples", "xi_radius"}
 _CHAIN_KEYS = {"mode", "shapes", "fixed"}
 _ORACLE_KEYS = {"value", "radial", "strip", "reference_flux", "tol"}
+# closed-form oracle arguments with their defaults; None marks a required key
+_RADIAL_ARGS = {"n": 2, "p": None, "r": None, "R": None}
+_STRIP_ARGS = {"p": None, "a": None, "b": None, "Ly": 1.0}
 
 # Largest accepted mesh.N and N_list entry: the mesh alone grows like N^2
 # (6.3 MB at N = 256) and a solve's LU factor faster, so larger grids end
@@ -54,6 +57,27 @@ def _number(value, path: str, integer=False) -> float:
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"expected {kind}, got {value!r}", path)
     return int(value) if integer else float(value)
+
+
+def _numbers(obj, args: dict, path: str, integers=()) -> dict:
+    """An object whose keys are those of args, each a finite number."""
+    if not isinstance(obj, dict):
+        raise ConfigError("expected an object", path)
+    _reject_unknown(obj, set(args), path)
+    out = {}
+    for key, default in args.items():
+        value = obj.get(key, default)
+        if value is None:
+            raise ConfigError(f"missing required key {key!r}", path)
+        out[key] = _number(value, f"{path}.{key}", integer=key in integers)
+    return out
+
+
+def _s_grid(value, path: str) -> list:
+    if not isinstance(value, list) or len(value) < 2:
+        raise ConfigError("s_grid must be a list of at least two numbers",
+                          path)
+    return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
 def _parts(value, path: str) -> list:
@@ -140,11 +164,6 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
     if "init_seed" in spec:
         kwargs["init_seed"] = _number(spec["init_seed"], f"{path}.init_seed",
                                       integer=True)
-    if "picard_fallback" in spec:
-        if not isinstance(spec["picard_fallback"], bool):
-            raise ConfigError("picard_fallback must be a boolean",
-                              f"{path}.picard_fallback")
-        kwargs["picard_fallback"] = spec["picard_fallback"]
     if "jacobian_floor" in spec:
         kwargs["jacobian_floor"] = _number(spec["jacobian_floor"],
                                            f"{path}.jacobian_floor")
@@ -200,14 +219,8 @@ class ExperimentConfig:
         if not isinstance(self.clip_e_to_f, bool):
             raise ConfigError("clip_E_to_F must be a boolean", "clip_E_to_F")
 
-        self.s_grid = None
-        if "s_grid" in raw:
-            grid = raw["s_grid"]
-            if not isinstance(grid, list) or len(grid) < 2:
-                raise ConfigError("s_grid must be a list of at least two "
-                                  "numbers", "s_grid")
-            self.s_grid = [_number(v, f"s_grid[{k}]")
-                           for k, v in enumerate(grid)]
+        self.s_grid = _s_grid(raw["s_grid"], "s_grid") if "s_grid" in raw \
+            else None
 
         self.n_list = None
         if "N_list" in raw:
@@ -227,13 +240,21 @@ class ExperimentConfig:
             if name not in ("order", "subadditivity", "bounds", "s",
                             "invariance", "sequence"):
                 raise ConfigError(f"unknown suite {name!r}", "suite.name")
+            instances = _number(suite.get("instances", 25),
+                                "suite.instances", integer=True)
+            if instances < 1:
+                raise ConfigError("instances must be >= 1",
+                                  "suite.instances")
+            fluxes = suite.get("fluxes", [])
+            if not isinstance(fluxes, list):
+                raise ConfigError("fluxes must be a list", "suite.fluxes")
             self.suite = {
                 "name": name,
-                "instances": int(_number(suite.get("instances", 25),
-                                         "suite.instances", integer=True)),
+                "instances": instances,
                 "fluxes": [parse_flux(fs, f"suite.fluxes[{k}]")
-                           for k, fs in enumerate(suite.get("fluxes", []))],
-                "s_grid": suite.get("s_grid"),
+                           for k, fs in enumerate(fluxes)],
+                "s_grid": _s_grid(suite["s_grid"], "suite.s_grid")
+                if "s_grid" in suite else None,
             }
 
         self.check = {"n_samples": 10_000, "xi_radius": 10.0}
@@ -277,7 +298,17 @@ class ExperimentConfig:
             if not isinstance(orc, dict):
                 raise ConfigError("oracle must be an object", "oracle")
             _reject_unknown(orc, _ORACLE_KEYS, "oracle")
-            self.oracle = dict(orc)
+            self.oracle = {"tol": _number(orc.get("tol", 0.05),
+                                          "oracle.tol")}
+            if "value" in orc:
+                self.oracle["value"] = _number(orc["value"], "oracle.value")
+            if "radial" in orc:
+                self.oracle["radial"] = _numbers(
+                    orc["radial"], _RADIAL_ARGS, "oracle.radial",
+                    integers=("n",))
+            if "strip" in orc:
+                self.oracle["strip"] = _numbers(orc["strip"], _STRIP_ARGS,
+                                                "oracle.strip")
             if "reference_flux" in orc:
                 self.oracle["reference_flux"] = parse_flux(
                     orc["reference_flux"], "oracle.reference_flux")

@@ -460,8 +460,7 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
 
 
 def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
-                opts: Optional[SolverOptions] = None,
-                jobs: int = 1) -> SuiteReport:
+                opts: Optional[SolverOptions] = None) -> SuiteReport:
     s_grid = [float(s) for s in s_grid]
     if any(s_grid[i + 1] <= s_grid[i] for i in range(len(s_grid) - 1)):
         raise InvalidInput("s_grid must be ascending")
@@ -538,7 +537,7 @@ def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
 
 def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
                          opts: Optional[SolverOptions] = None,
-                         jobs: int = 1, n_inits: int = 5) -> SuiteReport:
+                         n_inits: int = 5) -> SuiteReport:
     rng = np.random.default_rng(seed)
     opts = opts or SolverOptions()
     gen = ShapeGen(rng, mesh)

@@ -1,10 +1,14 @@
 """Dirichlet solver: find u with u = s on E, u = 0 outside F, and zero
 residual at the free nodes of F \\ E.
 
-The path: a short damped-Newton pass on the true flux (cheap when the
+The stages: a short damped-Newton pass on the true flux (cheap when the
 problem is smooth, and it preserves initialization-dependent solutions for
 merely monotone fluxes), then continuation that fully solves the
-eps-smoothed problem at each eps of the schedule, then a true-flux polish.
+eps-smoothed problem at each eps of the schedule, then an adaptive tail
+that keeps shrinking eps with a hop ratio fitted to the Newton basin near
+a flux kink.  A solve the tail does not finish raises SolverDiverged, and
+``solve_dirichlet`` retries a failed non-default start once from the
+linear blend.  ``max_newton`` bounds the Newton steps of each attempt.
 Each Newton step solves directly with a sparse LU factor of the Jacobian's
 free-free block (assembled straight into that block from the triangles that
 touch free nodes), freed before the next step factors.  The block's rows
@@ -12,10 +16,9 @@ and columns follow the mesh's cached nested-dissection order of the free
 nodes, so every factor keeps that order (``permc_spec="NATURAL"``) instead
 of computing a COLAMD ordering per step; SuperLU's row partial pivoting
 stays on for skew and shifted degenerate Jacobians.  Step lengths
-backtrack on the free-node residual max-norm; a Picard fallback
-preconditioned by the p=2 stiffness matrix runs before declaring
-divergence.  Convergence is always declared on the TRUE flux residual, so
-reported capacities belong to the problem actually posed.
+backtrack on the free-node residual max-norm.  Convergence is always
+declared on the TRUE flux residual, so reported capacities belong to the
+problem actually posed.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
 
 DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
+# backtracking line search: step factor, sufficient decrease, shortest step
+LS_BACKTRACK = 0.5
+LS_DECREASE = 1e-4
+LS_MIN_STEP = 1e-8
+# Newton steps per continuation stage: the stages track the path, and the
+# adaptive tail owns the endgame
+STAGE_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -40,21 +50,15 @@ class SolverOptions:
     tol_res: Optional[float] = None      # default 1e-10 * max(1, |s|^(p-1))
     max_newton: int = 200
     eps_schedule: tuple = DEFAULT_EPS_SCHEDULE
-    ls_backtrack: float = 0.5
-    ls_decrease: float = 1e-4
-    ls_min_step: float = 1e-8
     init: str = "linear_blend"           # zero | linear_blend | given | random
     init_field: Optional[np.ndarray] = None
     init_seed: int = 0
-    picard_fallback: bool = True
-    stage_max_iter: int = 8              # stages track the path; the polish
-                                         # ladder owns the endgame
     jacobian_floor: float = 1e-9         # conditioning shift, see ledger
 
     def __post_init__(self):
-        # a budget below one step, a non-finite or negative floor, or an
-        # infinite target would let Picard or nothing at all carry a solve
-        # that reports itself converged
+        # a negative budget, a non-finite or negative floor, or an infinite
+        # target would let a solve report itself converged without a
+        # Newton step that earns it
         if self.tol_res is not None and not 0 < self.tol_res < math.inf:
             raise InvalidInput("tol_res must be positive and finite",
                                "tol_res")
@@ -215,7 +219,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         stage_target = max(tol, eps * eps)
         u, smax = state.newton(u, residual_eps=eps, jac_eps=eps,
                                target=stage_target,
-                               max_iter=opts.stage_max_iter)
+                               max_iter=STAGE_MAX_ITER)
         rmax = state.true_rmax(u)
         if rmax <= tol:
             return make_field(u, rmax, state.iterations, True, history)
@@ -255,23 +259,6 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
             else:
                 ratio = min(ratio ** 0.5, 0.7)
         rmax = state.true_rmax(u)
-        if rmax <= tol:
-            return make_field(u, rmax, state.iterations, True, history)
-
-    # polish on the true flux; on a stall, widen the Jacobian smoothing so
-    # the local model stays consistent across active-set flips at a kink
-    for jac_eps in (eps_last, 1e-6, 1e-5, 1e-4):
-        u, rmax = state.newton(u, residual_eps=0.0, jac_eps=jac_eps,
-                               target=tol, max_iter=40)
-        if rmax <= tol:
-            return make_field(u, rmax, state.iterations, True, history)
-        if state.budget() <= 0:
-            break
-
-    # last resort before failing; sweep count is budgeted separately from
-    # the Newton iterations
-    if opts.picard_fallback:
-        u, rmax = state.picard(u, target=tol, max_sweeps=500)
         if rmax <= tol:
             return make_field(u, rmax, state.iterations, True, history)
 
@@ -335,16 +322,16 @@ class _NewtonState:
                 break
             t = 1.0
             accepted = False
-            while t >= opts.ls_min_step:
+            while t >= LS_MIN_STEP:
                 u_try = u.copy()
                 u_try[nodes] += t * delta
                 r_try = residual(self.mesh, self.flux, u_try,
                                  eps=residual_eps)
                 rmax_try = _free_residual_max(r_try, free)
-                if rmax_try <= (1.0 - opts.ls_decrease * t) * rmax:
+                if rmax_try <= (1.0 - LS_DECREASE * t) * rmax:
                     accepted = True
                     break
-                t *= opts.ls_backtrack
+                t *= LS_BACKTRACK
             if not accepted:
                 break
             u, r, rmax = u_try, r_try, rmax_try
@@ -354,38 +341,3 @@ class _NewtonState:
             self.iterations += 1
             it += 1
         return u, rmax
-
-    def picard(self, u, target, max_sweeps):
-        """Fixed-point sweeps on the true residual, preconditioned by the
-        p=2 stiffness matrix."""
-        free, nodes = self.free, self.nodes
-        lu = _factor(self.block.take(p2_stiffness(self.mesh)))
-        r = residual(self.mesh, self.flux, u)
-        rmax = _free_residual_max(r, free)
-        self._track(rmax, u)
-        omega = 1.0
-        for _ in range(max_sweeps):
-            if rmax <= target:
-                break
-            step = lu.solve(r[nodes])
-            t = omega
-            accepted = False
-            while t >= 1e-10:
-                u_try = u.copy()
-                u_try[nodes] -= t * step
-                r_try = residual(self.mesh, self.flux, u_try)
-                rmax_try = _free_residual_max(r_try, free)
-                if rmax_try < rmax:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
-            omega = min(1.0, t * 2.0)
-            u, r, rmax = u_try, r_try, rmax_try
-            self.history.append(rmax)
-            self._track(rmax, u)
-            self.iterations += 1
-        return u, rmax
-
-

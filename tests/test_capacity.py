@@ -6,6 +6,7 @@ import pytest
 from moncap.capacity import (compute_capacity, distribution_support_ok,
                              distributions, p_capacity, sandwich_constants,
                              scaled_flux_capacity, sweep_s)
+from moncap.errors import InvalidInput
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
@@ -63,6 +64,14 @@ class TestConventions:
         assert pf is None
         assert math.isinf(rep.c_inner) and not rep.compatible
         assert rep.to_dict()["c_inner"] == "infinity"
+
+    def test_overflowed_capacity_is_invalid_input(self):
+        # |s|^p = 1e360 at p = 3 is past the largest double
+        mesh = build_mesh(8)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        with pytest.raises(InvalidInput) as exc:
+            compute_capacity(mesh, p_laplacian(3.0), e, f, 1e120)
+        assert exc.value.field == "s"
 
     def test_e_equals_f_single_node_hat_is_stencil_diagonal(self):
         # u is the unit impulse; its residual at the center is the stencil
@@ -182,12 +191,20 @@ class TestPCapacity:
         rep, _ = compute_capacity(mesh, p_laplacian(3.0), e, f, 1.0)
         assert a == rep.c_inner
 
-    def test_cp_value_self_shortcut(self):
+    def test_cp_value_self_shortcut(self, monkeypatch):
+        from moncap import capacity
+        real, solves = capacity.solve_dirichlet, []
+
+        def counting(*args):
+            solves.append(args)
+            return real(*args)
+        monkeypatch.setattr(capacity, "solve_dirichlet", counting)
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh)
         rep, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, 1.0,
                                   with_cp=True)
         assert rep.cp_value == rep.c_inner
+        assert len(solves) == 1
 
 
 class TestSweepS:

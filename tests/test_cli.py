@@ -57,6 +57,17 @@ class TestCapacityCommand:
         assert out["capacity"] == "infinity"
         assert out["c_inner"] == "infinity"
 
+    def test_overflowed_capacity_exit_2(self, tmp_path, capsys):
+        # a compatible pair whose capacity overflows is not "infinity"
+        body = annulus_cfg(str(tmp_path / "out"), n=8)
+        body["s"] = 1e120
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["capacity", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "invalid input: the capacity overflows at s = 1e+120" \
+            in captured.err
+        assert captured.out == ""
+
     def test_clip_e_to_f(self, tmp_path, capsys):
         body = strip_cfg(str(tmp_path / "out"))
         body["E"] = {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.3}}
@@ -84,6 +95,7 @@ class TestBadConfig:
         assert main(["capacity", cfg]) == 2
 
     @pytest.mark.parametrize("block,key", [("solver", "inner_tol"),
+                                           ("solver", "picard_fallback"),
                                            ("suite", "n_refine")])
     def test_retired_keys_exit_2(self, tmp_path, capsys, block, key):
         body = strip_cfg(str(tmp_path / "out"))
@@ -102,6 +114,26 @@ class TestBadConfig:
         assert main(["capacity", cfg]) == 2
         assert "flux.p: flux kind 'linear_matrix' takes no p" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,block,path", [
+        ("converge", {"oracle": {"radial": {"p": 2.0, "R": 0.4}}},
+         "oracle.radial: missing required key 'r'"),
+        ("converge", {"oracle": {"value": "x"}},
+         "oracle.value: expected a number"),
+        ("suite", {"suite": {"name": "s", "s_grid": 5}},
+         "suite.s_grid: s_grid must be a list"),
+        ("suite", {"suite": {"name": "order", "instances": -3}},
+         "suite.instances: instances must be >= 1"),
+    ])
+    def test_oracle_and_suite_blocks_exit_2(self, tmp_path, capsys, command,
+                                           block, path):
+        body = strip_cfg(str(tmp_path / "out"),
+                         extra=dict(block, N_list=[8, 16]))
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main([command, cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}" in captured.err
+        assert captured.out == ""
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["capacity", str(tmp_path / "nope.json")]) == 2

@@ -123,3 +123,66 @@ def test_mesh_size_bounds_accepted():
     cfg = ExperimentConfig(annulus_raw(mesh={"N": MAX_MESH_N},
                                        N_list=[2, MAX_MESH_N]))
     assert cfg.mesh_n == MAX_MESH_N and cfg.n_list == [2, MAX_MESH_N]
+
+
+@pytest.mark.parametrize("block,key", [("solver", "inner_tol"),
+                                       ("solver", "picard_fallback"),
+                                       ("suite", "n_refine")])
+def test_retired_keys_rejected(block, key):
+    raw = annulus_raw(**{block: {key: 1e-10}})
+    if block == "suite":
+        raw[block]["name"] = "order"
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(raw)
+    assert exc.value.path == block
+    assert f"unknown keys ['{key}']" in str(exc.value)
+
+
+@pytest.mark.parametrize("oracle,path,message", [
+    ({"radial": {"p": 2.0, "R": 0.4}}, "oracle.radial",
+     "missing required key 'r'"),
+    ({"radial": {"p": 2.0, "r": 0.1, "R": 0.4, "m": 1}}, "oracle.radial",
+     "unknown keys ['m']"),
+    ({"radial": {"n": 2.5, "p": 2.0, "r": 0.1, "R": 0.4}},
+     "oracle.radial.n", "expected an integer"),
+    ({"radial": [2.0, 0.1, 0.4]}, "oracle.radial", "expected an object"),
+    ({"strip": {"p": 2.0, "a": 0.25}}, "oracle.strip",
+     "missing required key 'b'"),
+    ({"strip": {"p": 2.0, "a": 0.25, "b": 0.75, "Ly": float("inf")}},
+     "oracle.strip.Ly", "expected a number"),
+    ({"value": "x"}, "oracle.value", "expected a number"),
+    ({"value": 1.0, "tol": "abc"}, "oracle.tol", "expected a number"),
+    ({"value": 1.0, "tol": float("nan")}, "oracle.tol", "expected a number"),
+])
+def test_bad_oracle_block_names_its_path(oracle, path, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(annulus_raw(oracle=oracle))
+    assert exc.value.path == path
+    assert message in str(exc.value)
+
+
+def test_oracle_block_defaults():
+    cfg = ExperimentConfig(annulus_raw(oracle={
+        "radial": {"p": 2, "r": 0.1, "R": 0.4}, "strip": {
+            "p": 3.0, "a": 0.25, "b": 0.75}}))
+    assert cfg.oracle == {
+        "tol": 0.05, "radial": {"n": 2, "p": 2.0, "r": 0.1, "R": 0.4},
+        "strip": {"p": 3.0, "a": 0.25, "b": 0.75, "Ly": 1.0}}
+
+
+@pytest.mark.parametrize("suite,path,message", [
+    ({"s_grid": ["a", "b"]}, "suite.s_grid[0]", "expected a number"),
+    ({"s_grid": 5}, "suite.s_grid", "s_grid must be a list"),
+    ({"s_grid": [1.0]}, "suite.s_grid", "at least two numbers"),
+    ({"s_grid": [-1.0, float("inf")]}, "suite.s_grid[1]",
+     "expected a number"),
+    ({"instances": -3}, "suite.instances", "instances must be >= 1"),
+    ({"instances": 0}, "suite.instances", "instances must be >= 1"),
+    ({"instances": 2.5}, "suite.instances", "expected an integer"),
+    ({"fluxes": 5}, "suite.fluxes", "fluxes must be a list"),
+])
+def test_bad_suite_block_names_its_path(suite, path, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(annulus_raw(suite=dict(suite, name="s")))
+    assert exc.value.path == path
+    assert message in str(exc.value)

@@ -221,14 +221,30 @@ class TestDivergence:
     def test_diverged_carries_best_iterate_and_history(self):
         mesh = build_mesh(12)
         e, f = annulus_sets(mesh)
-        opts = SolverOptions(max_newton=1, picard_fallback=False,
-                             eps_schedule=(1e-2,), init="zero")
+        opts = SolverOptions(max_newton=1, eps_schedule=(1e-2,), init="zero")
         with pytest.raises(SolverDiverged) as exc:
             solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
         err = exc.value
         assert err.field is not None and not err.field.converged
         assert len(err.history) >= 1
         assert err.field.residual_max == min(err.history)
+
+
+class TestNewtonBudget:
+    @pytest.mark.parametrize("floor", [1e-9, 1e300])
+    @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
+    def test_iterations_within_max_newton(self, max_newton, floor):
+        # a floor of 1e300 cripples every Newton step, so only the budget
+        # rule decides how long the solve may iterate
+        mesh = build_mesh(8)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        opts = SolverOptions(max_newton=max_newton, jacobian_floor=floor)
+        try:
+            field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
+        except SolverDiverged as exc:
+            field = exc.field
+        assert field.iterations <= max_newton
+        assert len(field.residual_history) <= max_newton
 
 
 class TestFreeBlockWork:
@@ -314,7 +330,7 @@ class TestOptionsReachSolve:
     behalf: the retry, the C_p solve, the sweep and the invariance suite."""
 
     SET = dict(tol_res=3e-9, max_newton=77, eps_schedule=(1e-3, 1e-5),
-               init_seed=11, picard_fallback=False, jacobian_floor=2e-8)
+               init_seed=11, jacobian_floor=2e-8)
 
     def _record(self, monkeypatch, fail_first=False):
         real = solver._solve
