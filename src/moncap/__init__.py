@@ -8,11 +8,11 @@ from .flux import (Flux, adversarial_fixture, anisotropic_p, check_conditions,
                    weighted_p_laplacian)
 from .mesh import (Mesh, NodeSet, ShapeExpr, build_mesh, complement,
                    difference, discrete_boundary, disk, halfplane, intersect,
-                   is_equal, is_subset, rasterize, rect, set_algebra,
-                   shape_all, shape_complement, shape_difference,
-                   shape_from_json, shape_intersect, shape_none, shape_union,
-                   union, validate_pair)
-from .assembly import jacobian_apply, pairing, residual
+                   is_equal, is_subset, rasterize, rect, shape_all,
+                   shape_complement, shape_difference, shape_from_json,
+                   shape_intersect, shape_none, shape_union, union,
+                   validate_pair)
+from .assembly import pairing, residual
 from .solver import PotentialField, SolverOptions, solve_dirichlet
 from .capacity import (CapacityReport, NodeMeasure, compute_capacity,
                        distributions, p_capacity, sweep_s)

@@ -1,22 +1,28 @@
 """Discrete monotone operator on the P1 space.
 
-The operator pairing is <A u, v> = sum_T |T| a(x_T, grad u|_T) . grad v|_T
-with the flux evaluated at triangle barycenters (one-point quadrature,
-exact for P1 fields when the flux has no x-dependence).  The residual
-vector r_i = <A u, phi_i> is assembled by a fixed-order scatter, so
-identical inputs give bitwise identical outputs.
+Every assembly is a product with one sparse matrix per mesh: the P1
+gradient operator B, whose rows 2t and 2t+1 give the x and y gradient of a
+field on triangle t.  With the flux evaluated at triangle barycenters
+(one-point quadrature, exact for P1 fields when the flux has no
+x-dependence) the operator pairing is
 
-Matrices are filled, not rebuilt: the mesh caches its CSR pattern and the
-slot of each element-block entry in it, and one ``bincount`` per call sums
-the blocks into the data array.  A solve's ``FreeBlock`` does the same for
-the free-free block, from only the triangles that touch free nodes, with the
-free nodes numbered in a nested-dissection order of the grid so that its LU
-factor needs no fill-reducing reordering.
+    <A u, v> = sum_T |T| a(x_T, grad u|_T) . grad v|_T
+             = v^T B^T (|T| a(B u)),
+
+so the residual is B^T (|T| a(B u)) and its Jacobian B^T D B, with D the
+block diagonal of |T| times the 2x2 flux Jacobians.  Sparse products sum
+in a fixed order, so identical inputs give bitwise identical outputs.
+
+A solve's ``FreeBlock`` keeps B's rows for the triangles that touch a free
+node, and those rows restricted to the free nodes in a nested-dissection
+order of the grid.  The solver's residuals and Jacobians evaluate the flux
+on those triangles only, and the block's LU factor needs no fill-reducing
+reordering.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,11 +32,22 @@ from .flux import Flux, eval_flux, eval_flux_smoothed, flux_jacobian
 from .mesh import Mesh
 
 
-def _gradient_coefficients(mesh: Mesh) -> np.ndarray:
-    """Per-triangle 2x3 matrices G with grad u|_T = G @ u[tri]."""
-    key = "grad_coeff"
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Arrays shared by many solves must not be changed in place."""
+    a.setflags(write=False)
+    return a
+
+
+def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
+    """B, shape (2 ntri, n_nodes), cached on the mesh at first use.
+
+    Threads sharing a fresh mesh may each build it; the builds are equal,
+    so whichever lands in the cache serves them all.
+    """
+    key = "gradient_operator"
     if key not in mesh._cache:
-        pts = mesh.nodes[mesh.triangles]  # (ntri, 3, 2)
+        tri = mesh.triangles
+        pts = mesh.nodes[tri]  # (ntri, 3, 2)
         x = pts[:, :, 0]
         y = pts[:, :, 1]
         det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
@@ -39,27 +56,20 @@ def _gradient_coefficients(mesh: Mesh) -> np.ndarray:
                       axis=1) / det[:, None]
         gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
                       axis=1) / det[:, None]
-        mesh._cache[key] = np.stack([gx, gy], axis=1)  # (ntri, 2, 3)
+        b = sp.csr_matrix(
+            (np.stack([gx, gy], axis=1).ravel(),
+             np.repeat(tri, 2, axis=0).ravel(),
+             np.arange(0, 6 * len(tri) + 1, 3)),
+            shape=(2 * len(tri), mesh.n_nodes))
+        for a in (b.data, b.indices, b.indptr):
+            _frozen(a)
+        mesh._cache[key] = b
     return mesh._cache[key]
-
-
-class _Pattern(NamedTuple):
-    indptr: np.ndarray    # CSR row pointers, (n_nodes + 1,)
-    indices: np.ndarray   # CSR column indices, sorted within each row
-    slots: np.ndarray     # (ntri, 9): CSR slot of each element-block entry
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Index arrays shared by many matrices must not be sorted in place."""
-    a.setflags(write=False)
-    return a
 
 
 def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Constant P1 gradient per triangle, shape (ntri, 2)."""
-    g = _gradient_coefficients(mesh)
-    vals = u[mesh.triangles]  # (ntri, 3)
-    return np.einsum("tck,tk->tc", g, vals)
+    return (_gradient_operator(mesh) @ u).reshape(-1, 2)
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -68,86 +78,6 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
         raise InvalidInput(
             f"field has {u.shape} values, mesh has {mesh.n_nodes} nodes")
     return u
-
-
-def residual(mesh: Mesh, flux: Flux, u: np.ndarray,
-             eps: float = 0.0) -> np.ndarray:
-    """r_i = sum_T |T| a(x_T, grad u|_T) . grad phi_i|_T.
-
-    eps > 0 evaluates the smoothed flux instead (solver continuation only;
-    reported capacities always use eps = 0).
-    """
-    u = _check_field(mesh, u)
-    g = _gradient_coefficients(mesh)
-    grads = gradients(mesh, u)
-    if eps == 0.0:
-        a = eval_flux(flux, mesh.barycenters, grads)  # (ntri, 2)
-    else:
-        a = eval_flux_smoothed(flux, mesh.barycenters, grads, eps)
-    contrib = mesh.tri_area * np.einsum("tc,tck->tk", a, g)  # (ntri, 3)
-    r = np.zeros(mesh.n_nodes)
-    for k in range(3):
-        np.add.at(r, mesh.triangles[:, k], contrib[:, k])
-    return r
-
-
-def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
-    """<A u, v>; equals dot(residual(u), v) to round-off."""
-    u = _check_field(mesh, u)
-    v = _check_field(mesh, v)
-    grads_u = gradients(mesh, u)
-    grads_v = gradients(mesh, v)
-    a = eval_flux(flux, mesh.barycenters, grads_u)
-    return float(mesh.tri_area * np.sum(a * grads_v))
-
-
-def jacobian_apply(mesh: Mesh, flux: Flux, u: np.ndarray, w: np.ndarray,
-                   eps: float) -> np.ndarray:
-    """Directional derivative of residual at u in direction w; linear in w."""
-    u = _check_field(mesh, u)
-    w = _check_field(mesh, w)
-    g = _gradient_coefficients(mesh)
-    grads_u = gradients(mesh, u)
-    grads_w = gradients(mesh, w)
-    jac = flux_jacobian(flux, mesh.barycenters, grads_u, eps=eps)  # (ntri,2,2)
-    dg = np.einsum("tcd,td->tc", jac, grads_w)
-    contrib = mesh.tri_area * np.einsum("tc,tck->tk", dg, g)
-    out = np.zeros(mesh.n_nodes)
-    for k in range(3):
-        np.add.at(out, mesh.triangles[:, k], contrib[:, k])
-    return out
-
-
-def _pattern(mesh: Mesh) -> _Pattern:
-    """CSR pattern of the P1 operator, cached on the mesh at first use.
-
-    Threads sharing a fresh mesh may each build it; the builds are equal,
-    so whichever lands in the cache serves them all (as for the gradient
-    coefficients and the p=2 stiffness matrix).
-    """
-    key = "pattern"
-    if key not in mesh._cache:
-        n = mesh.n_nodes
-        tri = mesh.triangles
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        entries = rows * n + cols
-        # np.unique(entries, return_inverse=True), from one stable sort
-        order = np.argsort(entries, kind="stable")
-        ordered = entries[order]
-        first = np.empty(ordered.size, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        keys = ordered[first]
-        itype = np.int32 if max(n, keys.size) < 2 ** 31 else np.int64
-        slots = np.empty(entries.size, dtype=itype)
-        slots[order] = np.cumsum(first, dtype=itype) - 1
-        indptr = np.zeros(n + 1, dtype=itype)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        mesh._cache[key] = _Pattern(
-            _frozen(indptr), _frozen((keys % n).astype(itype)),
-            _frozen(slots.reshape(-1, 9)))
-    return mesh._cache[key]
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -204,105 +134,116 @@ def _dissection_rank(mesh: Mesh) -> np.ndarray:
 
 
 class FreeBlock:
-    """Free-free block of the operator for one solve.
+    """The free triangles and free nodes of one solve.
 
-    ``nodes`` lists the free nodes in the mesh's dissection order; the
-    block's rows and columns follow it, so the block of a matrix k is
-    k[nodes][:, nodes], and vectors paired with its factor are gathered
-    and scattered through ``nodes``.  Holds the triangles with at least one
-    free node, a map from their element-block entries to the slots of the
-    free-free CSC matrix (entries in a fixed row or column go to a spare
-    slot that is dropped), and that matrix's index arrays.  Built per
-    solve, not cached on the mesh: a suite visits many free sets on one
-    mesh.
+    ``nodes`` lists the free nodes in the mesh's dissection order; block
+    vectors and matrices follow it, so the block of a full matrix k is
+    k[nodes][:, nodes].  ``bt`` holds B's rows for the triangles with at
+    least one free node (every column), ``bf`` those rows restricted to
+    the columns of ``nodes``, and ``bf_t`` its transpose.  Built per solve,
+    not cached on the mesh: a suite visits many free sets on one mesh.
     """
 
     def __init__(self, mesh: Mesh, free: np.ndarray):
-        pat = _pattern(mesh)
-        nnz = pat.indices.size
-        n = mesh.n_nodes
-        ids = np.arange(1, nnz + 1, dtype=pat.slots.dtype)
-        marker = sp.csr_matrix((ids, pat.indices, pat.indptr), shape=(n, n))
         nodes = np.flatnonzero(free)
-        nodes = nodes[np.argsort(_dissection_rank(mesh)[nodes])]
-        sub = marker[nodes][:, nodes].tocsc()
+        touched = free[mesh.triangles].any(axis=1)
         self.free = free
-        self.nodes = _frozen(nodes)
-        self.shape = sub.shape
-        self.indptr = _frozen(sub.indptr)
-        self.indices = _frozen(sub.indices)
-        # full-pattern CSR slot of each free-free CSC slot
-        self.gather = sub.data - 1
-        to_block = np.full(nnz, self.gather.size, dtype=pat.slots.dtype)
-        to_block[self.gather] = np.arange(self.gather.size)
-        self.tri_mask = free[mesh.triangles].any(axis=1)
-        self.slots = to_block[pat.slots[self.tri_mask]].ravel()
-        self.triangles = mesh.triangles[self.tri_mask]
-        self.barycenters = mesh.barycenters[self.tri_mask]
-        self.grad_coeff = _gradient_coefficients(mesh)[self.tri_mask]
-
-    def _csc(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
-
-    def take(self, k: sp.csr_matrix) -> sp.csc_matrix:
-        """k[nodes][:, nodes] of a matrix assembled on the mesh pattern."""
-        return self._csc(k.data[self.gather])
-
-    def assemble(self, blocks: np.ndarray) -> sp.csc_matrix:
-        data = np.bincount(self.slots, weights=blocks.ravel(),
-                           minlength=self.gather.size + 1)
-        return self._csc(data[:-1])
+        self.nodes = _frozen(nodes[np.argsort(_dissection_rank(mesh)[nodes])])
+        self.barycenters = mesh.barycenters[touched]
+        self.bt = _gradient_operator(mesh)[np.repeat(touched, 2)]
+        self.bf = self.bt[:, self.nodes]
+        self.bf_t = self.bf.T.tocsr()
 
 
-def _element_blocks(mesh: Mesh, g: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """block_kl = |T| g_k^T . jac . g_l, shape (ntri, 3, 3)."""
-    return mesh.tri_area * (g.transpose(0, 2, 1) @ (jac @ g))
+def _operators(mesh: Mesh, block: Optional[FreeBlock]):
+    """(rows of B, their barycenters, result columns) of an assembly over
+    the whole mesh, or over a block's triangles and nodes."""
+    if block is None:
+        b = _gradient_operator(mesh)
+        return b, mesh.barycenters, b
+    return block.bt, block.barycenters, block.bf
 
 
-def _full_matrix(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
-    pat = _pattern(mesh)
-    data = np.bincount(pat.slots.ravel(), weights=blocks.ravel(),
-                       minlength=pat.indices.size)
-    return sp.csr_matrix((data, pat.indices, pat.indptr),
-                         shape=(mesh.n_nodes, mesh.n_nodes))
+def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
+             block: Optional[FreeBlock] = None) -> np.ndarray:
+    """r = B^T (|T| a(x_T, B u)), that is r_i = <A u, phi_i>.
+
+    eps > 0 evaluates the smoothed flux instead (solver continuation only;
+    reported capacities always use eps = 0).  With ``block`` the flux is
+    evaluated only on the triangles that touch free nodes and the result
+    is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
+    """
+    u = _check_field(mesh, u)
+    rows, x, cols = _operators(mesh, block)
+    grads = (rows @ u).reshape(-1, 2)
+    if eps == 0.0:
+        a = eval_flux(flux, x, grads)
+    else:
+        a = eval_flux_smoothed(flux, x, grads, eps)
+    return cols.T @ (mesh.tri_area * a).ravel()
+
+
+def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
+    """<A u, v> as a sum over triangles of |T| a(B u) . (B v); equals
+    dot(residual(u), v) to round-off."""
+    u = _check_field(mesh, u)
+    v = _check_field(mesh, v)
+    grads_u = gradients(mesh, u)
+    grads_v = gradients(mesh, v)
+    a = eval_flux(flux, mesh.barycenters, grads_u)
+    return float(mesh.tri_area * np.sum(a * grads_v))
+
+
+def _columns(mesh: Mesh, block: Optional[FreeBlock]):
+    """C and its transpose, both CSR: C = B, or the block's ``bf``."""
+    if block is None:
+        b = _gradient_operator(mesh)
+        return b, b.T.tocsr()
+    return block.bf, block.bf_t
+
+
+def _csc(k_t: sp.csr_matrix) -> sp.csc_matrix:
+    """The matrix whose transpose is k_t, as CSC with sorted indices: the
+    same arrays, read by columns."""
+    k = k_t.T
+    k.sort_indices()
+    return k
 
 
 def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
                     shift: float = 0.0, block: Optional[FreeBlock] = None
-                    ) -> sp.csr_matrix | sp.csc_matrix:
-    """Assembled sparse Jacobian of the residual at u.
+                    ) -> sp.csc_matrix:
+    """Sparse Jacobian C^T D C of the residual at u, with C = B and D the
+    block diagonal of |T| times the 2x2 flux Jacobians.
 
-    ``shift`` adds shift*I to the per-triangle 2x2 flux Jacobian (a
-    Levenberg-style conditioning floor for degenerate fluxes; the residual
-    itself is never shifted, so the converged solution is unaffected).
+    ``shift`` adds shift*I to each 2x2 flux Jacobian (a Levenberg-style
+    conditioning floor for degenerate fluxes; the residual itself is never
+    shifted, so the converged solution is unaffected).
 
-    Without ``block`` the result is the full CSR matrix.  With it, the flux
-    Jacobian is evaluated only on the triangles that touch free nodes and
-    the result is the free-free CSC matrix in ``block.nodes`` order, bitwise
-    equal to ``jacobian_matrix(...)[block.nodes][:, block.nodes]``.
+    With ``block``, C is the block's ``bf``: the flux Jacobian is evaluated
+    only on the triangles that touch free nodes and the result is the
+    free-free matrix in ``block.nodes`` order, bitwise equal to
+    ``jacobian_matrix(...)[block.nodes][:, block.nodes]``.
     """
     u = _check_field(mesh, u)
-    if block is None:
-        g, tri, x = _gradient_coefficients(mesh), mesh.triangles, \
-            mesh.barycenters
-    else:
-        g, tri, x = block.grad_coeff, block.triangles, block.barycenters
-    grads_u = np.einsum("tck,tk->tc", g, u[tri])
-    jac = flux_jacobian(flux, x, grads_u, eps=eps)
+    rows, x, _ = _operators(mesh, block)
+    jac = flux_jacobian(flux, x, (rows @ u).reshape(-1, 2), eps=eps)
     if shift != 0.0:
         jac = jac + shift * np.eye(2)
-    blocks = _element_blocks(mesh, g, jac)
-    if block is None:
-        return _full_matrix(mesh, blocks)
-    return block.assemble(blocks)
+    # D^T in CSR: row 2t + c holds column c of triangle t's 2x2 block
+    k = len(x)
+    d_t = sp.csr_matrix(
+        ((mesh.tri_area * jac).transpose(0, 2, 1).ravel(),
+         np.repeat(np.arange(2 * k).reshape(k, 2), 2, axis=0).ravel(),
+         np.arange(0, 4 * k + 1, 2)), shape=(2 * k, 2 * k))
+    cols, cols_t = _columns(mesh, block)
+    return _csc(cols_t @ (d_t @ cols))
 
 
-def p2_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix of the Laplacian, cached on the mesh."""
-    key = "p2_stiffness"
-    if key not in mesh._cache:
-        g = _gradient_coefficients(mesh)
-        mesh._cache[key] = _full_matrix(
-            mesh, _element_blocks(mesh, g, np.eye(2)))
-    return mesh._cache[key]
+def p2_stiffness(mesh: Mesh,
+                 block: Optional[FreeBlock] = None) -> sp.csc_matrix:
+    """P1 stiffness matrix of the Laplacian, |T| B^T B, or its block
+    |T| bf^T bf (the Jacobian of the p = 2 flux)."""
+    cols, cols_t = _columns(mesh, block)
+    # the matrix is symmetric: it is its own transpose, as _csc expects
+    return _csc(mesh.tri_area * (cols_t @ cols))

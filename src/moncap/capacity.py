@@ -22,8 +22,7 @@ import numpy as np
 from .assembly import pairing, residual
 from .errors import IncompatiblePair, InvalidInput, SolverDiverged
 from .flux import Flux, p_laplacian, s_transform
-from .mesh import (Mesh, NodeSet, discrete_boundary, node_area,
-                   node_diameter, validate_pair)
+from .mesh import Mesh, NodeSet, node_area, node_diameter, validate_pair
 from .solver import PotentialField, SolverOptions, solve_dirichlet
 
 
@@ -239,17 +238,6 @@ def distributions(mesh: Mesh, flux: Flux, potential: PotentialField,
     lam = NodeMeasure(lam_w, lam_carrier, float(lam_w.sum()))
     nu = NodeMeasure(nu_w, nu_carrier, float(nu_w.sum()))
     return lam, nu
-
-
-def distribution_support_ok(mesh: Mesh, lam: NodeMeasure, e: NodeSet,
-                            tol: float) -> bool:
-    """True when the inner measure vanishes (to tol) off the discrete
-    boundary of its carrier."""
-    boundary = discrete_boundary(e, mesh).mask
-    interior = e.mask & ~boundary
-    if not interior.any():
-        return True
-    return bool(np.max(np.abs(lam.weights[interior])) <= tol)
 
 
 def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,

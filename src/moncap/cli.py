@@ -271,6 +271,14 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL
 
 
+def _radial_capacity(spec, p_path):
+    """radial_p_capacity, with an overflow reported at the path of p."""
+    try:
+        return radial_p_capacity(spec)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc), p_path) from exc
+
+
 def cmd_converge(args) -> int:
     cfg, out_dir, h = _prepare(args)
     _require(cfg, "flux", "e_shape", "f_shape", "n_list", "oracle")
@@ -279,8 +287,8 @@ def cmd_converge(args) -> int:
     oracle_value = orc.get("value")
     if oracle_value is None and "radial" in orc:
         r = orc["radial"]
-        oracle_value = radial_p_capacity(
-            RadialSpec(r["n"], r["p"], r["r"], r["R"]))
+        oracle_value = _radial_capacity(
+            RadialSpec(r["n"], r["p"], r["r"], r["R"]), "oracle.radial.p")
     elif oracle_value is None and "strip" in orc:
         strip = orc["strip"]
         oracle_value = strip_capacity(strip["p"], strip["a"], strip["b"],
@@ -322,7 +330,7 @@ def cmd_oracle(args) -> int:
             return EXIT_BAD_CONFIG
         spec = RadialSpec(args.n, args.p, args.r, args.big_r)
         body = {"kind": "radial", "n": args.n, "p": args.p, "r": args.r,
-                "R": args.big_r, "value": radial_p_capacity(spec)}
+                "R": args.big_r, "value": _radial_capacity(spec, "--p")}
         if args.numeric:
             body["numeric"] = radial_numeric(spec, p_laplacian(args.p),
                                              args.numeric)

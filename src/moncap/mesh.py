@@ -128,15 +128,6 @@ def is_equal(a: NodeSet, b: NodeSet) -> bool:
     return bool(np.array_equal(a.mask, b.mask))
 
 
-def set_algebra(op: str, a: NodeSet, b: NodeSet):
-    """Dispatch named set operations; subset/equal return booleans."""
-    ops = {"union": union, "intersect": intersect, "difference": difference,
-           "subset": is_subset, "equal": is_equal}
-    if op not in ops:
-        raise InvalidInput(f"unknown set operation {op!r}")
-    return ops[op](a, b)
-
-
 # ---------------------------------------------------------------------------
 # shape expressions
 
@@ -382,18 +373,6 @@ def mask_to_rle(mask: np.ndarray) -> dict:
     if flat[0]:
         runs = [0] + runs
     return {"n": int(n), "runs": [int(r) for r in runs]}
-
-
-def rle_to_mask(obj: dict) -> np.ndarray:
-    mask = np.zeros(obj["n"], dtype=bool)
-    pos = 0
-    value = False
-    for run in obj["runs"]:
-        if value:
-            mask[pos:pos + run] = True
-        pos += run
-        value = not value
-    return mask
 
 
 def nodeset_to_image(s: NodeSet, mesh: Mesh) -> np.ndarray:

@@ -37,11 +37,19 @@ def sphere_measure(n: int) -> float:
 def radial_p_capacity(spec: RadialSpec) -> float:
     """sigma_{n-1} * I^(1-p) with I = int_r^R rho^(-(n-1)/(p-1)) d rho."""
     m = (spec.n - 1.0) / (spec.p - 1.0)
-    if abs(m - 1.0) < 1e-14:
-        integral = math.log(spec.big_r / spec.r)
-    else:
-        integral = (spec.big_r ** (1.0 - m) - spec.r ** (1.0 - m)) / (1.0 - m)
-    return sphere_measure(spec.n) * integral ** (1.0 - spec.p)
+    try:
+        if abs(m - 1.0) < 1e-14:
+            integral = math.log(spec.big_r / spec.r)
+        else:
+            integral = (spec.big_r ** (1.0 - m)
+                        - spec.r ** (1.0 - m)) / (1.0 - m)
+        value = sphere_measure(spec.n) * integral ** (1.0 - spec.p)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidInput(f"the radial capacity overflows at p = {spec.p!r}",
+                           "p")
+    return value
 
 
 def strip_capacity(p: float, a: float, b: float, ly: float) -> float:

@@ -9,10 +9,16 @@ that keeps shrinking eps with a hop ratio fitted to the Newton basin near
 a flux kink.  A solve the tail does not finish raises SolverDiverged, and
 ``solve_dirichlet`` retries a failed non-default start once from the
 linear blend.  ``max_newton`` bounds the Newton steps of each attempt.
-Each Newton step solves directly with a sparse LU factor of the Jacobian's
-free-free block (assembled straight into that block from the triangles that
-touch free nodes), freed before the next step factors.  The block's rows
-and columns follow the mesh's cached nested-dissection order of the free
+A start whose residual is not finite raises SolverDiverged at once.
+
+Each solve works on its ``FreeBlock``: B_t, the rows of the mesh's
+gradient operator B for the triangles that touch a free node, and B_f,
+those rows restricted to the free columns.  Every residual the solve
+evaluates (line-search trials and true-residual checks included) is
+B_f^T (|T| a(B_t u)), with the flux evaluated on those triangles only, and
+each Newton step solves with a sparse LU factor of the free-free Jacobian
+B_f^T D B_f, freed before the next step factors.  The block's rows and
+columns follow the mesh's cached nested-dissection order of the free
 nodes, so every factor keeps that order (``permc_spec="NATURAL"``) instead
 of computing a COLAMD ordering per step; SuperLU's row partial pivoting
 stays on for skew and shifted degenerate Jacobians.  Step lengths
@@ -116,18 +122,11 @@ def _linear_blend_init(mesh: Mesh, block: FreeBlock,
                        u: np.ndarray) -> np.ndarray:
     """Solve the p=2 problem with the same boundary data; cheap and inside
     the comparison cone."""
-    k = p2_stiffness(mesh)
-    nodes = block.nodes
     fixed = np.where(block.free, 0.0, u)
+    rhs = -mesh.tri_area * (block.bf_t @ (block.bt @ fixed))
     out = u.copy()
-    out[nodes] = _factor(block.take(k)).solve(-(k @ fixed)[nodes])
+    out[block.nodes] = _factor(p2_stiffness(mesh, block)).solve(rhs)
     return out
-
-
-def _free_residual_max(r: np.ndarray, free: np.ndarray) -> float:
-    if not free.any():
-        return 0.0
-    return float(np.max(np.abs(r[free])))
 
 
 def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
@@ -198,6 +197,11 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     rmax = state.true_rmax(u)
     if rmax <= tol:
         return make_field(u, rmax, 0, True, history)
+    if not math.isfinite(rmax):
+        # no step can reduce a NaN or infinite max-norm
+        raise SolverDiverged(
+            f"the start residual is not finite ({rmax}) at s = {s!r}",
+            field=make_field(u, rmax, 0, False, history), history=history)
 
     eps_last = opts.eps_schedule[-1]
 
@@ -277,8 +281,6 @@ class _NewtonState:
         self.mesh = mesh
         self.flux = flux
         self.block = block
-        self.free = block.free
-        self.nodes = block.nodes
         self.opts = opts
         self.history = history
         self.iterations = 0
@@ -288,9 +290,13 @@ class _NewtonState:
     def budget(self):
         return self.opts.max_newton - self.iterations
 
+    def _residual(self, u, eps):
+        """The residual on the block's nodes and its max-norm."""
+        r = residual(self.mesh, self.flux, u, eps=eps, block=self.block)
+        return r, float(np.max(np.abs(r)))
+
     def true_rmax(self, u):
-        r = residual(self.mesh, self.flux, u)
-        rmax = _free_residual_max(r, self.free)
+        _, rmax = self._residual(u, 0.0)
         self._track(rmax, u)
         return rmax
 
@@ -304,10 +310,9 @@ class _NewtonState:
         (u, last rmax of that residual).  Tracks the best TRUE iterate only
         when iterating the true residual."""
         opts = self.opts
-        free, nodes = self.free, self.nodes
+        nodes = self.block.nodes
         true_pass = residual_eps == 0.0
-        r = residual(self.mesh, self.flux, u, eps=residual_eps)
-        rmax = _free_residual_max(r, free)
+        r, rmax = self._residual(u, residual_eps)
         if true_pass:
             self._track(rmax, u)
         it = 0
@@ -315,7 +320,7 @@ class _NewtonState:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
                                   shift=opts.jacobian_floor, block=self.block)
             try:
-                delta = _factor(kff).solve(-r[nodes])
+                delta = _factor(kff).solve(-r)
             except RuntimeError:
                 break
             if not np.all(np.isfinite(delta)):
@@ -325,9 +330,7 @@ class _NewtonState:
             while t >= LS_MIN_STEP:
                 u_try = u.copy()
                 u_try[nodes] += t * delta
-                r_try = residual(self.mesh, self.flux, u_try,
-                                 eps=residual_eps)
-                rmax_try = _free_residual_max(r_try, free)
+                r_try, rmax_try = self._residual(u_try, residual_eps)
                 if rmax_try <= (1.0 - LS_DECREASE * t) * rmax:
                     accepted = True
                     break

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from moncap.assembly import (FreeBlock, _dissection_rank, gradients,
-                             jacobian_apply, jacobian_matrix, p2_stiffness,
-                             pairing, residual)
+                             jacobian_matrix, p2_stiffness, pairing,
+                             residual)
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
@@ -120,18 +120,34 @@ class TestPairing:
                 assert float((ru - rv) @ (u - v)) >= -1e-12
 
 
+def smooth_field(mesh):
+    """|grad u| stays within 2 +- 0.5 on every triangle: away from zero and
+    from the flat core's radius, so every flux kind is smooth there."""
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    return 0.3 + 1.6 * x + 1.2 * y + 0.04 * np.sin(2 * np.pi * x) \
+        * np.cos(np.pi * y)
+
+
+def central_difference(mesh, flux, u, w, eps, t):
+    return (residual(mesh, flux, u + t * w, eps)
+            - residual(mesh, flux, u - t * w, eps)) / (2.0 * t)
+
+
 class TestJacobianApply:
+    """The assembled Jacobian applied to a direction w is the directional
+    derivative of the residual at the same eps."""
+
     def test_zero_direction(self):
         m = build_mesh(5)
-        out = jacobian_apply(m, p_laplacian(3.0), rand_field(m, 1),
-                             np.zeros(m.n_nodes), 1e-8)
-        assert np.all(out == 0.0)
+        k = jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 1), 1e-8)
+        assert np.all(k @ np.zeros(m.n_nodes) == 0.0)
 
     def test_p2_equals_residual_of_direction(self):
         m = build_mesh(6)
         u, w = rand_field(m, 2), rand_field(m, 3)
-        out = jacobian_apply(m, p_laplacian(2.0), u, w, 1e-8)
-        assert np.allclose(out, residual(m, p_laplacian(2.0), w), rtol=1e-14)
+        k = jacobian_matrix(m, p_laplacian(2.0), u, 1e-8)
+        assert np.allclose(k @ w, residual(m, p_laplacian(2.0), w),
+                           rtol=1e-14)
 
     def test_matches_residual_finite_difference(self):
         m = build_mesh(6)
@@ -139,35 +155,39 @@ class TestJacobianApply:
         u = 0.5 + 0.3 * m.nodes[:, 0] + 0.2 * m.nodes[:, 1] \
             + 0.05 * np.sin(2 * np.pi * m.nodes[:, 0])
         w = rand_field(m, 4)
-        jw = jacobian_apply(m, fl, u, w, 1e-10)
-        t = 1e-6
-        fd = (residual(m, fl, u + t * w) - residual(m, fl, u - t * w)) / (2 * t)
+        jw = jacobian_matrix(m, fl, u, 1e-10) @ w
+        fd = central_difference(m, fl, u, w, 0.0, 1e-6)
         scale = np.max(np.abs(jw))
         assert np.max(np.abs(jw - fd)) <= 1e-5 * scale
 
-    def test_linear_in_direction(self):
+    def test_shift_adds_p2_stiffness(self):
+        # shift*I on each 2x2 flux Jacobian adds shift times the p=2
+        # stiffness matrix
         m = build_mesh(5)
         fl = p_laplacian(3.0)
         u = rand_field(m, 5)
-        w1, w2 = rand_field(m, 6), rand_field(m, 7)
-        lhs = jacobian_apply(m, fl, u, 2.0 * w1 - w2, 1e-6)
-        rhs = 2.0 * jacobian_apply(m, fl, u, w1, 1e-6) \
-            - jacobian_apply(m, fl, u, w2, 1e-6)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+        k0 = jacobian_matrix(m, fl, u, 1e-6)
+        k1 = jacobian_matrix(m, fl, u, 1e-6, shift=0.25)
+        w = rand_field(m, 6)
+        assert np.allclose(k1 @ w, k0 @ w + 0.25 * (p2_stiffness(m) @ w),
+                           rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-6])
     @pytest.mark.parametrize("shift", [0.0, 1e-9])
     @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
     def test_matrix_matches_apply(self, kind, shift, eps):
-        # shift*I on each 2x2 flux Jacobian adds shift times the p=2
-        # stiffness matrix
+        # the central difference with step 1e-5 at smooth points errs by
+        # about 3e-9 of the product's largest entry (truncation; round-off
+        # is about 1e-11), so the two must agree to 1e-7 of it; shift*I on
+        # each 2x2 flux Jacobian adds shift times the p=2 stiffness matrix
         m = build_mesh(5)
         fl = KIND_EXAMPLES[kind]
-        u, w = rand_field(m, 8), rand_field(m, 9)
+        u, w = smooth_field(m), rand_field(m, 9)
         k = jacobian_matrix(m, fl, u, eps, shift)
-        expected = jacobian_apply(m, fl, u, w, eps) + shift * (
-            p2_stiffness(m) @ w)
-        assert np.allclose(k @ w, expected, rtol=1e-12, atol=1e-13)
+        expected = central_difference(m, fl, u, w, eps, 1e-5) \
+            + shift * (p2_stiffness(m) @ w)
+        got = k @ w
+        assert np.max(np.abs(got - expected)) <= 1e-7 * np.max(np.abs(got))
 
 
 class TestStiffness:
@@ -200,13 +220,17 @@ def pair_free(mesh, e_shape, f_shape):
 
 
 def sub_block(k, nodes):
-    return k[nodes][:, nodes].tocsc()
+    # fancy indexing leaves row indices in no fixed order within a column;
+    # the assembled blocks keep them sorted
+    out = k[nodes][:, nodes].tocsc()
+    out.sort_indices()
+    return out
 
 
 class TestFreeBlock:
-    """The free block is k[nodes][:, nodes], bit for bit, with ``nodes`` the
-    free nodes in dissection order, built from only the triangles that
-    touch free nodes."""
+    """The free block is k[nodes][:, nodes], and the block residual
+    r[nodes], bit for bit, with ``nodes`` the free nodes in dissection
+    order, built from only the triangles that touch free nodes."""
 
     def check(self, m, free, fl, u, eps=1e-8, shift=1e-9):
         k = jacobian_matrix(m, fl, u, eps, shift)
@@ -214,10 +238,16 @@ class TestFreeBlock:
         assert np.array_equal(np.sort(block.nodes), np.flatnonzero(free))
         got = jacobian_matrix(m, fl, u, eps, shift, block=block)
         assert_same_csc(got, sub_block(k, block.nodes))
-        k2 = p2_stiffness(m)
-        assert_same_csc(block.take(k2), sub_block(k2, block.nodes))
-        assert np.array_equal(block.tri_mask,
-                              free[m.triangles].any(axis=1))
+        assert_same_csc(p2_stiffness(m, block),
+                        sub_block(p2_stiffness(m), block.nodes))
+        for r_eps in (0.0, eps):
+            r = residual(m, fl, u, r_eps)
+            assert residual(m, fl, u, r_eps, block=block).tobytes() \
+                == r[block.nodes].tobytes()
+        touching = free[m.triangles].any(axis=1)
+        assert np.array_equal(block.barycenters, m.barycenters[touching])
+        assert block.bt.shape == (2 * touching.sum(), m.n_nodes)
+        assert block.bf.shape == (2 * touching.sum(), block.nodes.size)
 
     @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
     def test_random_masks(self, kind):
@@ -247,7 +277,7 @@ class TestFreeBlock:
             free = np.zeros(m.n_nodes, dtype=bool)
             free[m.node_index(i, j)] = True
             self.check(m, free, p_laplacian(3.0), rand_field(m, 6))
-            assert FreeBlock(m, free).shape == (1, 1)
+            assert p2_stiffness(m, FreeBlock(m, free)).shape == (1, 1)
 
     def test_fresh_mesh_shared_by_two_threads(self):
         # the suite's jobs=2 path shares one mesh, so its lazy caches may

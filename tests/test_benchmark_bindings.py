@@ -1,0 +1,60 @@
+"""The benchmark's traced run wraps names bound in moncap's modules; a
+refactor that drops or renames one must fail here, not in ``--trace 1``."""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from moncap.capacity import compute_capacity
+from moncap.flux import p_laplacian
+from moncap.mesh import build_mesh, disk, rasterize
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" \
+    / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("moncap_bench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_layer_binding_resolves(tracer):
+    for name, attr, _ in tracer.LAYERS:
+        assert hasattr(importlib.import_module(name), attr), (name, attr)
+
+
+def test_traced_solve_restores_every_binding(tracer):
+    originals = [(name, attr, getattr(importlib.import_module(name), attr))
+                 for name, attr, _ in tracer.LAYERS]
+    mesh = build_mesh(8)
+    e = rasterize(disk(0.5, 0.5, 0.1), mesh, "E")
+    f = rasterize(disk(0.5, 0.5, 0.4), mesh, "F")
+    with tracer.Tracer(tracer.LAYERS) as t:
+        capacity = importlib.import_module("moncap.capacity")
+        report, _ = capacity.compute_capacity(mesh, p_laplacian(3.0), e, f)
+    assert report.converged
+    for name, attr, original in originals:
+        assert getattr(importlib.import_module(name), attr) is original, \
+            (name, attr)
+    assert t.originals_in_place()
+    # the solve went through the wrapped layers
+    seen = {span.name for span in t.spans}
+    for layer in ("capacity.compute", "solver.solve", "assembly.residual",
+                  "assembly.jacobian", "assembly.p2_stiffness",
+                  "assembly.pairing", "solver.factor", "flux.eval",
+                  "flux.jacobian"):
+        assert layer in seen, layer
+    plain, _ = compute_capacity(mesh, p_laplacian(3.0), e, f)
+    assert report.c_inner == plain.c_inner

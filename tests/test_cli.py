@@ -288,6 +288,15 @@ class TestConvergeCommand:
         assert main(["converge", cfg]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_overflowing_radial_oracle_exit_2(self, tmp_path, capsys):
+        body = annulus_cfg(str(tmp_path / "out"), n=8)
+        body["N_list"] = [8, 16]
+        body["oracle"] = {"radial": {"p": 1000, "r": 0.1, "R": 0.4}}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["converge", cfg]) == 2
+        assert "config error: oracle.radial.p: the radial capacity " \
+            "overflows" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_radial(self, capsys):
@@ -310,6 +319,15 @@ class TestOracleCommand:
 
     def test_missing_args_exit_2(self, capsys):
         assert main(["oracle", "radial", "--p", "2"]) == 2
+
+    def test_overflowing_radial_capacity_exit_2(self, capsys):
+        # I^(1-p) overflowed Python floats in an OverflowError traceback
+        assert main(["oracle", "radial", "--p", "1000", "--r", "0.1",
+                     "--R", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --p: the radial capacity overflows" \
+            in captured.err
+        assert captured.out == ""
 
 
 class TestEnvAndFlags:
@@ -500,3 +518,24 @@ class TestFoundByFuzzing:
         cfg = write_cfg(tmp_path / "c.json", body)
         assert main(["capacity", cfg]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s,message", [
+        # this config used to exit 2 with "field has () values": its
+        # diverged field carried no iterate
+        (2.8e16, "solver diverged: residual "),
+        # the gradients' squares overflow, so the start residual is NaN
+        (1e62, "solver diverged: the start residual is not finite (nan)"),
+    ])
+    def test_tiny_square_huge_s_exit_3(self, tmp_path, capsys, s, message):
+        length = 2.2e-93
+        body = annulus_cfg(str(tmp_path / "o"), n=4)
+        body["mesh"]["L"] = length
+        body["s"] = s
+        for key in ("E", "F"):
+            body[key]["disk"] = {k: v * length
+                                 for k, v in body[key]["disk"].items()}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["capacity", cfg]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert json.loads(captured.out)["flags"]["converged"] is False

@@ -229,6 +229,21 @@ class TestDivergence:
         assert len(err.history) >= 1
         assert err.field.residual_max == min(err.history)
 
+    def test_non_finite_start_residual_carries_the_start(self):
+        # the squared gradients overflow, so the start residual is NaN and
+        # no iterate ever beats it
+        mesh = build_mesh(8)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        opts = SolverOptions(tol_res=1.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                SolverDiverged, match="start residual is not finite"
+        ) as exc:
+            solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1e160, opts)
+        field = exc.value.field
+        assert field.u.shape == (mesh.n_nodes,)
+        assert np.all(field.u[e.mask] == 1e160)
+        assert field.iterations == 0 and not field.converged
+
 
 class TestNewtonBudget:
     @pytest.mark.parametrize("floor", [1e-9, 1e300])
@@ -248,7 +263,33 @@ class TestNewtonBudget:
 
 
 class TestFreeBlockWork:
-    """The Newton solve assembles only the triangles that touch free nodes."""
+    """The Newton solve assembles only the triangles that touch free
+    nodes."""
+
+    def test_flux_rows_per_residual(self, monkeypatch):
+        # every residual of the solve (start, line-search trials, true
+        # residual checks, smoothed continuation stages) evaluates the
+        # flux on exactly those triangles; this flux reaches continuation
+        from moncap import assembly
+        mesh = build_mesh(32)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        free = f.mask & ~e.mask
+        touching = int(np.count_nonzero(free[mesh.triangles].any(axis=1)))
+        rows = {"eval_flux": [], "eval_flux_smoothed": []}
+
+        def counting(name, real):
+            def evaluate(flux, x, xi, *args, **kwargs):
+                rows[name].append(len(xi))
+                return real(flux, x, xi, *args, **kwargs)
+            return evaluate
+        for name in rows:
+            monkeypatch.setattr(assembly, name,
+                                counting(name, getattr(assembly, name)))
+        field = solve_dirichlet(mesh, flat_core_p(3.0, 3.0), e, f, 1.0)
+        assert field.converged and field.iterations > 0
+        assert 0 < touching < mesh.n_triangles
+        for name, counts in rows.items():
+            assert counts and set(counts) == {touching}, name
 
     def test_flux_jacobian_rows_per_assembly(self, monkeypatch):
         from moncap import assembly
