@@ -130,11 +130,14 @@ def _report(mesh: Mesh, flux: Flux, f: NodeSet, s: float,
 
 
 def _build_report(mesh, flux, e, f, s, pf) -> CapacityReport:
-    r = residual(mesh, flux, pf.u)
-    c_hat = float(np.sum(r[e.mask]))
-    c_inner = s * c_hat
-    c_outer = -s * float(np.sum(r[~f.mask]))
-    c_energy = pairing(mesh, flux, pf.u, pf.u)
+    # an overflow here shows as a non-finite capacity, which
+    # compute_capacity rejects and a diverged report already flags
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = residual(mesh, flux, pf.u)
+        c_hat = float(np.sum(r[e.mask]))
+        c_inner = s * c_hat
+        c_outer = -s * float(np.sum(r[~f.mask]))
+        c_energy = pairing(mesh, flux, pf.u, pf.u)
     n_constrained = int(e.count + (~f.mask).sum())
     tol_cap = n_constrained * pf.tol_res * max(1.0, abs(s))
     three_ok = (abs(c_energy - c_inner) <= tol_cap

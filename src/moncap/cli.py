@@ -34,12 +34,14 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _seed(text: str) -> int:
-    """numpy seeds must be non-negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,10 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("config", help="experiment config (JSON)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="bound on concurrent workers of the order, "
-                       "subadditivity and bounds suites")
-        p.add_argument("--seed", type=_seed, default=None,
+        # numpy seeds must be non-negative
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol-res", type=float, default=None,
@@ -69,6 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep-s", help="capacity along an s grid"))
     p_suite = sub.add_parser("suite", help="run a property suite")
     common(p_suite)
+    p_suite.add_argument("--jobs", type=_int_at_least(1), default=1,
+                         help="bound on concurrent workers of the order, "
+                         "subadditivity and bounds suites")
     p_suite.add_argument("--name", default=None,
                          help="suite name (overrides config)")
     common(sub.add_parser("converge", help="grid refinement study"))
@@ -106,6 +109,14 @@ def _ledger(out_dir, command, cfg_hash, results, t0):
         "wall_time_s": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })
+
+
+def _diverged(exc, out_dir, command, cfg_hash, t0) -> int:
+    """A diverged solve: reported on stderr and in the ledger."""
+    print(f"solver diverged: {exc}", file=sys.stderr)
+    _ledger(out_dir, command, cfg_hash,
+            {"converged": False, "diverged": str(exc)}, t0)
+    return EXIT_DIVERGED
 
 
 def _prepare(args):
@@ -150,8 +161,7 @@ def cmd_capacity(args) -> int:
         report, _ = compute_capacity(mesh, cfg.flux, e, f, cfg.s, cfg.solver)
     except SolverDiverged as exc:
         _emit(dumps_report(exc.report.to_dict()), args.quiet)
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _diverged(exc, out_dir, "capacity", h, t0)
     body = report.to_dict()
     if not report.compatible:
         body["capacity"] = "infinity"
@@ -170,11 +180,10 @@ def cmd_potential(args) -> int:
     try:
         pf = solve_dirichlet(mesh, cfg.flux, e, f, cfg.s, cfg.solver)
     except SolverDiverged as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
         if exc.field is not None:
             history_to_csv(os.path.join(out_dir, f"potential-{h[:12]}-history.csv"),
                            exc.field.residual_history)
-        return EXIT_DIVERGED
+        return _diverged(exc, out_dir, "potential", h, t0)
     base = os.path.join(out_dir, f"potential-{h[:12]}")
     if args.csv:
         field_to_csv(base + ".csv", mesh, pf.u)

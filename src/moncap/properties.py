@@ -15,13 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .capacity import compute_capacity, distributions, p_capacity, sweep_s
+from .capacity import compute_capacity, p_capacity, sweep_s
 from .errors import InvalidInput, SolverDiverged
 from .flux import (Flux, anisotropic_p, flat_core_p, linear_matrix,
                    p_laplacian, s_transform, weighted_p_laplacian)
-from .mesh import (Mesh, NodeSet, ShapeExpr, build_mesh, disk, is_equal,
-                   is_subset, rasterize, rect, shape_intersect, shape_union,
-                   union)
+from .mesh import (Mesh, NodeSet, ShapeExpr, build_mesh, disk, is_subset,
+                   rasterize, rect, shape_from_json, shape_intersect,
+                   shape_none, shape_union)
 from .reporting import config_hash
 from .solver import SolverOptions
 
@@ -136,7 +136,6 @@ class ShapeGen:
         e2 = self.inner_disk(cx, cy, reach)
         roll = rng.random()
         if roll < 0.10:
-            from .mesh import shape_none
             return shape_none(), e2
         if roll < 0.20:
             return e2, e2
@@ -146,12 +145,6 @@ class ShapeGen:
         _, _, r2 = e2.args
         r1 = rng.uniform(0.3, 1.0) * r2
         return disk(e2.args[0], e2.args[1], r1), e2
-
-
-def _rasterize_pair(mesh, e_shape, f_shape, names=("E", "F")):
-    e = rasterize(e_shape, mesh, names[0])
-    f = rasterize(f_shape, mesh, names[1])
-    return e, f
 
 
 class _Cache:
@@ -172,21 +165,12 @@ class _Cache:
             "s": s,
         })
 
-    def capacity(self, flux: Flux, e: NodeSet, f: NodeSet, s: float = 1.0,
-                 with_cp: bool = False):
+    def capacity(self, flux: Flux, e: NodeSet, f: NodeSet, s: float = 1.0):
         k = self.key(flux, e, f, s)
         if k not in self.store:
             self.store[k] = compute_capacity(self.mesh, flux, e, f, s,
-                                             self.opts, with_cp=with_cp)
+                                             self.opts, with_cp=False)
         return self.store[k]
-
-
-def _run_tasks(tasks: list[Callable], jobs: int) -> list:
-    if jobs <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _finalize(suite, records, tolerance, instances, skipped, extras=None):
@@ -199,13 +183,48 @@ def _finalize(suite, records, tolerance, instances, skipped, extras=None):
                        records=records, extras=extras or {})
 
 
-def _margin_record(index, flux, check, raw, value, tol, **extra):
-    margin = raw / (1.0 + abs(value))
+def _run_plans(suite: str, plans: list, check: Callable[..., list],
+               tolerance: float, jobs: int = 1,
+               extras: Optional[Callable[[list], dict]] = None) -> SuiteReport:
+    """One instance per plan: check turns a plan into records, up to jobs
+    plans at a time.  A plan whose check raises SolverDiverged is a skip;
+    the other records keep plan order, so reports do not depend on jobs."""
+    def attempt(plan):
+        try:
+            return check(plan)
+        except SolverDiverged:
+            return None
+
+    if jobs <= 1:
+        results = [attempt(plan) for plan in plans]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(attempt, plans))
+    records = [rec for res in results if res is not None for rec in res]
+    skipped = sum(1 for res in results if res is None)
+    return _finalize(suite, records, tolerance, len(plans), skipped,
+                     extras(records) if extras else None)
+
+
+def _record(index, flux, check, margin, value, tolerance, violation,
+            **extra):
+    """One suite record; every suite writes its records through here."""
     rec = {"index": index, "flux": flux.kind, "p": flux.p, "check": check,
-           "margin": float(margin), "value": float(value),
-           "tolerance": tol, "violation": bool(margin < -tol)}
+           "margin": margin, "value": value, "tolerance": tolerance,
+           "violation": bool(violation)}
     rec.update(extra)
     return rec
+
+
+def _margin_record(index, flux, check, raw, value, tol, **extra):
+    margin = float(raw / (1.0 + abs(value)))
+    return _record(index, flux, check, margin, float(value), tol,
+                   margin < -tol, **extra)
+
+
+def _spread(fields) -> float:
+    """Largest max-norm distance from the first field to the others."""
+    return float(max(np.max(np.abs(fields[0] - u)) for u in fields[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +235,9 @@ def run_order_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
                     seed: int, opts: Optional[SolverOptions] = None,
                     jobs: int = 1) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions()
-    cache = _Cache(mesh, opts)
+    cache = _Cache(mesh, opts or SolverOptions())
     gen = ShapeGen(rng, mesh)
 
-    # generate all instances upfront so solving may run concurrently
     plans = []
     for i in range(int(n_instances)):
         f_shape, (cx, cy, reach) = gen.outer_shape()
@@ -234,43 +251,23 @@ def run_order_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
         plans.append((i, flux, f_shape, e1_shape, e2_shape,
                       disk(cx, cy, big1), disk(cx, cy, big2), e_shape))
 
-    records: list[dict] = []
-    skipped = 0
+    def ordered(i, flux, check, lo, hi):
+        """Margin of C(hi) - C(lo) for two (E, F) pairs."""
+        rep_lo, _ = cache.capacity(flux, *lo)
+        rep_hi, _ = cache.capacity(flux, *hi)
+        value = max(abs(rep_lo.c_inner), abs(rep_hi.c_inner))
+        return _margin_record(
+            i, flux, check, rep_hi.c_inner - rep_lo.c_inner, value, ORDER_TOL,
+            three_formula_ok=rep_lo.three_formula_ok
+            and rep_hi.three_formula_ok)
 
-    def solve_plan(plan):
-        i, flux, f_shape, e1s, e2s, f1s, f2s, es = plan
-        out = []
-        e1, f = _rasterize_pair(mesh, e1s, f_shape)
-        e2 = rasterize(e2s, mesh, "E2")
-        f1 = rasterize(f1s, mesh, "F1")
-        f2 = rasterize(f2s, mesh, "F2")
-        e = rasterize(es, mesh, "E")
-        try:
-            rep1, _ = cache.capacity(flux, e1, f)
-            rep2, _ = cache.capacity(flux, e2, f)
-            value = max(abs(rep1.c_inner), abs(rep2.c_inner))
-            out.append(_margin_record(
-                i, flux, "monotone_E", rep2.c_inner - rep1.c_inner, value,
-                ORDER_TOL, three_formula_ok=rep1.three_formula_ok
-                and rep2.three_formula_ok))
-            repf1, _ = cache.capacity(flux, e, f1)
-            repf2, _ = cache.capacity(flux, e, f2)
-            value = max(abs(repf1.c_inner), abs(repf2.c_inner))
-            out.append(_margin_record(
-                i, flux, "antitone_F", repf1.c_inner - repf2.c_inner, value,
-                ORDER_TOL, three_formula_ok=repf1.three_formula_ok
-                and repf2.three_formula_ok))
-        except SolverDiverged:
-            return None
-        return out
+    def check(plan):
+        i, flux, *shapes = plan
+        f, e1, e2, f1, f2, e = (rasterize(sh, mesh) for sh in shapes)
+        return [ordered(i, flux, "monotone_E", (e1, f), (e2, f)),
+                ordered(i, flux, "antitone_F", (e, f2), (e, f1))]
 
-    results = _run_tasks([lambda p=p: solve_plan(p) for p in plans], jobs)
-    for res in results:
-        if res is None:
-            skipped += 1
-        else:
-            records.extend(res)
-    return _finalize("order", records, ORDER_TOL, n_instances, skipped)
+    return _run_plans("order", plans, check, ORDER_TOL, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +278,10 @@ def run_subadditivity_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
                             seed: int, opts: Optional[SolverOptions] = None,
                             jobs: int = 1) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions()
-    cache = _Cache(mesh, opts)
+    cache = _Cache(mesh, opts or SolverOptions())
     gen = ShapeGen(rng, mesh)
 
+    # a plan is the instance's archived cases, the form reruns read
     plans = []
     for i in range(int(n_instances)):
         f_shape, (cx, cy, reach) = gen.outer_shape()
@@ -297,67 +294,46 @@ def run_subadditivity_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
             e2s = disk(e1s.args[0], e1s.args[1], rng.uniform(0.3, 1.0) * r1)
         else:
             e2s = gen.inner_disk(cx, cy, reach * 0.8)
-        cover = None
+        pair = {"flux_index": i % len(fluxes), "f": f_shape.to_json(),
+                "shapes": [e1s.to_json(), e2s.to_json()]}
+        cases = [("subadd_pair", pair)]
         if i % 3 == 0:
             e3s = gen.inner_disk(cx, cy, reach * 0.8)
             lo = rng.uniform(0.0, 0.5)
             window = rect(0.0, 0.0, mesh.length, mesh.length * (0.5 + lo))
-            cover = (e3s, window)
-        plans.append((i, fluxes[i % len(fluxes)], f_shape, e1s, e2s, cover))
+            cases.append(("finite_cover", {
+                **pair, "shapes": pair["shapes"] + [e3s.to_json()],
+                "window": window.to_json()}))
+        plans.append((i, cases))
 
-    records: list[dict] = []
-    skipped = 0
-    worst_cases: list[tuple[float, dict]] = []
+    def check(plan):
+        i, cases = plan
+        return [_subadditivity_record(cache, fluxes, i, name, case)
+                for name, case in cases]
 
-    def solve_plan(plan):
-        i, flux, f_shape, e1s, e2s, cover = plan
-        out = []
-        f = rasterize(f_shape, mesh, "F")
-        e1 = rasterize(e1s, mesh, "E1")
-        e2 = rasterize(e2s, mesh, "E2")
-        try:
-            r1, _ = cache.capacity(flux, e1, f)
-            r2, _ = cache.capacity(flux, e2, f)
-            ru, _ = cache.capacity(flux, union(e1, e2, "E1|E2"), f)
-            raw = r1.c_inner + r2.c_inner - ru.c_inner
-            case = {"flux_index": None, "f": f_shape.to_json(),
-                    "shapes": [e1s.to_json(), e2s.to_json()]}
-            out.append((_margin_record(i, flux, "subadd_pair", raw,
-                                       ru.c_inner, SUBADD_TOL), case))
-            if cover is not None:
-                e3s, window = cover
-                e3 = rasterize(e3s, mesh, "E3")
-                covered = rasterize(
-                    shape_intersect(shape_union(e1s, e2s, e3s), window),
-                    mesh, "Ecov")
-                r3, _ = cache.capacity(flux, e3, f)
-                rc, _ = cache.capacity(flux, covered, f)
-                raw = r1.c_inner + r2.c_inner + r3.c_inner - rc.c_inner
-                case3 = {"flux_index": None, "f": f_shape.to_json(),
-                         "shapes": [e1s.to_json(), e2s.to_json(),
-                                    e3s.to_json()],
-                         "window": window.to_json()}
-                out.append((_margin_record(i, flux, "finite_cover", raw,
-                                           rc.c_inner, SUBADD_TOL), case3))
-        except SolverDiverged:
-            return None
-        return out
+    def worst_cases(records):
+        worst = sorted(records, key=lambda rec: rec["margin"])[:5]
+        return {"worst_cases": [rec["case"] for rec in worst]}
 
-    results = _run_tasks([lambda p=p: solve_plan(p) for p in plans], jobs)
-    for plan, res in zip(plans, results):
-        if res is None:
-            skipped += 1
-            continue
-        for rec, case in res:
-            case["flux_index"] = plan[0] % len(fluxes)
-            rec["case"] = case
-            records.append(rec)
-            worst_cases.append((rec["margin"], case))
+    return _run_plans("subadditivity", plans, check, SUBADD_TOL, jobs,
+                      worst_cases)
 
-    worst_cases.sort(key=lambda t: t[0])
-    extras = {"worst_cases": [c for _, c in worst_cases[:5]]}
-    return _finalize("subadditivity", records, SUBADD_TOL, n_instances,
-                     skipped, extras)
+
+def _subadditivity_record(cache, fluxes, index, check, case):
+    """Margin of C(E_1) + ... + C(E_k) - C(E_1 u ... u E_k) for an archived
+    case, the union clipped to the case's window when it has one."""
+    mesh = cache.mesh
+    flux = fluxes[case["flux_index"]]
+    f = rasterize(shape_from_json(case["f"]), mesh, "F")
+    shapes = [shape_from_json(sj) for sj in case["shapes"]]
+    target = shape_union(*shapes)
+    if "window" in case:
+        target = shape_intersect(target, shape_from_json(case["window"]))
+    parts = [cache.capacity(flux, rasterize(sh, mesh, f"E{k}"), f)[0].c_inner
+             for k, sh in enumerate(shapes, 1)]
+    whole, _ = cache.capacity(flux, rasterize(target, mesh, "union"), f)
+    return _margin_record(index, flux, check, sum(parts) - whole.c_inner,
+                          whole.c_inner, SUBADD_TOL, case=case)
 
 
 def rerun_subadditivity_case(case: dict, n: int, fluxes: list[Flux],
@@ -365,27 +341,9 @@ def rerun_subadditivity_case(case: dict, n: int, fluxes: list[Flux],
                              opts: Optional[SolverOptions] = None) -> float:
     """Deficit (negative part of the margin) of an archived case on an
     N-cell mesh; used for the refinement-trend check."""
-    from .mesh import shape_from_json
-    mesh = build_mesh(n, length)
-    opts = opts or SolverOptions()
-    cache = _Cache(mesh, opts)
-    flux = fluxes[case["flux_index"]]
-    f = rasterize(shape_from_json(case["f"]), mesh, "F")
-    shapes = [shape_from_json(sj) for sj in case["shapes"]]
-    sets = [rasterize(sh, mesh, f"E{k}") for k, sh in enumerate(shapes)]
-    total = 0.0
-    for es in sets:
-        rep, _ = cache.capacity(flux, es, f)
-        total += rep.c_inner
-    if "window" in case:
-        target_shape = shape_intersect(shape_union(*shapes),
-                                       shape_from_json(case["window"]))
-    else:
-        target_shape = shape_union(*shapes)
-    target = rasterize(target_shape, mesh, "target")
-    rep_u, _ = cache.capacity(flux, target, f)
-    margin = (total - rep_u.c_inner) / (1.0 + abs(rep_u.c_inner))
-    return max(0.0, -margin)
+    cache = _Cache(build_mesh(n, length), opts or SolverOptions())
+    rec = _subadditivity_record(cache, fluxes, None, "rerun", case)
+    return max(0.0, -rec["margin"])
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +366,7 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
                      seed: int, opts: Optional[SolverOptions] = None,
                      jobs: int = 1) -> SuiteReport:
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions()
-    cache = _Cache(mesh, opts)
+    cache = _Cache(mesh, opts or SolverOptions())
     gen = ShapeGen(rng, mesh)
 
     plans = []
@@ -420,39 +377,24 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
         s = float(rng.choice(s_pool))
         plans.append((i, fluxes[i % len(fluxes)], f_shape, e_shape, s))
 
-    records: list[dict] = []
-    skipped = 0
-
-    def solve_plan(plan):
+    def check(plan):
         i, flux, f_shape, e_shape, s = plan
-        e, f = _rasterize_pair(mesh, e_shape, f_shape)
-        out = []
-        try:
-            cp = p_capacity(mesh, flux.p, e, f, opts)
-            rep, _ = cache.capacity(flux, e, f, 1.0)
-            slack_value = cp
-            for name, raw in bound_margins(rep, cp, rep.area_f).items():
-                out.append(_margin_record(i, flux, f"bound_{name}", raw,
-                                          slack_value, BOUNDS_SLACK))
-            if flux.kind == "p_laplacian":
-                out.append(_margin_record(
-                    i, flux, "plap_lower_tight",
-                    -abs(rep.c_inner - cp), cp, 1e-10))
-            rep_s, _ = cache.capacity(flux, e, f, s)
-            for name, raw in bound_margins(rep_s, cp, rep_s.area_f).items():
-                out.append(_margin_record(i, flux, f"bound_s_{name}", raw,
-                                          slack_value, BOUNDS_SLACK))
-        except SolverDiverged:
-            return None
+        e = rasterize(e_shape, mesh, "E")
+        f = rasterize(f_shape, mesh, "F")
+        cp = p_capacity(mesh, flux.p, e, f, cache.opts)
+        rep, _ = cache.capacity(flux, e, f, 1.0)
+        rep_s, _ = cache.capacity(flux, e, f, s)
+        out = [_margin_record(i, flux, f"bound_{name}", raw, cp, BOUNDS_SLACK)
+               for name, raw in bound_margins(rep, cp, rep.area_f).items()]
+        if flux.kind == "p_laplacian":
+            out.append(_margin_record(i, flux, "plap_lower_tight",
+                                      -abs(rep.c_inner - cp), cp, 1e-10))
+        out += [_margin_record(i, flux, f"bound_s_{name}", raw, cp,
+                               BOUNDS_SLACK)
+                for name, raw in bound_margins(rep_s, cp, rep_s.area_f).items()]
         return out
 
-    results = _run_tasks([lambda p=p: solve_plan(p) for p in plans], jobs)
-    for res in results:
-        if res is None:
-            skipped += 1
-        else:
-            records.extend(res)
-    return _finalize("bounds", records, BOUNDS_SLACK, n_instances, skipped)
+    return _run_plans("bounds", plans, check, BOUNDS_SLACK, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,46 +414,36 @@ def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
 
     fine_grid = np.linspace(s_grid[0], s_grid[-1], 2 * len(s_grid) - 1)
 
-    records: list[dict] = []
-    skipped = 0
+    plans = []
     for i, flux in enumerate(fluxes):
         f_shape, (cx, cy, reach) = gen.outer_shape()
-        e_shape = gen.inner_disk(cx, cy, reach * 0.75)
-        e, f = _rasterize_pair(mesh, e_shape, f_shape)
-        try:
-            coarse = sweep_s(mesh, flux, e, f, s_grid, opts)
-            fine = sweep_s(mesh, flux, e, f, fine_grid, opts)
-        except SolverDiverged:
-            skipped += 1
-            continue
+        plans.append((i, flux, f_shape, gen.inner_disk(cx, cy, reach * 0.75)))
+
+    def check(plan):
+        i, flux, f_shape, e_shape = plan
+        e = rasterize(e_shape, mesh, "E")
+        f = rasterize(f_shape, mesh, "F")
+        coarse = sweep_s(mesh, flux, e, f, s_grid, opts)
+        fine = sweep_s(mesh, flux, e, f, fine_grid, opts)
         if any(rep is None for _, rep in coarse + fine):
-            skipped += 1
-            continue
+            raise SolverDiverged(f"an s-sweep point of instance {i} diverged")
 
         hats = np.array([rep.c_hat for _, rep in coarse])
         diffs = np.diff(hats)
-        records.append(_margin_record(i, flux, "hat_monotone",
-                                      float(diffs.min()),
-                                      float(np.max(np.abs(hats))),
-                                      S_MONO_TOL))
+        out = [_margin_record(i, flux, "hat_monotone", float(diffs.min()),
+                              float(np.max(np.abs(hats))), S_MONO_TOL)]
         if 0.0 in s_grid:
-            k0 = s_grid.index(0.0)
-            records.append({
-                "index": i, "flux": flux.kind, "p": flux.p,
-                "check": "hat_zero_at_origin",
-                "margin": -abs(hats[k0]), "value": 0.0, "tolerance": 0.0,
-                "violation": bool(hats[k0] != 0.0)})
+            hat0 = hats[s_grid.index(0.0)]
+            out.append(_record(i, flux, "hat_zero_at_origin", -abs(hat0),
+                               0.0, 0.0, hat0 != 0.0))
 
         hats_fine = np.array([rep.c_hat for _, rep in fine])
         jump_coarse = float(np.max(np.abs(np.diff(hats))))
         jump_fine = float(np.max(np.abs(np.diff(hats_fine))))
         ratio = jump_coarse / jump_fine if jump_fine > 0 else np.inf
-        records.append({
-            "index": i, "flux": flux.kind, "p": flux.p,
-            "check": "continuity_ratio",
-            "margin": float(ratio - 1.5), "value": ratio, "tolerance": 0.0,
-            "violation": bool(ratio < 1.5),
-            "jump_coarse": jump_coarse, "jump_fine": jump_fine})
+        out.append(_record(i, flux, "continuity_ratio", float(ratio - 1.5),
+                           ratio, 0.0, ratio < 1.5, jump_coarse=jump_coarse,
+                           jump_fine=jump_fine))
 
         for s, rep in coarse:
             if s == 0.0:
@@ -519,16 +451,17 @@ def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
             rep_t, _ = compute_capacity(mesh, s_transform(flux, s), e, f,
                                         1.0, opts, with_cp=False)
             raw = -abs(rep.c_inner - rep_t.c_inner)
-            records.append(_margin_record(i, flux, "scaling_identity", raw,
-                                          rep.c_inner, S_IDENTITY_TOL, s=s))
+            out.append(_margin_record(i, flux, "scaling_identity", raw,
+                                      rep.c_inner, S_IDENTITY_TOL, s=s))
         if flux.kind == "p_laplacian":
             cp = p_capacity(mesh, flux.p, e, f, opts)
             for s, rep in coarse:
                 raw = -abs(rep.c_inner - abs(s) ** flux.p * cp)
-                records.append(_margin_record(i, flux, "power_law", raw,
-                                              rep.c_inner, S_IDENTITY_TOL,
-                                              s=s))
-    return _finalize("s_laws", records, S_MONO_TOL, len(fluxes), skipped)
+                out.append(_margin_record(i, flux, "power_law", raw,
+                                          rep.c_inner, S_IDENTITY_TOL, s=s))
+        return out
+
+    return _run_plans("s_laws", plans, check, S_MONO_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -542,81 +475,67 @@ def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
     opts = opts or SolverOptions()
     gen = ShapeGen(rng, mesh)
 
-    records: list[dict] = []
-    skipped = 0
-    from .mesh import shape_none
-
+    plans = []
     for i in range(int(n_instances)):
         f_shape, (cx, cy, reach) = gen.outer_shape()
         if i == 0:
             e_shape = shape_none()  # zero-set instance: all runs return 0
         else:
             e_shape = gen.inner_disk(cx, cy, reach * 0.8)
-        e, f = _rasterize_pair(mesh, e_shape, f_shape)
         # scale the core radius to the geometric gradient scale so the suite
         # hits active, partial-core, and all-core regimes
         r_e = e_shape.args[2] if e_shape.op == "disk" else 0.0
         gap = max(reach * 0.8 - r_e, 2.0 * mesh.h)
         flux = flat_core_p(2.0, float(rng.uniform(0.2, 1.6) / gap))
+        plans.append((i, flux, f_shape, e_shape))
 
+    def check(plan):
+        i, flux, f_shape, e_shape = plan
+        e = rasterize(e_shape, mesh, "E")
+        f = rasterize(f_shape, mesh, "F")
         init_opts = [replace(opts, init="linear_blend"),
                      replace(opts, init="zero")]
         for k in range(n_inits - len(init_opts)):
             init_opts.append(replace(
                 opts, init="random",
                 init_seed=opts.init_seed + seed + 37 * i + k))
-        caps, fields = [], []
-        failed = False
-        for so in init_opts:
-            try:
-                rep, pf = compute_capacity(mesh, flux, e, f, 1.0, so,
-                                           with_cp=False)
-            except SolverDiverged:
-                failed = True
-                break
-            caps.append(rep.c_inner)
-            fields.append(pf.u if pf is not None else None)
-        if failed:
-            skipped += 1
-            continue
-        spread = max(caps) - min(caps)
-        value = float(np.mean(caps))
-        field_spread = 0.0
-        if fields[0] is not None:
-            field_spread = float(max(
-                np.max(np.abs(fields[0] - u2)) for u2 in fields[1:]))
-        records.append(_margin_record(
-            i, flux, "capacity_invariance", -spread, value, INVARIANCE_TOL,
-            field_spread=field_spread, capacities=caps))
 
-        # control group: strictly monotone flux pins the field itself
+        def solves(fl):
+            return [compute_capacity(mesh, fl, e, f, 1.0, so, with_cp=False)
+                    for so in init_opts]
+
+        runs = solves(flux)
+        caps = [rep.c_inner for rep, _ in runs]
+        field_spread = 0.0
+        if runs[0][1] is not None:
+            field_spread = _spread([pf.u for _, pf in runs])
+        out = [_margin_record(
+            i, flux, "capacity_invariance", -(max(caps) - min(caps)),
+            float(np.mean(caps)), INVARIANCE_TOL, field_spread=field_spread,
+            capacities=caps)]
+
+        # control group: strictly monotone flux pins the field itself; its
+        # divergence drops the control record, not the instance
         if i == 1:
             control = p_laplacian(2.0)
-            ctrl_fields = []
-            for so in init_opts:
-                try:
-                    _, pf = compute_capacity(mesh, control, e, f, 1.0, so,
-                                             with_cp=False)
-                except SolverDiverged:
-                    ctrl_fields = []
-                    break
-                ctrl_fields.append(pf.u)
-            if ctrl_fields:
-                ctrl_spread = float(max(
-                    np.max(np.abs(ctrl_fields[0] - u2))
-                    for u2 in ctrl_fields[1:]))
-                tol_field = 10.0 * SolverOptions().resolve_tol(control, 1.0)
-                records.append({
-                    "index": i, "flux": control.kind, "p": control.p,
-                    "check": "control_field_unique",
-                    "margin": float(tol_field - ctrl_spread),
-                    "value": ctrl_spread, "tolerance": 0.0,
-                    "violation": bool(ctrl_spread > tol_field)})
-    spreads = [r.get("field_spread", 0.0) for r in records
-               if r["check"] == "capacity_invariance"]
-    extras = {"max_field_spread": max(spreads) if spreads else 0.0}
-    return _finalize("invariance", records, INVARIANCE_TOL, n_instances,
-                     skipped, extras)
+            try:
+                ctrl_runs = solves(control)
+            except SolverDiverged:
+                return out
+            ctrl_spread = _spread([pf.u for _, pf in ctrl_runs])
+            tol_field = 10.0 * SolverOptions().resolve_tol(control, 1.0)
+            out.append(_record(i, control, "control_field_unique",
+                               float(tol_field - ctrl_spread), ctrl_spread,
+                               0.0, ctrl_spread > tol_field))
+        return out
+
+    def max_field_spread(records):
+        spreads = [r["field_spread"] for r in records
+                   if r["check"] == "capacity_invariance"]
+        return {"max_field_spread": max(spreads) if spreads else 0.0}
+
+    return _run_plans("invariance", plans, check, INVARIANCE_TOL,
+                      extras=max_field_spread)
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +586,9 @@ def run_sequence_demo(mesh: Mesh, flux: Flux, chain: list[NodeSet],
     if values and values[-1] is not None:
         e, f = (chain[-1], fixed) if mode == "E" else (fixed, chain[-1])
         rep, _ = cache.capacity(flux, e, f)
-        records.append({
-            "index": len(chain) - 1, "flux": flux.kind, "p": flux.p,
-            "check": "limit_attained",
-            "margin": -abs(rep.c_inner - values[-1]),
-            "value": values[-1], "tolerance": 0.0,
-            "violation": bool(rep.c_inner != values[-1])})
+        records.append(_record(len(chain) - 1, flux, "limit_attained",
+                               -abs(rep.c_inner - values[-1]), values[-1],
+                               0.0, rep.c_inner != values[-1]))
     return _finalize(f"sequence_{mode}", records, ORDER_TOL, len(chain),
                      skipped, extras={"values": values})
 
@@ -703,7 +619,8 @@ def run_convergence_study(e_shape: ShapeExpr, f_shape: ShapeExpr, flux: Flux,
     skipped = 0
     for n in n_list:
         mesh = build_mesh(n, length)
-        e, f = _rasterize_pair(mesh, e_shape, f_shape)
+        e = rasterize(e_shape, mesh, "E")
+        f = rasterize(f_shape, mesh, "F")
         try:
             rep, _ = compute_capacity(mesh, flux, e, f, 1.0, opts,
                                       with_cp=False)
@@ -719,22 +636,17 @@ def run_convergence_study(e_shape: ShapeExpr, f_shape: ShapeExpr, flux: Flux,
             continue
         err = abs(rep.c_inner - ref) / (abs(ref) if abs(ref) > 1e-12 else 1.0)
         errors.append(err)
-        records.append({"index": n, "flux": flux.kind, "p": flux.p,
-                        "check": "refinement_error", "margin": None,
-                        "value": rep.c_inner, "reference": ref,
-                        "rel_error": err, "tolerance": tol_final,
-                        "violation": False})
+        records.append(_record(n, flux, "refinement_error", None,
+                               rep.c_inner, tol_final, False, reference=ref,
+                               rel_error=err))
     valid = [e for e in errors if e is not None]
     final_ok = bool(valid and valid[-1] <= tol_final)
     # increases below round-off are not rasterization bumps
     bumps = sum(1 for a, b in zip(valid, valid[1:]) if b > a + 1e-12)
     trend_ok = bumps <= 1
-    records.append({"index": n_list[-1], "flux": flux.kind, "p": flux.p,
-                    "check": "final_error",
-                    "margin": (tol_final - valid[-1]) if valid else None,
-                    "value": valid[-1] if valid else None,
-                    "tolerance": tol_final,
-                    "violation": not (final_ok and trend_ok),
-                    "bumps": bumps})
+    records.append(_record(n_list[-1], flux, "final_error",
+                           (tol_final - valid[-1]) if valid else None,
+                           valid[-1] if valid else None, tol_final,
+                           not (final_ok and trend_ok), bumps=bumps))
     return _finalize("convergence", records, tol_final, len(n_list), skipped,
                      extras={"errors": errors})

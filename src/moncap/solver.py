@@ -194,7 +194,9 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
 
-    rmax = state.true_rmax(u)
+    # a start that overflows is rejected just below as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        rmax = state.true_rmax(u)
     if rmax <= tol:
         return make_field(u, rmax, 0, True, history)
     if not math.isfinite(rmax):

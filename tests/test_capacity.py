@@ -65,13 +65,15 @@ class TestConventions:
         assert math.isinf(rep.c_inner) and not rep.compatible
         assert rep.to_dict()["c_inner"] == "infinity"
 
-    def test_overflowed_capacity_is_invalid_input(self):
+    def test_overflowed_capacity_is_invalid_input(self, recwarn):
         # |s|^p = 1e360 at p = 3 is past the largest double
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         with pytest.raises(InvalidInput) as exc:
             compute_capacity(mesh, p_laplacian(3.0), e, f, 1e120)
         assert exc.value.field == "s"
+        # the overflow is reported once, as the error, not as numpy warnings
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_e_equals_f_single_node_hat_is_stencil_diagonal(self):
         # u is the unit impulse; its residual at the center is the stencil

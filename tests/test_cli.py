@@ -57,7 +57,7 @@ class TestCapacityCommand:
         assert out["capacity"] == "infinity"
         assert out["c_inner"] == "infinity"
 
-    def test_overflowed_capacity_exit_2(self, tmp_path, capsys):
+    def test_overflowed_capacity_exit_2(self, tmp_path, capsys, recwarn):
         # a compatible pair whose capacity overflows is not "infinity"
         body = annulus_cfg(str(tmp_path / "out"), n=8)
         body["s"] = 1e120
@@ -67,6 +67,7 @@ class TestCapacityCommand:
         assert "invalid input: the capacity overflows at s = 1e+120" \
             in captured.err
         assert captured.out == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_clip_e_to_f(self, tmp_path, capsys):
         body = strip_cfg(str(tmp_path / "out"))
@@ -504,6 +505,20 @@ class TestNegativeSeed:
         assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
 
+class TestJobsFlag:
+    # large values are left untested: each would start that many threads
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_below_one_exit_2(self, tmp_path, capsys, jobs):
+        cfg = write_cfg(tmp_path / "c.json", strip_cfg(str(tmp_path / "o")))
+        assert main(["suite", cfg, "--name", "order", "--jobs", jobs]) == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+
+    def test_only_suite_reads_it(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", strip_cfg(str(tmp_path / "o")))
+        assert main(["capacity", cfg, "--jobs", "1"]) == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 class TestFoundByFuzzing:
     @pytest.mark.parametrize("edit,message", [
         # |s|^(p-1) of the default tolerance overflowed in Python floats
@@ -526,7 +541,8 @@ class TestFoundByFuzzing:
         # the gradients' squares overflow, so the start residual is NaN
         (1e62, "solver diverged: the start residual is not finite (nan)"),
     ])
-    def test_tiny_square_huge_s_exit_3(self, tmp_path, capsys, s, message):
+    def test_tiny_square_huge_s_exit_3(self, tmp_path, capsys, recwarn, s,
+                                       message):
         length = 2.2e-93
         body = annulus_cfg(str(tmp_path / "o"), n=4)
         body["mesh"]["L"] = length
@@ -539,3 +555,10 @@ class TestFoundByFuzzing:
         captured = capsys.readouterr()
         assert message in captured.err
         assert json.loads(captured.out)["flags"]["converged"] is False
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        # the diverged run still leaves its ledger line
+        lines = (tmp_path / "o" / "runs.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        results = json.loads(lines[0])["results"]
+        assert results["converged"] is False
+        assert message.removeprefix("solver diverged: ") in results["diverged"]

@@ -45,10 +45,15 @@ class TestOrderSuite:
         rep = run_order_suite(build_mesh(12), [flux], 1, 0)
         assert rep.passed
 
-    def test_parallel_matches_serial(self):
-        a = run_order_suite(MESH, [p_laplacian(2.0)], 6, seed=5, jobs=1)
-        b = run_order_suite(MESH, [p_laplacian(2.0)], 6, seed=5, jobs=3)
-        assert a.to_dict() == b.to_dict()
+
+@pytest.mark.parametrize("suite", [run_order_suite, run_subadditivity_suite,
+                                   run_bounds_suite],
+                         ids=["order", "subadditivity", "bounds"])
+def test_parallel_matches_serial(suite):
+    a = suite(MESH, [p_laplacian(2.0)], 6, seed=5, jobs=1)
+    b = suite(MESH, [p_laplacian(2.0)], 6, seed=5, jobs=3)
+    assert a.passed
+    assert a.to_dict() == b.to_dict()
 
 
 class TestSubadditivitySuite:
