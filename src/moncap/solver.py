@@ -15,16 +15,24 @@ Each solve works on its ``FreeBlock``: B_t, the rows of the mesh's
 gradient operator B for the triangles that touch a free node, and B_f,
 those rows restricted to the free columns.  Every residual the solve
 evaluates (line-search trials and true-residual checks included) is
-B_f^T (|T| a(B_t u)), with the flux evaluated on those triangles only, and
-each Newton step solves with a sparse LU factor of the free-free Jacobian
-B_f^T D B_f, freed before the next step factors.  The block's rows and
-columns follow the mesh's cached nested-dissection order of the free
-nodes, so every factor keeps that order (``permc_spec="NATURAL"``) instead
-of computing a COLAMD ordering per step; SuperLU's row partial pivoting
-stays on for skew and shifted degenerate Jacobians.  Step lengths
-backtrack on the free-node residual max-norm.  Convergence is always
-declared on the TRUE flux residual, so reported capacities belong to the
-problem actually posed.
+B_f^T (|T| a(B_t u)), with the flux evaluated on those triangles only.  The
+block's rows and columns follow the mesh's cached nested-dissection order
+of the free nodes, so every sparse LU factor keeps that order
+(``permc_spec="NATURAL"``) instead of computing a COLAMD ordering; SuperLU's
+row partial pivoting stays on for skew and shifted degenerate Jacobians.
+
+A solve holds one LU factor at a time, across Newton steps and stages: at
+first the blend start's p=2 factor, later the last free-free Jacobian
+B_f^T D B_f factored.  On blocks below ``KRYLOV_MIN_NODES`` free nodes each
+Newton step factors its Jacobian and solves directly.  On larger blocks a
+step solves with GMRES, right-preconditioned by the held factor, to an
+Eisenstat-Walker forcing term (inexact Newton); when GMRES needs more than
+``KRYLOV_MAX_ITER`` iterations or the line search rejects its direction,
+the held factor is dropped and the step, like the rest of its stage's
+Newton pass, is solved directly from a fresh one.  Step lengths backtrack
+on the free-node residual max-norm.  Convergence is always declared on the
+TRUE flux residual at the same target, so reported capacities belong to
+the problem actually posed.
 """
 
 from __future__ import annotations
@@ -49,6 +57,17 @@ LS_MIN_STEP = 1e-8
 # Newton steps per continuation stage: the stages track the path, and the
 # adaptive tail owns the endgame
 STAGE_MAX_ITER = 8
+# Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on the
+# held factor.  Below about 4,000 free nodes the flat-core annulus solves
+# took 0.76-1.32x the direct time (inexact steps add Newton steps); above it
+# every measured p = 3 and flat-core case was faster (table in CHANGES.md).
+# At N = 256, 20 GMRES iterations cost about one factor.
+KRYLOV_MIN_NODES = 4096
+KRYLOV_MAX_ITER = 20
+# Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+EW_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -118,15 +137,16 @@ def _factor(a):
     return spla.splu(a, permc_spec="NATURAL")
 
 
-def _linear_blend_init(mesh: Mesh, block: FreeBlock,
-                       u: np.ndarray) -> np.ndarray:
+def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray):
     """Solve the p=2 problem with the same boundary data; cheap and inside
-    the comparison cone."""
+    the comparison cone.  Returns the start and the p=2 factor, which
+    preconditions the first Newton steps on large blocks."""
     fixed = np.where(block.free, 0.0, u)
     rhs = -mesh.tri_area * (block.bf_t @ (block.bt @ fixed))
+    lu = _factor(p2_stiffness(mesh, block))
     out = u.copy()
-    out[block.nodes] = _factor(p2_stiffness(mesh, block)).solve(rhs)
-    return out
+    out[block.nodes] = lu.solve(rhs)
+    return out, lu
 
 
 def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
@@ -142,11 +162,12 @@ def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     except SolverDiverged:
         if opts.init == "linear_blend":
             raise
-        # the initialization is a hint, not a semantic: when a warm start,
-        # zero, or random basin start fails, retry once from the default
-        # blend (for merely monotone fluxes any converged solution carries
-        # the same capacity)
-        return _solve(mesh, flux, e, f, s, replace(opts, init="linear_blend"))
+    # the initialization is a hint, not a semantic: when a warm start,
+    # zero, or random basin start fails, retry once from the default blend
+    # (for merely monotone fluxes any converged solution carries the same
+    # capacity).  The retry runs after the handler, so the failed attempt's
+    # frames, and its LU factor, are freed first.
+    return _solve(mesh, flux, e, f, s, replace(opts, init="linear_blend"))
 
 
 def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
@@ -174,10 +195,12 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         return make_field(u, 0.0, 0, True, [0.0])
 
     block = FreeBlock(mesh, free)
+    history: list[float] = []
+    state = _NewtonState(mesh, flux, block, opts, history)
     if opts.init == "zero":
         pass
     elif opts.init == "linear_blend":
-        u = _linear_blend_init(mesh, block, u)
+        u, state.lu = _linear_blend_init(mesh, block, u)
     elif opts.init == "given":
         if opts.init_field is None:
             raise InvalidInput("init='given' requires init_field")
@@ -191,8 +214,6 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     else:
         raise InvalidInput(f"unknown init {opts.init!r}")
 
-    history: list[float] = []
-    state = _NewtonState(mesh, flux, block, opts, history)
 
     # a start that overflows is rejected just below as not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +298,13 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 
 
 class _NewtonState:
-    """Shared bookkeeping for the staged Newton solve."""
+    """Shared bookkeeping for the staged Newton solve.
+
+    ``lu`` is the last LU factor made (the blend start's p=2 factor at
+    first), held across Newton steps and stages to precondition GMRES on
+    large blocks.  It is dropped before the next factor is made, so one
+    solve never holds two.
+    """
 
     def __init__(self, mesh, flux, block, opts, history):
         self.mesh = mesh
@@ -288,6 +315,7 @@ class _NewtonState:
         self.iterations = 0
         self.best_u = None
         self.best_rmax = np.inf
+        self.lu = None
 
     def budget(self):
         return self.opts.max_newton - self.iterations
@@ -307,42 +335,116 @@ class _NewtonState:
             self.best_rmax = rmax
             self.best_u = u.copy()
 
+    def _direct(self, kff, r):
+        """Newton direction from a fresh LU factor of kff, which becomes
+        the held one; None when the factor or the direction fails."""
+        self.lu = None
+        try:
+            self.lu = _factor(kff)
+        except RuntimeError:
+            return None
+        delta = self.lu.solve(-r)
+        return delta if np.all(np.isfinite(delta)) else None
+
+    def _krylov_norm(self, r, rmax):
+        """The 2-norm of r when a GMRES step can use it (a held factor, a
+        finite norm), else None."""
+        if self.lu is None or not math.isfinite(rmax):
+            return None
+        # finite entries can still overflow the sum of squares
+        with np.errstate(over="ignore"):
+            rnorm = float(np.linalg.norm(r))
+        return rnorm if math.isfinite(rnorm) else None
+
+    def _gmres(self, kff, r, rtol):
+        """Newton direction from GMRES preconditioned by the held factor,
+        to relative residual rtol; None when KRYLOV_MAX_ITER iterations do
+        not reach it."""
+        lu = self.lu
+        # right preconditioning: GMRES minimises the true residual
+        # |kff delta + r| of delta = lu.solve(y), the forcing term's measure
+        kff_m = spla.LinearOperator(kff.shape, dtype=float,
+                                    matvec=lambda y: kff @ lu.solve(y))
+        # with the legacy callback type, maxiter bounds the inner iterations
+        # over all restarts (otherwise it counts restart cycles).  A Krylov
+        # basis that overflows (a huge jacobian_floor against the p=2
+        # factor) ends in info > 0 or a non-finite direction, both refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, info = spla.gmres(kff_m, -r, rtol=rtol,
+                                 restart=KRYLOV_MAX_ITER,
+                                 maxiter=KRYLOV_MAX_ITER,
+                                 callback=lambda _: None,
+                                 callback_type="legacy")
+            if info != 0:
+                return None
+            delta = lu.solve(y)
+        return delta if np.all(np.isfinite(delta)) else None
+
+    def _line_search(self, u, delta, rmax, residual_eps):
+        """Backtrack along delta to a sufficient decrease of the max-norm;
+        (u, r, rmax) there, or None when no step length gives one."""
+        t = 1.0
+        while t >= LS_MIN_STEP:
+            u_try = u.copy()
+            u_try[self.block.nodes] += t * delta
+            r_try, rmax_try = self._residual(u_try, residual_eps)
+            if rmax_try <= (1.0 - LS_DECREASE * t) * rmax:
+                return u_try, r_try, rmax_try
+            t *= LS_BACKTRACK
+        return None
+
     def newton(self, u, residual_eps, jac_eps, target, max_iter):
         """Damped Newton on the residual at smoothing residual_eps; returns
         (u, last rmax of that residual).  Tracks the best TRUE iterate only
-        when iterating the true residual."""
+        when iterating the true residual.  A step counts only once the line
+        search accepts it, whether GMRES or a fresh factor gave it."""
         opts = self.opts
-        nodes = self.block.nodes
         true_pass = residual_eps == 0.0
         r, rmax = self._residual(u, residual_eps)
         if true_pass:
             self._track(rmax, u)
+        rnorm_prev = None
+        krylov = self.block.nodes.size >= KRYLOV_MIN_NODES
         it = 0
         while it < max_iter and self.budget() > 0 and rmax > target:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
                                   shift=opts.jacobian_floor, block=self.block)
-            try:
-                delta = _factor(kff).solve(-r)
-            except RuntimeError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            t = 1.0
-            accepted = False
-            while t >= LS_MIN_STEP:
-                u_try = u.copy()
-                u_try[nodes] += t * delta
-                r_try, rmax_try = self._residual(u_try, residual_eps)
-                if rmax_try <= (1.0 - LS_DECREASE * t) * rmax:
-                    accepted = True
+            step = None
+            rnorm = self._krylov_norm(r, rmax) if krylov else None
+            if rnorm is not None:
+                delta = self._gmres(kff, r, _forcing(rnorm, rnorm_prev,
+                                                     target))
+                rnorm_prev = rnorm
+                if delta is not None:
+                    step = self._line_search(u, delta, rmax, residual_eps)
+                # near a flux kink the Jacobian changes faster than a
+                # factor stays useful: after one failure the rest of the
+                # pass is direct
+                krylov = step is not None
+            if step is None:
+                delta = self._direct(kff, r)
+                if delta is None:
                     break
-                t *= LS_BACKTRACK
-            if not accepted:
-                break
-            u, r, rmax = u_try, r_try, rmax_try
+                step = self._line_search(u, delta, rmax, residual_eps)
+                if step is None:
+                    break
+            u, r, rmax = step
             self.history.append(rmax)
             if true_pass:
                 self._track(rmax, u)
             self.iterations += 1
             it += 1
         return u, rmax
+
+
+def _forcing(rnorm, rnorm_prev, target):
+    """Eisenstat-Walker choice 2, gamma (|r_k| / |r_k-1|)^alpha, at most
+    EW_MAX; EW_MAX at the first step of a pass.  Their safeguard
+    max(eta, gamma eta_prev^alpha) applies only when gamma eta_prev^alpha
+    exceeds 0.1, which eta_prev <= EW_MAX rules out.  The floor
+    0.5 target / |r_k| (Kelley, 1995) stops the last step from solving past
+    the target: the 2-norm bounds the max-norm the target is measured in."""
+    eta = EW_MAX
+    if rnorm_prev is not None:
+        eta = min(eta, EW_GAMMA * (rnorm / rnorm_prev) ** EW_ALPHA)
+    return min(EW_MAX, max(eta, 0.5 * target / rnorm))

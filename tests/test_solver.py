@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -248,9 +250,23 @@ class TestDivergence:
 class TestNewtonBudget:
     @pytest.mark.parametrize("floor", [1e-9, 1e300])
     @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
-    def test_iterations_within_max_newton(self, max_newton, floor):
+    def test_iterations_within_max_newton(self, max_newton, floor, recwarn):
         # a floor of 1e300 cripples every Newton step, so only the budget
         # rule decides how long the solve may iterate
+        self.check_budget(max_newton, floor, recwarn)
+
+    @pytest.mark.parametrize("floor", [1e-9, 1e300])
+    @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
+    def test_iterations_within_max_newton_above_krylov_gate(
+            self, max_newton, floor, monkeypatch, recwarn):
+        # with the gate at 0 the block is above it: steps go through GMRES
+        # on the held factor, and a rejected GMRES step is refactored
+        # within the same budget
+        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+        self.check_budget(max_newton, floor, recwarn)
+
+    @staticmethod
+    def check_budget(max_newton, floor, recwarn):
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         opts = SolverOptions(max_newton=max_newton, jacobian_floor=floor)
@@ -260,6 +276,135 @@ class TestNewtonBudget:
             field = exc.field
         assert field.iterations <= max_newton
         assert len(field.residual_history) <= max_newton
+        # the floor's huge Jacobian must not leak GMRES overflow warnings
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+def _counting(monkeypatch, name, replacement=None):
+    """Record each call the solver makes to ``spla.<name>``, passing it on
+    to ``replacement`` or to scipy."""
+    calls = []
+    target = replacement or getattr(solver.spla, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return target(*args, **kwargs)
+    monkeypatch.setattr(solver.spla, name, counted)
+    return calls
+
+
+def _one_factor_at_a_time(monkeypatch):
+    """Count spla.splu calls, failing any call made while an earlier
+    factor is still referenced."""
+    live = weakref.WeakSet()
+    calls = []
+    real = solver.spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def splu(*args, **kwargs):
+        assert not live, "a new factor while the last one is held"
+        calls.append(1)
+        lu = Factor(real(*args, **kwargs))
+        live.add(lu)
+        return lu
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    return calls
+
+
+class TestStaleFactorKrylov:
+    """On blocks of at least KRYLOV_MIN_NODES free nodes a Newton step
+    solves with GMRES preconditioned by the held LU factor and factors
+    again only when GMRES or its direction fails; smaller blocks factor
+    every step."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        mesh = build_mesh(96)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
+        return mesh, e, f
+
+    @staticmethod
+    def direct(monkeypatch, solve):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
+            return solve()
+
+    @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0)],
+                             ids=["p_laplacian", "flat_core_p"])
+    def test_agrees_with_direct_path(self, large, flux, monkeypatch):
+        mesh, e, f = large
+
+        def solve():
+            return compute_capacity(mesh, flux, e, f, with_cp=False)
+        direct, _ = self.direct(monkeypatch, solve)
+        factors = _counting(monkeypatch, "splu")
+        gmres = _counting(monkeypatch, "gmres")
+        krylov, field = solve()
+        assert direct.converged and krylov.converged and gmres
+        assert len(factors) < field.iterations
+        assert abs(krylov.c_inner - direct.c_inner) <= krylov.tol_cap
+
+    @pytest.mark.parametrize("info", [1, 0], ids=["stalled", "rejected"])
+    def test_failed_gmres_step_is_refactored(self, large, info,
+                                             monkeypatch):
+        # info 1: GMRES misses its tolerance; info 0 with a zero direction:
+        # the line search finds no decrease.  Either way the step is solved
+        # again from a fresh factor and the rest of its Newton pass is
+        # direct, so the solve is the direct one
+        mesh, e, f = large
+
+        def solve():
+            return solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
+        direct = self.direct(monkeypatch, solve)
+        factors = _one_factor_at_a_time(monkeypatch)
+        gmres = _counting(monkeypatch, "gmres",
+                          lambda a, b, **kwargs: (np.zeros_like(b), info))
+        field = solve()
+        assert field.converged and field.iterations > 1
+        # p = 3 converges in the fast pass: one GMRES try, then direct
+        assert len(gmres) == 1
+        # the blend start's factor, then one per step
+        assert len(factors) == field.iterations + 1
+        assert np.array_equal(field.u, direct.u)
+
+    def test_retry_frees_the_failed_attempts_factor(self, monkeypatch):
+        # the zero start fails within its one-step budget; the retry's
+        # blend start factors only after that attempt's held factor is gone
+        mesh = build_mesh(8)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        factors = _one_factor_at_a_time(monkeypatch)
+        opts = SolverOptions(max_newton=1, init="zero")
+        with pytest.raises(SolverDiverged):
+            solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
+        # the zero start's step, the retry's blend start and its step
+        assert len(factors) == 3
+
+    def test_small_blocks_never_call_gmres(self, monkeypatch):
+        # an N = 48 grid has (N - 1)^2 interior nodes, below the gate
+        mesh = build_mesh(48)
+        assert (mesh.n - 1) ** 2 < solver.KRYLOV_MIN_NODES
+        e, f = annulus_sets(mesh, 0.1, 0.45)
+        gmres = _counting(monkeypatch, "gmres")
+        factors = _counting(monkeypatch, "splu")
+        field = solve_dirichlet(mesh, flat_core_p(2.0, 3.0), e, f, 1.0)
+        assert field.converged and field.iterations > 0
+        assert not gmres and len(factors) > field.iterations
+
+    def test_overflowing_residual_norm_takes_direct_steps(self, large,
+                                                          monkeypatch,
+                                                          recwarn):
+        # at s = 1e100 every entry of the p = 3 residual is finite but the
+        # sum of their squares overflows: no forcing term can be formed, so
+        # the steps are direct, and no RuntimeWarning escapes
+        mesh, e, f = large
+        gmres = _counting(monkeypatch, "gmres")
+        field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1e100)
+        assert field.converged and field.iterations > 0 and not gmres
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
 class TestFreeBlockWork:
@@ -326,7 +471,7 @@ class TestLinearBlendInit:
             e, f = annulus_sets(mesh, 0.1, 0.4)
             free = f.mask & ~e.mask
             u = np.where(e.mask, 1.0, 0.0)
-            got = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u)
+            got, _ = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u)
             k = p2_stiffness(mesh)
             expected = u.copy()
             expected[free] = spsolve(k[free][:, free].tocsc(),
