@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInput
 
@@ -151,7 +150,9 @@ def _flat_core_b1(p: float, rho0: float, c1: float) -> float:
     """Smallest constant defect making the coercivity bound hold.
 
     b1 = sup_t [ c1 t^p - (t - rho0)+^(p-1) t ].  For t >= 2 rho0 the
-    bracket is <= 0 when c1 <= 2^(1-p), so a bounded scan suffices.
+    bracket is <= 0 when c1 <= 2^(1-p), so a bounded scan suffices; a
+    golden-section search (Kiefer 1953) refines the bracket around the
+    best scan point.
     """
     if rho0 == 0.0:
         return 0.0
@@ -160,13 +161,29 @@ def _flat_core_b1(p: float, rho0: float, c1: float) -> float:
         return c1 * t ** p - max(t - rho0, 0.0) ** (p - 1) * t
 
     ts = np.linspace(0.0, 2.0 * rho0, 4097)
-    vals = c1 * ts ** p - np.maximum(ts - rho0, 0.0) ** (p - 1) * ts
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = c1 * ts ** p - np.maximum(ts - rho0, 0.0) ** (p - 1) * ts
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInput(f"core radius {rho0!r} overflows b1 at p = {p!r}")
     k = int(np.argmax(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    res = minimize_scalar(lambda t: -deficit(t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    best = max(float(vals[k]), float(-res.fun))
+    lo = float(ts[max(k - 1, 0)])
+    hi = float(ts[min(k + 1, len(ts) - 1)])
+    # 80 shrinks by 1/phi leave 1e-17 of the bracket, below one ulp of t
+    shrink = (5.0 ** 0.5 - 1.0) / 2.0
+    a = hi - shrink * (hi - lo)
+    b = lo + shrink * (hi - lo)
+    fa, fb = deficit(a), deficit(b)
+    best = max(float(vals[k]), fa, fb)
+    for _ in range(80):
+        if fa >= fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = deficit(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = deficit(b)
+        best = max(best, fa, fb)
     return best * (1.0 + 1e-12) + 1e-15
 
 

@@ -68,7 +68,17 @@ def build_mesh(n: int, length: float = 1.0) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    barycenters = nodes[triangles].mean(axis=1)
+    # ((x0 + x1) + x2) / 3 per triangle, in the order and rounding of
+    # nodes[triangles].mean(axis=1), from the 1-D coordinates of each cell
+    c0, c1 = coords[:-1], coords[1:]
+    low, high = ((c0 + c0) + c1) / 3, ((c0 + c1) + c1) / 3
+    mid = ((c0 + c1) + c0) / 3
+    bary = np.empty((n, n, 2, 2))             # (j, i, lower|upper, x|y)
+    bary[:, :, 0, 0] = high[None, :]          # lower: n00, n10, n11
+    bary[:, :, 0, 1] = low[:, None]
+    bary[:, :, 1, 0] = mid[None, :]           # upper: n00, n11, n01
+    bary[:, :, 1, 1] = high[:, None]
+    barycenters = bary.reshape(2 * n * n, 2)
     tri_area = length * length / (2.0 * n * n)
     mesh_id = f"square-N{n}-L{length!r}"
     return Mesh(n=n, length=float(length), nodes=nodes, triangles=triangles,
@@ -341,17 +351,26 @@ def node_area(mesh: Mesh, s: NodeSet) -> float:
     return float(np.count_nonzero(touched)) * mesh.tri_area
 
 
+def _row_ends(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first and last marked entry of each row."""
+    ends = np.zeros_like(rows)
+    hit = np.flatnonzero(rows.any(axis=1))
+    ends[hit, np.argmax(rows[hit], axis=1)] = True
+    ends[hit, rows.shape[1] - 1 - np.argmax(rows[hit, ::-1], axis=1)] = True
+    return ends
+
+
 def node_diameter(mesh: Mesh, s: NodeSet) -> float:
-    """Euclidean diameter of the node set (0 for empty or singleton)."""
-    pts = mesh.nodes[s.mask]
+    """Euclidean diameter of the node set (0 for empty or singleton).
+
+    A vertex of the convex hull of a grid node set is the first or last
+    node of both its row and its column, so only such nodes are compared.
+    """
+    side = mesh.n + 1
+    rows = s.mask.reshape(side, side)
+    pts = mesh.nodes[(_row_ends(rows) & _row_ends(rows.T).T).ravel()]
     if len(pts) < 2:
         return 0.0
-    if len(pts) > 64:
-        try:
-            from scipy.spatial import ConvexHull
-            pts = pts[ConvexHull(pts).vertices]
-        except Exception:
-            pass  # degenerate (collinear) sets: brute force below
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.max()))
 

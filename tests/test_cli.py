@@ -89,6 +89,17 @@ class TestBadConfig:
         assert main(["capacity", cfg]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_overflowing_flat_core_b1_exit_2(self, tmp_path, capsys, recwarn):
+        body = strip_cfg(str(tmp_path / "out"), p=3.0)
+        body["flux"] = {"kind": "flat_core_p", "p": 3.0,
+                        "params": {"rho0": 1e120}}
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["capacity", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "core radius 1e+120 overflows b1" in captured.err
+        assert captured.out == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_bad_flux_kind_exit_2(self, tmp_path, capsys):
         body = strip_cfg(str(tmp_path / "out"))
         body["flux"] = {"kind": "q_laplacian", "p": 2.0}

@@ -157,6 +157,38 @@ class TestCheckConditions:
         rep = check_conditions(fl, 2000, seed=3)
         assert rep.all_passed
 
+    @pytest.mark.parametrize("rho0", [1e-3, 0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 6.0])
+    def test_flat_core_b1_tight_above_fine_scan(self, p, rho0):
+        fl = flat_core_p(p, rho0)
+
+        def scan(lo, hi):
+            t = np.linspace(lo, hi, 2 ** 20 + 1)
+            deficit = fl.c1 * t ** p - np.maximum(t - rho0, 0.0) ** (p - 1) * t
+            k = int(np.argmax(deficit))
+            return float(deficit[k]), t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+
+        coarse, lo, hi = scan(0.0, 2.0 * rho0)
+        # the coarse scan falls short of the sup by up to 3e-12 relative
+        # at p = 6; a second scan over its best two cells closes the gap
+        top = max(coarse, scan(lo, hi)[0])
+        assert fl.b1 >= top >= coarse
+        # b1 is the sup plus its declared padding, 1e-12 relative + 1e-15
+        assert fl.b1 == pytest.approx(top * (1.0 + 1e-12) + 1e-15, rel=1e-12)
+
+    @pytest.mark.parametrize("rho0, bits", [(0.5, 0.125000000000126),
+                                            (3.0, 4.500000000004501)])
+    def test_flat_core_b1_shipped_bits(self, rho0, bits):
+        # flat_core_p(2, 0.5) is in the suite family, rho0 = 3 in
+        # configs/sweep-flat-core.json: their reports depend on these bits
+        assert flat_core_p(2.0, rho0).b1 == bits
+
+    @pytest.mark.parametrize("p, rho0", [(3.0, 1e120), (2.0, 1e154),
+                                         (6.0, 1e60)])
+    def test_flat_core_b1_overflow_rejected(self, p, rho0):
+        with pytest.raises(InvalidInput, match="overflows b1"):
+            flat_core_p(p, rho0)
+
     @pytest.mark.parametrize("flux", shipped_family(),
                              ids=lambda f: f"{f.kind}-p{f.p}")
     def test_shipped_fluxes_pass(self, flux):

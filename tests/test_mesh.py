@@ -52,6 +52,13 @@ class TestBuildMesh:
         interior &= (i > 0) & (i < 4) & (j > 0) & (j < 4)
         assert np.all(counts[interior] == 6)
 
+    @pytest.mark.parametrize("length", [1.0, 3.7, 2.2e-93, 1e100])
+    @pytest.mark.parametrize("n", [2, 3, 7, 48, 256])
+    def test_barycenters_bitwise_mean_of_vertices(self, n, length):
+        m = build_mesh(n, length)
+        want = m.nodes[m.triangles].mean(axis=1)
+        assert m.barycenters.tobytes() == want.tobytes()
+
     def test_deterministic_rebuild(self):
         a = build_mesh(6, 1.5)
         b = build_mesh(6, 1.5)
@@ -213,6 +220,59 @@ class TestValidatePair:
         assert validate_pair(e, f_out, self.m).touches_outer_boundary
 
 
+def _all_pairs_diameter(mesh, mask):
+    """Brute-force diameter: the largest distance over every node pair."""
+    pts = mesh.nodes[mask]
+    d2 = [np.sum((pts - p) ** 2, axis=-1).max() for p in pts]
+    return float(np.sqrt(max(d2, default=0.0)))
+
+
+def _grid(n):
+    return np.zeros((n + 1, n + 1), dtype=bool)
+
+
+def _set_cells(n, cells):
+    mask = _grid(n)
+    for j, i in cells:
+        mask[j, i] = True
+    return mask
+
+
+def _random_masks(n):
+    rng = np.random.default_rng([n, 2024])
+    masks = [rng.random((n + 1, n + 1)) < density
+             for density in (0.02, 0.1, 0.5, 0.9) for _ in range(10)]
+    # one random run per row: the row ends form a ragged outline
+    for _ in range(10):
+        mask = _grid(n)
+        for j in range(n + 1):
+            lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+            mask[j, lo:hi + 1] = rng.random() < 0.7
+        masks.append(mask)
+    return masks
+
+
+# (j, i) masks on an (n+1) x (n+1) grid, row j at y = j h
+DIAMETER_CASES = {
+    "empty": lambda n: [_grid(n)],
+    "singleton": lambda n: [_set_cells(n, [(j, i)])
+                            for j, i in ((0, 0), (n, n), (n // 2, 1))],
+    "row": lambda n: [_set_cells(n, [(j, i) for i in range(n + 1)])
+                      for j in (0, n // 2, n)],
+    "column": lambda n: [_set_cells(n, [(j, i) for j in range(n + 1)])
+                         for i in (0, n // 2, n)],
+    "diagonal": lambda n: [_set_cells(n, [(k, k) for k in range(n + 1)]),
+                           _set_cells(n, [(k, n - k) for k in range(n + 1)])],
+    "collinear": lambda n: [
+        _set_cells(n, [(2 * k, k) for k in range(n // 2 + 1)]),
+        _set_cells(n, [(k, 2 * k) for k in range(n // 2 + 1)]),
+        _set_cells(n, [(0, 0), (0, n)]),
+        _set_cells(n, [(0, 0), (n, 0), (n // 2, 0)])],
+    "whole": lambda n: [np.ones((n + 1, n + 1), dtype=bool)],
+    "random": _random_masks,
+}
+
+
 class TestMeasures:
     def test_node_area_all(self):
         m = build_mesh(4, 2.0)
@@ -231,12 +291,22 @@ class TestMeasures:
         empty = rasterize(shape_none(), m)
         assert node_diameter(m, empty) == 0.0
 
-    def test_diameter_large_set_uses_hull(self):
+    def test_diameter_large_set_matches_all_pairs(self):
         m = build_mesh(32)
         s = rasterize(disk(0.5, 0.5, 0.4), m)
         assert s.count > 64
         d = node_diameter(m, s)
+        assert d == _all_pairs_diameter(m, s.mask)
         assert 0.75 <= d <= 0.8 + 1e-9
+
+    @pytest.mark.parametrize("case", sorted(DIAMETER_CASES))
+    @pytest.mark.parametrize("n", [2, 3, 8, 48])
+    def test_diameter_bitwise_all_pairs(self, n, case):
+        for length in (1.0, 3.7):
+            m = build_mesh(n, length)
+            for mask in DIAMETER_CASES[case](n):
+                got = node_diameter(m, NodeSet(mask.ravel(), case, m.mesh_id))
+                assert got == _all_pairs_diameter(m, mask.ravel())
 
 
 class TestRle:
