@@ -124,7 +124,15 @@ def parse_flux(spec, path: str = "flux") -> Flux:
             raise ConfigError(f"missing required key {prm.name!r}", ppath)
         kwargs[prm.name] = _PARAM_PARSERS[prm.type](
             value, f"{ppath}.{prm.name}")
-    return entry.build(*args, **kwargs)
+    try:
+        return entry.build(*args, **kwargs)
+    except InvalidInput as exc:
+        # the constructor names the one parameter at fault, if there is one
+        if exc.field in kwargs:
+            path = f"{ppath}.{exc.field}"
+        elif exc.field == "p" and args:
+            path = f"{path}.p"
+        raise ConfigError(str(exc), path) from exc
 
 
 _PARAM_PARSERS = {"number": _number, "matrix": _matrix, "flux": parse_flux,

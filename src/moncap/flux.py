@@ -77,7 +77,8 @@ def _describe_param(v):
 
 def _check_p(p):
     if not (np.isfinite(p) and p > 1.0):
-        raise InvalidInput(f"growth exponent must satisfy p > 1, got {p}")
+        raise InvalidInput(f"growth exponent must satisfy p > 1, got {p}",
+                           "p")
 
 
 def p_laplacian(p: float) -> Flux:
@@ -136,11 +137,12 @@ def linear_matrix(m, validate: bool = True) -> Flux:
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2) or not np.all(np.isfinite(m)):
-        raise InvalidInput("linear_matrix needs a finite 2x2 matrix")
+        raise InvalidInput("linear_matrix needs a finite 2x2 matrix", "M")
     sym = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(sym)
     if validate and eigs[0] <= 0:
-        raise InvalidInput("symmetric part of M must be positive definite")
+        raise InvalidInput("symmetric part of M must be positive definite",
+                           "M")
     c1 = float(eigs[0])
     c2 = float(np.linalg.norm(m, 2))
     return Flux(kind="linear_matrix", p=2.0, params={"M": m}, c1=c1, c2=c2)
@@ -164,7 +166,8 @@ def _flat_core_b1(p: float, rho0: float, c1: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = c1 * ts ** p - np.maximum(ts - rho0, 0.0) ** (p - 1) * ts
     if not np.all(np.isfinite(vals)):
-        raise InvalidInput(f"core radius {rho0!r} overflows b1 at p = {p!r}")
+        raise InvalidInput(f"core radius {rho0!r} overflows b1 at p = {p!r}",
+                           "rho0")
     k = int(np.argmax(vals))
     lo = float(ts[max(k - 1, 0)])
     hi = float(ts[min(k + 1, len(ts) - 1)])
@@ -196,7 +199,7 @@ def flat_core_p(p: float, rho0: float) -> Flux:
     """
     _check_p(p)
     if rho0 < 0:
-        raise InvalidInput("core radius must be nonnegative")
+        raise InvalidInput("core radius must be nonnegative", "rho0")
     c1 = 2.0 ** (1.0 - p)
     return Flux(
         kind="flat_core_p",
@@ -214,7 +217,7 @@ def s_transform(flux: Flux, s: float) -> Flux:
     Constants rescale to |s|^p c1, |s|^p c2, |s| b2; b1 is unchanged.
     """
     if s == 0.0 or not np.isfinite(s):
-        raise InvalidInput("s_transform requires a finite nonzero s")
+        raise InvalidInput("s_transform requires a finite nonzero s", "s")
     sp = abs(s) ** flux.p
     return Flux(
         kind="s_transformed",
@@ -269,25 +272,51 @@ def _weight(flux: Flux, x):
     return prm["w_min"] + (prm["w_max"] - prm["w_min"]) * 0.5 * (1.0 + phase)
 
 
+def _overflowed(q, xi, eps):
+    """The rows of xi where the sum q = xi.B xi + eps^2 overflowed, and the
+    largest of their |components| and eps, m: the power-law terms are
+    homogeneous of degree p - 2 in (xi, eps), so those rows are evaluated
+    at (xi, eps) / m and scaled by m^(p-2).  Rows with a finite sum keep
+    their bits."""
+    big = np.isinf(q)
+    if not big.any():
+        return None, None
+    return big, np.maximum(np.max(np.abs(xi[big]), axis=-1), eps)
+
+
 def _power_factor(p, xi, bxi, eps):
     """(xi.B xi + eps^2)^((p-2)/2), given bxi = B xi; the q > 0 guard is the
     |xi| > 0 guard that p < 2 needs at eps = 0."""
-    q = np.sum(bxi * xi, axis=-1, keepdims=True) + eps * eps
+    with np.errstate(over="ignore"):
+        q = np.sum(bxi * xi, axis=-1, keepdims=True) + eps * eps
     safe = np.where(q > 0.0, q, 1.0)
-    return np.where(q > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
+    fac = np.where(q > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
+    big, m = _overflowed(q[..., 0], xi, eps)
+    if big is not None:
+        m = m[:, None]
+        fac[big] = m ** (p - 2.0) * _power_factor(p, xi[big] / m,
+                                                  bxi[big] / m, eps / m)
+    return fac
 
 
 def _power_jacobian(p, xi, bxi, b, eps):
     """Derivative of _power_factor(p, xi, bxi, eps) * bxi in xi."""
     if p == 2.0:
         return np.broadcast_to(b, xi.shape + (2,)).copy()
-    q0 = np.sum(bxi * xi, axis=-1)
-    q = q0 + eps * eps
-    safe = np.where(q > 0.0, q, 1e-300)
-    fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
-    outer = bxi[..., :, None] * bxi[..., None, :]
-    return (safe ** ((p - 2.0) / 2.0))[..., None, None] * b \
-        + fac2[..., None, None] * outer
+    # rows whose sum overflows give inf and nan here, and are redone below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0 = np.sum(bxi * xi, axis=-1)
+        q = q0 + eps * eps
+        safe = np.where(q > 0.0, q, 1e-300)
+        fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
+        outer = bxi[..., :, None] * bxi[..., None, :]
+        jac = (safe ** ((p - 2.0) / 2.0))[..., None, None] * b \
+            + fac2[..., None, None] * outer
+    big, m = _overflowed(q, xi, eps)
+    if big is not None:
+        jac[big] = (m ** (p - 2.0))[:, None, None] * _power_jacobian(
+            p, xi[big] / m[:, None], bxi[big] / m[:, None], b, eps / m)
+    return jac
 
 
 def _weighted_value(flux, x, xi, eps):

@@ -21,18 +21,21 @@ of the free nodes, so every sparse LU factor keeps that order
 (``permc_spec="NATURAL"``) instead of computing a COLAMD ordering; SuperLU's
 row partial pivoting stays on for skew and shifted degenerate Jacobians.
 
-A solve holds one LU factor at a time, across Newton steps and stages: at
-first the blend start's p=2 factor, later the last free-free Jacobian
-B_f^T D B_f factored.  On blocks below ``KRYLOV_MIN_NODES`` free nodes each
-Newton step factors its Jacobian and solves directly.  On larger blocks a
-step solves with GMRES, right-preconditioned by the held factor, to an
+A solve holds one preconditioner at a time, across Newton steps and
+stages.  On blocks below ``KRYLOV_MIN_NODES`` free nodes it is an LU
+factor, at first the blend start's p=2 factor, and each Newton step factors
+its free-free Jacobian B_f^T D B_f and solves directly.  On larger blocks
+the blend start builds a smoothed-aggregation multigrid cycle of the p=2
+block, whose coarsest level is its one LU factor, and solves the p=2
+problem by CG preconditioned with it.  A Newton step then solves with
+GMRES, right-preconditioned by the held preconditioner, to an
 Eisenstat-Walker forcing term (inexact Newton); when GMRES needs more than
 ``KRYLOV_MAX_ITER`` iterations or the line search rejects its direction,
-the held factor is dropped and the step, like the rest of its stage's
-Newton pass, is solved directly from a fresh one.  Step lengths backtrack
-on the free-node residual max-norm.  Convergence is always declared on the
-TRUE flux residual at the same target, so reported capacities belong to
-the problem actually posed.
+the held preconditioner is dropped and the step, like the rest of its
+stage's Newton pass, is solved directly from a fresh factor, which is held
+from then on.  Step lengths backtrack on the free-node residual max-norm.
+Convergence is always declared on the TRUE flux residual at the same
+target, so reported capacities belong to the problem actually posed.
 """
 
 from __future__ import annotations
@@ -58,16 +61,26 @@ LS_MIN_STEP = 1e-8
 # adaptive tail owns the endgame
 STAGE_MAX_ITER = 8
 # Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on the
-# held factor.  Below about 4,000 free nodes the flat-core annulus solves
-# took 0.76-1.32x the direct time (inexact steps add Newton steps); above it
-# every measured p = 3 and flat-core case was faster (table in CHANGES.md).
-# At N = 256, 20 GMRES iterations cost about one factor.
+# held preconditioner.  Below about 4,000 free nodes the flat-core annulus
+# solves took 0.75-1.10x the direct time (inexact steps add Newton steps);
+# above it every measured p = 3 and flat-core case was faster
+# (table in CHANGES.md).
 KRYLOV_MIN_NODES = 4096
 KRYLOV_MAX_ITER = 20
 # Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_MAX = 0.1
+# Above the gate the held preconditioner is a smoothed-aggregation cycle of
+# the p=2 block: levels coarsen to at most COARSE_MAX_NODES nodes, which are
+# factored, and smooth with JACOBI_WEIGHT D^-1
+COARSE_MAX_NODES = 800
+JACOBI_WEIGHT = 0.6
+# The blend start's CG solve for E at level 1 stops at a residual 2-norm of
+# BLEND_CG_ATOL, a tenth of the p=2 target 1e-10 max(1, |s|) / |s| once
+# scaled by s: p=2 starts converge with no Newton step
+BLEND_CG_ATOL = 1e-11
+BLEND_CG_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -137,16 +150,84 @@ def _factor(a):
     return spla.splu(a, permc_spec="NATURAL")
 
 
-def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray):
-    """Solve the p=2 problem with the same boundary data; cheap and inside
-    the comparison cone.  Returns the start and the p=2 factor, which
-    preconditions the first Newton steps on large blocks."""
+def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
+    """Right-hand side of the p=2 free-free problem with u's fixed values."""
     fixed = np.where(block.free, 0.0, u)
-    rhs = -mesh.tri_area * (block.bf_t @ (block.bt @ fixed))
-    lu = _factor(p2_stiffness(mesh, block))
+    return -mesh.tri_area * (block.bf_t @ (block.bt @ fixed))
+
+
+def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):
+    """Solve the p=2 problem with the same boundary data; cheap and inside
+    the comparison cone.  Returns the start and the preconditioner that the
+    first Newton steps on large blocks hold: below ``KRYLOV_MIN_NODES`` free
+    nodes the p=2 LU factor, which gives the start directly; above it a
+    multigrid cycle of the p=2 block, which preconditions a CG solve for E
+    at level 1 that is then scaled by s.  At extreme s, CG's inner products
+    at level s would underflow or overflow."""
+    k = p2_stiffness(mesh, block)
     out = u.copy()
-    out[block.nodes] = lu.solve(rhs)
-    return out, lu
+    if block.nodes.size < KRYLOV_MIN_NODES:
+        lu = _factor(k)
+        out[block.nodes] = lu.solve(_blend_rhs(mesh, block, u))
+        return out, lu
+    # k is symmetric, so its transpose is k itself in CSR, the format the
+    # cycle's products and CG's matvecs run fastest in
+    k = k.T
+    cycle = _Cycle(k, block.nodes % (mesh.n + 1), block.nodes // (mesh.n + 1))
+    m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
+    x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=0.0,
+                   atol=BLEND_CG_ATOL, maxiter=BLEND_CG_MAX_ITER, M=m)
+    out[block.nodes] = s * x
+    return out, cycle
+
+
+class _Cycle:
+    """A smoothed-aggregation V(1,1) cycle for a symmetric positive
+    definite free-free block a (Vanek, Mandel and Brezina, Computing 56,
+    1996), given the grid indices (i, j) of its nodes.
+
+    Each level aggregates its nodes by 2x2 boxes of grid indices, node
+    (i, j) into box (i // 2, j // 2), and smooths the piecewise-constant
+    prolongator once by damped Jacobi, P = (I - 4/(3 rho) D^-1 a) T with rho
+    the Gershgorin bound of D^-1 a; the next level is the Galerkin product
+    P^T a P at the box indices.  This handles odd grids and masked free
+    sets alike.  The first level with at most ``COARSE_MAX_NODES`` nodes is
+    factored.  ``solve(b)`` applies one cycle: damped-Jacobi pre- and
+    post-smoothing around the coarse correction, a fixed symmetric linear
+    operator that stands in for a^-1 as a held LU factor would.
+    """
+
+    def __init__(self, a, i, j):
+        # only solves above the gate build a hierarchy; moncap.assembly has
+        # loaded scipy.sparse already
+        import scipy.sparse as sp
+        self.levels = []
+        while a.shape[0] > COARSE_MAX_NODES:
+            d = a.diagonal()
+            rho = float(np.max(abs(a) @ np.ones(a.shape[0]) / d))
+            i, j = i // 2, j // 2
+            _, first, box = np.unique(j * (int(i.max()) + 1) + i,
+                                      return_index=True, return_inverse=True)
+            t = sp.csr_matrix((np.ones(box.size), box, np.arange(box.size + 1)),
+                              shape=(box.size, first.size))
+            p = (t - sp.diags(4.0 / (3.0 * rho) / d) @ (a @ t)).tocsr()
+            p_t = p.T.tocsr()
+            self.levels.append((a, JACOBI_WEIGHT / d, p, p_t))
+            a = (p_t @ (a @ p)).tocsr()
+            i, j = i[first], j[first]
+        self.coarse = _factor(a.tocsc())
+
+    def solve(self, b):
+        return self._cycle(0, b)
+
+    def _cycle(self, level, b):
+        if level == len(self.levels):
+            return self.coarse.solve(b)
+        a, w, p, p_t = self.levels[level]
+        x = w * b
+        x += p @ self._cycle(level + 1, p_t @ (b - a @ x))
+        x += w * (b - a @ x)
+        return x
 
 
 def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
@@ -200,7 +281,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     if opts.init == "zero":
         pass
     elif opts.init == "linear_blend":
-        u, state.lu = _linear_blend_init(mesh, block, u)
+        u, state.precond = _linear_blend_init(mesh, block, u, s)
     elif opts.init == "given":
         if opts.init_field is None:
             raise InvalidInput("init='given' requires init_field")
@@ -300,10 +381,11 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 class _NewtonState:
     """Shared bookkeeping for the staged Newton solve.
 
-    ``lu`` is the last LU factor made (the blend start's p=2 factor at
-    first), held across Newton steps and stages to precondition GMRES on
-    large blocks.  It is dropped before the next factor is made, so one
-    solve never holds two.
+    ``precond`` is the held preconditioner: the blend start's p=2 LU factor
+    or multigrid cycle at first, later the last LU factor made.  It is held
+    across Newton steps and stages to precondition GMRES on large blocks,
+    and dropped before the next factor is made, so one solve never holds
+    two factors.
     """
 
     def __init__(self, mesh, flux, block, opts, history):
@@ -315,7 +397,7 @@ class _NewtonState:
         self.iterations = 0
         self.best_u = None
         self.best_rmax = np.inf
-        self.lu = None
+        self.precond = None
 
     def budget(self):
         return self.opts.max_newton - self.iterations
@@ -337,19 +419,20 @@ class _NewtonState:
 
     def _direct(self, kff, r):
         """Newton direction from a fresh LU factor of kff, which becomes
-        the held one; None when the factor or the direction fails."""
-        self.lu = None
+        the held preconditioner; None when the factor or the direction
+        fails."""
+        self.precond = None
         try:
-            self.lu = _factor(kff)
+            self.precond = _factor(kff)
         except RuntimeError:
             return None
-        delta = self.lu.solve(-r)
+        delta = self.precond.solve(-r)
         return delta if np.all(np.isfinite(delta)) else None
 
     def _krylov_norm(self, r, rmax):
-        """The 2-norm of r when a GMRES step can use it (a held factor, a
-        finite norm), else None."""
-        if self.lu is None or not math.isfinite(rmax):
+        """The 2-norm of r when a GMRES step can use it (a held
+        preconditioner, a finite norm), else None."""
+        if self.precond is None or not math.isfinite(rmax):
             return None
         # finite entries can still overflow the sum of squares
         with np.errstate(over="ignore"):
@@ -357,18 +440,18 @@ class _NewtonState:
         return rnorm if math.isfinite(rnorm) else None
 
     def _gmres(self, kff, r, rtol):
-        """Newton direction from GMRES preconditioned by the held factor,
-        to relative residual rtol; None when KRYLOV_MAX_ITER iterations do
-        not reach it."""
-        lu = self.lu
+        """Newton direction from GMRES preconditioned by the held
+        preconditioner, to relative residual rtol; None when
+        KRYLOV_MAX_ITER iterations do not reach it."""
+        m = self.precond
         # right preconditioning: GMRES minimises the true residual
-        # |kff delta + r| of delta = lu.solve(y), the forcing term's measure
+        # |kff delta + r| of delta = m.solve(y), the forcing term's measure
         kff_m = spla.LinearOperator(kff.shape, dtype=float,
-                                    matvec=lambda y: kff @ lu.solve(y))
+                                    matvec=lambda y: kff @ m.solve(y))
         # with the legacy callback type, maxiter bounds the inner iterations
         # over all restarts (otherwise it counts restart cycles).  A Krylov
         # basis that overflows (a huge jacobian_floor against the p=2
-        # factor) ends in info > 0 or a non-finite direction, both refused.
+        # preconditioner) ends in info > 0 or a non-finite direction, both refused.
         with np.errstate(over="ignore", invalid="ignore"):
             y, info = spla.gmres(kff_m, -r, rtol=rtol,
                                  restart=KRYLOV_MAX_ITER,
@@ -377,7 +460,7 @@ class _NewtonState:
                                  callback_type="legacy")
             if info != 0:
                 return None
-            delta = lu.solve(y)
+            delta = m.solve(y)
         return delta if np.all(np.isfinite(delta)) else None
 
     def _line_search(self, u, delta, rmax, residual_eps):

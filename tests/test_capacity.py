@@ -6,7 +6,7 @@ import pytest
 from moncap.capacity import (compute_capacity, distributions, p_capacity,
                              sandwich_constants, scaled_flux_capacity,
                              sweep_s)
-from moncap.errors import InvalidInput
+from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
@@ -73,6 +73,25 @@ class TestConventions:
             compute_capacity(mesh, p_laplacian(3.0), e, f, 1e120)
         assert exc.value.field == "s"
         # the overflow is reported once, as the error, not as numpy warnings
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("s", [1e155, 1e200, 1e300])
+    def test_p_below_2_past_gradient_overflow(self, s, recwarn):
+        # |grad u|^2 overflows at these s; a p < 2 flux must not turn that
+        # into a zero flux and a zero capacity reported as converged
+        mesh = build_mesh(8)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        unit, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, 1.0,
+                                   with_cp=False)
+        try:
+            report, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, s,
+                                         with_cp=False)
+        except (SolverDiverged, InvalidInput):
+            pass
+        else:
+            assert report.converged
+            assert abs(report.c_inner - s ** 1.5 * unit.c_inner) \
+                <= report.tol_cap
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_e_equals_f_single_node_hat_is_stencil_diagonal(self):

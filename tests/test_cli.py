@@ -13,6 +13,8 @@ from moncap.cli import main
 from moncap.config import _SOLVER_KEYS, MAX_MESH_N, MESH_L_RANGE
 from moncap.reporting import config_hash
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def write_cfg(path, body):
     path.write_text(json.dumps(body))
@@ -96,9 +98,22 @@ class TestBadConfig:
         cfg = write_cfg(tmp_path / "cfg.json", body)
         assert main(["capacity", cfg]) == 2
         captured = capsys.readouterr()
-        assert "core radius 1e+120 overflows b1" in captured.err
+        assert "flux.params.rho0: core radius 1e+120 overflows b1" \
+            in captured.err
         assert captured.out == ""
         assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_negative_core_radius_names_its_path(self, tmp_path, capsys):
+        with open(ROOT / "configs" / "sweep-flat-core.json") as fh:
+            body = json.load(fh)
+        body["flux"]["params"]["rho0"] = -1.0
+        body["output_dir"] = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["sweep-s", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error: flux.params.rho0: core radius must be " \
+            "nonnegative" in captured.err
+        assert captured.out == ""
 
     def test_bad_flux_kind_exit_2(self, tmp_path, capsys):
         body = strip_cfg(str(tmp_path / "out"))

@@ -62,6 +62,26 @@ def test_each_kind_parses_to_its_constructor(spec, expected):
         [1.0, P2], [0.5, {"kind": "linear_matrix", "p": 2.0,
                           "params": {"M": M}}]]}},
      "takes no p", "flux.params.parts[1].p"),
+    # constructor errors name the one parameter at fault, else the flux
+    ({"kind": "flat_core_p", "p": 2.0, "params": {"rho0": -1.0}},
+     "core radius must be nonnegative", "flux.params.rho0"),
+    ({"kind": "flat_core_p", "p": 3.0, "params": {"rho0": 1e120}},
+     "core radius 1e+120 overflows b1", "flux.params.rho0"),
+    ({"kind": "p_laplacian", "p": 1.0}, "growth exponent", "flux.p"),
+    ({"kind": "linear_matrix", "params": {"M": [[1.0, 0.0], [0.0, -1.0]]}},
+     "must be positive definite", "flux.params.M"),
+    ({"kind": "s_transformed", "params": {"inner": P2, "s": 0.0}},
+     "finite nonzero s", "flux.params.s"),
+    ({"kind": "weighted_p_laplacian", "p": 2.0,
+      "params": {"w_min": 2.0, "w_max": 1.0}}, "need 0 < w_min <= w_max",
+     "flux"),
+    ({"kind": "weighted_sum", "params": {"parts": [
+        [1.0, P2], [0.5, {"kind": "p_laplacian", "p": 3.0}]]}},
+     "cannot combine fluxes", "flux"),
+    ({"kind": "weighted_sum", "params": {"parts": [
+        [1.0, P2], [0.5, {"kind": "flat_core_p", "p": 2.0,
+                          "params": {"rho0": -1.0}}]]}},
+     "core radius must be nonnegative", "flux.params.parts[1].params.rho0"),
 ])
 def test_bad_spec_names_its_path(spec, message, path):
     with pytest.raises(ConfigError) as exc:

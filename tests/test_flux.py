@@ -130,6 +130,56 @@ class TestJacobian:
             assert np.array_equal(a, b)
 
 
+class TestPowerLawOverflow:
+    """Where xi.B xi overflows, the power-law kinds evaluate at xi scaled by
+    its largest component; where it does not, their bits are those of the
+    formula."""
+
+    FLUXES = [p_laplacian(1.5), p_laplacian(2.5), anisotropic_p(1.5, 2.0, 0.5),
+              weighted_p_laplacian(1.5, 1.0, 2.0)]
+    # a power of two: xi * SCALE and SCALE ** (p - 2) are exact
+    SCALE = 2.0 ** 600
+
+    @pytest.mark.parametrize("flux", FLUXES, ids=lambda fl: fl.kind)
+    def test_homogeneous_past_overflow(self, flux, recwarn):
+        rng = np.random.default_rng(4)
+        x, xi = rng.random((40, 2)), rng.standard_normal((40, 2))
+        xi[0] = 0.0
+        big = xi * self.SCALE
+        p = flux.p
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(big * big, axis=-1)[1:]).any()
+        assert np.allclose(eval_flux(flux, x, big),
+                           self.SCALE ** (p - 1.0) * eval_flux(flux, x, xi),
+                           rtol=1e-13, atol=0.0)
+        assert np.allclose(
+            eval_flux_smoothed(flux, x, big, 1e-3 * self.SCALE),
+            self.SCALE ** (p - 1.0) * eval_flux_smoothed(flux, x, xi, 1e-3),
+            rtol=1e-13, atol=0.0)
+        for eps in (0.0, 1e-3):
+            jac = flux_jacobian(flux, x[1:], big[1:], eps=eps * self.SCALE)
+            assert np.allclose(
+                jac, self.SCALE ** (p - 2.0)
+                * flux_jacobian(flux, x[1:], xi[1:], eps=eps),
+                rtol=1e-13, atol=0.0)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_finite_sums_keep_the_formula_bits(self):
+        rng = np.random.default_rng(5)
+        xi = rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-100, 100,
+                                                               (40, 1))
+        both = np.concatenate([xi, xi * self.SCALE])
+        x = np.zeros_like(both)
+        p = 1.5
+        value = eval_flux(p_laplacian(p), x, both)[:40]
+        assert np.array_equal(
+            value, np.sum(xi * xi, axis=-1, keepdims=True) ** ((p - 2) / 2)
+            * xi)
+        jac = flux_jacobian(p_laplacian(p), x, both, eps=0.0)[:40]
+        assert np.array_equal(jac, flux_jacobian(p_laplacian(p), x[:40], xi,
+                                                 eps=0.0))
+
+
 class TestCheckConditions:
     def test_p3_plaplacian_all_pass(self):
         rep = check_conditions(p_laplacian(3.0), 1000, xi_radius=10.0, seed=1)

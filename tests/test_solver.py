@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from moncap import solver
+from moncap.assembly import FreeBlock, p2_stiffness, residual
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform)
-from moncap.mesh import (build_mesh, complement, disk, halfplane, rasterize,
-                         shape_none)
+from moncap.mesh import (build_mesh, complement, difference,
+                         discrete_boundary, disk, halfplane, rasterize,
+                         shape_all, shape_difference, shape_none)
 from moncap.properties import run_invariance_suite
 from moncap.solver import SolverOptions, solve_dirichlet
 
@@ -316,9 +318,9 @@ def _one_factor_at_a_time(monkeypatch):
 
 class TestStaleFactorKrylov:
     """On blocks of at least KRYLOV_MIN_NODES free nodes a Newton step
-    solves with GMRES preconditioned by the held LU factor and factors
-    again only when GMRES or its direction fails; smaller blocks factor
-    every step."""
+    solves with GMRES preconditioned by the held preconditioner and factors
+    only when GMRES or its direction fails; smaller blocks factor every
+    step."""
 
     @pytest.fixture(scope="class")
     def large(self):
@@ -354,20 +356,23 @@ class TestStaleFactorKrylov:
         # info 1: GMRES misses its tolerance; info 0 with a zero direction:
         # the line search finds no decrease.  Either way the step is solved
         # again from a fresh factor and the rest of its Newton pass is
-        # direct, so the solve is the direct one
+        # direct, so the solve is the direct one from the same blend start
         mesh, e, f = large
-
-        def solve():
-            return solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
-        direct = self.direct(monkeypatch, solve)
+        start, held = solver._linear_blend_init(
+            mesh, FreeBlock(mesh, f.mask & ~e.mask), np.where(e.mask, 1.0, 0.0),
+            1.0)
+        assert isinstance(held, solver._Cycle)
+        direct = self.direct(monkeypatch, lambda: solve_dirichlet(
+            mesh, p_laplacian(3.0), e, f, 1.0,
+            SolverOptions(init="given", init_field=start)))
         factors = _one_factor_at_a_time(monkeypatch)
         gmres = _counting(monkeypatch, "gmres",
                           lambda a, b, **kwargs: (np.zeros_like(b), info))
-        field = solve()
+        field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
         assert field.converged and field.iterations > 1
         # p = 3 converges in the fast pass: one GMRES try, then direct
         assert len(gmres) == 1
-        # the blend start's factor, then one per step
+        # the blend start's coarsest-level factor, then one per step
         assert len(factors) == field.iterations + 1
         assert np.array_equal(field.u, direct.u)
 
@@ -404,6 +409,121 @@ class TestStaleFactorKrylov:
         gmres = _counting(monkeypatch, "gmres")
         field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1e100)
         assert field.converged and field.iterations > 0 and not gmres
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+def _ring_sets(mesh):
+    """F a disk and E its interior, so that F \\ E is one node wide."""
+    f = rasterize(disk(0.5, 0.5, 0.3), mesh, "F")
+    return difference(f, discrete_boundary(f, mesh), "E"), f
+
+
+def _split_sets(mesh):
+    """E a ring inside F that cuts the free nodes in two components."""
+    e = rasterize(shape_difference(disk(0.5, 0.5, 0.25), disk(0.5, 0.5, 0.2)),
+                  mesh, "E")
+    return e, rasterize(disk(0.5, 0.5, 0.4), mesh, "F")
+
+
+def _box_sets(mesh):
+    """F the whole square, so that free nodes lie on its edge."""
+    return (rasterize(disk(0.3, 0.6, 0.1), mesh, "E"),
+            rasterize(shape_all(), mesh, "F"))
+
+
+class TestMultigridCycle:
+    """Above KRYLOV_MIN_NODES the held preconditioner is a smoothed
+    aggregation V-cycle of the blend start's p = 2 block, which also
+    preconditions the blend start's CG solve."""
+
+    @staticmethod
+    def cycle(mesh, e, f):
+        block = FreeBlock(mesh, f.mask & ~e.mask)
+        k = p2_stiffness(mesh, block)
+        side = mesh.n + 1
+        return k, solver._Cycle(k.T, block.nodes % side, block.nodes // side)
+
+    def test_fixed_symmetric_linear_operator(self):
+        mesh = build_mesh(96)
+        k, cycle = self.cycle(mesh, *annulus_sets(mesh, 0.1, 0.4))
+        assert cycle.levels
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((2, k.shape[0]))
+        mx, my = cycle.solve(x), cycle.solve(y)
+        scale = np.linalg.norm(mx) * np.linalg.norm(y)
+        assert abs(mx @ y - x @ my) <= 1e-13 * scale
+        assert np.allclose(cycle.solve(2.0 * x - 3.0 * y), 2.0 * mx - 3.0 * my,
+                           rtol=0.0, atol=1e-13 * np.abs(mx).max())
+        # positive definite: a preconditioner that CG can use
+        assert x @ mx > 0 and y @ my > 0
+        assert np.array_equal(cycle.solve(x), mx)
+
+    @pytest.mark.parametrize("flux", [
+        p_laplacian(2.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]])],
+        ids=["p_laplacian", "skew_linear_matrix"])
+    def test_p2_start_converges_without_newton_steps(self, flux, monkeypatch):
+        mesh = build_mesh(96)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
+        gmres = _counting(monkeypatch, "gmres")
+        report, field = compute_capacity(mesh, flux, e, f, with_cp=False)
+        assert report.converged and field.iterations == 0 and not gmres
+        with monkeypatch.context() as m:
+            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
+            direct, _ = compute_capacity(mesh, flux, e, f, with_cp=False)
+        assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
+
+    @pytest.mark.parametrize("n, sets, levels", [
+        (63, annulus_sets, 2), (48, _box_sets, 2), (64, _split_sets, 2),
+        (128, _ring_sets, 1), (8, annulus_sets, 0)],
+        ids=["odd_n", "f_on_box_edge", "two_components", "one_node_ring",
+             "coarsest_only"])
+    def test_hierarchy_on_free_sets(self, n, sets, levels, monkeypatch):
+        # the gate forced to 0 puts each block on the cycle path
+        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+        monkeypatch.setattr(solver, "COARSE_MAX_NODES", 200)
+        mesh = build_mesh(n)
+        e, f = sets(mesh)
+        _, cycle = self.cycle(mesh, e, f)
+        assert len(cycle.levels) == levels
+        assert cycle.coarse.shape[0] <= solver.COARSE_MAX_NODES
+        for a, _, p, _ in cycle.levels:
+            assert p.shape[0] == a.shape[0] > p.shape[1] > 0
+        block = FreeBlock(mesh, f.mask & ~e.mask)
+        start, _ = solver._linear_blend_init(mesh, block,
+                                             np.where(e.mask, 1.0, 0.0), 1.0)
+        r = residual(mesh, p_laplacian(2.0), start, block=block)
+        assert np.linalg.norm(r) <= 2.0 * solver.BLEND_CG_ATOL
+        report, field = compute_capacity(mesh, p_laplacian(3.0), e, f,
+                                         with_cp=False)
+        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
+        direct, _ = compute_capacity(mesh, p_laplacian(3.0), e, f,
+                                     with_cp=False)
+        assert report.converged and direct.converged
+        assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
+
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_extreme_levels_match_direct_path(self, s, monkeypatch, recwarn):
+        # the blend start solves for E at level 1 and scales by s: at level
+        # s, CG's inner products underflow or overflow
+        mesh = build_mesh(96)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        report, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s,
+                                     with_cp=False)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
+            direct, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s,
+                                         with_cp=False)
+        assert report.converged
+        assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_overflowing_capacity_above_the_gate(self, recwarn):
+        mesh = build_mesh(96)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        with pytest.raises(InvalidInput, match="the capacity overflows"):
+            compute_capacity(mesh, p_laplacian(2.0), e, f, 1e160,
+                             with_cp=False)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
@@ -465,13 +585,13 @@ class TestLinearBlendInit:
         # the blend start equals the p=2 solve written with explicit
         # free/fixed blocks, on the acceptance annulus
         from scipy.sparse.linalg import spsolve
-        from moncap.assembly import FreeBlock, p2_stiffness
         for n in (32, 64):
             mesh = build_mesh(n)
             e, f = annulus_sets(mesh, 0.1, 0.4)
             free = f.mask & ~e.mask
             u = np.where(e.mask, 1.0, 0.0)
-            got, _ = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u)
+            got, _ = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u,
+                                               1.0)
             k = p2_stiffness(mesh)
             expected = u.copy()
             expected[free] = spsolve(k[free][:, free].tocsc(),
