@@ -9,20 +9,25 @@ Three formulas are evaluated on every converged solve:
 They agree up to tol_cap = (#constrained nodes) * tol_res * max(1, |s|).
 c_inner is the primary reported value; c_hat = c_inner / s is the
 s-normalized capacity, set to 0 at s = 0 by definition.
+
+Each compute_capacity call makes one solve, of the problem it is given.
+The p-capacity C_p that the sandwich bounds compare with is a solve of
+its own (p_capacity); a report's cp_value is None unless its caller fills
+it in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .assembly import pairing, residual
 from .errors import IncompatiblePair, InvalidInput, SolverDiverged
-from .flux import Flux, p_laplacian, s_transform
-from .mesh import Mesh, NodeSet, node_area, node_diameter, validate_pair
+from .flux import Flux, p_laplacian
+from .mesh import Mesh, NodeSet, node_area, node_diameter
 from .solver import PotentialField, SolverOptions, solve_dirichlet
 
 
@@ -160,27 +165,23 @@ def set_audit(callback) -> None:
 
 
 def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
-                     s: float = 1.0, opts: Optional[SolverOptions] = None,
-                     with_cp: bool = True, cp_hint: Optional[float] = None):
-    """Solve and evaluate all three capacity formulas.
+                     s: float = 1.0, opts: Optional[SolverOptions] = None):
+    """Solve the problem once and evaluate all three capacity formulas.
 
     Returns (CapacityReport, PotentialField).  An incompatible pair (E not
     inside F) yields a +infinity report with no solve and field None.
     Solver divergence re-raises SolverDiverged with a partial report
-    attached as ``exc.report``.
+    attached as ``exc.report``.  The report's cp_value is None; C_p is
+    ``p_capacity``, a solve of its own.
     """
-    opts = opts or SolverOptions()
     try:
-        validate_pair(e, f, mesh)
+        pf = solve_dirichlet(mesh, flux, e, f, s, opts)
     except IncompatiblePair:
         inf = math.inf
         return _report(mesh, flux, f, s, c_energy=inf, c_inner=inf,
                        c_outer=inf, c_hat=inf, cp_value=None,
                        residual_max=math.nan, tol_cap=math.nan,
                        compatible=False, converged=False), None
-
-    try:
-        pf = solve_dirichlet(mesh, flux, e, f, s, opts)
     except SolverDiverged as exc:
         exc.report = _build_report(mesh, flux, e, f, s, exc.field)
         raise
@@ -190,16 +191,6 @@ def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
     if not all(map(math.isfinite,
                    (report.c_energy, report.c_inner, report.c_outer))):
         raise InvalidInput(f"the capacity overflows at s = {s!r}", "s")
-    report.cp_value = cp_hint
-    if cp_hint is None and with_cp:
-        if flux.kind == "p_laplacian" and s == 1.0:
-            report.cp_value = report.c_inner
-        else:
-            # the caller's start belongs to another flux and level
-            cp_opts = replace(opts, init="linear_blend", init_field=None)
-            cp_report, _ = compute_capacity(
-                mesh, p_laplacian(flux.p), e, f, 1.0, cp_opts, with_cp=False)
-            report.cp_value = cp_report.c_inner
     if _AUDIT is not None and report.converged:
         _AUDIT(report)
     return report, pf
@@ -208,8 +199,7 @@ def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
 def p_capacity(mesh: Mesh, p: float, e: NodeSet, f: NodeSet,
                opts: Optional[SolverOptions] = None) -> float:
     """Discrete p-capacity: the pure p-Laplacian flux at s = 1."""
-    report, _ = compute_capacity(mesh, p_laplacian(p), e, f, 1.0, opts,
-                                 with_cp=False)
+    report, _ = compute_capacity(mesh, p_laplacian(p), e, f, 1.0, opts)
     return report.c_inner
 
 
@@ -244,7 +234,7 @@ def distributions(mesh: Mesh, flux: Flux, potential: PotentialField,
 
 
 def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
-            opts: Optional[SolverOptions] = None, with_cp: bool = False):
+            opts: Optional[SolverOptions] = None):
     """One capacity report per s, warm-started along the ascending sweep.
 
     Per-point solver failures are recorded (report None) and the sweep
@@ -254,11 +244,6 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
     if any(s_values[i + 1] <= s_values[i] for i in range(len(s_values) - 1)):
         raise InvalidInput("s_values must be sorted strictly ascending")
     opts = opts or SolverOptions()
-    cp_value = None
-    if with_cp:
-        # the caller's start belongs to another flux and level
-        cp_value = p_capacity(mesh, flux.p, e, f, replace(
-            opts, init="linear_blend", init_field=None))
     out = []
     prev_u = None
     prev_s = None
@@ -266,16 +251,14 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
         if s == 0.0:
             out.append((s, _report(
                 mesh, flux, f, s, c_energy=0.0, c_inner=0.0, c_outer=0.0,
-                c_hat=0.0, cp_value=cp_value, residual_max=0.0,
-                tol_cap=0.0)))
+                c_hat=0.0, cp_value=None, residual_max=0.0, tol_cap=0.0)))
             continue
         solve_opts = opts
         if prev_u is not None and prev_s not in (None, 0.0):
             solve_opts = replace(opts, init="given",
                                  init_field=prev_u * (s / prev_s))
         try:
-            report, pf = compute_capacity(mesh, flux, e, f, s, solve_opts,
-                                          with_cp=False, cp_hint=cp_value)
+            report, pf = compute_capacity(mesh, flux, e, f, s, solve_opts)
         except SolverDiverged:
             out.append((s, None))
             prev_u, prev_s = None, None
@@ -284,14 +267,3 @@ def sweep_s(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s_values,
         if pf is not None:
             prev_u, prev_s = pf.u, s
     return out
-
-
-def scaled_flux_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
-                         s: float, opts: Optional[SolverOptions] = None):
-    """Capacity via the transformed flux a_s at boundary level 1.
-
-    Equals compute_capacity(flux, s) by the change of unknown u/s; exposed
-    for the scaling-identity suites.
-    """
-    return compute_capacity(mesh, s_transform(flux, s), e, f, 1.0, opts,
-                            with_cp=False)

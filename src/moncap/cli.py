@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import properties
-from .capacity import compute_capacity, sweep_s
+from .capacity import compute_capacity, p_capacity, sweep_s
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, InvalidInput, SolverDiverged
 from .flux import check_conditions, p_laplacian
@@ -111,11 +111,12 @@ def _ledger(out_dir, command, cfg_hash, results, t0):
     })
 
 
-def _diverged(exc, out_dir, command, cfg_hash, t0) -> int:
-    """A diverged solve: reported on stderr and in the ledger."""
+def _diverged(exc, out_dir, command, cfg_hash, t0, results=None) -> int:
+    """A diverged solve: reported on stderr and in the ledger, next to the
+    results of the run before it."""
     print(f"solver diverged: {exc}", file=sys.stderr)
     _ledger(out_dir, command, cfg_hash,
-            {"converged": False, "diverged": str(exc)}, t0)
+            {**(results or {"converged": False}), "diverged": str(exc)}, t0)
     return EXIT_DIVERGED
 
 
@@ -152,6 +153,19 @@ def _emit(text, quiet=False):
         print(text)
 
 
+def _cp_value(mesh, e, f, cfg, report):
+    """C_p for the sandwich bounds next to a capacity report: the capacity
+    itself for the p-Laplacian at s = 1, else a solve of its own; None for
+    an incompatible pair."""
+    if not report.compatible:
+        return None
+    if cfg.flux.kind == "p_laplacian" and cfg.s == 1.0:
+        return report.c_inner
+    # the config's start belongs to another flux and level
+    return p_capacity(mesh, cfg.flux.p, e, f, replace(
+        cfg.solver, init="linear_blend", init_field=None))
+
+
 def cmd_capacity(args) -> int:
     cfg, out_dir, h = _prepare(args)
     _require(cfg, "mesh_n", "flux", "e_shape", "f_shape")
@@ -162,6 +176,13 @@ def cmd_capacity(args) -> int:
     except SolverDiverged as exc:
         _emit(dumps_report(exc.report.to_dict()), args.quiet)
         return _diverged(exc, out_dir, "capacity", h, t0)
+    try:
+        report.cp_value = _cp_value(mesh, e, f, cfg, report)
+    except SolverDiverged as exc:
+        _emit(dumps_report(report.to_dict()), args.quiet)
+        return _diverged(f"C_p solve: {exc}", out_dir, "capacity", h, t0,
+                         {"c_inner": report.c_inner,
+                          "converged": report.converged})
     body = report.to_dict()
     if not report.compatible:
         body["capacity"] = "infinity"

@@ -288,7 +288,8 @@ def _power_factor(p, xi, bxi, eps):
     """(xi.B xi + eps^2)^((p-2)/2), given bxi = B xi; the q > 0 guard is the
     |xi| > 0 guard that p < 2 needs at eps = 0."""
     with np.errstate(over="ignore"):
-        q = np.sum(bxi * xi, axis=-1, keepdims=True) + eps * eps
+        q = (bxi[..., 0] * xi[..., 0] + bxi[..., 1] * xi[..., 1])[..., None] \
+            + eps * eps
     safe = np.where(q > 0.0, q, 1.0)
     fac = np.where(q > 0.0, safe ** ((p - 2.0) / 2.0), 0.0)
     big, m = _overflowed(q[..., 0], xi, eps)
@@ -305,7 +306,7 @@ def _power_jacobian(p, xi, bxi, b, eps):
         return np.broadcast_to(b, xi.shape + (2,)).copy()
     # rows whose sum overflows give inf and nan here, and are redone below
     with np.errstate(over="ignore", invalid="ignore"):
-        q0 = np.sum(bxi * xi, axis=-1)
+        q0 = bxi[..., 0] * xi[..., 0] + bxi[..., 1] * xi[..., 1]
         q = q0 + eps * eps
         safe = np.where(q > 0.0, q, 1e-300)
         fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
@@ -353,7 +354,8 @@ def _core_excess(t, eps):
 
 
 def _flat_core_value(flux, x, xi, eps):
-    m = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True) + eps * eps)
+    m = np.sqrt((xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1])[..., None]
+                + eps * eps)
     pos, _ = _core_excess(m - flux.params["rho0"], eps)
     fac = np.where(m > 0.0,
                    pos ** (flux.p - 1.0) / np.where(m > 0.0, m, 1.0), 0.0)
@@ -362,7 +364,8 @@ def _flat_core_value(flux, x, xi, eps):
 
 def _flat_core_jacobian(flux, x, xi, eps):
     p = flux.p
-    r = np.sqrt(np.sum(xi * xi, axis=-1) + eps * eps)
+    r = np.sqrt(xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+                + eps * eps)
     r = np.where(r > 0.0, r, 1e-300)
     pos, dpos = _core_excess(r - flux.params["rho0"], eps)
     g = pos ** (p - 1.0)

@@ -99,9 +99,6 @@ class NodeSet:
     def count(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
 
 def _require_same_mesh(a: NodeSet, b: NodeSet):
     if a.mesh_id != b.mesh_id:
@@ -308,10 +305,7 @@ def discrete_boundary(e: NodeSet, mesh: Mesh) -> NodeSet:
 
 @dataclass
 class ValidatedPair:
-    e: NodeSet
-    f: NodeSet
     free_mask: np.ndarray          # nodes of F \ E (the solved-for nodes)
-    constrained_mask: np.ndarray   # E nodes plus F-complement nodes
     touches_outer_boundary: bool   # F meets the edge of the square: natural
                                    # zero-flux condition there, not an error
 
@@ -337,9 +331,7 @@ def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> ValidatedPair:
             e_name=e.name, f_name=f.name)
     free = f.mask & ~e.mask
     touches = bool(np.any(f.mask & outer_boundary_mask(mesh)))
-    return ValidatedPair(e=e, f=f, free_mask=free,
-                         constrained_mask=~free,
-                         touches_outer_boundary=touches)
+    return ValidatedPair(free_mask=free, touches_outer_boundary=touches)
 
 
 def node_area(mesh: Mesh, s: NodeSet) -> float:

@@ -169,7 +169,7 @@ class _Cache:
         k = self.key(flux, e, f, s)
         if k not in self.store:
             self.store[k] = compute_capacity(self.mesh, flux, e, f, s,
-                                             self.opts, with_cp=False)
+                                             self.opts)
         return self.store[k]
 
 
@@ -381,7 +381,7 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
         i, flux, f_shape, e_shape, s = plan
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
-        cp = p_capacity(mesh, flux.p, e, f, cache.opts)
+        cp = cache.capacity(p_laplacian(flux.p), e, f)[0].c_inner
         rep, _ = cache.capacity(flux, e, f, 1.0)
         rep_s, _ = cache.capacity(flux, e, f, s)
         out = [_margin_record(i, flux, f"bound_{name}", raw, cp, BOUNDS_SLACK)
@@ -449,7 +449,7 @@ def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
             if s == 0.0:
                 continue
             rep_t, _ = compute_capacity(mesh, s_transform(flux, s), e, f,
-                                        1.0, opts, with_cp=False)
+                                        1.0, opts)
             raw = -abs(rep.c_inner - rep_t.c_inner)
             out.append(_margin_record(i, flux, "scaling_identity", raw,
                                       rep.c_inner, S_IDENTITY_TOL, s=s))
@@ -501,7 +501,7 @@ def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
                 init_seed=opts.init_seed + seed + 37 * i + k))
 
         def solves(fl):
-            return [compute_capacity(mesh, fl, e, f, 1.0, so, with_cp=False)
+            return [compute_capacity(mesh, fl, e, f, 1.0, so)
                     for so in init_opts]
 
         runs = solves(flux)
@@ -622,11 +622,10 @@ def run_convergence_study(e_shape: ShapeExpr, f_shape: ShapeExpr, flux: Flux,
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
         try:
-            rep, _ = compute_capacity(mesh, flux, e, f, 1.0, opts,
-                                      with_cp=False)
+            rep, _ = compute_capacity(mesh, flux, e, f, 1.0, opts)
             if reference_flux is not None:
                 ref_rep, _ = compute_capacity(mesh, reference_flux, e, f,
-                                              1.0, opts, with_cp=False)
+                                              1.0, opts)
                 ref = ref_rep.c_inner
             else:
                 ref = oracle_value

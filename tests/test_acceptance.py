@@ -16,7 +16,7 @@ import pytest
 import moncap.capacity as capacity_mod
 from moncap.capacity import compute_capacity, distributions, p_capacity
 from moncap.flux import (adversarial_fixture, check_conditions, flat_core_p,
-                         p_laplacian, weighted_p_laplacian)
+                         p_laplacian, s_transform, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
                          halfplane, rasterize)
 from moncap.oracle import RadialSpec, radial_p_capacity, strip_capacity
@@ -91,8 +91,7 @@ def test_criterion_01_strip_exactness():
             f = complement(rasterize(halfplane("x", 0.75, "ge"), mesh, "Fc"),
                            "F")
             t0 = time.time()
-            rep, _ = compute_capacity(mesh, p_laplacian(p), e, f, 1.0,
-                                      with_cp=False)
+            rep, _ = compute_capacity(mesh, p_laplacian(p), e, f, 1.0)
             dt = time.time() - t0
             worst_dt = max(worst_dt, dt)
             for val in (rep.c_energy, rep.c_inner, rep.c_outer):
@@ -158,7 +157,7 @@ def test_criterion_04_distribution_structure():
         e_shape = gen.inner_disk(cx, cy, reach * 0.8)
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
-        rep, pf = compute_capacity(mesh, flux, e, f, 1.0, with_cp=False)
+        rep, pf = compute_capacity(mesh, flux, e, f, 1.0)
         lam, nu = distributions(mesh, flux, pf, e, f)
         interior = e.mask & ~discrete_boundary(e, mesh).mask
         if interior.any():
@@ -240,9 +239,9 @@ def test_criterion_08a_scaling_identity():
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
         for s in (-2.0, -0.5, 0.5, 3.0):
-            rep, _ = compute_capacity(mesh, flux, e, f, s, with_cp=False)
-            from moncap.capacity import scaled_flux_capacity
-            rep_t, _ = scaled_flux_capacity(mesh, flux, e, f, s)
+            rep, _ = compute_capacity(mesh, flux, e, f, s)
+            rep_t, _ = compute_capacity(mesh, s_transform(flux, s), e, f,
+                                        1.0)
             worst = max(worst, abs(rep.c_inner - rep_t.c_inner)
                         / (1.0 + abs(rep.c_inner)))
     ok = worst <= 1e-8

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from moncap.capacity import (compute_capacity, distributions, p_capacity,
-                             sandwich_constants, scaled_flux_capacity,
-                             sweep_s)
+                             sandwich_constants, sweep_s)
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
-                         p_laplacian, weighted_p_laplacian)
+                         p_laplacian, s_transform, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
                          halfplane, rasterize, shape_none)
+from moncap.properties import default_flux_family
 from moncap.solver import SolverOptions
 
 
@@ -41,8 +41,7 @@ class TestStripCapacitor:
         # constant-gradient solutions solve every x-independent flux
         mesh = build_mesh(8)
         e, f = strip_sets(mesh)
-        rep, _ = compute_capacity(mesh, flat_core_p(2.0, 0.5), e, f, 1.0,
-                                  with_cp=False)
+        rep, _ = compute_capacity(mesh, flat_core_p(2.0, 0.5), e, f, 1.0)
         # a(xi).xi = (|xi|-1/2)*|xi| at |xi| = 2 over area 1/2
         assert rep.c_energy == pytest.approx(0.5 * 1.5 * 2.0, rel=1e-8)
 
@@ -81,11 +80,9 @@ class TestConventions:
         # into a zero flux and a zero capacity reported as converged
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        unit, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, 1.0,
-                                   with_cp=False)
+        unit, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, 1.0)
         try:
-            report, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, s,
-                                         with_cp=False)
+            report, _ = compute_capacity(mesh, p_laplacian(1.5), e, f, s)
         except (SolverDiverged, InvalidInput):
             pass
         else:
@@ -129,7 +126,7 @@ class TestThreeFormulaIdentity:
     def test_identity_within_tol_cap(self, flux, s):
         mesh = build_mesh(16)
         e, f = annulus_sets(mesh)
-        rep, _ = compute_capacity(mesh, flux, e, f, s, with_cp=False)
+        rep, _ = compute_capacity(mesh, flux, e, f, s)
         assert rep.converged
         assert abs(rep.c_energy - rep.c_inner) <= rep.tol_cap
         assert abs(rep.c_inner - rep.c_outer) <= rep.tol_cap
@@ -143,16 +140,14 @@ class TestDistributions:
 
     def test_totals_match_c_hat(self):
         flux = p_laplacian(3.0)
-        rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0,
-                                   with_cp=False)
+        rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
         lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
         assert lam.total == pytest.approx(rep.c_hat, abs=rep.tol_cap)
         assert nu.total == pytest.approx(rep.c_hat, abs=rep.tol_cap)
 
     def test_interior_weights_exactly_zero(self):
         flux = p_laplacian(2.0)
-        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0,
-                                 with_cp=False)
+        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
         lam, _ = distributions(self.mesh, flux, pf, self.e, self.f)
         boundary = discrete_boundary(self.e, self.mesh).mask
         interior = self.e.mask & ~boundary
@@ -164,8 +159,7 @@ class TestDistributions:
     def test_nonnegative_for_positive_s(self):
         for flux in (p_laplacian(2.0), p_laplacian(3.0),
                      flat_core_p(2.0, 2.0)):
-            rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0,
-                                       with_cp=False)
+            rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
             lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
             floor = -1e-8 * (1.0 + rep.c_hat)
             assert lam.min_weight >= floor
@@ -173,8 +167,7 @@ class TestDistributions:
 
     def test_negative_s_swaps_carriers(self):
         flux = p_laplacian(2.0)
-        rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, -1.0,
-                                   with_cp=False)
+        rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, -1.0)
         lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
         assert np.array_equal(lam.carrier, ~self.f.mask)
         assert np.array_equal(nu.carrier, self.e.mask)
@@ -183,16 +176,14 @@ class TestDistributions:
 
     def test_s_zero_zero_measures(self):
         flux = p_laplacian(2.0)
-        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 0.0,
-                                 with_cp=False)
+        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 0.0)
         lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
         assert lam.total == 0.0 and nu.total == 0.0
 
     def test_total_residual_closure(self):
         flux = p_laplacian(3.0)
         from moncap.assembly import residual
-        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0,
-                                 with_cp=False)
+        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
         lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
         r = residual(self.mesh, flux, pf.u)
         free = self.f.mask & ~self.e.mask
@@ -213,7 +204,13 @@ class TestPCapacity:
         rep, _ = compute_capacity(mesh, p_laplacian(3.0), e, f, 1.0)
         assert a == rep.c_inner
 
-    def test_cp_value_self_shortcut(self, monkeypatch):
+
+class TestOneSolvePerCall:
+    @pytest.mark.parametrize("flux,s", [
+        *((fl, s) for fl in default_flux_family() for s in (1.0, -2.0)),
+        (p_laplacian(3.0), 2.0),
+    ], ids=lambda v: f"{v.kind}-p{v.p}" if hasattr(v, "kind") else f"s{v}")
+    def test_solves_only_the_given_problem(self, monkeypatch, flux, s):
         from moncap import capacity
         real, solves = capacity.solve_dirichlet, []
 
@@ -223,10 +220,10 @@ class TestPCapacity:
         monkeypatch.setattr(capacity, "solve_dirichlet", counting)
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh)
-        rep, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, 1.0,
-                                  with_cp=True)
-        assert rep.cp_value == rep.c_inner
+        rep, _ = compute_capacity(mesh, flux, e, f, s)
         assert len(solves) == 1
+        assert solves[0][1] is flux and solves[0][4] == s
+        assert rep.cp_value is None
 
 
 class TestSweepS:
@@ -270,8 +267,8 @@ class TestScalingIdentity:
     def test_capacity_equals_transformed_flux_capacity(self, flux, s):
         mesh = build_mesh(12)
         e, f = annulus_sets(mesh)
-        rep, _ = compute_capacity(mesh, flux, e, f, s, with_cp=False)
-        rep_t, _ = scaled_flux_capacity(mesh, flux, e, f, s)
+        rep, _ = compute_capacity(mesh, flux, e, f, s)
+        rep_t, _ = compute_capacity(mesh, s_transform(flux, s), e, f, 1.0)
         assert abs(rep.c_inner - rep_t.c_inner) \
             <= 1e-8 * (1.0 + abs(rep.c_inner))
 
@@ -285,12 +282,13 @@ class TestCombinedFlux:
         mixed = combine(p_laplacian(2.0),
                         linear_matrix([[1.0, 0.5], [-0.5, 1.0]]), 0.6, 0.7)
         rep, pf = compute_capacity(mesh, mixed, e, f, 1.0)
+        cp = p_capacity(mesh, mixed.p, e, f)
         assert rep.converged and rep.three_formula_ok
         # (0.6 I + 0.7 M) has symmetric part 1.3 I: capacity is 1.3 * C_p
         # when F stays interior (skew rows cancel on interior free nodes)
-        assert rep.c_inner == pytest.approx(1.3 * rep.cp_value, rel=1e-8)
-        slack = 1e-9 * (1.0 + rep.cp_value)
-        for name, raw in bound_margins(rep, rep.cp_value, rep.area_f).items():
+        assert rep.c_inner == pytest.approx(1.3 * cp, rel=1e-8)
+        slack = 1e-9 * (1.0 + cp)
+        for name, raw in bound_margins(rep, cp, rep.area_f).items():
             assert raw >= -slack, (name, raw)
 
 
@@ -318,7 +316,8 @@ class TestSandwichConstants:
                      anisotropic_p(2.0, 2.0, 0.5), flat_core_p(2.0, 2.0),
                      linear_matrix([[1.0, 0.5], [-0.5, 1.0]])):
             rep, _ = compute_capacity(mesh, flux, e, f, 1.0)
-            margins = bound_margins(rep, rep.cp_value, rep.area_f)
-            slack = 1e-9 * (1.0 + rep.cp_value)
+            cp = p_capacity(mesh, flux.p, e, f)
+            margins = bound_margins(rep, cp, rep.area_f)
+            slack = 1e-9 * (1.0 + cp)
             for name, raw in margins.items():
                 assert raw >= -slack, (flux.kind, name, raw)

@@ -82,6 +82,42 @@ class TestCapacityCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["c_inner"] != "infinity"
 
+    def test_cp_value_self_shortcut(self, tmp_path, capsys, monkeypatch):
+        from moncap import capacity
+        real, solves = capacity.solve_dirichlet, []
+
+        def counting(*args):
+            solves.append(args)
+            return real(*args)
+        monkeypatch.setattr(capacity, "solve_dirichlet", counting)
+        cfg = write_cfg(tmp_path / "cfg.json",
+                        annulus_cfg(str(tmp_path / "out"), n=8))
+        assert main(["capacity", cfg]) == 0
+        body = json.loads(capsys.readouterr().out)
+        # C_p of the p-Laplacian at s = 1 is the capacity itself
+        assert body["cp_value"] == body["c_inner"]
+        assert len(solves) == 1
+
+    def test_diverged_cp_solve_keeps_the_capacity_report(self, tmp_path,
+                                                         capsys):
+        # an all-core flux converges at its start; its C_p solve (p = 3,
+        # no Newton budget) cannot
+        body = annulus_cfg(str(tmp_path / "out"), solver={"max_newton": 0})
+        body["flux"] = {"kind": "flat_core_p", "p": 3.0,
+                        "params": {"rho0": 100.0}}
+        cfg = write_cfg(tmp_path / "cfg.json", body)
+        assert main(["capacity", cfg]) == 3
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["c1"] == 0.25 and out["c_inner"] == 0.0
+        assert out["flags"]["converged"] is True
+        assert out["cp_value"] is None
+        assert "solver diverged: C_p solve: residual " in captured.err
+        lines = (tmp_path / "out" / "runs.jsonl").read_text().splitlines()
+        results = json.loads(lines[-1])["results"]
+        assert results["c_inner"] == 0.0 and results["converged"] is True
+        assert results["diverged"].startswith("C_p solve: residual ")
+
 
 class TestBadConfig:
     def test_unknown_key_exit_2(self, tmp_path, capsys):

@@ -179,6 +179,21 @@ class TestPowerLawOverflow:
         assert np.array_equal(jac, flux_jacobian(p_laplacian(p), x[:40], xi,
                                                  eps=0.0))
 
+    def test_two_term_sums_keep_the_reduction_bits(self):
+        # xi.B xi and |xi|^2 are formed component by component; the bits
+        # are those of np.sum over the last axis
+        rng = np.random.default_rng(6)
+        xi = rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-100, 100,
+                                                               (40, 1))
+        x = np.zeros_like(xi)
+        bxi = xi * [2.0, 0.5]
+        q = np.sum(bxi * xi, axis=-1, keepdims=True)
+        assert np.array_equal(eval_flux(anisotropic_p(2.5, 2.0, 0.5), x, xi),
+                              q ** 0.25 * bxi)
+        m = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True))
+        assert np.array_equal(eval_flux(flat_core_p(3.0, 0.0), x, xi),
+                              m ** 2.0 / m * xi)
+
 
 class TestCheckConditions:
     def test_p3_plaplacian_all_pass(self):

@@ -180,6 +180,6 @@ class TestConvergenceStudy:
             e = rasterize(halfplane("x", 0.25, "le"), mesh, "E")
             f = rasterize(shape_complement(halfplane("x", 0.75, "ge")),
                           mesh, "F")
-            rep, _ = compute_capacity(mesh, skew, e, f, 1.0, with_cp=False)
+            rep, _ = compute_capacity(mesh, skew, e, f, 1.0)
             gaps.append(rep.c_inner - 2.0)
         assert all(g > 1e-3 for g in gaps)

@@ -1,3 +1,4 @@
+import json
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from moncap import solver
 from moncap.assembly import FreeBlock, p2_stiffness, residual
 from moncap.capacity import compute_capacity, sweep_s
+from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform)
@@ -341,7 +343,7 @@ class TestStaleFactorKrylov:
         mesh, e, f = large
 
         def solve():
-            return compute_capacity(mesh, flux, e, f, with_cp=False)
+            return compute_capacity(mesh, flux, e, f)
         direct, _ = self.direct(monkeypatch, solve)
         factors = _counting(monkeypatch, "splu")
         gmres = _counting(monkeypatch, "gmres")
@@ -466,11 +468,11 @@ class TestMultigridCycle:
         e, f = annulus_sets(mesh, 0.1, 0.4)
         assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
         gmres = _counting(monkeypatch, "gmres")
-        report, field = compute_capacity(mesh, flux, e, f, with_cp=False)
+        report, field = compute_capacity(mesh, flux, e, f)
         assert report.converged and field.iterations == 0 and not gmres
         with monkeypatch.context() as m:
             m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-            direct, _ = compute_capacity(mesh, flux, e, f, with_cp=False)
+            direct, _ = compute_capacity(mesh, flux, e, f)
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
 
     @pytest.mark.parametrize("n, sets, levels", [
@@ -494,11 +496,9 @@ class TestMultigridCycle:
                                              np.where(e.mask, 1.0, 0.0), 1.0)
         r = residual(mesh, p_laplacian(2.0), start, block=block)
         assert np.linalg.norm(r) <= 2.0 * solver.BLEND_CG_ATOL
-        report, field = compute_capacity(mesh, p_laplacian(3.0), e, f,
-                                         with_cp=False)
+        report, field = compute_capacity(mesh, p_laplacian(3.0), e, f)
         monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-        direct, _ = compute_capacity(mesh, p_laplacian(3.0), e, f,
-                                     with_cp=False)
+        direct, _ = compute_capacity(mesh, p_laplacian(3.0), e, f)
         assert report.converged and direct.converged
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
 
@@ -508,12 +508,10 @@ class TestMultigridCycle:
         # s, CG's inner products underflow or overflow
         mesh = build_mesh(96)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        report, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s,
-                                     with_cp=False)
+        report, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s)
         with monkeypatch.context() as m:
             m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-            direct, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s,
-                                         with_cp=False)
+            direct, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s)
         assert report.converged
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
         assert not [w for w in recwarn if w.category is RuntimeWarning]
@@ -522,8 +520,7 @@ class TestMultigridCycle:
         mesh = build_mesh(96)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         with pytest.raises(InvalidInput, match="the capacity overflows"):
-            compute_capacity(mesh, p_laplacian(2.0), e, f, 1e160,
-                             with_cp=False)
+            compute_capacity(mesh, p_laplacian(2.0), e, f, 1e160)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
@@ -633,7 +630,8 @@ class TestOptionsValidation:
 
 class TestOptionsReachSolve:
     """Every config-settable option reaches each solve made on the caller's
-    behalf: the retry, the C_p solve, the sweep and the invariance suite."""
+    behalf: the retry, the C_p solve of ``moncap capacity``, the sweep and
+    the invariance suite."""
 
     SET = dict(tol_res=3e-9, max_newton=77, eps_schedule=(1e-3, 1e-5),
                init_seed=11, jacobian_floor=2e-8)
@@ -666,13 +664,19 @@ class TestOptionsReachSolve:
         assert [o.init for o in seen] == ["zero", "linear_blend"]
         self._assert_carried(seen)
 
-    def test_cp_solve(self, monkeypatch):
+    def test_cp_solve(self, monkeypatch, tmp_path):
         seen = self._record(monkeypatch)
-        mesh = build_mesh(12)
-        e, f = annulus_sets(mesh)
-        compute_capacity(mesh, anisotropic_p(2.0, 2.0, 0.5), e, f, 1.0,
-                         SolverOptions(init="zero", **self.SET))
-        # the C_p solve starts from the blend on purpose
+        flux = anisotropic_p(2.0, 2.0, 0.5).describe()
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "mesh": {"N": 12},
+            "flux": {k: flux[k] for k in ("kind", "p", "params")},
+            "E": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.12}},
+            "F": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.38}},
+            "solver": {"init": "zero", **self.SET},
+            "output_dir": str(tmp_path)}))
+        assert main(["capacity", str(cfg), "--quiet"]) == 0
+        # moncap capacity's C_p solve starts from the blend on purpose
         assert [o.init for o in seen] == ["zero", "linear_blend"]
         self._assert_carried(seen)
 
@@ -681,10 +685,10 @@ class TestOptionsReachSolve:
         mesh = build_mesh(12)
         e, f = annulus_sets(mesh)
         sweep_s(mesh, anisotropic_p(2.0, 2.0, 0.5), e, f, [0.5, 1.0],
-                SolverOptions(init="zero", **self.SET), with_cp=True)
-        # C_p from the blend, the first point from the caller's start, the
-        # next warm-started from the previous field
-        assert [o.init for o in seen] == ["linear_blend", "zero", "given"]
+                SolverOptions(init="zero", **self.SET))
+        # the first point from the caller's start, the next warm-started
+        # from the previous field
+        assert [o.init for o in seen] == ["zero", "given"]
         self._assert_carried(seen)
 
     def test_invariance_suite(self, monkeypatch):
