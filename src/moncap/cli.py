@@ -8,6 +8,7 @@ key results, wall time) under the output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -33,13 +34,20 @@ EXIT_SUITE_FAIL = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 
+# Largest --numeric M: the 1-D solve bisects some 4,000 times over M + 1
+# floats, so M = 10^5 took 20 s and 72 MB on a shared 2-CPU machine, M = 10^6
+# about 3 minutes, and a much larger M ends in a memory error.
+MAX_NUMERIC_CELLS = 10**6
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+
+def _int_at_least(low: int, high: float = math.inf):
+    """An argparse type: an integer no smaller than low, at most high."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}")
         return value
     return parse
 
@@ -86,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--a", type=float, default=None)
     p_oracle.add_argument("--b", type=float, default=None)
     p_oracle.add_argument("--Ly", dest="ly", type=float, default=1.0)
-    p_oracle.add_argument("--numeric", type=int, default=None,
+    p_oracle.add_argument("--numeric", default=None,
+                          type=_int_at_least(4, MAX_NUMERIC_CELLS),
                           help="also solve the 1-D problem with M cells")
     p_oracle.add_argument("--quiet", action="store_true")
     return parser
@@ -301,11 +310,13 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL
 
 
-def _radial_capacity(spec, p_path):
-    """radial_p_capacity, with an overflow reported at the path of p."""
+def _closed_form(oracle, p_path, *args):
+    """oracle(*args), with an overflow at p reported at the path of p."""
     try:
-        return radial_p_capacity(spec)
+        return oracle(*args)
     except InvalidInput as exc:
+        if exc.field != "p":
+            raise
         raise ConfigError(str(exc), p_path) from exc
 
 
@@ -317,12 +328,14 @@ def cmd_converge(args) -> int:
     oracle_value = orc.get("value")
     if oracle_value is None and "radial" in orc:
         r = orc["radial"]
-        oracle_value = _radial_capacity(
-            RadialSpec(r["n"], r["p"], r["r"], r["R"]), "oracle.radial.p")
+        oracle_value = _closed_form(
+            radial_p_capacity, "oracle.radial.p",
+            RadialSpec(r["n"], r["p"], r["r"], r["R"]))
     elif oracle_value is None and "strip" in orc:
         strip = orc["strip"]
-        oracle_value = strip_capacity(strip["p"], strip["a"], strip["b"],
-                                      strip["Ly"])
+        oracle_value = _closed_form(strip_capacity, "oracle.strip.p",
+                                    strip["p"], strip["a"], strip["b"],
+                                    strip["Ly"])
     report = properties.run_convergence_study(
         cfg.e_shape, cfg.f_shape, cfg.flux, cfg.n_list, oracle_value,
         orc["tol"], cfg.mesh_l, orc.get("reference_flux"), cfg.solver)
@@ -360,8 +373,9 @@ def cmd_oracle(args) -> int:
             return EXIT_BAD_CONFIG
         spec = RadialSpec(args.n, args.p, args.r, args.big_r)
         body = {"kind": "radial", "n": args.n, "p": args.p, "r": args.r,
-                "R": args.big_r, "value": _radial_capacity(spec, "--p")}
-        if args.numeric:
+                "R": args.big_r,
+                "value": _closed_form(radial_p_capacity, "--p", spec)}
+        if args.numeric is not None:
             body["numeric"] = radial_numeric(spec, p_laplacian(args.p),
                                              args.numeric)
     else:
@@ -370,7 +384,8 @@ def cmd_oracle(args) -> int:
             return EXIT_BAD_CONFIG
         body = {"kind": "strip", "p": args.p, "a": args.a, "b": args.b,
                 "Ly": args.ly,
-                "value": strip_capacity(args.p, args.a, args.b, args.ly)}
+                "value": _closed_form(strip_capacity, "--p", args.p,
+                                      args.a, args.b, args.ly)}
     print(dumps_report(body))
     return EXIT_OK
 

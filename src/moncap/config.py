@@ -18,7 +18,7 @@ _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
              "clip_E_to_F"}
 _MESH_KEYS = {"N", "L"}
 _FLUX_KEYS = {"kind", "p", "params"}
-_SOLVER_KEYS = {"tol_res", "max_newton", "eps_schedule", "init", "init_seed",
+_SOLVER_KEYS = {"tol_res", "max_newton", "init", "init_seed",
                 "jacobian_floor"}
 _SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
 _CHECK_KEYS = {"n_samples", "xi_radius"}
@@ -156,14 +156,6 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
     if "max_newton" in spec:
         kwargs["max_newton"] = _number(spec["max_newton"],
                                        f"{path}.max_newton", integer=True)
-    if "eps_schedule" in spec:
-        sched = spec["eps_schedule"]
-        if not isinstance(sched, list) or not sched:
-            raise ConfigError("eps_schedule must be a nonempty list",
-                              f"{path}.eps_schedule")
-        kwargs["eps_schedule"] = tuple(
-            _number(v, f"{path}.eps_schedule[{k}]")
-            for k, v in enumerate(sched))
     if "init" in spec:
         if spec["init"] not in ("zero", "linear_blend", "random"):
             raise ConfigError("init must be zero|linear_blend|random",

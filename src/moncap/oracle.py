@@ -60,7 +60,13 @@ def strip_capacity(p: float, a: float, b: float, ly: float) -> float:
         raise InvalidInput("need 0 <= a < b")
     if not ly > 0:
         raise InvalidInput("need Ly > 0")
-    return ly * (b - a) ** (1.0 - p)
+    try:
+        value = ly * (b - a) ** (1.0 - p)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidInput(f"the strip capacity overflows at p = {p!r}", "p")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Dirichlet solver: find u with u = s on E, u = 0 outside F, and zero
 residual at the free nodes of F \\ E.
 
-The stages: a short damped-Newton pass on the true flux (cheap when the
-problem is smooth, and it preserves initialization-dependent solutions for
-merely monotone fluxes), then continuation that fully solves the
-eps-smoothed problem at each eps of the schedule, then an adaptive tail
-that keeps shrinking eps with a hop ratio fitted to the Newton basin near
-a flux kink.  A solve the tail does not finish raises SolverDiverged, and
-``solve_dirichlet`` retries a failed non-default start once from the
-linear blend.  ``max_newton`` bounds the Newton steps of each attempt.
-A start whose residual is not finite raises SolverDiverged at once.
+The stages: the start, a short damped-Newton pass on the true flux (cheap
+when the problem is smooth, and it preserves initialization-dependent
+solutions for merely monotone fluxes), then one eps-continuation that
+solves the eps-smoothed problem from EPS_START downwards with a hop ratio
+fitted to the Newton basin near a flux kink.  A solve the continuation
+does not finish raises SolverDiverged, whose message names the stage that
+stopped, and ``solve_dirichlet`` retries a failed non-default start once
+from the linear blend.  ``max_newton`` bounds the Newton steps of each
+attempt.  A start whose residual is not finite raises SolverDiverged at
+once.
 
 Each solve works on its ``FreeBlock``: B_t, the rows of the mesh's
 gradient operator B for the triangles that touch a free node, and B_f,
@@ -52,14 +53,18 @@ from .errors import InvalidInput, SolverDiverged
 from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
 
-DEFAULT_EPS_SCHEDULE = tuple(10.0 ** (-k) for k in range(2, 11))
 # backtracking line search: step factor, sufficient decrease, shortest step
 LS_BACKTRACK = 0.5
 LS_DECREASE = 1e-4
 LS_MIN_STEP = 1e-8
-# Newton steps per continuation stage: the stages track the path, and the
-# adaptive tail owns the endgame
-STAGE_MAX_ITER = 8
+# the fast pass smooths only its Jacobian, which keeps |xi|^(p-2) finite
+FAST_JAC_EPS = 1e-10
+# eps-continuation: first width and hop ratio, Newton steps per hop, limits
+EPS_START = 1e-2
+FIRST_HOP_RATIO = 0.1
+HOP_MAX_ITER = 8
+MAX_HOPS = 120
+EPS_FLOOR = 1e-13
 # Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on the
 # held preconditioner.  Below about 4,000 free nodes the flat-core annulus
 # solves took 0.75-1.10x the direct time (inexact steps add Newton steps);
@@ -87,7 +92,6 @@ BLEND_CG_MAX_ITER = 100
 class SolverOptions:
     tol_res: Optional[float] = None      # default 1e-10 * max(1, |s|^(p-1))
     max_newton: int = 200
-    eps_schedule: tuple = DEFAULT_EPS_SCHEDULE
     init: str = "linear_blend"           # zero | linear_blend | given | random
     init_field: Optional[np.ndarray] = None
     init_seed: int = 0
@@ -108,12 +112,6 @@ class SolverOptions:
         if not 0 <= self.jacobian_floor < math.inf:
             raise InvalidInput("jacobian_floor must be finite and >= 0",
                                "jacobian_floor")
-        eps = tuple(self.eps_schedule)
-        if not all(0 < e < math.inf for e in eps) or any(
-                eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise InvalidInput("eps_schedule must be positive, finite and "
-                               "strictly decreasing", "eps_schedule")
-        object.__setattr__(self, "eps_schedule", eps)
 
     def resolve_tol(self, flux: Flux, s: float) -> float:
         if self.tol_res is not None:
@@ -295,7 +293,6 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     else:
         raise InvalidInput(f"unknown init {opts.init!r}")
 
-
     # a start that overflows is rejected just below as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = state.true_rmax(u)
@@ -307,75 +304,64 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
             f"the start residual is not finite ({rmax}) at s = {s!r}",
             field=make_field(u, rmax, 0, False, history), history=history)
 
-    eps_last = opts.eps_schedule[-1]
-
     # fast path: damped Newton on the true flux from the given init, with a
     # small budget; this preserves initialization-dependent solutions for
     # merely monotone fluxes and costs nothing when the problem is smooth
-    u, rmax = state.newton(u, residual_eps=0.0, jac_eps=eps_last,
+    u, rmax = state.newton(u, residual_eps=0.0, jac_eps=FAST_JAC_EPS,
                            target=tol, max_iter=min(8, opts.max_newton))
     if rmax <= tol:
         return make_field(u, rmax, state.iterations, True, history)
 
-    # continuation: solve the eps-smoothed problem at each stage (the
-    # regularized Jacobian is its exact derivative), warm-starting downwards.
-    # Once a stage at or below the tail anchor misses its target, stop:
-    # descending further with the coarse factor-10 schedule only burns
-    # budget that the adaptive tail spends better.
-    tail_anchor = 1e-4
-    for eps in opts.eps_schedule:
-        stage_target = max(tol, eps * eps)
-        u, smax = state.newton(u, residual_eps=eps, jac_eps=eps,
-                               target=stage_target,
-                               max_iter=STAGE_MAX_ITER)
+    def diverged(where):
+        return SolverDiverged(
+            f"residual {state.best_rmax:.3e} above target {tol:.3e} after "
+            f"{state.iterations} iterations; {where}",
+            field=make_field(state.best_u, state.best_rmax, state.iterations,
+                             False, history),
+            history=history)
+
+    if state.budget() <= 0:
+        raise diverged("max_newton ran out in the fast pass")
+
+    # continuation: solve the eps-smoothed problem (the regularized Jacobian
+    # is its exact derivative), warm-starting downwards from EPS_START.
+    # Near a flux kink the Newton basin of the smoothed problem shrinks with
+    # eps, so a fixed factor-10 descent can outrun it: the hop ratio grows
+    # after landed hops and relaxes toward 1 after stalls (partial progress
+    # is kept either way), and every arrival is checked against the true
+    # residual.  The smoothed-vs-true residual gap is O(h * eps^(p-1)), so
+    # small widths certify true convergence.
+    eps, ratio, hops = EPS_START, FIRST_HOP_RATIO, 0
+    target = max(tol / 10.0, eps * eps)
+    u, smax = state.newton(u, residual_eps=eps, jac_eps=eps, target=target,
+                           max_iter=HOP_MAX_ITER)
+    landed = eps if smax <= target * 1.001 else None
+    while state.budget() > 0 and hops < MAX_HOPS:
+        hops += 1
         rmax = state.true_rmax(u)
         if rmax <= tol:
             return make_field(u, rmax, state.iterations, True, history)
-        if state.budget() <= 0:
+        if eps <= EPS_FLOOR:
             break
-        if eps <= tail_anchor and smax > stage_target * 1.001:
-            break
+        eps_next = ratio * eps
+        target_next = max(tol / 10.0, eps_next * eps_next)
+        u, smax = state.newton(u, residual_eps=eps_next, jac_eps=eps_next,
+                               target=target_next, max_iter=HOP_MAX_ITER)
+        if smax <= target_next * 1.001:
+            eps = landed = eps_next
+            ratio = max(0.5 * ratio, 0.05)
+        else:
+            ratio = min(ratio ** 0.5, 0.7)
+    rmax = state.true_rmax(u)
+    if rmax <= tol:
+        return make_field(u, rmax, state.iterations, True, history)
 
-    # adaptive tail: near a flux kink the Newton basin of the smoothed
-    # problem shrinks with eps, so a factor-10 schedule can outrun it.
-    # Descend with a hop ratio that grows after landed hops and relaxes
-    # toward 1 after stalls (partial progress is kept either way); every
-    # arrival is checked against the true residual.  The smoothed-vs-true
-    # residual gap is O(h * eps^(p-1)), so small tail widths certify true
-    # convergence.
-    if state.budget() > 0:
-        eps = tail_anchor
-        u, _ = state.newton(u, residual_eps=eps, jac_eps=eps,
-                            target=max(tol / 10.0, eps * eps), max_iter=8)
-        ratio = 0.5
-        hops = 0
-        while state.budget() > 0 and hops < 120:
-            hops += 1
-            rmax = state.true_rmax(u)
-            if rmax <= tol:
-                return make_field(u, rmax, state.iterations, True, history)
-            if eps <= 1e-13:
-                break
-            eps_next = ratio * eps
-            target_next = max(tol / 10.0, eps_next * eps_next)
-            u, smax = state.newton(u, residual_eps=eps_next,
-                                   jac_eps=eps_next,
-                                   target=target_next, max_iter=8)
-            if smax <= target_next * 1.001:
-                eps = eps_next
-                ratio = max(0.5 * ratio, 0.05)
-            else:
-                ratio = min(ratio ** 0.5, 0.7)
-        rmax = state.true_rmax(u)
-        if rmax <= tol:
-            return make_field(u, rmax, state.iterations, True, history)
-
-    raise SolverDiverged(
-        f"residual {state.best_rmax:.3e} above target {tol:.3e} after "
-        f"{state.iterations} iterations",
-        field=make_field(state.best_u, state.best_rmax, state.iterations,
-                         False, history),
-        history=history)
+    cause = (f"max_newton = {opts.max_newton} ran out" if state.budget() <= 0
+             else f"eps reached its floor {EPS_FLOOR:.0e}" if eps <= EPS_FLOOR
+             else f"it made its {MAX_HOPS} hops")
+    reached = ("landed no eps" if landed is None
+               else f"last landed eps = {landed:.3e}")
+    raise diverged(f"the continuation {reached}, then {cause}")
 
 
 class _NewtonState:

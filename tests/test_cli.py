@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moncap.cli import main
+from moncap.cli import MAX_NUMERIC_CELLS, main
 from moncap.config import _SOLVER_KEYS, MAX_MESH_N, MESH_L_RANGE
 from moncap.reporting import config_hash
 
@@ -360,6 +360,18 @@ class TestConvergeCommand:
         assert "config error: oracle.radial.p: the radial capacity " \
             "overflows" in capsys.readouterr().err
 
+    def test_overflowing_strip_oracle_exit_2(self, tmp_path, capsys):
+        body = strip_cfg(str(tmp_path / "out"), extra={
+            "N_list": [8, 16],
+            "oracle": {"strip": {"p": 1e300, "a": 0.25, "b": 0.75},
+                       "tol": 1e-8},
+        })
+        del body["s"]
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["converge", cfg]) == 2
+        assert "config error: oracle.strip.p: the strip capacity " \
+            "overflows" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_radial(self, capsys):
@@ -391,6 +403,23 @@ class TestOracleCommand:
         assert "config error: --p: the radial capacity overflows" \
             in captured.err
         assert captured.out == ""
+
+    def test_overflowing_strip_capacity_exit_2(self, capsys):
+        # (b - a)^(1-p) overflowed Python floats in an OverflowError traceback
+        assert main(["oracle", "strip", "--p", "1e300", "--a", "0.1",
+                     "--b", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --p: the strip capacity overflows" \
+            in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("m", ["0", "3", str(MAX_NUMERIC_CELLS + 1),
+                                   "100000000000"])
+    def test_numeric_cells_out_of_range_exit_2(self, m, capsys):
+        # 0 was ignored, and 10^11 cells asked numpy for 745 GiB
+        assert main(["oracle", "radial", "--p", "2", "--r", "0.1",
+                     "--R", "0.4", "--numeric", m]) == 2
+        assert "--numeric" in capsys.readouterr().err
 
 
 class TestEnvAndFlags:
