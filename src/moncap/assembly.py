@@ -156,12 +156,13 @@ class FreeBlock:
 
 
 def _operators(mesh: Mesh, block: Optional[FreeBlock]):
-    """(rows of B, their barycenters, result columns) of an assembly over
-    the whole mesh, or over a block's triangles and nodes."""
+    """(rows of B, their barycenters, transpose of the result columns) of
+    an assembly over the whole mesh, or over a block's triangles and
+    nodes."""
     if block is None:
         b = _gradient_operator(mesh)
-        return b, mesh.barycenters, b
-    return block.bt, block.barycenters, block.bf
+        return b, mesh.barycenters, b.T
+    return block.bt, block.barycenters, block.bf_t
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
@@ -174,13 +175,13 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
     is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
     """
     u = _check_field(mesh, u)
-    rows, x, cols = _operators(mesh, block)
+    rows, x, cols_t = _operators(mesh, block)
     grads = (rows @ u).reshape(-1, 2)
     if eps == 0.0:
         a = eval_flux(flux, x, grads)
     else:
         a = eval_flux_smoothed(flux, x, grads, eps)
-    return cols.T @ (mesh.tri_area * a).ravel()
+    return cols_t @ (mesh.tri_area * a).ravel()
 
 
 def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:

@@ -310,14 +310,21 @@ def cmd_suite(args) -> int:
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL
 
 
-def _closed_form(oracle, p_path, *args):
-    """oracle(*args), with an overflow at p reported at the path of p."""
+def _closed_form(kind, values, prefix):
+    """(capacity, RadialSpec or None) of the radial or strip closed form at
+    ``values``, keyed as in a config's oracle block; an argument the oracle
+    rejects is reported at its path, ``prefix`` and then its key."""
     try:
-        return oracle(*args)
+        if kind == "radial":
+            spec = RadialSpec(values["n"], values["p"], values["r"],
+                              values["R"])
+            return radial_p_capacity(spec), spec
+        return strip_capacity(values["p"], values["a"], values["b"],
+                              values["Ly"]), None
     except InvalidInput as exc:
-        if exc.field != "p":
+        if exc.field is None:
             raise
-        raise ConfigError(str(exc), p_path) from exc
+        raise ConfigError(str(exc), prefix + exc.field) from exc
 
 
 def cmd_converge(args) -> int:
@@ -326,16 +333,10 @@ def cmd_converge(args) -> int:
     t0 = time.time()
     orc = cfg.oracle
     oracle_value = orc.get("value")
-    if oracle_value is None and "radial" in orc:
-        r = orc["radial"]
-        oracle_value = _closed_form(
-            radial_p_capacity, "oracle.radial.p",
-            RadialSpec(r["n"], r["p"], r["r"], r["R"]))
-    elif oracle_value is None and "strip" in orc:
-        strip = orc["strip"]
-        oracle_value = _closed_form(strip_capacity, "oracle.strip.p",
-                                    strip["p"], strip["a"], strip["b"],
-                                    strip["Ly"])
+    for kind in ("radial", "strip"):
+        if oracle_value is None and kind in orc:
+            oracle_value, _ = _closed_form(kind, orc[kind],
+                                           f"oracle.{kind}.")
     report = properties.run_convergence_study(
         cfg.e_shape, cfg.f_shape, cfg.flux, cfg.n_list, oracle_value,
         orc["tol"], cfg.mesh_l, orc.get("reference_flux"), cfg.solver)
@@ -371,10 +372,9 @@ def cmd_oracle(args) -> int:
         if args.r is None or args.big_r is None:
             print("radial oracle needs --r and --R", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        spec = RadialSpec(args.n, args.p, args.r, args.big_r)
         body = {"kind": "radial", "n": args.n, "p": args.p, "r": args.r,
-                "R": args.big_r,
-                "value": _closed_form(radial_p_capacity, "--p", spec)}
+                "R": args.big_r}
+        body["value"], spec = _closed_form("radial", body, "--")
         if args.numeric is not None:
             body["numeric"] = radial_numeric(spec, p_laplacian(args.p),
                                              args.numeric)
@@ -383,9 +383,8 @@ def cmd_oracle(args) -> int:
             print("strip oracle needs --a and --b", file=sys.stderr)
             return EXIT_BAD_CONFIG
         body = {"kind": "strip", "p": args.p, "a": args.a, "b": args.b,
-                "Ly": args.ly,
-                "value": _closed_form(strip_capacity, "--p", args.p,
-                                      args.a, args.b, args.ly)}
+                "Ly": args.ly}
+        body["value"], _ = _closed_form("strip", body, "--")
     print(dumps_report(body))
     return EXIT_OK
 

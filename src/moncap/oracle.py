@@ -22,11 +22,13 @@ class RadialSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise InvalidInput("dimension must be >= 2")
+            raise InvalidInput("dimension must be >= 2", "n")
         if not self.p > 1:
-            raise InvalidInput("need p > 1")
-        if not (0 < self.r < self.big_r):
-            raise InvalidInput("radii must satisfy 0 < r < R")
+            raise InvalidInput("need p > 1", "p")
+        if not 0 < self.r:
+            raise InvalidInput("radii must satisfy 0 < r < R", "r")
+        if not self.r < self.big_r:
+            raise InvalidInput("radii must satisfy 0 < r < R", "R")
 
 
 def sphere_measure(n: int) -> float:
@@ -55,11 +57,13 @@ def radial_p_capacity(spec: RadialSpec) -> float:
 def strip_capacity(p: float, a: float, b: float, ly: float) -> float:
     """Capacity of the slab capacitor: Ly * (b - a)^(1-p)."""
     if not p > 1:
-        raise InvalidInput("need p > 1")
-    if not (0 <= a < b):
-        raise InvalidInput("need 0 <= a < b")
+        raise InvalidInput("need p > 1", "p")
+    if not 0 <= a:
+        raise InvalidInput("need 0 <= a < b", "a")
+    if not a < b:
+        raise InvalidInput("need 0 <= a < b", "b")
     if not ly > 0:
-        raise InvalidInput("need Ly > 0")
+        raise InvalidInput("need Ly > 0", "Ly")
     try:
         value = ly * (b - a) ** (1.0 - p)
     except OverflowError:

@@ -372,6 +372,20 @@ class TestConvergeCommand:
         assert "config error: oracle.strip.p: the strip capacity " \
             "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, args, path", [
+        ("radial", {"r": 0.5, "R": 0.2}, "oracle.radial.R"),
+        ("radial", {"r": -0.1, "R": 0.4}, "oracle.radial.r"),
+        ("strip", {"a": 0.75, "b": 0.25}, "oracle.strip.b"),
+        ("strip", {"a": -0.25, "b": 0.75}, "oracle.strip.a")])
+    def test_bad_oracle_arguments_exit_2_with_path(self, tmp_path, capsys,
+                                                   kind, args, path):
+        body = annulus_cfg(str(tmp_path / "out"), n=8)
+        body["N_list"] = [8, 16]
+        body["oracle"] = {kind: {"p": 2.0, **args}}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["converge", cfg]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_radial(self, capsys):
@@ -411,6 +425,19 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert "config error: --p: the strip capacity overflows" \
             in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, path", [
+        (["radial", "--r", "0.5", "--R", "0.2"], "--R"),
+        (["radial", "--r", "0", "--R", "0.2"], "--r"),
+        (["radial", "--n", "1", "--r", "0.1", "--R", "0.2"], "--n"),
+        (["strip", "--a", "0.5", "--b", "0.2"], "--b"),
+        (["strip", "--a", "-0.5", "--b", "0.2"], "--a"),
+        (["strip", "--a", "0.1", "--b", "0.2", "--Ly", "0"], "--Ly")])
+    def test_bad_arguments_exit_2_with_path(self, argv, path, capsys):
+        assert main(["oracle", *argv, "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}: " in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("m", ["0", "3", str(MAX_NUMERIC_CELLS + 1),

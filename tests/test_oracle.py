@@ -36,6 +36,14 @@ class TestClosedForms:
         with pytest.raises(InvalidInput):
             RadialSpec(2, 2.0, 0.4, 0.4)
 
+    @pytest.mark.parametrize("args, field", [
+        ((1, 2.0, 0.1, 0.4), "n"), ((2, 1.0, 0.1, 0.4), "p"),
+        ((2, 2.0, 0.0, 0.4), "r"), ((2, 2.0, 0.5, 0.2), "R")])
+    def test_rejection_names_its_field(self, args, field):
+        with pytest.raises(InvalidInput) as info:
+            RadialSpec(*args)
+        assert info.value.field == field
+
     def test_n3_sphere_measure(self):
         assert sphere_measure(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
@@ -60,6 +68,14 @@ class TestStrip:
     def test_bad_interval(self):
         with pytest.raises(InvalidInput):
             strip_capacity(2.0, 0.75, 0.25, 1.0)
+
+    @pytest.mark.parametrize("args, field", [
+        ((1.0, 0.25, 0.75, 1.0), "p"), ((2.0, -0.1, 0.75, 1.0), "a"),
+        ((2.0, 0.75, 0.25, 1.0), "b"), ((2.0, 0.25, 0.75, 0.0), "Ly")])
+    def test_rejection_names_its_field(self, args, field):
+        with pytest.raises(InvalidInput) as info:
+            strip_capacity(*args)
+        assert info.value.field == field
 
 
 class TestRadialNumeric:

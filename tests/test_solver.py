@@ -3,9 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from moncap import solver
-from moncap.assembly import FreeBlock, p2_stiffness, residual
+from moncap.assembly import (FreeBlock, jacobian_matrix, p2_stiffness,
+                             residual)
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -13,7 +16,7 @@ from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform)
 from moncap.mesh import (build_mesh, complement, difference,
                          discrete_boundary, disk, halfplane, rasterize, rect,
-                         shape_all, shape_difference, shape_none)
+                         shape_all, shape_difference, shape_none, shape_union)
 from moncap.properties import INVARIANCE_TOL, run_invariance_suite
 from moncap.solver import SolverOptions, solve_dirichlet
 
@@ -354,37 +357,38 @@ class TestNewtonBudget:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-def _counting(monkeypatch, name, replacement=None):
-    """Record each call the solver makes to ``spla.<name>``, passing it on
-    to ``replacement`` or to scipy."""
+def _counting(monkeypatch, owner, name, replacement=None):
+    """Record each call the solver makes to ``owner.<name>`` (``solver``'s
+    ``_factor`` or its ``spla.gmres``), passing it on to ``replacement`` or
+    to the original."""
     calls = []
-    target = replacement or getattr(solver.spla, name)
+    target = replacement or getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return target(*args, **kwargs)
-    monkeypatch.setattr(solver.spla, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def _one_factor_at_a_time(monkeypatch):
-    """Count spla.splu calls, failing any call made while an earlier
-    factor is still referenced."""
+    """Count solver._factor calls, banded and SuperLU alike, failing any
+    call made while an earlier factor is still referenced."""
     live = weakref.WeakSet()
     calls = []
-    real = solver.spla.splu
+    real = solver._factor
 
     class Factor:
         def __init__(self, lu):
             self.solve = lu.solve
 
-    def splu(*args, **kwargs):
+    def factor(*args, **kwargs):
         assert not live, "a new factor while the last one is held"
         calls.append(1)
         lu = Factor(real(*args, **kwargs))
         live.add(lu)
         return lu
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    monkeypatch.setattr(solver, "_factor", factor)
     return calls
 
 
@@ -415,8 +419,8 @@ class TestStaleFactorKrylov:
         def solve():
             return compute_capacity(mesh, flux, e, f)
         direct, _ = self.direct(monkeypatch, solve)
-        factors = _counting(monkeypatch, "splu")
-        gmres = _counting(monkeypatch, "gmres")
+        factors = _counting(monkeypatch, solver, "_factor")
+        gmres = _counting(monkeypatch, solver.spla, "gmres")
         krylov, field = solve()
         assert direct.converged and krylov.converged and gmres
         assert len(factors) < field.iterations
@@ -438,7 +442,7 @@ class TestStaleFactorKrylov:
             mesh, p_laplacian(3.0), e, f, 1.0,
             SolverOptions(init="given", init_field=start)))
         factors = _one_factor_at_a_time(monkeypatch)
-        gmres = _counting(monkeypatch, "gmres",
+        gmres = _counting(monkeypatch, solver.spla, "gmres",
                           lambda a, b, **kwargs: (np.zeros_like(b), info))
         field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
         assert field.converged and field.iterations > 1
@@ -465,8 +469,8 @@ class TestStaleFactorKrylov:
         mesh = build_mesh(48)
         assert (mesh.n - 1) ** 2 < solver.KRYLOV_MIN_NODES
         e, f = annulus_sets(mesh, 0.1, 0.45)
-        gmres = _counting(monkeypatch, "gmres")
-        factors = _counting(monkeypatch, "splu")
+        gmres = _counting(monkeypatch, solver.spla, "gmres")
+        factors = _counting(monkeypatch, solver, "_factor")
         field = solve_dirichlet(mesh, flat_core_p(2.0, 3.0), e, f, 1.0)
         assert field.converged and field.iterations > 0
         assert not gmres and len(factors) > field.iterations
@@ -478,7 +482,7 @@ class TestStaleFactorKrylov:
         # sum of their squares overflows: no forcing term can be formed, so
         # the steps are direct, and no RuntimeWarning escapes
         mesh, e, f = large
-        gmres = _counting(monkeypatch, "gmres")
+        gmres = _counting(monkeypatch, solver.spla, "gmres")
         field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1e100)
         assert field.converged and field.iterations > 0 and not gmres
         assert not [w for w in recwarn if w.category is RuntimeWarning]
@@ -537,7 +541,7 @@ class TestMultigridCycle:
         mesh = build_mesh(96)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
-        gmres = _counting(monkeypatch, "gmres")
+        gmres = _counting(monkeypatch, solver.spla, "gmres")
         report, field = compute_capacity(mesh, flux, e, f)
         assert report.converged and field.iterations == 0 and not gmres
         with monkeypatch.context() as m:
@@ -592,6 +596,124 @@ class TestMultigridCycle:
         with pytest.raises(InvalidInput, match="the capacity overflows"):
             compute_capacity(mesh, p_laplacian(2.0), e, f, 1e160)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+def _block(mesh, e_shape, f_shape):
+    e, f = rasterize(e_shape, mesh, "E"), rasterize(f_shape, mesh, "F")
+    return FreeBlock(mesh, f.mask & ~e.mask)
+
+
+def _agrees_with_superlu(a, lu):
+    """lu solves like a SuperLU factor of a, to round-off."""
+    b = np.random.default_rng(0).standard_normal(a.shape[0])
+    want = spla.splu(a, permc_spec="NATURAL").solve(b)
+    got = lu.solve(b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return got
+
+
+class TestBandLU:
+    """Free blocks of small bandwidth in a grid order are factored as a
+    band by LAPACK, the rest by SuperLU; both solve in block order."""
+
+    @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
+                                      anisotropic_p(1.5, 2.0, 0.5)],
+                             ids=["p_laplacian", "flat_core_p",
+                                  "anisotropic_p"])
+    @pytest.mark.parametrize("shapes", [
+        (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
+        (disk(0.3, 0.6, 0.05), rect(0.1, 0.2, 0.7, 0.9)),
+        (disk(0.6, 0.4, 0.2), shape_all())], ids=["annulus", "rect", "box"])
+    def test_suite_sized_blocks_agree_with_superlu(self, flux, shapes):
+        mesh = build_mesh(48)
+        block = _block(mesh, *shapes)
+        u = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
+        for a in (p2_stiffness(mesh, block),
+                  jacobian_matrix(mesh, flux, u, 1e-10, shift=1e-9,
+                                  block=block)):
+            lu = solver._factor(a, block)
+            assert isinstance(lu, solver._BandLU)
+            _agrees_with_superlu(a, lu)
+
+    def test_nonsymmetric_shifted_jacobian_needs_pivoting(self):
+        # the skew Jacobian of linear_matrix, shifted down to a tenth of
+        # its diagonal, with its lower triangle (in block order) scaled
+        # up: off-diagonal entries now dominate, so rows are swapped
+        mesh = build_mesh(24)
+        block = _block(mesh, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        flux = linear_matrix([[1.0, 0.5], [-0.5, 1.0]])
+        jac = jacobian_matrix(mesh, flux, np.zeros(mesh.n_nodes), 0.0,
+                              shift=1e-9, block=block)
+        a = (jac - 0.9 * sp.diags(jac.diagonal())
+             + 3.0 * sp.tril(jac, -1)).tocsc()
+        lu = solver._factor(a, block)
+        assert isinstance(lu, solver._BandLU)
+        assert np.any(lu.piv != np.arange(a.shape[0]))
+        _agrees_with_superlu(a, lu)
+
+    @pytest.mark.parametrize("stored", [True, False],
+                             ids=["zero_entries", "no_entries"])
+    def test_singular_block_gives_no_direction(self, stored):
+        # a flat Jacobian with no floor can be all zeros, stored or, once
+        # sparse products drop them, not stored at all
+        mesh = build_mesh(16)
+        block = _block(mesh, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        a = p2_stiffness(mesh, block)
+        a.data[:] = 0.0
+        if not stored:
+            a.eliminate_zeros()
+        for factor in (lambda: solver._factor(a, block),
+                       lambda: spla.splu(a, permc_spec="NATURAL")):
+            with pytest.raises(RuntimeError):
+                factor()
+        state = solver._NewtonState(mesh, p_laplacian(3.0), block,
+                                    SolverOptions(), [])
+        assert state._direct(a, np.ones(a.shape[0])) is None
+        assert state.precond is None
+
+    def test_one_node_block(self):
+        mesh = build_mesh(8)
+        free = np.zeros(mesh.n_nodes, dtype=bool)
+        free[mesh.node_index(4, 4)] = True
+        block = FreeBlock(mesh, free)
+        a = p2_stiffness(mesh, block)
+        lu = solver._factor(a, block)
+        assert isinstance(lu, solver._BandLU) and lu.kl == lu.ku == 0
+        assert _agrees_with_superlu(a, lu).shape == (1,)
+
+    def test_wide_strip_takes_column_order(self):
+        # the strip is 64 nodes wide and 7 high: column-major order keeps
+        # each entry within a few places of the diagonal
+        mesh = build_mesh(64)
+        block = _block(mesh, shape_none(), rect(0.0, 0.45, 1.0, 0.55))
+        a = p2_stiffness(mesh, block)
+        side = mesh.n + 1
+        order, col, below = solver._band_order(a, block)
+        nodes = block.nodes
+        assert np.array_equal(order,
+                              np.argsort(nodes % side * side + nodes // side))
+        assert np.max(np.abs(below)) < 10
+        _agrees_with_superlu(a, solver._factor(a, block))
+
+    def test_thin_cross_goes_to_superlu(self):
+        # a cross two nodes wide: in either grid order the nodes of one arm
+        # sit about a grid side apart next to the crossing, and a band that
+        # wide would cost far more than the sparse factor
+        mesh = build_mesh(256)
+        cross = shape_union(rect(0.0, 0.499, 1.0, 0.504),
+                            rect(0.499, 0.0, 0.504, 1.0))
+        block = _block(mesh, shape_none(), cross)
+        a = p2_stiffness(mesh, block)
+        assert solver._band_order(a, block) is None
+        lu = solver._factor(a, block)
+        assert isinstance(lu, spla.SuperLU)
+        _agrees_with_superlu(a, lu)
+
+    def test_coarse_level_keeps_superlu(self):
+        mesh = build_mesh(96)
+        _, cycle = TestMultigridCycle.cycle(mesh, *annulus_sets(mesh, 0.1,
+                                                                0.4))
+        assert isinstance(cycle.coarse, spla.SuperLU)
 
 
 class TestFreeBlockWork:
