@@ -14,10 +14,11 @@ block diagonal of |T| times the 2x2 flux Jacobians.  Sparse products sum
 in a fixed order, so identical inputs give bitwise identical outputs.
 
 A solve's ``FreeBlock`` keeps B's rows for the triangles that touch a free
-node, and those rows restricted to the free nodes in a nested-dissection
-order of the grid.  The solver's residuals and Jacobians evaluate the flux
-on those triangles only, and the block's LU factor needs no fill-reducing
-reordering.
+node, and those rows restricted to the free nodes, ordered once: in grid
+row- or column-major order when the block is a narrow band in it, else in
+a nested-dissection order of the grid.  The solver's residuals and
+Jacobians evaluate the flux on those triangles only, and the block's LU
+factor, banded or sparse, needs no reordering of its own.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ import scipy.sparse as sp
 from .errors import InvalidInput
 from .flux import Flux, eval_flux, eval_flux_smoothed, flux_jacobian
 from .mesh import Mesh
+
+# A free block of n nodes whose bandwidth in a grid order is at most
+# BAND_C n^(1/4) is factored as a band by LAPACK, others by SuperLU in
+# dissection order.  Band LU costs about n bw^2, SuperLU's dissection order
+# about n^1.5 on compact blocks: the fitted crossover sends compact blocks
+# above about 5,000 nodes and thin wide shapes to SuperLU (CHANGES.md).
+BAND_C = 9.5
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -133,11 +141,43 @@ def _dissection_rank(mesh: Mesh) -> np.ndarray:
     return mesh._cache[key]
 
 
+def _grid_span(grid: np.ndarray) -> int:
+    """The most places, in row-major order of grid's True entries, that a
+    mesh edge between two of them spans; edges join [r, c] to [r, c + 1],
+    [r + 1, c] and [r + 1, c + 1], in grid and in its transpose alike."""
+    pos = np.cumsum(grid).reshape(grid.shape)
+    # an edge with an end outside the mask spans a negative distance
+    hi = np.where(grid, pos, -grid.size)
+    lo = np.where(grid, pos, grid.size)
+    return max(0, int((hi[:, 1:] - lo[:, :-1]).max()),
+               int((hi[1:] - lo[:-1]).max()),
+               int((hi[1:, 1:] - lo[:-1, :-1]).max()))
+
+
+def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
+    """The free nodes in grid row-major (node (i, j) at j (N+1) + i) or
+    column-major order, whichever the free-free mesh edges span fewer places
+    in (row-major on a tie), when that span, which bounds the bandwidth of
+    every block matrix, is at most BAND_C n^(1/4); else in the mesh's
+    dissection order, whose rank is built only then."""
+    side = mesh.n + 1
+    grid = free.reshape(side, side)          # grid[j, i] is node (i, j)
+    by_row, by_column = _grid_span(grid), _grid_span(grid.T)
+    nodes = np.flatnonzero(free)
+    if min(by_row, by_column) > BAND_C * nodes.size ** 0.25:
+        return nodes[np.argsort(_dissection_rank(mesh)[nodes])]
+    if by_column < by_row:
+        # column-major position k = i side + j holds node j side + i
+        k = np.flatnonzero(grid.T)
+        return k % side * side + k // side
+    return nodes
+
+
 class FreeBlock:
     """The free triangles and free nodes of one solve.
 
-    ``nodes`` lists the free nodes in the mesh's dissection order; block
-    vectors and matrices follow it, so the block of a full matrix k is
+    ``nodes`` lists the free nodes in ``_block_order``; block vectors and
+    matrices follow it, so the block of a full matrix k is
     k[nodes][:, nodes].  ``bt`` holds B's rows for the triangles with at
     least one free node (every column), ``bf`` those rows restricted to
     the columns of ``nodes``, and ``bf_t`` its transpose.  Built per solve,
@@ -145,10 +185,9 @@ class FreeBlock:
     """
 
     def __init__(self, mesh: Mesh, free: np.ndarray):
-        nodes = np.flatnonzero(free)
         touched = free[mesh.triangles].any(axis=1)
         self.free = free
-        self.nodes = _frozen(nodes[np.argsort(_dissection_rank(mesh)[nodes])])
+        self.nodes = _frozen(_block_order(mesh, free))
         self.barycenters = mesh.barycenters[touched]
         self.bt = _gradient_operator(mesh)[np.repeat(touched, 2)]
         self.bf = self.bt[:, self.nodes]

@@ -157,9 +157,8 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
         kwargs["max_newton"] = _number(spec["max_newton"],
                                        f"{path}.max_newton", integer=True)
     if "init" in spec:
-        if spec["init"] not in ("zero", "linear_blend", "random"):
-            raise ConfigError("init must be zero|linear_blend|random",
-                              f"{path}.init")
+        # SolverOptions checks the name; a config has no init_field for
+        # "given"
         kwargs["init"] = spec["init"]
     if "init_seed" in spec:
         kwargs["init_seed"] = _number(spec["init_seed"], f"{path}.init_seed",

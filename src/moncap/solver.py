@@ -17,17 +17,14 @@ gradient operator B for the triangles that touch a free node, and B_f,
 those rows restricted to the free columns.  Every residual the solve
 evaluates (line-search trials and true-residual checks included) is
 B_f^T (|T| a(B_t u)), with the flux evaluated on those triangles only.  The
-block's rows and columns follow the mesh's cached nested-dissection order
-of the free nodes.
-
-A block's LU factor is one of two kinds, chosen by ``_factor`` from the
-block's size n and bandwidth alone.  When its bandwidth in grid row-major
-or column-major order, whichever is smaller, is at most BAND_C n^(1/4), it
-is a dense band LU (LAPACK dgbtrf) in that order; the order suite's blocks
-all are.  Larger compact blocks, thin wide shapes and the multigrid
-coarsest level are factored by SuperLU in the dissection order as it is
-(``permc_spec="NATURAL"``) instead of a COLAMD ordering.  Both pivot rows
-partially, for skew and shifted degenerate Jacobians.
+block's rows and columns follow the order ``FreeBlock`` picked for it: a
+grid order in which the block is a narrow band (every order-suite block
+is), else the mesh's nested-dissection order.  ``_factor`` reads only its
+matrix, block or multigrid coarsest level: when every stored entry lies
+within BAND_C n^(1/4) of the diagonal it is a dense band LU (LAPACK
+dgbtrf), else SuperLU in the matrix's own order (``permc_spec="NATURAL"``,
+no COLAMD ordering).  Both pivot rows partially, for skew and shifted
+degenerate Jacobians.
 
 A solve holds one preconditioner at a time, across Newton steps and
 stages.  On blocks below ``KRYLOV_MIN_NODES`` free nodes it is an LU
@@ -56,7 +53,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import FreeBlock, jacobian_matrix, p2_stiffness, residual
+from .assembly import (BAND_C, FreeBlock, _check_field, jacobian_matrix,
+                       p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
 from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
@@ -89,13 +87,6 @@ EW_MAX = 0.1
 # factored, and smooth with JACOBI_WEIGHT D^-1
 COARSE_MAX_NODES = 800
 JACOBI_WEIGHT = 0.6
-# A free block of n nodes whose bandwidth in grid row-major or column-major
-# order is at most BAND_C n^(1/4) is factored as a band, by LAPACK; others,
-# and the multigrid coarse level, by SuperLU.  Band LU costs about n bw^2,
-# SuperLU's dissection order about n^1.5 on compact blocks: the fitted
-# crossover sends compact blocks above about 5,000 nodes and thin wide
-# shapes to SuperLU (table in CHANGES.md).
-BAND_C = 9.5
 # The blend start's CG solve for E at level 1 stops at a residual 2-norm of
 # BLEND_CG_ATOL, a tenth of the p=2 target 1e-10 max(1, |s|) / |s| once
 # scaled by s: p=2 starts converge with no Newton step
@@ -127,6 +118,11 @@ class SolverOptions:
         if not 0 <= self.jacobian_floor < math.inf:
             raise InvalidInput("jacobian_floor must be finite and >= 0",
                                "jacobian_floor")
+        if self.init not in ("zero", "linear_blend", "given", "random"):
+            raise InvalidInput("init must be zero|linear_blend|given|random",
+                               "init")
+        if self.init == "given" and self.init_field is None:
+            raise InvalidInput("init='given' requires init_field", "init")
 
     def resolve_tol(self, flux: Flux, s: float) -> float:
         if self.tol_res is not None:
@@ -158,53 +154,27 @@ class PotentialField:
     touches_outer_boundary: bool = False
 
 
-def _factor(a, block: Optional[FreeBlock] = None):
-    """LU factor of a, a CSC free-free matrix of ``block`` in block order
-    (or the multigrid coarse level, with no block): a banded LU when the
-    block's bandwidth in a grid order is at most BAND_C n^(1/4), else
-    SuperLU in the block's dissection order."""
-    if block is not None:
-        band = _band_order(a, block)
-        if band is not None:
-            return _BandLU(a, *band)
+def _factor(a):
+    """LU factor of a CSC matrix a: a banded LU when its stored entries lie
+    within BAND_C n^(1/4) of the diagonal, else SuperLU in a's own order."""
+    n = a.shape[0]
+    col = np.repeat(np.arange(n), np.diff(a.indptr))
+    below = a.indices - col
+    # initial=0: a Jacobian may store no entry at all
+    kl, ku = int(below.max(initial=0)), -int(below.min(initial=0))
+    if max(kl, ku) <= BAND_C * n ** 0.25:
+        return _BandLU(a, col, below, kl, ku)
     return spla.splu(a, permc_spec="NATURAL")
 
 
-def _band_order(a, block: FreeBlock):
-    """The band order of block matrix a: (order, col, below), or None when
-    its bandwidth exceeds BAND_C n^(1/4).  It is grid row-major or
-    column-major order, whichever has the smaller bandwidth; ``order``
-    lists block indices in it, and each stored entry of a sits in column
-    col and row col + below there."""
-    nodes = block.nodes
-    n = nodes.size
-    side = math.isqrt(block.free.size)      # the grid has side^2 nodes
-    per_column = np.diff(a.indptr)
-    best = None
-    # node (i, j) has index j * side + i: row-major order sorts by index
-    for key in (nodes, nodes % side * side + nodes // side):
-        order = np.argsort(key)
-        position = np.empty(n, dtype=np.intp)
-        position[order] = np.arange(n)
-        col = np.repeat(position, per_column)
-        below = position[a.indices] - col
-        # initial=0: a Jacobian may store no entry at all
-        width = max(int(below.max(initial=0)), -int(below.min(initial=0)))
-        if best is None or width < best[0]:
-            best = (width, order, col, below)
-    width, *band = best
-    return band if width <= BAND_C * n ** 0.25 else None
-
-
 class _BandLU:
-    """LU factor with partial pivoting (LAPACK dgbtrf) of a CSC block a
-    whose entries sit at (col + below, col) of its band order; ``solve``
-    takes and returns vectors in block order, like a SuperLU factor.  An
+    """LU factor with partial pivoting (LAPACK dgbtrf) of a CSC matrix a
+    whose stored entries sit at (col + below, col), kl below and ku above
+    the diagonal at most; ``solve`` works like a SuperLU factor's.  An
     exactly singular pivot raises RuntimeError, as SuperLU does."""
 
-    def __init__(self, a, order, col, below):
+    def __init__(self, a, col, below, kl, ku):
         n = a.shape[0]
-        kl, ku = int(below.max(initial=0)), -int(below.min(initial=0))
         # LAPACK band storage: entry (r, c) in row kl + ku + r - c of
         # column c, under kl rows kept for the fill of row interchanges;
         # built as its transpose in C order, the Fortran-ordered array that
@@ -216,14 +186,10 @@ class _BandLU:
                                          overwrite_ab=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
-        self.order, self.kl, self.ku = order, kl, ku
+        self.kl, self.ku = kl, ku
 
     def solve(self, b):
-        x, _ = dgbtrs(self.lu, self.kl, self.ku, b[self.order], self.piv,
-                      overwrite_b=1)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv)[0]
 
 
 def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
@@ -243,7 +209,7 @@ def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):
     k = p2_stiffness(mesh, block)
     out = u.copy()
     if block.nodes.size < KRYLOV_MIN_NODES:
-        lu = _factor(k, block)
+        lu = _factor(k)
         out[block.nodes] = lu.solve(_blend_rhs(mesh, block, u))
         return out, lu
     # k is symmetric, so its transpose is k itself in CSR, the format the
@@ -354,22 +320,17 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     block = FreeBlock(mesh, free)
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
-    if opts.init == "zero":
-        pass
-    elif opts.init == "linear_blend":
+    # init "zero" starts from u as it is
+    if opts.init == "linear_blend":
         u, state.precond = _linear_blend_init(mesh, block, u, s)
     elif opts.init == "given":
-        if opts.init_field is None:
-            raise InvalidInput("init='given' requires init_field")
-        u = np.asarray(opts.init_field, dtype=float).copy()
+        u = _check_field(mesh, opts.init_field).copy()
         u[e.mask] = s
         u[~f.mask] = 0.0
     elif opts.init == "random":
         rng = np.random.default_rng(opts.init_seed)
         lo, hi = min(0.0, s), max(0.0, s)
         u[free] = rng.uniform(lo, hi, size=int(free.sum()))
-    else:
-        raise InvalidInput(f"unknown init {opts.init!r}")
 
     # a start that overflows is rejected just below as not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -487,7 +448,7 @@ class _NewtonState:
         fails."""
         self.precond = None
         try:
-            self.precond = _factor(kff, self.block)
+            self.precond = _factor(kff)
         except RuntimeError:
             return None
         delta = self.precond.solve(-r)

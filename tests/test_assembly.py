@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from moncap.assembly import (FreeBlock, _dissection_rank, gradients,
+from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank, gradients,
                              jacobian_matrix, p2_stiffness, pairing,
                              residual)
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
-from moncap.mesh import build_mesh, disk, rasterize, rect
+from moncap.mesh import (build_mesh, disk, rasterize, rect, shape_none,
+                         shape_union)
 
 # one flux of each kind; a kind added to FLUX_KINDS needs an entry here
 KIND_EXAMPLES = {
@@ -229,8 +230,9 @@ def sub_block(k, nodes):
 
 class TestFreeBlock:
     """The free block is k[nodes][:, nodes], and the block residual
-    r[nodes], bit for bit, with ``nodes`` the free nodes in dissection
-    order, built from only the triangles that touch free nodes."""
+    r[nodes], bit for bit, with ``nodes`` the free nodes in the block's
+    grid or dissection order, built from only the triangles that touch
+    free nodes."""
 
     def check(self, m, free, fl, u, eps=1e-8, shift=1e-9):
         k = jacobian_matrix(m, fl, u, eps, shift)
@@ -270,6 +272,48 @@ class TestFreeBlock:
         assert free.any()
         for fl in (p_laplacian(3.0), flat_core_p(2.0, 0.5)):
             self.check(m, free, fl, rand_field(m, 5))
+
+    def test_order_follows_mesh_edge_spans(self):
+        # reference for _block_order: the most places a free-free triangle
+        # edge spans in row-major and in column-major order pick the order.
+        # That span bounds every block matrix's stored bandwidth: sparse
+        # products drop exact zeros, so a matrix is only narrower.  Small u
+        # puts most triangles in the flat core, where the unshifted
+        # Jacobian is zero
+        rng = np.random.default_rng(8)
+        m16, m64 = build_mesh(16), build_mesh(64)
+        cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
+                            rect(0.49, 0.0, 0.52, 1.0))
+        cases = [(m16, rng.random(m16.n_nodes) < frac)
+                 for frac in (0.1, 0.5, 0.9, 1.0)]
+        # two nodes wide, the cross bands in neither grid order
+        cases.append((m64, pair_free(m64, shape_none(), cross)))
+        for m, free in cases:
+            a, b = m.triangles.ravel(), m.triangles[:, [1, 2, 0]].ravel()
+            both = free[a] & free[b]
+
+            def span(order):
+                position = np.empty(m.n_nodes, dtype=np.intp)
+                position[order] = np.arange(order.size)
+                return np.abs(position[a[both]]
+                              - position[b[both]]).max(initial=0)
+            side = m.n + 1
+            nodes = np.flatnonzero(free)
+            by_column = nodes[np.argsort(nodes % side * side + nodes // side)]
+            row, column = span(nodes), span(by_column)
+            if min(row, column) > BAND_C * nodes.size ** 0.25:
+                want = nodes[np.argsort(_dissection_rank(m)[nodes])]
+            else:
+                want = by_column if column < row else nodes
+            block = FreeBlock(m, free)
+            assert np.array_equal(block.nodes, want)
+            for k in (p2_stiffness(m, block),
+                      *(jacobian_matrix(m, flat_core_p(2.0, 0.5),
+                                        rand_field(m, 9, 0.01), 0.0, shift,
+                                        block=block)
+                        for shift in (0.0, 1e-9))):
+                col = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
+                assert np.abs(k.indices - col).max(initial=0) <= span(want)
 
     def test_single_free_node(self):
         m = build_mesh(8)
@@ -320,13 +364,17 @@ class TestDissectionOrder:
         assert np.array_equal(np.sort(rank), np.arange(m.n_nodes))
 
     def test_built_once_per_mesh_at_first_use(self):
-        m = build_mesh(12)
+        # an annulus block bands in row-major order and needs no rank; a
+        # cross two nodes wide does not band, and builds it
+        m = build_mesh(64)
+        FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)))
         assert "dissection_rank" not in m._cache
-        free = pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
-        FreeBlock(m, free)
+        cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
+                            rect(0.49, 0.0, 0.52, 1.0))
+        FreeBlock(m, pair_free(m, shape_none(), cross))
         rank = m._cache["dissection_rank"]
         assert not rank.flags.writeable
-        FreeBlock(m, ~free)
+        FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1), cross))
         assert _dissection_rank(m) is rank
 
     def test_build_leaves_no_garbage_cycles(self):

@@ -101,6 +101,9 @@ def test_bad_spec_names_its_path(spec, message, path):
     ("init_seed", -3, "init_seed must be an integer >= 0"),
     ("tol_res", float("inf"), "expected a number, got inf"),
     ("tol_res", 0.0, "tol_res must be positive and finite"),
+    ("init", "bogus", "init must be zero|linear_blend|given|random"),
+    # a config cannot carry a start field
+    ("init", "given", "init='given' requires init_field"),
 ])
 def test_bad_solver_option_names_its_key(key, value, message):
     with pytest.raises(ConfigError) as exc:

@@ -38,6 +38,13 @@ class TestOrderSuite:
         rep = run_order_suite(MESH, [p_laplacian(2.0)], 4, seed=4)
         assert "worst_margin" in rep.to_dict()
 
+    def test_banded_blocks_build_no_dissection_rank(self):
+        # every block of a 70-instance N = 48 order suite bands in a grid
+        # order
+        mesh = build_mesh(48)
+        assert run_order_suite(mesh, FAMILY, 70, 7).passed
+        assert "dissection_rank" not in mesh._cache
+
     def test_weighted_sum_flux(self):
         # the suite cache keys each solve on flux.describe(), which must be
         # JSON-serialisable for the nested parts of a weighted sum too

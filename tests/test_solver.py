@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from moncap import solver
-from moncap.assembly import (FreeBlock, jacobian_matrix, p2_stiffness,
-                             residual)
+from moncap.assembly import (FreeBlock, _dissection_rank, jacobian_matrix,
+                             p2_stiffness, residual)
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -94,6 +94,22 @@ class TestDegenerateInputs:
         pf = solve_dirichlet(mesh, p_laplacian(2.0), e, e, 1.0)
         assert pf.converged
         assert pf.residual_max == 0.0
+
+    @pytest.mark.parametrize("opts", [dict(init="bogus"), dict(init="given")],
+                             ids=["unknown", "given_without_field"])
+    def test_bad_init_rejected_at_construction(self, opts):
+        # an s = 0 solve makes no start, so only construction sees these
+        with pytest.raises(InvalidInput) as exc:
+            SolverOptions(**opts)
+        assert exc.value.field == "init"
+
+    def test_given_field_needs_one_value_per_node(self):
+        mesh = build_mesh(16)
+        e, f = annulus_sets(mesh)
+        opts = SolverOptions(init="given",
+                             init_field=np.zeros(mesh.n_nodes - 1))
+        with pytest.raises(InvalidInput, match="mesh has 289 nodes"):
+            solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
 
 
 class TestDirichletExactness:
@@ -187,8 +203,9 @@ class TestFlatCore:
 
 class TestRandomStart:
     def test_drawn_in_mask_order(self):
-        # the factor's dissection order of the free nodes must not reach
-        # the random start: its draw fills u[free] in node-index order
+        # the block's order of the free nodes (here row-major, elsewhere
+        # column-major or dissection order) must not reach the random
+        # start: its draw fills u[free] in node-index order
         mesh = build_mesh(16)
         e, f = annulus_sets(mesh)
         free = f.mask & ~e.mask
@@ -560,9 +577,11 @@ class TestMultigridCycle:
         monkeypatch.setattr(solver, "COARSE_MAX_NODES", 200)
         mesh = build_mesh(n)
         e, f = sets(mesh)
-        _, cycle = self.cycle(mesh, e, f)
+        k, cycle = self.cycle(mesh, e, f)
         assert len(cycle.levels) == levels
-        assert cycle.coarse.shape[0] <= solver.COARSE_MAX_NODES
+        # the coarsest level is a banded or a SuperLU factor
+        coarse = cycle.levels[-1][2].shape[1] if cycle.levels else k.shape[0]
+        assert coarse <= solver.COARSE_MAX_NODES
         for a, _, p, _ in cycle.levels:
             assert p.shape[0] == a.shape[0] > p.shape[1] > 0
         block = FreeBlock(mesh, f.mask & ~e.mask)
@@ -613,8 +632,9 @@ def _agrees_with_superlu(a, lu):
 
 
 class TestBandLU:
-    """Free blocks of small bandwidth in a grid order are factored as a
-    band by LAPACK, the rest by SuperLU; both solve in block order."""
+    """A free block whose mesh edges span few places in a grid order is
+    assembled in that order and factored as a band by LAPACK, the rest in
+    dissection order by SuperLU; both solve in block order."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       anisotropic_p(1.5, 2.0, 0.5)],
@@ -631,7 +651,7 @@ class TestBandLU:
         for a in (p2_stiffness(mesh, block),
                   jacobian_matrix(mesh, flux, u, 1e-10, shift=1e-9,
                                   block=block)):
-            lu = solver._factor(a, block)
+            lu = solver._factor(a)
             assert isinstance(lu, solver._BandLU)
             _agrees_with_superlu(a, lu)
 
@@ -646,7 +666,7 @@ class TestBandLU:
                               shift=1e-9, block=block)
         a = (jac - 0.9 * sp.diags(jac.diagonal())
              + 3.0 * sp.tril(jac, -1)).tocsc()
-        lu = solver._factor(a, block)
+        lu = solver._factor(a)
         assert isinstance(lu, solver._BandLU)
         assert np.any(lu.piv != np.arange(a.shape[0]))
         _agrees_with_superlu(a, lu)
@@ -662,7 +682,7 @@ class TestBandLU:
         a.data[:] = 0.0
         if not stored:
             a.eliminate_zeros()
-        for factor in (lambda: solver._factor(a, block),
+        for factor in (lambda: solver._factor(a),
                        lambda: spla.splu(a, permc_spec="NATURAL")):
             with pytest.raises(RuntimeError):
                 factor()
@@ -677,7 +697,7 @@ class TestBandLU:
         free[mesh.node_index(4, 4)] = True
         block = FreeBlock(mesh, free)
         a = p2_stiffness(mesh, block)
-        lu = solver._factor(a, block)
+        lu = solver._factor(a)
         assert isinstance(lu, solver._BandLU) and lu.kl == lu.ku == 0
         assert _agrees_with_superlu(a, lu).shape == (1,)
 
@@ -688,12 +708,11 @@ class TestBandLU:
         block = _block(mesh, shape_none(), rect(0.0, 0.45, 1.0, 0.55))
         a = p2_stiffness(mesh, block)
         side = mesh.n + 1
-        order, col, below = solver._band_order(a, block)
         nodes = block.nodes
-        assert np.array_equal(order,
-                              np.argsort(nodes % side * side + nodes // side))
-        assert np.max(np.abs(below)) < 10
-        _agrees_with_superlu(a, solver._factor(a, block))
+        assert np.all(np.diff(nodes % side * side + nodes // side) > 0)
+        lu = solver._factor(a)
+        assert isinstance(lu, solver._BandLU) and max(lu.kl, lu.ku) < 10
+        _agrees_with_superlu(a, lu)
 
     def test_thin_cross_goes_to_superlu(self):
         # a cross two nodes wide: in either grid order the nodes of one arm
@@ -703,9 +722,9 @@ class TestBandLU:
         cross = shape_union(rect(0.0, 0.499, 1.0, 0.504),
                             rect(0.499, 0.0, 0.504, 1.0))
         block = _block(mesh, shape_none(), cross)
+        assert np.all(np.diff(_dissection_rank(mesh)[block.nodes]) > 0)
         a = p2_stiffness(mesh, block)
-        assert solver._band_order(a, block) is None
-        lu = solver._factor(a, block)
+        lu = solver._factor(a)
         assert isinstance(lu, spla.SuperLU)
         _agrees_with_superlu(a, lu)
 
