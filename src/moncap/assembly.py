@@ -1,24 +1,18 @@
 """Discrete monotone operator on the P1 space.
 
-Every assembly is a product with one sparse matrix per mesh: the P1
-gradient operator B, whose rows 2t and 2t+1 give the x and y gradient of a
-field on triangle t.  With the flux evaluated at triangle barycenters
-(one-point quadrature, exact for P1 fields when the flux has no
-x-dependence) the operator pairing is
-
-    <A u, v> = sum_T |T| a(x_T, grad u|_T) . grad v|_T
-             = v^T B^T (|T| a(B u)),
-
-so the residual is B^T (|T| a(B u)) and its Jacobian B^T D B, with D the
-block diagonal of |T| times the 2x2 flux Jacobians.  Sparse products sum
-in a fixed order, so identical inputs give bitwise identical outputs.
-
-A solve's ``FreeBlock`` keeps B's rows for the triangles that touch a free
-node, and those rows restricted to the free nodes, ordered once: in grid
-row- or column-major order when the block is a narrow band in it, else in
-a nested-dissection order of the grid.  The solver's residuals and
-Jacobians evaluate the flux on those triangles only, and the block's LU
-factor, banded or sparse, needs no reordering of its own.
+The P1 gradient operator B, one sparse matrix per mesh, has rows 2t and
+2t+1 giving the x and y gradient of a field on triangle t.  With the flux
+at triangle barycenters (one-point quadrature, exact for P1 fields when
+the flux has no x-dependence) <A u, v> = sum_T |T| a(x_T, grad u|_T) .
+grad v|_T = v^T B^T (|T| a(B u)), so the residual is B^T (|T| a(B u)) and
+its Jacobian B^T D B, D the block diagonal of |T| times the 2x2 flux
+Jacobians.  A solve's ``FreeBlock`` keeps B's rows for the triangles that
+touch a free node and their free columns, in a grid or nested-dissection
+order picked once.  Its Jacobian and p = 2 stiffness matrix are one
+bincount of the triangles' element matrices, 2x2 matrices times constant
+weights of the two triangle shapes, into its 7-point stencil pattern.
+Sparse products and bincounts sum in a fixed order: identical inputs give
+bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidInput
 from .flux import Flux, eval_flux, eval_flux_smoothed, flux_jacobian
-from .mesh import Mesh
+from .mesh import Mesh, touched_triangles
 
 # A free block of n nodes whose bandwidth in a grid order is at most
 # BAND_C n^(1/4) is factored as a band by LAPACK, others by SuperLU in
@@ -38,6 +32,19 @@ from .mesh import Mesh
 # about n^1.5 on compact blocks: the fitted crossover sends compact blocks
 # above about 5,000 nodes and thin wide shapes to SuperLU (CHANGES.md).
 BAND_C = 9.5
+
+# Per triangle shape s, lower (n00, n10, n11) then upper (n00, n11, n01): h
+# times the hat gradients g_a of its corners; at 3a + b the direction of
+# corner a from corner b in the 7-point stencil (SW, S, W, self, E, N, NE
+# numbered 0 to 6); and in _WEIGHTS[s] the weights |T| g_a[c] g_b[d] of J's
+# entries 2c + d in element entry 3a + b, |T| g_a . J g_b: exact halves on
+# every mesh, as |T| = h^2 / 2
+_GRADIENTS = np.array([[(-1, 0), (1, -1), (0, 1)], [(0, -1), (1, 0), (-1, 1)]],
+                      dtype=float)
+_DIRECTIONS = np.array([[3, 2, 0, 4, 3, 1, 6, 5, 3],
+                        [3, 0, 1, 6, 3, 4, 5, 2, 3]])
+_WEIGHTS = np.einsum("sac,sbd->scdab", _GRADIENTS,
+                     _GRADIENTS).reshape(2, 4, 9) / 2.0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -47,7 +54,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
-    """B, shape (2 ntri, n_nodes), cached on the mesh at first use.
+    """B, shape (2 ntri, n_nodes), cached on the mesh at first use: per
+    cell, its two triangles' hat gradients _GRADIENTS / h.
 
     Threads sharing a fresh mesh may each build it; the builds are equal,
     so whichever lands in the cache serves them all.
@@ -55,18 +63,9 @@ def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
     key = "gradient_operator"
     if key not in mesh._cache:
         tri = mesh.triangles
-        pts = mesh.nodes[tri]  # (ntri, 3, 2)
-        x = pts[:, :, 0]
-        y = pts[:, :, 1]
-        det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-               - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
-                      axis=1) / det[:, None]
-        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
-                      axis=1) / det[:, None]
         b = sp.csr_matrix(
-            (np.stack([gx, gy], axis=1).ravel(),
-             np.repeat(tri, 2, axis=0).ravel(),
+            (np.tile((_GRADIENTS / mesh.h).transpose(0, 2, 1).ravel(),
+                     mesh.n ** 2), np.repeat(tri, 2, axis=0).ravel(),
              np.arange(0, 6 * len(tri) + 1, 3)),
             shape=(2 * len(tri), mesh.n_nodes))
         for a in (b.data, b.indices, b.indptr):
@@ -157,9 +156,9 @@ def _grid_span(grid: np.ndarray) -> int:
 def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
     """The free nodes in grid row-major (node (i, j) at j (N+1) + i) or
     column-major order, whichever the free-free mesh edges span fewer places
-    in (row-major on a tie), when that span, which bounds the bandwidth of
-    every block matrix, is at most BAND_C n^(1/4); else in the mesh's
-    dissection order, whose rank is built only then."""
+    in (row-major on a tie), when that span, the bandwidth of every block
+    matrix, is at most BAND_C n^(1/4); else in the mesh's dissection order,
+    whose rank is built only then."""
     side = mesh.n + 1
     grid = free.reshape(side, side)          # grid[j, i] is node (i, j)
     by_row, by_column = _grid_span(grid), _grid_span(grid.T)
@@ -174,34 +173,57 @@ def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
 
 
 class FreeBlock:
-    """The free triangles and free nodes of one solve.
-
-    ``nodes`` lists the free nodes in ``_block_order``; block vectors and
-    matrices follow it, so the block of a full matrix k is
-    k[nodes][:, nodes].  ``bt`` holds B's rows for the triangles with at
-    least one free node (every column), ``bf`` those rows restricted to
-    the columns of ``nodes``, and ``bf_t`` its transpose.  Built per solve,
+    """The free triangles and free nodes of one solve, built per solve and
     not cached on the mesh: a suite visits many free sets on one mesh.
+
+    ``nodes`` lists the free nodes in ``_block_order``, so the block of a
+    full matrix k is k[nodes][:, nodes].  ``bt`` holds B's rows for the
+    triangles with a free node and ``bf_t`` their transposed free columns.
+    Block matrices have the CSC pattern of ``pattern``: column c stores
+    node c and its free stencil neighbours, rows sorted, and its data are
+    bincount slots 7 c + d, d the direction of the row from node c.
+    ``keys`` sends entry (a, b) of each triangle's element matrix to the
+    slot of b's place and a's direction from b, which no stored entry
+    reads when a or b is off the block.
     """
 
     def __init__(self, mesh: Mesh, free: np.ndarray):
-        touched = free[mesh.triangles].any(axis=1)
-        self.free = free
-        self.nodes = _frozen(_block_order(mesh, free))
-        self.barycenters = mesh.barycenters[touched]
-        self.bt = _gradient_operator(mesh)[np.repeat(touched, 2)]
-        self.bf = self.bt[:, self.nodes]
-        self.bf_t = self.bf.T.tocsr()
-
-
-def _operators(mesh: Mesh, block: Optional[FreeBlock]):
-    """(rows of B, their barycenters, transpose of the result columns) of
-    an assembly over the whole mesh, or over a block's triangles and
-    nodes."""
-    if block is None:
+        w = mesh.n + 3                       # row width of the padded grid
+        tris = np.flatnonzero(touched_triangles(mesh, free))
+        nodes = _block_order(mesh, free)
+        n, k = nodes.size, tris.size
+        self.free, self.nodes = free, _frozen(nodes)
+        self.barycenters = mesh.barycenters.take(tris, axis=0)
         b = _gradient_operator(mesh)
-        return b, mesh.barycenters, b.T
-    return block.bt, block.barycenters, block.bf_t
+        columns = b.indices.reshape(-1, 6).take(tris, axis=0)
+        data = b.data.reshape(-1, 6).take(tris, axis=0).ravel()
+        starts = np.arange(0, 6 * k + 1, 3, dtype=np.int32)
+        self.bt = sp.csr_matrix((data, columns.ravel(), starts),
+                                (2 * k, mesh.n_nodes))
+        # each node's place in the block, n off it, on the grid padded by a
+        # ring of n so that no stencil step wraps to another row
+        padded = np.full(w * w, n, dtype=np.int32)
+        at = nodes + nodes // (w - 2) * 2 + w + 1
+        padded[at] = np.arange(n, dtype=np.int32)
+        columns = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(columns)
+        # bt's columns at their places, transposed: bf_t is its first n rows
+        t = sp.csr_matrix((data, columns.ravel(), starts),
+                          (2 * k, n + 1)).tocsc()
+        self.bf_t = sp.csr_matrix((t.data, t.indices, t.indptr[:n + 1]),
+                                  (n, 2 * k))
+        # column c's rows by direction d, at slot 7 c + d: in order in a
+        # row-major block, sorted by scipy with the slots in the others
+        rows = padded.take(at[:, None] + [-w - 1, -w, -1, 0, 1, w, w + 1])
+        found = np.flatnonzero(rows < n).astype(np.int32)
+        self.pattern = sp.csc_matrix((found, rows.take(found), np.searchsorted(
+            found, np.arange(0, 7 * n + 1, 7)).astype(np.int32)), (n, n))
+        self.pattern.sort_indices()
+        # the triangles with the lower ones first, the keys in that order
+        self.by_shape = np.argsort(tris % 2 == 1, kind="stable")
+        self.n_lower = k - np.count_nonzero(tris % 2)
+        corners = 7 * columns.take(self.by_shape, axis=0)[:, None, :3]
+        keys = np.repeat(_DIRECTIONS, (self.n_lower, k - self.n_lower), 0)
+        self.keys = (keys.reshape(k, 3, 3) + corners).ravel()
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
@@ -214,7 +236,9 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
     is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
     """
     u = _check_field(mesh, u)
-    rows, x, cols_t = _operators(mesh, block)
+    b = _gradient_operator(mesh)
+    rows, x, cols_t = ((b, mesh.barycenters, b.T) if block is None
+                       else (block.bt, block.barycenters, block.bf_t))
     grads = (rows @ u).reshape(-1, 2)
     if eps == 0.0:
         a = eval_flux(flux, x, grads)
@@ -234,56 +258,35 @@ def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
     return float(mesh.tri_area * np.sum(a * grads_v))
 
 
-def _columns(mesh: Mesh, block: Optional[FreeBlock]):
-    """C and its transpose, both CSR: C = B, or the block's ``bf``."""
-    if block is None:
-        b = _gradient_operator(mesh)
-        return b, b.T.tocsr()
-    return block.bf, block.bf_t
-
-
-def _csc(k_t: sp.csr_matrix) -> sp.csc_matrix:
-    """The matrix whose transpose is k_t, as CSC with sorted indices: the
-    same arrays, read by columns."""
-    k = k_t.T
-    k.sort_indices()
-    return k
+def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
+    """The block of sum_T |T| B_T^T (J_T + shift I) B_T, J_T the block
+    triangles' 2x2 matrices in jac: one bincount of the element matrices
+    into the block's pattern."""
+    jac = jac.reshape(-1, 4).take(block.by_shape, axis=0)
+    jac[:, ::3] += shift                        # the diagonal, 0 and 3
+    elements, low = np.empty((len(jac), 9)), block.n_lower
+    # inf times a zero weight is NaN, as times B's stored zero gradients
+    with np.errstate(invalid="ignore"):
+        np.matmul(jac[:low], _WEIGHTS[0], out=elements[:low])
+        np.matmul(jac[low:], _WEIGHTS[1], out=elements[low:])
+    del jac                     # freed before the bincount's arrays exist
+    sums = np.bincount(block.keys, elements.ravel())
+    matrix = block.pattern.copy()   # owns its index arrays, as products do
+    matrix.data = sums[matrix.data]
+    return matrix
 
 
 def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
-                    shift: float = 0.0, block: Optional[FreeBlock] = None
-                    ) -> sp.csc_matrix:
-    """Sparse Jacobian C^T D C of the residual at u, with C = B and D the
-    block diagonal of |T| times the 2x2 flux Jacobians.
-
-    ``shift`` adds shift*I to each 2x2 flux Jacobian (a Levenberg-style
-    conditioning floor for degenerate fluxes; the residual itself is never
-    shifted, so the converged solution is unaffected).
-
-    With ``block``, C is the block's ``bf``: the flux Jacobian is evaluated
-    only on the triangles that touch free nodes and the result is the
-    free-free matrix in ``block.nodes`` order, bitwise equal to
-    ``jacobian_matrix(...)[block.nodes][:, block.nodes]``.
-    """
-    u = _check_field(mesh, u)
-    rows, x, _ = _operators(mesh, block)
-    jac = flux_jacobian(flux, x, (rows @ u).reshape(-1, 2), eps=eps)
-    if shift != 0.0:
-        jac = jac + shift * np.eye(2)
-    # D^T in CSR: row 2t + c holds column c of triangle t's 2x2 block
-    k = len(x)
-    d_t = sp.csr_matrix(
-        ((mesh.tri_area * jac).transpose(0, 2, 1).ravel(),
-         np.repeat(np.arange(2 * k).reshape(k, 2), 2, axis=0).ravel(),
-         np.arange(0, 4 * k + 1, 2)), shape=(2 * k, 2 * k))
-    cols, cols_t = _columns(mesh, block)
-    return _csc(cols_t @ (d_t @ cols))
+                    shift: float = 0.0, *, block: FreeBlock) -> sp.csc_matrix:
+    """The block of the residual's Jacobian B^T D B at u, the flux Jacobians
+    of D evaluated on the block's triangles only.  ``shift`` adds shift*I
+    to each (a Levenberg-style floor for degenerate fluxes; the residual is
+    never shifted, so the converged solution is unaffected)."""
+    return _block_matrix(block, flux_jacobian(flux, block.barycenters, (
+        block.bt @ _check_field(mesh, u)).reshape(-1, 2), eps=eps), shift)
 
 
-def p2_stiffness(mesh: Mesh,
-                 block: Optional[FreeBlock] = None) -> sp.csc_matrix:
-    """P1 stiffness matrix of the Laplacian, |T| B^T B, or its block
-    |T| bf^T bf (the Jacobian of the p = 2 flux)."""
-    cols, cols_t = _columns(mesh, block)
-    # the matrix is symmetric: it is its own transpose, as _csc expects
-    return _csc(mesh.tri_area * (cols_t @ cols))
+def p2_stiffness(mesh: Mesh, block: FreeBlock) -> sp.csc_matrix:
+    """The block of the P1 stiffness matrix of the Laplacian on ``mesh``,
+    |T| B^T B (the Jacobian of the p = 2 flux)."""
+    return _block_matrix(block, np.tile(np.eye(2), (len(block.by_shape), 1)))

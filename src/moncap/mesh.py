@@ -285,22 +285,21 @@ def rasterize(shape: ShapeExpr, mesh: Mesh, name: str = "set") -> NodeSet:
 # boundary extraction and pair validation
 
 
-def _node_tri_counts(mesh: Mesh, tri_mask: np.ndarray) -> np.ndarray:
-    """Per node, number of marked triangles containing it."""
-    counts = np.zeros(mesh.n_nodes, dtype=np.int64)
-    marked = mesh.triangles[tri_mask]
-    np.add.at(counts, marked.ravel(), 1)
-    return counts
+def touched_triangles(mesh: Mesh, mask: np.ndarray) -> np.ndarray:
+    """mask[mesh.triangles].any(axis=1) from four slices of the node grid:
+    a cell's lower triangle is n00, n10, n11, its upper n00, n11, n01."""
+    grid = mask.reshape(mesh.n + 1, mesh.n + 1)   # grid[j, i] is node (i, j)
+    d = grid[:-1, :-1] | grid[1:, 1:]         # a cell's diagonal corners
+    return np.stack([d | grid[:-1, 1:], d | grid[1:, :-1]], axis=-1).ravel()
 
 
 def discrete_boundary(e: NodeSet, mesh: Mesh) -> NodeSet:
     """Nodes of e sharing a triangle with a node outside e."""
     if e.mesh_id != mesh.mesh_id:
         raise MeshMismatch("node set does not belong to this mesh")
-    inside = e.mask[mesh.triangles]          # (ntri, 3)
-    mixed = inside.any(axis=1) & ~inside.all(axis=1)
-    touched = _node_tri_counts(mesh, mixed) > 0
-    return NodeSet(e.mask & touched, f"boundary({e.name})", mesh.mesh_id)
+    near = np.zeros(mesh.n_nodes, dtype=bool)
+    near[mesh.triangles[touched_triangles(mesh, ~e.mask)]] = True
+    return NodeSet(e.mask & near, f"boundary({e.name})", mesh.mesh_id)
 
 
 @dataclass
@@ -339,8 +338,7 @@ def node_area(mesh: Mesh, s: NodeSet) -> float:
     vanishing outside it.  Used for the discrete L1/Lq norms of b1, b2."""
     if s.mesh_id != mesh.mesh_id:
         raise MeshMismatch("node set does not belong to this mesh")
-    touched = s.mask[mesh.triangles].any(axis=1)
-    return float(np.count_nonzero(touched)) * mesh.tri_area
+    return float(touched_triangles(mesh, s.mask).sum()) * mesh.tri_area
 
 
 def _row_ends(rows: np.ndarray) -> np.ndarray:

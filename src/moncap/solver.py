@@ -14,17 +14,16 @@ once.
 
 Each solve works on its ``FreeBlock``: B_t, the rows of the mesh's
 gradient operator B for the triangles that touch a free node, and B_f,
-those rows restricted to the free columns.  Every residual the solve
-evaluates (line-search trials and true-residual checks included) is
-B_f^T (|T| a(B_t u)), with the flux evaluated on those triangles only.  The
-block's rows and columns follow the order ``FreeBlock`` picked for it: a
-grid order in which the block is a narrow band (every order-suite block
-is), else the mesh's nested-dissection order.  ``_factor`` reads only its
-matrix, block or multigrid coarsest level: when every stored entry lies
-within BAND_C n^(1/4) of the diagonal it is a dense band LU (LAPACK
-dgbtrf), else SuperLU in the matrix's own order (``permc_spec="NATURAL"``,
-no COLAMD ordering).  Both pivot rows partially, for skew and shifted
-degenerate Jacobians.
+their free columns, in the order ``FreeBlock`` picked (a grid order in
+which the block is a narrow band, as every order-suite block is, else
+nested dissection).  Every residual the solve evaluates (line-search
+trials and true-residual checks included) is B_f^T (|T| a(B_t u)), and
+its Jacobian B_f^T D B_f one bincount of the same triangles' element
+matrices into the block's stencil pattern.  ``_factor`` reads only its
+matrix, block or multigrid coarsest level: a dense band LU (LAPACK
+dgbtrf) when every stored entry lies within BAND_C n^(1/4) of the
+diagonal, else SuperLU in the matrix's own order; both pivot rows
+partially, for skew and shifted degenerate Jacobians.
 
 A solve holds one preconditioner at a time, across Newton steps and
 stages.  On blocks below ``KRYLOV_MIN_NODES`` free nodes it is an LU

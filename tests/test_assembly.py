@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank, gradients,
-                             jacobian_matrix, p2_stiffness, pairing,
-                             residual)
+from assembly_reference import (jacobian_reference, operator_reference,
+                                p2_reference, pattern_reference, sub_block)
+from moncap import assembly
+from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank,
+                             _gradient_operator, gradients, jacobian_matrix,
+                             p2_stiffness, pairing, residual)
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
@@ -30,6 +33,14 @@ KIND_EXAMPLES = {
 
 def rand_field(mesh, seed, scale=1.0):
     return np.random.default_rng(seed).normal(size=mesh.n_nodes) * scale
+
+
+def whole(mesh):
+    """The free block of every node; on the small meshes here it is in
+    row-major order, so its matrices are the whole-mesh ones."""
+    block = FreeBlock(mesh, np.ones(mesh.n_nodes, dtype=bool))
+    assert np.array_equal(block.nodes, np.arange(mesh.n_nodes))
+    return block
 
 
 class TestResidual:
@@ -140,13 +151,14 @@ class TestJacobianApply:
 
     def test_zero_direction(self):
         m = build_mesh(5)
-        k = jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 1), 1e-8)
+        k = jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 1), 1e-8,
+                            block=whole(m))
         assert np.all(k @ np.zeros(m.n_nodes) == 0.0)
 
     def test_p2_equals_residual_of_direction(self):
         m = build_mesh(6)
         u, w = rand_field(m, 2), rand_field(m, 3)
-        k = jacobian_matrix(m, p_laplacian(2.0), u, 1e-8)
+        k = jacobian_matrix(m, p_laplacian(2.0), u, 1e-8, block=whole(m))
         assert np.allclose(k @ w, residual(m, p_laplacian(2.0), w),
                            rtol=1e-14)
 
@@ -156,7 +168,7 @@ class TestJacobianApply:
         u = 0.5 + 0.3 * m.nodes[:, 0] + 0.2 * m.nodes[:, 1] \
             + 0.05 * np.sin(2 * np.pi * m.nodes[:, 0])
         w = rand_field(m, 4)
-        jw = jacobian_matrix(m, fl, u, 1e-10) @ w
+        jw = jacobian_matrix(m, fl, u, 1e-10, block=whole(m)) @ w
         fd = central_difference(m, fl, u, w, 0.0, 1e-6)
         scale = np.max(np.abs(jw))
         assert np.max(np.abs(jw - fd)) <= 1e-5 * scale
@@ -167,10 +179,12 @@ class TestJacobianApply:
         m = build_mesh(5)
         fl = p_laplacian(3.0)
         u = rand_field(m, 5)
-        k0 = jacobian_matrix(m, fl, u, 1e-6)
-        k1 = jacobian_matrix(m, fl, u, 1e-6, shift=0.25)
+        block = whole(m)
+        k0 = jacobian_matrix(m, fl, u, 1e-6, block=block)
+        k1 = jacobian_matrix(m, fl, u, 1e-6, shift=0.25, block=block)
         w = rand_field(m, 6)
-        assert np.allclose(k1 @ w, k0 @ w + 0.25 * (p2_stiffness(m) @ w),
+        assert np.allclose(k1 @ w,
+                           k0 @ w + 0.25 * (p2_stiffness(m, block) @ w),
                            rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-6])
@@ -184,9 +198,10 @@ class TestJacobianApply:
         m = build_mesh(5)
         fl = KIND_EXAMPLES[kind]
         u, w = smooth_field(m), rand_field(m, 9)
-        k = jacobian_matrix(m, fl, u, eps, shift)
+        block = whole(m)
+        k = jacobian_matrix(m, fl, u, eps, shift, block=block)
         expected = central_difference(m, fl, u, w, eps, 1e-5) \
-            + shift * (p2_stiffness(m) @ w)
+            + shift * (p2_stiffness(m, block) @ w)
         got = k @ w
         assert np.max(np.abs(got - expected)) <= 1e-7 * np.max(np.abs(got))
 
@@ -194,7 +209,7 @@ class TestJacobianApply:
 class TestStiffness:
     def test_p2_stiffness_matches_residual(self):
         m = build_mesh(6)
-        k = p2_stiffness(m)
+        k = p2_stiffness(m, whole(m))
         u = rand_field(m, 10)
         assert np.allclose(k @ u, residual(m, p_laplacian(2.0), u),
                            rtol=1e-12, atol=1e-14)
@@ -206,12 +221,27 @@ class TestStiffness:
         assert np.allclose(g, [2.0, 3.0], rtol=1e-13)
 
 
-def assert_same_csc(a, b):
-    assert a.format == b.format == "csc"
-    assert a.shape == b.shape
+def assert_same_compressed(a, b):
+    assert a.format == b.format and a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert a.data.tobytes() == b.data.tobytes()
+
+
+# A block matrix sums the element entries of the reference's sparse
+# products in another order, with |T| folded into exact weights: over
+# these tests the two agree to within 4.5e-16 of the reference's largest
+# entry, a bound of about 45 units in the last place
+ROUND_OFF = 1e-14
+
+
+def assert_close_block(got, ref, pattern):
+    """got stores exactly the stencil pattern, and agrees with the
+    reference block ref to round-off."""
+    assert got.format == "csc" and got.shape == ref.shape
+    assert np.array_equal(got.indptr, pattern[0])
+    assert np.array_equal(got.indices, pattern[1])
+    assert abs(got - ref).max() <= ROUND_OFF * abs(ref).max()
 
 
 def pair_free(mesh, e_shape, f_shape):
@@ -220,43 +250,59 @@ def pair_free(mesh, e_shape, f_shape):
     return f.mask & ~e.mask
 
 
-def sub_block(k, nodes):
-    # fancy indexing leaves row indices in no fixed order within a column;
-    # the assembled blocks keep them sorted
-    out = k[nodes][:, nodes].tocsc()
-    out.sort_indices()
-    return out
+def edge_masks(mesh, seed):
+    """Random free masks with free nodes on all four edges of the square,
+    among them (N, j) and (0, j + 1), which follow each other in row-major
+    order: a stencil step east of i = N must not reach i = 0."""
+    rng = np.random.default_rng(seed)
+    side = mesh.n + 1
+    i, j = np.arange(mesh.n_nodes) % side, np.arange(mesh.n_nodes) // side
+    edge = (i == 0) | (i == mesh.n) | (j == 0) | (j == mesh.n)
+    for frac in (0.1, 0.5, 0.9, 1.0):
+        free = rng.random(mesh.n_nodes) < frac
+        free[edge] |= rng.random(np.count_nonzero(edge)) < 0.5
+        for jj in range(0, mesh.n, 3):
+            free[mesh.node_index(mesh.n, jj)] = True
+            free[mesh.node_index(0, jj + 1)] = True
+        assert all(free[side_nodes].any() for side_nodes in
+                   (i == 0, i == mesh.n, j == 0, j == mesh.n))
+        yield free
 
 
 class TestFreeBlock:
-    """The free block is k[nodes][:, nodes], and the block residual
-    r[nodes], bit for bit, with ``nodes`` the free nodes in the block's
-    grid or dissection order, built from only the triangles that touch
-    free nodes."""
+    """The free block of a matrix is the reference's k[nodes][:, nodes] to
+    round-off, stored in the stencil pattern, and the block residual is
+    r[nodes] bit for bit, with ``nodes`` the free nodes in the block's grid
+    or dissection order, built from only the triangles that touch free
+    nodes."""
 
-    def check(self, m, free, fl, u, eps=1e-8, shift=1e-9):
-        k = jacobian_matrix(m, fl, u, eps, shift)
+    def check(self, m, free, fl, u):
         block = FreeBlock(m, free)
-        assert np.array_equal(np.sort(block.nodes), np.flatnonzero(free))
-        got = jacobian_matrix(m, fl, u, eps, shift, block=block)
-        assert_same_csc(got, sub_block(k, block.nodes))
-        assert_same_csc(p2_stiffness(m, block),
-                        sub_block(p2_stiffness(m), block.nodes))
-        for r_eps in (0.0, eps):
+        nodes = block.nodes
+        assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
+        pattern = pattern_reference(m, nodes)
+        for shift in (0.0, 1e-9):
+            for eps in (1e-10, 1e-6):
+                assert_close_block(
+                    jacobian_matrix(m, fl, u, eps, shift, block=block),
+                    sub_block(jacobian_reference(m, fl, u, eps, shift),
+                              nodes), pattern)
+        assert_close_block(p2_stiffness(m, block),
+                           sub_block(p2_reference(m), nodes), pattern)
+        for r_eps in (0.0, 1e-8):
             r = residual(m, fl, u, r_eps)
             assert residual(m, fl, u, r_eps, block=block).tobytes() \
-                == r[block.nodes].tobytes()
+                == r[nodes].tobytes()
         touching = free[m.triangles].any(axis=1)
         assert np.array_equal(block.barycenters, m.barycenters[touching])
-        assert block.bt.shape == (2 * touching.sum(), m.n_nodes)
-        assert block.bf.shape == (2 * touching.sum(), block.nodes.size)
+        rows = _gradient_operator(m)[np.repeat(touching, 2)]
+        assert_same_compressed(block.bt, rows)
+        assert_same_compressed(block.bf_t, rows[:, nodes].T.tocsr())
 
     @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
     def test_random_masks(self, kind):
         m = build_mesh(9)
-        rng = np.random.default_rng(3)
-        for frac in (0.1, 0.5, 0.9, 1.0):
-            free = rng.random(m.n_nodes) < frac
+        for free in edge_masks(m, 3):
             self.check(m, free, KIND_EXAMPLES[kind], rand_field(m, 4))
 
     @pytest.mark.parametrize("e_shape,f_shape", [
@@ -273,13 +319,44 @@ class TestFreeBlock:
         for fl in (p_laplacian(3.0), flat_core_p(2.0, 0.5)):
             self.check(m, free, fl, rand_field(m, 5))
 
+    def test_columns_sorted_in_every_order(self):
+        # an annulus takes row-major order, a strip wider than high
+        # column-major order and a cross two nodes wide dissection order;
+        # the blocks of all three keep each column's rows sorted
+        m = build_mesh(64)
+        side = m.n + 1
+        cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
+                            rect(0.49, 0.0, 0.52, 1.0))
+        places = {
+            "row": (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4),
+                    lambda nodes: nodes),
+            "column": (shape_none(), rect(0.0, 0.45, 1.0, 0.55),
+                       lambda nodes: nodes % side * side + nodes // side),
+            "dissection": (shape_none(), cross,
+                           lambda nodes: _dissection_rank(m)[nodes]),
+        }
+        for order, (e_shape, f_shape, place) in places.items():
+            free = pair_free(m, e_shape, f_shape)
+            block = FreeBlock(m, free)
+            assert np.all(np.diff(place(block.nodes)) > 0), order
+            u = rand_field(m, 3)
+            fl = anisotropic_p(1.5, 2.0, 0.5)
+            pattern = pattern_reference(m, block.nodes)
+            for k, ref in (
+                    (p2_stiffness(m, block), p2_reference(m)),
+                    (jacobian_matrix(m, fl, u, 1e-8, 1e-9, block=block),
+                     jacobian_reference(m, fl, u, 1e-8, 1e-9))):
+                col = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
+                same = np.diff(col) == 0
+                assert np.all(np.diff(k.indices)[same] > 0), order
+                assert_close_block(k, sub_block(ref, block.nodes), pattern)
+
     def test_order_follows_mesh_edge_spans(self):
         # reference for _block_order: the most places a free-free triangle
         # edge spans in row-major and in column-major order pick the order.
-        # That span bounds every block matrix's stored bandwidth: sparse
-        # products drop exact zeros, so a matrix is only narrower.  Small u
-        # puts most triangles in the flat core, where the unshifted
-        # Jacobian is zero
+        # That span is every block matrix's stored bandwidth: the pattern
+        # stores exact zeros, here those of the flat core, where most
+        # triangles are at small u and the unshifted Jacobian is zero
         rng = np.random.default_rng(8)
         m16, m64 = build_mesh(16), build_mesh(64)
         cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
@@ -313,7 +390,7 @@ class TestFreeBlock:
                                         block=block)
                         for shift in (0.0, 1e-9))):
                 col = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
-                assert np.abs(k.indices - col).max(initial=0) <= span(want)
+                assert np.abs(k.indices - col).max(initial=0) == span(want)
 
     def test_single_free_node(self):
         m = build_mesh(8)
@@ -322,6 +399,36 @@ class TestFreeBlock:
             free[m.node_index(i, j)] = True
             self.check(m, free, p_laplacian(3.0), rand_field(m, 6))
             assert p2_stiffness(m, FreeBlock(m, free)).shape == (1, 1)
+
+    def test_infinite_flux_jacobian_entries(self, monkeypatch):
+        # an infinite flux Jacobian entry times a zero component of a hat
+        # gradient is NaN in the stencil kernel's weights as in the
+        # reference's sparse products, which store B's zero components: the
+        # two blocks have NaN and infinite entries in the same places, and
+        # no RuntimeWarning escapes
+        m = build_mesh(8)
+        block = FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1),
+                                       disk(0.5, 0.5, 0.4)))
+        touching = block.free[m.triangles].any(axis=1)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            jac = rng.normal(size=(m.n_triangles, 2, 2))
+            hit = rng.choice(jac.size, 6, replace=False)
+            jac.reshape(-1)[hit] = np.inf * rng.choice([-1.0, 1.0], 6)
+            monkeypatch.setattr(assembly, "flux_jacobian",
+                                lambda flux, x, xi, eps: jac[touching])
+            got = jacobian_matrix(m, p_laplacian(3.0), np.zeros(m.n_nodes),
+                                  0.0, block=block).toarray()
+            want = sub_block(operator_reference(m, jac),
+                             block.nodes).toarray()
+            assert np.isnan(got).any()
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.array_equal(got[np.isinf(want)],
+                                  want[np.isinf(want)])
+            assert np.allclose(got[finite], want[finite], rtol=0.0,
+                               atol=ROUND_OFF * np.abs(want[finite]).max())
 
     def test_fresh_mesh_shared_by_two_threads(self):
         # the suite's jobs=2 path shares one mesh, so its lazy caches may
@@ -335,10 +442,10 @@ class TestFreeBlock:
 
         def work(slot):
             start.wait()
-            full = jacobian_matrix(m, fl, u, 1e-8, 1e-9)
+            full = jacobian_reference(m, fl, u, 1e-8, 1e-9)
             block = jacobian_matrix(m, fl, u, 1e-8, 1e-9,
                                     block=FreeBlock(m, free))
-            results[slot] = (full, block, p2_stiffness(m))
+            results[slot] = (full, block, p2_reference(m))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
         for t in threads:
@@ -346,14 +453,12 @@ class TestFreeBlock:
         for t in threads:
             t.join()
         (full_a, block_a, k2_a), (full_b, block_b, k2_b) = results
-        for a, b in ((full_a, full_b), (k2_a, k2_b)):
-            assert np.array_equal(a.indptr, b.indptr)
-            assert np.array_equal(a.indices, b.indices)
-            assert a.data.tobytes() == b.data.tobytes()
-        assert_same_csc(block_a, block_b)
+        for a, b in ((full_a, full_b), (k2_a, k2_b), (block_a, block_b)):
+            assert_same_compressed(a, b)
         nodes = FreeBlock(m, free).nodes
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
-        assert_same_csc(block_a, sub_block(full_a, nodes))
+        assert_close_block(block_a, sub_block(full_a, nodes),
+                           pattern_reference(m, nodes))
 
 
 class TestDissectionOrder:
@@ -402,8 +507,8 @@ class TestDissectionOrder:
         m = build_mesh(128)
         free = pair_free(m, disk(0.5, 0.5, 0.12), disk(0.5, 0.5, 0.38))
         block = FreeBlock(m, free)
-        k = jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 11), 1e-10,
-                            1e-9)
+        k = jacobian_reference(m, p_laplacian(3.0), rand_field(m, 11), 1e-10,
+                               1e-9)
 
         def fill(a, spec):
             lu = spla.splu(a, permc_spec=spec)

@@ -10,7 +10,8 @@ from moncap.mesh import (NodeSet, build_mesh, complement, difference,
                          node_diameter, rasterize, rect, shape_all,
                          shape_complement,
                          shape_difference, shape_from_json, shape_intersect,
-                         shape_none, shape_union, union, validate_pair)
+                         shape_none, shape_union, touched_triangles, union,
+                         validate_pair)
 
 
 class TestBuildMesh:
@@ -283,6 +284,18 @@ class TestMeasures:
         small = rasterize(disk(0.5, 0.5, 0.2), m)
         big = rasterize(disk(0.5, 0.5, 0.4), m)
         assert node_area(m, small) < node_area(m, big)
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 33])
+    def test_touched_triangles_equal_vertex_gather(self, n):
+        # the four grid slices give mask[triangles].any(axis=1) bit for bit,
+        # on odd and even N, with masks that reach every edge of the square
+        m = build_mesh(n)
+        rng = np.random.default_rng(n)
+        for frac in (0.0, 0.05, 0.3, 0.7, 1.0):
+            mask = rng.random(m.n_nodes) < frac
+            got = touched_triangles(m, mask)
+            assert got.dtype == bool and got.shape == (m.n_triangles,)
+            assert np.array_equal(got, mask[m.triangles].any(axis=1))
 
     def test_diameter(self):
         m = build_mesh(4)
