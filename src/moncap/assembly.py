@@ -1,18 +1,17 @@
 """Discrete monotone operator on the P1 space.
 
-The P1 gradient operator B, one sparse matrix per mesh, has rows 2t and
-2t+1 giving the x and y gradient of a field on triangle t.  With the flux
-at triangle barycenters (one-point quadrature, exact for P1 fields when
-the flux has no x-dependence) <A u, v> = sum_T |T| a(x_T, grad u|_T) .
-grad v|_T = v^T B^T (|T| a(B u)), so the residual is B^T (|T| a(B u)) and
-its Jacobian B^T D B, D the block diagonal of |T| times the 2x2 flux
-Jacobians.  A solve's ``FreeBlock`` keeps B's rows for the triangles that
-touch a free node and their free columns, in a grid or nested-dissection
-order picked once.  Its Jacobian and p = 2 stiffness matrix are one
-bincount of the triangles' element matrices, 2x2 matrices times constant
-weights of the two triangle shapes, into its 7-point stencil pattern.
-Sparse products and bincounts sum in a fixed order: identical inputs give
-bitwise identical outputs.
+A P1 field u has on triangle T the gradient B_T u, B_T the hat gradients
+of T's corners.  With the flux at triangle barycenters (one-point
+quadrature, exact for P1 fields when the flux has no x-dependence)
+<A u, v> = sum_T |T| a(x_T, B_T u) . B_T v, so the residual is
+sum_T B_T^T (|T| a(x_T, B_T u)) and its Jacobian sum_T |T| B_T^T J_T B_T.
+One kernel evaluates every residual, gradient and pairing on triangles
+stored by their corners' node ids and places in the result: B_T u is a
+gather and exact differences, B_T^T one bincount over the places.  It
+runs on the whole mesh with places equal to node ids, or on a solve's
+``FreeBlock``, whose Jacobian is one more bincount, of element matrices
+into its stencil pattern.  Bincounts sum in a fixed order, so identical
+inputs give bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -33,50 +32,17 @@ from .mesh import Mesh, touched_triangles
 # above about 5,000 nodes and thin wide shapes to SuperLU (CHANGES.md).
 BAND_C = 9.5
 
-# Per triangle shape s, lower (n00, n10, n11) then upper (n00, n11, n01): h
-# times the hat gradients g_a of its corners; at 3a + b the direction of
-# corner a from corner b in the 7-point stencil (SW, S, W, self, E, N, NE
-# numbered 0 to 6); and in _WEIGHTS[s] the weights |T| g_a[c] g_b[d] of J's
-# entries 2c + d in element entry 3a + b, |T| g_a . J g_b: exact halves on
-# every mesh, as |T| = h^2 / 2
-_GRADIENTS = np.array([[(-1, 0), (1, -1), (0, 1)], [(0, -1), (1, 0), (-1, 1)]],
-                      dtype=float)
-_DIRECTIONS = np.array([[3, 2, 0, 4, 3, 1, 6, 5, 3],
-                        [3, 0, 1, 6, 3, 4, 5, 2, 3]])
-_WEIGHTS = np.einsum("sac,sbd->scdab", _GRADIENTS,
-                     _GRADIENTS).reshape(2, 4, 9) / 2.0
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Arrays shared by many solves must not be changed in place."""
-    a.setflags(write=False)
-    return a
-
-
-def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
-    """B, shape (2 ntri, n_nodes), cached on the mesh at first use: per
-    cell, its two triangles' hat gradients _GRADIENTS / h.
-
-    Threads sharing a fresh mesh may each build it; the builds are equal,
-    so whichever lands in the cache serves them all.
-    """
-    key = "gradient_operator"
-    if key not in mesh._cache:
-        tri = mesh.triangles
-        b = sp.csr_matrix(
-            (np.tile((_GRADIENTS / mesh.h).transpose(0, 2, 1).ravel(),
-                     mesh.n ** 2), np.repeat(tri, 2, axis=0).ravel(),
-             np.arange(0, 6 * len(tri) + 1, 3)),
-            shape=(2 * len(tri), mesh.n_nodes))
-        for a in (b.data, b.indices, b.indptr):
-            _frozen(a)
-        mesh._cache[key] = b
-    return mesh._cache[key]
-
-
-def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Constant P1 gradient per triangle, shape (ntri, 2)."""
-    return (_gradient_operator(mesh) @ u).reshape(-1, 2)
+# A cell's upper triangle, its corners taken as (n11, n01, n00), is its
+# lower one (n00, n10, n11) reflected through the cell's centre.  So h times
+# the hat gradients g_a of the corners are _GRADIENTS or minus them, corner
+# a's direction from corner b in the 7-point stencil (SW, S, W, self, E, N,
+# NE: 0 to 6) is _DIRECTIONS[3a + b] or 6 minus it, and on both shapes the
+# weights |T| g_a[c] g_b[d] of J's entry 2c + d in element entry 3a + b,
+# exact halves as |T| = h^2 / 2, are _WEIGHTS
+_GRADIENTS = np.array([(-1, 0), (1, -1), (0, 1)], dtype=float)
+_DIRECTIONS = np.array([3, 2, 0, 4, 3, 1, 6, 5, 3])
+_WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
+                     _GRADIENTS).reshape(4, 9) / 2.0
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -136,7 +102,8 @@ def _dissection_rank(mesh: Mesh) -> np.ndarray:
                       np.repeat(i1 - i0, heights))
         rank = np.empty(mesh.n_nodes, dtype=np.int64)
         rank[order] = np.arange(order.size)
-        mesh._cache[key] = _frozen(rank)
+        rank.setflags(write=False)      # shared by every solve on the mesh
+        mesh._cache[key] = rank
     return mesh._cache[key]
 
 
@@ -172,45 +139,75 @@ def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
     return nodes
 
 
-class FreeBlock:
+class _Triangles:
+    """The triangles ``tris`` (default all), the ``n_lower`` lower ones
+    first: their ``corners``' node ids, an upper one's as (n11, n01, n00),
+    and ``places`` in a result of ``size`` entries, by default node ids."""
+
+    def __init__(self, mesh: Mesh, tris: Optional[np.ndarray] = None):
+        tris = np.arange(mesh.n_triangles) if tris is None else tris
+        tris = tris[np.argsort(tris % 2 == 1, kind="stable")]
+        self.n_lower, self.size = np.count_nonzero(tris % 2 == 0), mesh.n_nodes
+        self.corners = self.places = mesh.triangles.take(tris, axis=0)
+        self.corners[self.n_lower:] = self.corners[self.n_lower:, [1, 2, 0]]
+        self.barycenters = mesh.barycenters.take(tris, axis=0)
+
+
+def _gradients(mesh: Mesh, tris: _Triangles, u: np.ndarray) -> np.ndarray:
+    """B_T u on each of tris, shape (k, 2): the corner value differences
+    (u_1 - u_0, u_2 - u_1) over h, over -h on upper triangles."""
+    u0, u1, u2 = u.take(tris.corners).T
+    g = np.empty((len(u0), 2))
+    np.subtract(u1, u0, out=g[:, 0])
+    np.subtract(u2, u1, out=g[:, 1])
+    g[:tris.n_lower] /= mesh.h
+    g[tris.n_lower:] /= -mesh.h
+    return g
+
+
+def _adjoint(mesh: Mesh, tris: _Triangles, a: np.ndarray) -> np.ndarray:
+    """sum_T B_T^T |T| a_T at each place, a_T the rows of a: with w =
+    |T| a_T / h = a_T h / 2, minus that on upper triangles, the corners get
+    (-w_x, w_x - w_y, w_y), summed over places in triangle order."""
+    w = a * (mesh.h / 2)
+    w[tris.n_lower:] *= -1
+    wx, wy = w.T
+    c = np.stack((-wx, wx - wy, wy), axis=1)
+    return np.bincount(tris.places.ravel(), c.ravel(),
+                       minlength=tris.size)[:tris.size]
+
+
+class FreeBlock(_Triangles):
     """The free triangles and free nodes of one solve, built per solve and
     not cached on the mesh: a suite visits many free sets on one mesh.
 
     ``nodes`` lists the free nodes in ``_block_order``, so the block of a
-    full matrix k is k[nodes][:, nodes].  ``bt`` holds B's rows for the
-    triangles with a free node and ``bf_t`` their transposed free columns.
-    Block matrices have the CSC pattern of ``pattern``: column c stores
-    node c and its free stencil neighbours, rows sorted, and its data are
+    full matrix k is k[nodes][:, nodes], and a corner's place is its
+    node's position in ``nodes``, ``size`` (dropped) off the block.  Block
+    matrices have the CSC pattern of ``pattern``: column c stores node c
+    and its free stencil neighbours, rows sorted, and its data are
     bincount slots 7 c + d, d the direction of the row from node c.
     ``keys`` sends entry (a, b) of each triangle's element matrix to the
     slot of b's place and a's direction from b, which no stored entry
-    reads when a or b is off the block.
+    reads when a or b is off the block.  For the N = 256 annulus E = disk
+    r 0.1, F = disk r 0.4 (62,626 triangles, 30,876 free nodes) a block
+    takes 10.7 MB, 4.5 of it in ``keys``.
     """
 
     def __init__(self, mesh: Mesh, free: np.ndarray):
+        super().__init__(mesh, np.flatnonzero(touched_triangles(mesh, free)))
         w = mesh.n + 3                       # row width of the padded grid
-        tris = np.flatnonzero(touched_triangles(mesh, free))
         nodes = _block_order(mesh, free)
-        n, k = nodes.size, tris.size
-        self.free, self.nodes = free, _frozen(nodes)
-        self.barycenters = mesh.barycenters.take(tris, axis=0)
-        b = _gradient_operator(mesh)
-        columns = b.indices.reshape(-1, 6).take(tris, axis=0)
-        data = b.data.reshape(-1, 6).take(tris, axis=0).ravel()
-        starts = np.arange(0, 6 * k + 1, 3, dtype=np.int32)
-        self.bt = sp.csr_matrix((data, columns.ravel(), starts),
-                                (2 * k, mesh.n_nodes))
+        n, k = nodes.size, len(self.corners)
+        nodes.setflags(write=False)
+        self.free, self.nodes, self.size = free, nodes, n
         # each node's place in the block, n off it, on the grid padded by a
         # ring of n so that no stencil step wraps to another row
-        padded = np.full(w * w, n, dtype=np.int32)
+        padded = np.full(w * w, n, dtype=np.intp)
         at = nodes + nodes // (w - 2) * 2 + w + 1
-        padded[at] = np.arange(n, dtype=np.int32)
-        columns = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(columns)
-        # bt's columns at their places, transposed: bf_t is its first n rows
-        t = sp.csr_matrix((data, columns.ravel(), starts),
-                          (2 * k, n + 1)).tocsc()
-        self.bf_t = sp.csr_matrix((t.data, t.indices, t.indptr[:n + 1]),
-                                  (n, 2 * k))
+        padded[at] = np.arange(n)
+        self.places = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(
+            self.corners)
         # column c's rows by direction d, at slot 7 c + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
         rows = padded.take(at[:, None] + [-w - 1, -w, -1, 0, 1, w, w + 1])
@@ -218,57 +215,56 @@ class FreeBlock:
         self.pattern = sp.csc_matrix((found, rows.take(found), np.searchsorted(
             found, np.arange(0, 7 * n + 1, 7)).astype(np.int32)), (n, n))
         self.pattern.sort_indices()
-        # the triangles with the lower ones first, the keys in that order
-        self.by_shape = np.argsort(tris % 2 == 1, kind="stable")
-        self.n_lower = k - np.count_nonzero(tris % 2)
-        corners = 7 * columns.take(self.by_shape, axis=0)[:, None, :3]
-        keys = np.repeat(_DIRECTIONS, (self.n_lower, k - self.n_lower), 0)
-        self.keys = (keys.reshape(k, 3, 3) + corners).ravel()
+        keys = np.repeat([_DIRECTIONS, 6 - _DIRECTIONS],
+                         (self.n_lower, k - self.n_lower), axis=0)
+        self.keys = (keys.reshape(k, 3, 3) + 7 * self.places[:, None]).ravel()
+
+
+def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """Constant P1 gradient per triangle, shape (ntri, 2)."""
+    g = _gradients(mesh, _Triangles(mesh), _check_field(mesh, u))
+    # back to mesh order: cell c's lower triangle is 2c, its upper 2c + 1
+    return g.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
              block: Optional[FreeBlock] = None) -> np.ndarray:
-    """r = B^T (|T| a(x_T, B u)), that is r_i = <A u, phi_i>.
+    """r_i = <A u, phi_i> = sum_T |T| a(x_T, grad u|_T) . grad phi_i|_T.
 
     eps > 0 evaluates the smoothed flux instead (solver continuation only;
     reported capacities always use eps = 0).  With ``block`` the flux is
     evaluated only on the triangles that touch free nodes and the result
     is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
     """
-    u = _check_field(mesh, u)
-    b = _gradient_operator(mesh)
-    rows, x, cols_t = ((b, mesh.barycenters, b.T) if block is None
-                       else (block.bt, block.barycenters, block.bf_t))
-    grads = (rows @ u).reshape(-1, 2)
+    tris = _Triangles(mesh) if block is None else block
+    grads = _gradients(mesh, tris, _check_field(mesh, u))
     if eps == 0.0:
-        a = eval_flux(flux, x, grads)
+        a = eval_flux(flux, tris.barycenters, grads)
     else:
-        a = eval_flux_smoothed(flux, x, grads, eps)
-    return cols_t @ (mesh.tri_area * a).ravel()
+        a = eval_flux_smoothed(flux, tris.barycenters, grads, eps)
+    return _adjoint(mesh, tris, a)
 
 
 def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
-    """<A u, v> as a sum over triangles of |T| a(B u) . (B v); equals
+    """<A u, v> as a sum over triangles of |T| a(grad u) . grad v; equals
     dot(residual(u), v) to round-off."""
-    u = _check_field(mesh, u)
-    v = _check_field(mesh, v)
-    grads_u = gradients(mesh, u)
-    grads_v = gradients(mesh, v)
-    a = eval_flux(flux, mesh.barycenters, grads_u)
+    tris = _Triangles(mesh)
+    grads_u, grads_v = (_gradients(mesh, tris, _check_field(mesh, w))
+                        for w in (u, v))
+    a = eval_flux(flux, tris.barycenters, grads_u)
     return float(mesh.tri_area * np.sum(a * grads_v))
 
 
 def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
-    """The block of sum_T |T| B_T^T (J_T + shift I) B_T, J_T the block
-    triangles' 2x2 matrices in jac: one bincount of the element matrices
-    into the block's pattern."""
-    jac = jac.reshape(-1, 4).take(block.by_shape, axis=0)
+    """The block of sum_T |T| B_T^T (J_T + shift I) B_T, J_T the 2x2
+    matrices in jac (changed in place): one bincount of the element
+    matrices into the block's pattern."""
+    jac = jac.reshape(-1, 4)
     jac[:, ::3] += shift                        # the diagonal, 0 and 3
-    elements, low = np.empty((len(jac), 9)), block.n_lower
-    # inf times a zero weight is NaN, as times B's stored zero gradients
+    # inf times a zero weight is NaN, as times the zero hat gradient
+    # components that a sparse B stores
     with np.errstate(invalid="ignore"):
-        np.matmul(jac[:low], _WEIGHTS[0], out=elements[:low])
-        np.matmul(jac[low:], _WEIGHTS[1], out=elements[low:])
+        elements = jac @ _WEIGHTS
     del jac                     # freed before the bincount's arrays exist
     sums = np.bincount(block.keys, elements.ravel())
     matrix = block.pattern.copy()   # owns its index arrays, as products do
@@ -278,15 +274,17 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
 
 def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
                     shift: float = 0.0, *, block: FreeBlock) -> sp.csc_matrix:
-    """The block of the residual's Jacobian B^T D B at u, the flux Jacobians
-    of D evaluated on the block's triangles only.  ``shift`` adds shift*I
-    to each (a Levenberg-style floor for degenerate fluxes; the residual is
-    never shifted, so the converged solution is unaffected)."""
-    return _block_matrix(block, flux_jacobian(flux, block.barycenters, (
-        block.bt @ _check_field(mesh, u)).reshape(-1, 2), eps=eps), shift)
+    """The block of the residual's Jacobian sum_T |T| B_T^T J_T B_T at u,
+    the flux Jacobians J_T evaluated on the block's triangles only.
+    ``shift`` adds shift*I to each (a Levenberg-style floor for degenerate
+    fluxes; the residual is never shifted, so the converged solution is
+    unaffected)."""
+    grads = _gradients(mesh, block, _check_field(mesh, u))
+    return _block_matrix(block, flux_jacobian(flux, block.barycenters, grads,
+                                              eps=eps), shift)
 
 
 def p2_stiffness(mesh: Mesh, block: FreeBlock) -> sp.csc_matrix:
     """The block of the P1 stiffness matrix of the Laplacian on ``mesh``,
-    |T| B^T B (the Jacobian of the p = 2 flux)."""
-    return _block_matrix(block, np.tile(np.eye(2), (len(block.by_shape), 1)))
+    sum_T |T| B_T^T B_T (the Jacobian of the p = 2 flux)."""
+    return _block_matrix(block, np.tile(np.eye(2), (len(block.corners), 1)))

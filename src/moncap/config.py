@@ -21,7 +21,7 @@ _FLUX_KEYS = {"kind", "p", "params"}
 _SOLVER_KEYS = {"tol_res", "max_newton", "init", "init_seed",
                 "jacobian_floor"}
 _SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
-_CHECK_KEYS = {"n_samples", "xi_radius"}
+_CHECK_ARGS = {"n_samples": 10_000, "xi_radius": 10.0}
 _CHAIN_KEYS = {"mode", "shapes", "fixed"}
 _ORACLE_KEYS = {"value", "radial", "strip", "reference_flux", "tol"}
 # closed-form oracle arguments with their defaults; None marks a required key
@@ -35,6 +35,12 @@ MAX_MESH_N = 1024
 # Accepted mesh.L: at every accepted N, element areas h^2 and gradient
 # coefficients 1/h stay far inside floating-point range.
 MESH_L_RANGE = (1e-100, 1e100)
+# Largest accepted check.n_samples: 10^6 samples take about 190 MB and under
+# a second on a shared 2-CPU machine; 10^10 ended in a memory error.
+MAX_CHECK_SAMPLES = 10**6
+# Largest accepted check.xi_radius^p: up to 1e150 every flux kind's check
+# stays inside floating-point range; at 1e200 squared gradients overflow.
+MAX_CHECK_GROWTH = 1e100
 
 
 def _reject_unknown(obj: dict, allowed: set, path: str):
@@ -256,18 +262,16 @@ class ExperimentConfig:
                 if "s_grid" in suite else None,
             }
 
-        self.check = {"n_samples": 10_000, "xi_radius": 10.0}
-        if "check" in raw:
-            chk = raw["check"]
-            if not isinstance(chk, dict):
-                raise ConfigError("check must be an object", "check")
-            _reject_unknown(chk, _CHECK_KEYS, "check")
-            if "n_samples" in chk:
-                self.check["n_samples"] = int(
-                    _number(chk["n_samples"], "check.n_samples", integer=True))
-            if "xi_radius" in chk:
-                self.check["xi_radius"] = _number(chk["xi_radius"],
-                                                  "check.xi_radius")
+        chk = raw.get("check", {})
+        self.check = _numbers(chk, _CHECK_ARGS, "check",
+                              integers=("n_samples",))
+        # every flux has p > 1, so p = 1 bounds xi_radius without a flux
+        p = self.flux.p if self.flux is not None else 1.0
+        for key, top in (("n_samples", MAX_CHECK_SAMPLES),
+                         ("xi_radius", MAX_CHECK_GROWTH ** (1 / p))):
+            if key in chk and not 0 < self.check[key] <= top:
+                raise ConfigError(f"{key} must be in (0, {top:g}]",
+                                  f"check.{key}")
 
         self.chain = None
         if "chain" in raw:

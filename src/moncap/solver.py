@@ -12,23 +12,20 @@ from the linear blend.  ``max_newton`` bounds the Newton steps of each
 attempt.  A start whose residual is not finite raises SolverDiverged at
 once.
 
-Each solve works on its ``FreeBlock``: B_t, the rows of the mesh's
-gradient operator B for the triangles that touch a free node, and B_f,
-their free columns, in the order ``FreeBlock`` picked (a grid order in
-which the block is a narrow band, as every order-suite block is, else
-nested dissection).  Every residual the solve evaluates (line-search
-trials and true-residual checks included) is B_f^T (|T| a(B_t u)), and
-its Jacobian B_f^T D B_f one bincount of the same triangles' element
-matrices into the block's stencil pattern.  ``_factor`` reads only its
-matrix, block or multigrid coarsest level: a dense band LU (LAPACK
-dgbtrf) when every stored entry lies within BAND_C n^(1/4) of the
-diagonal, else SuperLU in the matrix's own order; both pivot rows
-partially, for skew and shifted degenerate Jacobians.
+Each solve works on its ``FreeBlock``: the triangles that touch a free
+node, and the free nodes in a grid order in which the block is a narrow
+band (as every order-suite block is), else in nested dissection.  Every
+residual the solve evaluates, line-search trials and true-residual checks
+included, and every Jacobian is assembled on those triangles only.
+``_factor`` reads only its matrix, block or multigrid coarsest level: a
+dense band LU (LAPACK dgbtrf) when every stored entry lies within
+BAND_C n^(1/4) of the diagonal, else SuperLU in the matrix's own order;
+both pivot rows partially, for skew and shifted degenerate Jacobians.
 
 A solve holds one preconditioner at a time, across Newton steps and
 stages.  On blocks below ``KRYLOV_MIN_NODES`` free nodes it is an LU
 factor, at first the blend start's p=2 factor, and each Newton step factors
-its free-free Jacobian B_f^T D B_f and solves directly.  On larger blocks
+its free-free Jacobian and solves directly.  On larger blocks
 the blend start builds a smoothed-aggregation multigrid cycle of the p=2
 block, whose coarsest level is its one LU factor, and solves the p=2
 problem by CG preconditioned with it.  A Newton step then solves with
@@ -52,8 +49,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import (BAND_C, FreeBlock, _check_field, jacobian_matrix,
-                       p2_stiffness, residual)
+from .assembly import (BAND_C, FreeBlock, _adjoint, _check_field,
+                       _gradients, jacobian_matrix, p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
 from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
@@ -194,7 +191,7 @@ class _BandLU:
 def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
     """Right-hand side of the p=2 free-free problem with u's fixed values."""
     fixed = np.where(block.free, 0.0, u)
-    return -mesh.tri_area * (block.bf_t @ (block.bt @ fixed))
+    return -_adjoint(mesh, block, _gradients(mesh, block, fixed))
 
 
 def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):

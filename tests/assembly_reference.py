@@ -1,13 +1,28 @@
-"""Reference assemblies for the tests, independent of the free-block
-stencil kernel: whole-mesh matrices as scipy sparse products with the
-mesh's P1 gradient operator B, and the stored pattern of a free block
-read off the mesh's triangles."""
+"""Reference assemblies for the tests, independent of the triangle-corner
+kernels: the mesh's P1 gradient operator B as a scipy sparse matrix,
+whole-mesh matrices as sparse products with it, and the stored pattern of
+a free block read off the mesh's triangles."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from moncap.assembly import _gradient_operator
 from moncap.flux import flux_jacobian
+
+# h times the hat gradients of the corners of a cell's lower (n00, n10,
+# n11) and upper (n00, n11, n01) triangle
+HAT_GRADIENTS = np.array([[(-1, 0), (1, -1), (0, 1)],
+                          [(0, -1), (1, 0), (-1, 1)]], dtype=float)
+
+
+def gradient_operator(mesh):
+    """B, shape (2 ntri, n_nodes): rows 2t and 2t + 1 give the x and y
+    gradient of a P1 field on triangle t."""
+    tri = mesh.triangles
+    return sp.csr_matrix(
+        (np.tile((HAT_GRADIENTS / mesh.h).transpose(0, 2, 1).ravel(),
+                 mesh.n ** 2), np.repeat(tri, 2, axis=0).ravel(),
+         np.arange(0, 6 * len(tri) + 1, 3)),
+        shape=(2 * len(tri), mesh.n_nodes))
 
 
 def _csc(k):
@@ -19,7 +34,7 @@ def _csc(k):
 def operator_reference(mesh, jac):
     """B^T D B over the whole mesh, D the block diagonal of |T| times the
     2x2 matrices jac, one per triangle."""
-    b = _gradient_operator(mesh)
+    b = gradient_operator(mesh)
     k = len(jac)
     d = sp.csr_matrix(
         ((mesh.tri_area * jac).ravel(),
@@ -31,7 +46,7 @@ def operator_reference(mesh, jac):
 def jacobian_reference(mesh, flux, u, eps, shift=0.0):
     """The residual's Jacobian B^T D B over the whole mesh, with the flux
     Jacobians (plus shift I) at the triangle barycenters."""
-    b = _gradient_operator(mesh)
+    b = gradient_operator(mesh)
     jac = flux_jacobian(flux, mesh.barycenters, (b @ u).reshape(-1, 2),
                         eps=eps)
     return operator_reference(mesh, jac + shift * np.eye(2))
@@ -39,7 +54,7 @@ def jacobian_reference(mesh, flux, u, eps, shift=0.0):
 
 def p2_reference(mesh):
     """|T| B^T B over the whole mesh."""
-    b = _gradient_operator(mesh)
+    b = gradient_operator(mesh)
     return _csc(mesh.tri_area * (b.T @ b))
 
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from assembly_reference import (jacobian_reference, operator_reference,
-                                p2_reference, pattern_reference, sub_block)
+from assembly_reference import (gradient_operator, jacobian_reference,
+                                operator_reference, p2_reference,
+                                pattern_reference, sub_block)
 from moncap import assembly
-from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank,
-                             _gradient_operator, gradients, jacobian_matrix,
-                             p2_stiffness, pairing, residual)
+from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank, _gradients,
+                             gradients, jacobian_matrix, p2_stiffness,
+                             pairing, residual)
+from moncap.errors import InvalidInput
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
@@ -219,6 +221,9 @@ class TestStiffness:
         u = 2.0 * m.nodes[:, 0] + 3.0 * m.nodes[:, 1]
         g = gradients(m, u)
         assert np.allclose(g, [2.0, 3.0], rtol=1e-13)
+        for wrong in (u[:-1], np.append(u, 0.0)):
+            with pytest.raises(InvalidInput, match="field has"):
+                gradients(m, wrong)
 
 
 def assert_same_compressed(a, b):
@@ -269,6 +274,12 @@ def edge_masks(mesh, seed):
         yield free
 
 
+def block_triangles(mesh, free):
+    """The triangles with a free node, lower ones (even numbers) first."""
+    tris = np.flatnonzero(free[mesh.triangles].any(axis=1))
+    return tris[np.argsort(tris % 2, kind="stable")]
+
+
 class TestFreeBlock:
     """The free block of a matrix is the reference's k[nodes][:, nodes] to
     round-off, stored in the stencil pattern, and the block residual is
@@ -293,11 +304,19 @@ class TestFreeBlock:
             r = residual(m, fl, u, r_eps)
             assert residual(m, fl, u, r_eps, block=block).tobytes() \
                 == r[nodes].tobytes()
-        touching = free[m.triangles].any(axis=1)
-        assert np.array_equal(block.barycenters, m.barycenters[touching])
-        rows = _gradient_operator(m)[np.repeat(touching, 2)]
-        assert_same_compressed(block.bt, rows)
-        assert_same_compressed(block.bf_t, rows[:, nodes].T.tocsr())
+        tris = block_triangles(m, free)
+        assert block.n_lower == np.count_nonzero(tris % 2 == 0)
+        # an upper triangle (n00, n11, n01) is stored as (n11, n01, n00)
+        corners = m.triangles[tris]
+        corners[tris % 2 == 1] = np.roll(corners[tris % 2 == 1], -1, axis=1)
+        assert np.array_equal(block.corners, corners)
+        place = np.full(m.n_nodes, nodes.size)
+        place[nodes] = np.arange(nodes.size)
+        assert np.array_equal(block.places, place[block.corners])
+        assert np.array_equal(block.barycenters, m.barycenters[tris])
+        want = (gradient_operator(m) @ u).reshape(-1, 2)[tris]
+        got = _gradients(m, block, u)
+        assert abs(got - want).max() <= ROUND_OFF * abs(want).max()
 
     @pytest.mark.parametrize("kind", sorted(FLUX_KINDS))
     def test_random_masks(self, kind):
@@ -409,14 +428,14 @@ class TestFreeBlock:
         m = build_mesh(8)
         block = FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1),
                                        disk(0.5, 0.5, 0.4)))
-        touching = block.free[m.triangles].any(axis=1)
+        tris = block_triangles(m, block.free)
         rng = np.random.default_rng(5)
         for _ in range(5):
             jac = rng.normal(size=(m.n_triangles, 2, 2))
             hit = rng.choice(jac.size, 6, replace=False)
             jac.reshape(-1)[hit] = np.inf * rng.choice([-1.0, 1.0], 6)
             monkeypatch.setattr(assembly, "flux_jacobian",
-                                lambda flux, x, xi, eps: jac[touching])
+                                lambda flux, x, xi, eps: jac[tris])
             got = jacobian_matrix(m, p_laplacian(3.0), np.zeros(m.n_nodes),
                                   0.0, block=block).toarray()
             want = sub_block(operator_reference(m, jac),

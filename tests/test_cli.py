@@ -326,6 +326,26 @@ class TestCheckFluxCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["all_passed"] is True
 
+    @pytest.mark.parametrize("check,path", [
+        ({"n_samples": 0}, "check.n_samples"),
+        ({"n_samples": 1e10}, "check.n_samples"),
+        ({"xi_radius": 0}, "check.xi_radius"),
+        ({"xi_radius": -1}, "check.xi_radius"),
+        ({"xi_radius": 1e300}, "check.xi_radius"),
+    ])
+    def test_bad_check_block_exit_2_with_path(self, tmp_path, capsys,
+                                              recwarn, check, path):
+        # rejected at parse time with the path, before any sample is drawn:
+        # nothing is allocated, nothing passes vacuously, nothing overflows
+        body = {"flux": {"kind": "p_laplacian", "p": 3.0}, "check": check,
+                "output_dir": str(tmp_path / "out")}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["check-flux", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}: " in captured.err
+        assert captured.out == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_adversarial_fixture_fails_with_witness(self, tmp_path, capsys):
         body = {"flux": {"kind": "adversarial_fixture"},
                 "check": {"n_samples": 500},

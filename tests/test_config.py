@@ -1,7 +1,7 @@
 import pytest
 
-from moncap.config import (MAX_MESH_N, ExperimentConfig, parse_flux,
-                           parse_solver)
+from moncap.config import (MAX_CHECK_SAMPLES, MAX_MESH_N, ExperimentConfig,
+                           parse_flux, parse_solver)
 from moncap.errors import ConfigError
 from moncap.flux import (adversarial_fixture, anisotropic_p, combine,
                          flat_core_p, linear_matrix, p_laplacian, s_transform,
@@ -209,3 +209,37 @@ def test_bad_suite_block_names_its_path(suite, path, message):
         ExperimentConfig(annulus_raw(suite=dict(suite, name="s")))
     assert exc.value.path == path
     assert message in str(exc.value)
+
+
+P3 = {"kind": "p_laplacian", "p": 3.0}
+
+
+@pytest.mark.parametrize("flux,check,path,message", [
+    (P3, {"n_samples": 0}, "check.n_samples", "in (0, 1e+06]"),
+    (P3, {"n_samples": -5}, "check.n_samples", "in (0, 1e+06]"),
+    (P3, {"n_samples": 1e10}, "check.n_samples", "in (0, 1e+06]"),
+    (P3, {"n_samples": 2.5}, "check.n_samples", "expected an integer"),
+    (P3, {"xi_radius": 0}, "check.xi_radius", "in (0, 2.15443e+33]"),
+    (P3, {"xi_radius": -1}, "check.xi_radius", "in (0, 2.15443e+33]"),
+    (P3, {"xi_radius": float("inf")}, "check.xi_radius", "expected a number"),
+    (P3, {"xi_radius": 1e300}, "check.xi_radius", "in (0, 2.15443e+33]"),
+    (P3, {"xi_radius": 1e34}, "check.xi_radius", "in (0, 2.15443e+33]"),
+    # xi_radius^p at most 1e100
+    ({"kind": "p_laplacian", "p": 300.0}, {"xi_radius": 3.0},
+     "check.xi_radius", "in (0, 2.15443]"),
+    (None, {"xi_radius": 1e101}, "check.xi_radius", "in (0, 1e+100]"),
+    (P3, [500], "check", "expected an object"),
+    (P3, {"samples": 500}, "check", "unknown keys ['samples']"),
+])
+def test_bad_check_block_names_its_path(flux, check, path, message):
+    raw = {"check": check} if flux is None else {"flux": flux, "check": check}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(raw)
+    assert exc.value.path == path
+    assert message in str(exc.value)
+
+
+def test_check_block_bounds_accepted():
+    cfg = ExperimentConfig({"flux": P3, "check": {
+        "n_samples": MAX_CHECK_SAMPLES, "xi_radius": 1e33}})
+    assert cfg.check == {"n_samples": MAX_CHECK_SAMPLES, "xi_radius": 1e33}
