@@ -25,13 +25,6 @@ from .errors import InvalidInput
 from .flux import Flux, eval_flux, eval_flux_smoothed, flux_jacobian
 from .mesh import Mesh, touched_triangles
 
-# A free block of n nodes whose bandwidth in a grid order is at most
-# BAND_C n^(1/4) is factored as a band by LAPACK, others by SuperLU in
-# dissection order.  Band LU costs about n bw^2, SuperLU's dissection order
-# about n^1.5 on compact blocks: the fitted crossover sends compact blocks
-# above about 5,000 nodes and thin wide shapes to SuperLU (CHANGES.md).
-BAND_C = 9.5
-
 # A cell's upper triangle, its corners taken as (n11, n01, n00), is its
 # lower one (n00, n10, n11) reflected through the cell's centre.  So h times
 # the hat gradients g_a of the corners are _GRADIENTS or minus them, corner
@@ -53,60 +46,6 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(starts[k], starts[k] + lengths[k])."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
-def _dissect(i0: int, i1: int, j0: int, j1: int, boxes: list):
-    """Append the boxes of [i0, i1) x [j0, j1) to ``boxes`` in elimination
-    order: both halves, then the grid line between them."""
-    w, h = i1 - i0, j1 - j0
-    if w * h <= 16:
-        boxes.append((i0, i1, j0, j1))
-    elif w >= h:
-        mid = i0 + w // 2
-        _dissect(i0, mid, j0, j1, boxes)
-        _dissect(mid + 1, i1, j0, j1, boxes)
-        boxes.append((mid, mid + 1, j0, j1))
-    else:
-        mid = j0 + h // 2
-        _dissect(i0, i1, j0, mid, boxes)
-        _dissect(i0, i1, mid + 1, j1, boxes)
-        boxes.append((i0, i1, mid, mid + 1))
-
-
-def _dissection_rank(mesh: Mesh) -> np.ndarray:
-    """Position of each node in a nested-dissection order of the grid,
-    cached on the mesh at first use.
-
-    Edges join nodes at most one apart in i and in j, so every grid line
-    separates the nodes on its two sides.  A box of grid indices is split
-    at the middle line of its longer side; the two halves are numbered
-    first and the separating line last, down to boxes of at most 16 nodes
-    (George, SIAM J. Numer. Anal. 10, 1973).  Restricted to any free set
-    the order is still a dissection order, so a free-free block assembled
-    in it factors with little fill without a reordering.
-    """
-    key = "dissection_rank"
-    if key not in mesh._cache:
-        side = mesh.n + 1
-        boxes = []
-        _dissect(0, side, 0, side, boxes)
-        i0, i1, j0, j1 = np.array(boxes).T
-        heights = j1 - j0
-        # one run of consecutive node indices per grid row of each box
-        rows = _runs(j0, heights)
-        order = _runs(rows * side + np.repeat(i0, heights),
-                      np.repeat(i1 - i0, heights))
-        rank = np.empty(mesh.n_nodes, dtype=np.int64)
-        rank[order] = np.arange(order.size)
-        rank.setflags(write=False)      # shared by every solve on the mesh
-        mesh._cache[key] = rank
-    return mesh._cache[key]
-
-
 def _grid_span(grid: np.ndarray) -> int:
     """The most places, in row-major order of grid's True entries, that a
     mesh edge between two of them spans; edges join [r, c] to [r, c + 1],
@@ -123,20 +62,14 @@ def _grid_span(grid: np.ndarray) -> int:
 def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
     """The free nodes in grid row-major (node (i, j) at j (N+1) + i) or
     column-major order, whichever the free-free mesh edges span fewer places
-    in (row-major on a tie), when that span, the bandwidth of every block
-    matrix, is at most BAND_C n^(1/4); else in the mesh's dissection order,
-    whose rank is built only then."""
+    in (row-major on a tie): that span is every block matrix's bandwidth."""
     side = mesh.n + 1
     grid = free.reshape(side, side)          # grid[j, i] is node (i, j)
-    by_row, by_column = _grid_span(grid), _grid_span(grid.T)
-    nodes = np.flatnonzero(free)
-    if min(by_row, by_column) > BAND_C * nodes.size ** 0.25:
-        return nodes[np.argsort(_dissection_rank(mesh)[nodes])]
-    if by_column < by_row:
+    if _grid_span(grid.T) < _grid_span(grid):
         # column-major position k = i side + j holds node j side + i
         k = np.flatnonzero(grid.T)
         return k % side * side + k // side
-    return nodes
+    return np.flatnonzero(free)
 
 
 class _Triangles:
@@ -218,13 +151,6 @@ class FreeBlock(_Triangles):
         keys = np.repeat([_DIRECTIONS, 6 - _DIRECTIONS],
                          (self.n_lower, k - self.n_lower), axis=0)
         self.keys = (keys.reshape(k, 3, 3) + 7 * self.places[:, None]).ravel()
-
-
-def gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Constant P1 gradient per triangle, shape (ntri, 2)."""
-    g = _gradients(mesh, _Triangles(mesh), _check_field(mesh, u))
-    # back to mesh order: cell c's lower triangle is 2c, its upper 2c + 1
-    return g.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,

@@ -357,9 +357,13 @@ def cmd_check_flux(args) -> int:
     cfg, out_dir, h = _prepare(args)
     _require(cfg, "flux")
     t0 = time.time()
-    report = check_conditions(cfg.flux, cfg.check["n_samples"],
-                              cfg.check["xi_radius"], cfg.seed,
-                              domain_l=cfg.mesh_l)
+    try:
+        report = check_conditions(cfg.flux, cfg.check["n_samples"],
+                                  cfg.check["xi_radius"], cfg.seed,
+                                  domain_l=cfg.mesh_l)
+    except InvalidInput as exc:
+        # xi_radius^p beyond MAX_CHECK_GROWTH for the flux's p
+        raise ConfigError(str(exc), f"check.{exc.field}") from exc
     body = report.to_dict()
     _emit(dumps_report(body), args.quiet)
     write_json(os.path.join(out_dir, f"check-{h[:12]}.json"), body)

@@ -546,6 +546,9 @@ class ConditionReport:
 
 
 MARGIN_TOL = 1e-12
+# Largest accepted xi_radius^p: up to 1e150 every flux kind's check stays
+# inside floating-point range; at 1e200 squared gradients overflow.
+MAX_CHECK_GROWTH = 1e100
 
 
 def check_conditions(flux: Flux, n_samples: int, xi_radius: float = 10.0,
@@ -553,10 +556,14 @@ def check_conditions(flux: Flux, n_samples: int, xi_radius: float = 10.0,
     """Sample the four structural conditions and report worst margins.
 
     x is uniform in the domain square, xi and eta uniform in the ball of
-    radius xi_radius.
+    radius xi_radius, which must keep xi_radius^p within MAX_CHECK_GROWTH.
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
+    top = MAX_CHECK_GROWTH ** (1.0 / flux.p)
+    if not 0 < xi_radius <= top:
+        raise InvalidInput(f"xi_radius must be in (0, {top:g}] for p = "
+                           f"{flux.p:g}", "xi_radius")
     rng = np.random.default_rng(seed)
     n = int(n_samples)
     x = rng.uniform(0.0, domain_l, size=(n, 2))

@@ -9,7 +9,7 @@ comparison principle holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ class Mesh:
     tri_area: float          # L^2 / (2 N^2), same for every triangle
     barycenters: np.ndarray  # (2 N^2, 2)
     mesh_id: str
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:

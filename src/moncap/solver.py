@@ -13,30 +13,32 @@ attempt.  A start whose residual is not finite raises SolverDiverged at
 once.
 
 Each solve works on its ``FreeBlock``: the triangles that touch a free
-node, and the free nodes in a grid order in which the block is a narrow
-band (as every order-suite block is), else in nested dissection.  Every
-residual the solve evaluates, line-search trials and true-residual checks
-included, and every Jacobian is assembled on those triangles only.
-``_factor`` reads only its matrix, block or multigrid coarsest level: a
-dense band LU (LAPACK dgbtrf) when every stored entry lies within
-BAND_C n^(1/4) of the diagonal, else SuperLU in the matrix's own order;
-both pivot rows partially, for skew and shifted degenerate Jacobians.
+node, and the free nodes in grid row-major or column-major order,
+whichever keeps the block's band narrower.  Every residual the solve
+evaluates, line-search trials and true-residual checks included, and
+every Jacobian is assembled on those triangles only.  ``_factor`` reads
+only its matrix, block or multigrid coarsest level: a dense band LU
+(LAPACK dgbtrf) when every stored entry lies within BAND_C n^(1/4) of the
+diagonal, else SuperLU with its own fill-reducing order; both pivot rows
+partially, for skew and shifted degenerate Jacobians.
 
-A solve holds one preconditioner at a time, across Newton steps and
-stages.  On blocks below ``KRYLOV_MIN_NODES`` free nodes it is an LU
-factor, at first the blend start's p=2 factor, and each Newton step factors
-its free-free Jacobian and solves directly.  On larger blocks
-the blend start builds a smoothed-aggregation multigrid cycle of the p=2
-block, whose coarsest level is its one LU factor, and solves the p=2
-problem by CG preconditioned with it.  A Newton step then solves with
-GMRES, right-preconditioned by the held preconditioner, to an
-Eisenstat-Walker forcing term (inexact Newton); when GMRES needs more than
-``KRYLOV_MAX_ITER`` iterations or the line search rejects its direction,
-the held preconditioner is dropped and the step, like the rest of its
-stage's Newton pass, is solved directly from a fresh factor, which is held
-from then on.  Step lengths backtrack on the free-node residual max-norm.
-Convergence is always declared on the TRUE flux residual at the same
-target, so reported capacities belong to the problem actually posed.
+On blocks below ``KRYLOV_MIN_NODES`` free nodes a solve holds no
+preconditioner: the blend start and each Newton step factor their matrix,
+solve directly and drop the factor.  On larger blocks the one thing a
+solve holds, across Newton steps and stages, is a smoothed-aggregation
+multigrid cycle, whose coarsest level is its one LU factor.  The blend
+start builds it from the p=2 block and solves the p=2 problem by CG
+preconditioned with it; any other start builds it from its first
+Jacobian.  A Newton step solves with GMRES, right-preconditioned by the
+cycle, to an Eisenstat-Walker forcing term (inexact Newton).  When GMRES
+needs more than ``KRYLOV_MAX_ITER`` iterations or the line search
+rejects its direction, the cycle is rebuilt from that step's Jacobian and
+GMRES is tried once more; only when that fails too is the step solved
+directly, from a factor of its Jacobian made after the cycle is dropped,
+and the next step builds a new cycle.  Step lengths backtrack on the
+free-node residual max-norm.  Convergence is always declared on the TRUE
+flux residual at the same target, so reported capacities belong to the
+problem actually posed.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import (BAND_C, FreeBlock, _adjoint, _check_field,
-                       _gradients, jacobian_matrix, p2_stiffness, residual)
+from .assembly import (FreeBlock, _adjoint, _check_field, _gradients,
+                       jacobian_matrix, p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
 from .flux import Flux
 from .mesh import Mesh, NodeSet, validate_pair
@@ -67,8 +69,8 @@ FIRST_HOP_RATIO = 0.1
 HOP_MAX_ITER = 8
 MAX_HOPS = 120
 EPS_FLOOR = 1e-13
-# Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on the
-# held preconditioner.  Below about 4,000 free nodes the flat-core annulus
+# Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on a
+# multigrid cycle.  Below about 4,000 free nodes the flat-core annulus
 # solves took 0.75-1.10x the direct time (inexact steps add Newton steps);
 # above it every measured p = 3 and flat-core case was faster
 # (table in CHANGES.md).
@@ -78,9 +80,17 @@ KRYLOV_MAX_ITER = 20
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_MAX = 0.1
-# Above the gate the held preconditioner is a smoothed-aggregation cycle of
-# the p=2 block: levels coarsen to at most COARSE_MAX_NODES nodes, which are
-# factored, and smooth with JACOBI_WEIGHT D^-1
+# A matrix of n rows whose stored entries all lie within BAND_C n^(1/4) of
+# the diagonal is factored as a band by LAPACK, any other by SuperLU in its
+# default COLAMD order.  Band LU costs about n bw^2: the constant, fitted
+# against SuperLU on compact blocks (CHANGES.md), sends compact blocks above
+# about 5,000 nodes and thin wide shapes to SuperLU.  Compact blocks that
+# large lie above KRYLOV_MIN_NODES, where only the multigrid coarsest level
+# and a step whose rebuilt cycle failed are factored.
+BAND_C = 9.5
+# Above the gate the preconditioner is a smoothed-aggregation cycle of the
+# p=2 block or of a Jacobian: levels coarsen to at most COARSE_MAX_NODES
+# nodes, which are factored, and smooth with JACOBI_WEIGHT D^-1
 COARSE_MAX_NODES = 800
 JACOBI_WEIGHT = 0.6
 # The blend start's CG solve for E at level 1 stops at a residual 2-norm of
@@ -152,7 +162,8 @@ class PotentialField:
 
 def _factor(a):
     """LU factor of a CSC matrix a: a banded LU when its stored entries lie
-    within BAND_C n^(1/4) of the diagonal, else SuperLU in a's own order."""
+    within BAND_C n^(1/4) of the diagonal, else SuperLU, which orders a's
+    columns by COLAMD."""
     n = a.shape[0]
     col = np.repeat(np.arange(n), np.diff(a.indptr))
     below = a.indices - col
@@ -160,7 +171,7 @@ def _factor(a):
     kl, ku = int(below.max(initial=0)), -int(below.min(initial=0))
     if max(kl, ku) <= BAND_C * n ** 0.25:
         return _BandLU(a, col, below, kl, ku)
-    return spla.splu(a, permc_spec="NATURAL")
+    return spla.splu(a)
 
 
 class _BandLU:
@@ -196,22 +207,22 @@ def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
 
 def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):
     """Solve the p=2 problem with the same boundary data; cheap and inside
-    the comparison cone.  Returns the start and the preconditioner that the
-    first Newton steps on large blocks hold: below ``KRYLOV_MIN_NODES`` free
-    nodes the p=2 LU factor, which gives the start directly; above it a
-    multigrid cycle of the p=2 block, which preconditions a CG solve for E
-    at level 1 that is then scaled by s.  At extreme s, CG's inner products
-    at level s would underflow or overflow."""
+    the comparison cone.  Returns the start and the cycle that the first
+    Newton steps on large blocks hold.  Below ``KRYLOV_MIN_NODES`` free
+    nodes the p=2 LU factor gives the start directly and is dropped: the
+    cycle is None.  Above it a multigrid cycle of the p=2 block
+    preconditions a CG solve for E at level 1 that is then scaled by s.  At
+    extreme s, CG's inner products at level s would underflow or
+    overflow."""
     k = p2_stiffness(mesh, block)
     out = u.copy()
     if block.nodes.size < KRYLOV_MIN_NODES:
-        lu = _factor(k)
-        out[block.nodes] = lu.solve(_blend_rhs(mesh, block, u))
-        return out, lu
+        out[block.nodes] = _factor(k).solve(_blend_rhs(mesh, block, u))
+        return out, None
     # k is symmetric, so its transpose is k itself in CSR, the format the
     # cycle's products and CG's matvecs run fastest in
     k = k.T
-    cycle = _Cycle(k, block.nodes % (mesh.n + 1), block.nodes // (mesh.n + 1))
+    cycle = _Cycle(k, mesh, block)
     m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
     x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=0.0,
                    atol=BLEND_CG_ATOL, maxiter=BLEND_CG_MAX_ITER, M=m)
@@ -220,9 +231,9 @@ def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):
 
 
 class _Cycle:
-    """A smoothed-aggregation V(1,1) cycle for a symmetric positive
-    definite free-free block a (Vanek, Mandel and Brezina, Computing 56,
-    1996), given the grid indices (i, j) of its nodes.
+    """A smoothed-aggregation V(1,1) cycle for a free-free block a in CSR
+    (Vanek, Mandel and Brezina, Computing 56, 1996): the p=2 block, or a
+    Newton step's Jacobian, which a skew flux makes nonsymmetric.
 
     Each level aggregates its nodes by 2x2 boxes of grid indices, node
     (i, j) into box (i // 2, j // 2), and smooths the piecewise-constant
@@ -230,18 +241,25 @@ class _Cycle:
     the Gershgorin bound of D^-1 a; the next level is the Galerkin product
     P^T a P at the box indices.  This handles odd grids and masked free
     sets alike.  The first level with at most ``COARSE_MAX_NODES`` nodes is
-    factored.  ``solve(b)`` applies one cycle: damped-Jacobi pre- and
-    post-smoothing around the coarse correction, a fixed symmetric linear
-    operator that stands in for a^-1 as a held LU factor would.
+    factored.  A level with a diagonal entry that is not positive (a flat
+    Jacobian without a floor has zero rows) has no Jacobi smoother and
+    raises RuntimeError, as a singular coarsest level does.
+    ``solve(b)`` applies one cycle: damped-Jacobi pre- and
+    post-smoothing around the coarse correction, a fixed linear operator
+    that stands in for a^-1, symmetric when a is.  GMRES needs no symmetry
+    of it; CG, which preconditions only the p=2 block with it, does.
     """
 
-    def __init__(self, a, i, j):
+    def __init__(self, a, mesh: Mesh, block: FreeBlock):
         # only solves above the gate build a hierarchy; moncap.assembly has
         # loaded scipy.sparse already
         import scipy.sparse as sp
+        i, j = block.nodes % (mesh.n + 1), block.nodes // (mesh.n + 1)
         self.levels = []
         while a.shape[0] > COARSE_MAX_NODES:
             d = a.diagonal()
+            if not np.all(d > 0):
+                raise RuntimeError("no Jacobi smoother: a diagonal <= 0")
             rho = float(np.max(abs(a) @ np.ones(a.shape[0]) / d))
             i, j = i // 2, j // 2
             _, first, box = np.unique(j * (int(i.max()) + 1) + i,
@@ -285,7 +303,7 @@ def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     # zero, or random basin start fails, retry once from the default blend
     # (for merely monotone fluxes any converged solution carries the same
     # capacity).  The retry runs after the handler, so the failed attempt's
-    # frames, and its LU factor, are freed first.
+    # frames, and its cycle's LU factor, are freed first.
     return _solve(mesh, flux, e, f, s, replace(opts, init="linear_blend"))
 
 
@@ -318,7 +336,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
     if opts.init == "linear_blend":
-        u, state.precond = _linear_blend_init(mesh, block, u, s)
+        u, state.cycle = _linear_blend_init(mesh, block, u, s)
     elif opts.init == "given":
         u = _check_field(mesh, opts.init_field).copy()
         u[e.mask] = s
@@ -402,11 +420,12 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 class _NewtonState:
     """Shared bookkeeping for the staged Newton solve.
 
-    ``precond`` is the held preconditioner: the blend start's p=2 LU factor
-    or multigrid cycle at first, later the last LU factor made.  It is held
-    across Newton steps and stages to precondition GMRES on large blocks,
-    and dropped before the next factor is made, so one solve never holds
-    two factors.
+    ``cycle`` is the multigrid cycle that preconditions GMRES on blocks of
+    at least ``KRYLOV_MIN_NODES`` free nodes, held across Newton steps and
+    stages: the blend start's, or one built from a step's Jacobian when
+    none is held or when the held one fails that step.  It is dropped
+    before any other factor is made, so one solve never holds two factors,
+    and the factor of a direct step is dropped with the step.
     """
 
     def __init__(self, mesh, flux, block, opts, history):
@@ -418,7 +437,7 @@ class _NewtonState:
         self.iterations = 0
         self.best_u = None
         self.best_rmax = np.inf
-        self.precond = None
+        self.cycle = None
 
     def budget(self):
         return self.opts.max_newton - self.iterations
@@ -439,40 +458,57 @@ class _NewtonState:
             self.best_u = u.copy()
 
     def _direct(self, kff, r):
-        """Newton direction from a fresh LU factor of kff, which becomes
-        the held preconditioner; None when the factor or the direction
+        """Newton direction from an LU factor of kff, made once the cycle
+        is dropped and not held; None when the factor or the direction
         fails."""
-        self.precond = None
+        self.cycle = None
         try:
-            self.precond = _factor(kff)
+            lu = _factor(kff)
         except RuntimeError:
             return None
-        delta = self.precond.solve(-r)
+        delta = lu.solve(-r)
         return delta if np.all(np.isfinite(delta)) else None
 
     def _krylov_norm(self, r, rmax):
-        """The 2-norm of r when a GMRES step can use it (a held
-        preconditioner, a finite norm), else None."""
-        if self.precond is None or not math.isfinite(rmax):
+        """The 2-norm of r when a GMRES step can use it, else None."""
+        if not math.isfinite(rmax):
             return None
         # finite entries can still overflow the sum of squares
         with np.errstate(over="ignore"):
             rnorm = float(np.linalg.norm(r))
         return rnorm if math.isfinite(rnorm) else None
 
+    def _krylov_step(self, kff, r, rtol, u, rmax, residual_eps):
+        """The line search's (u, r, rmax) along a GMRES direction with the
+        held cycle; when none is held, or the held one fails, with a cycle
+        rebuilt from kff.  None when that fails too."""
+        def attempt():
+            delta = self._gmres(kff, r, rtol)
+            return (None if delta is None
+                    else self._line_search(u, delta, rmax, residual_eps))
+        step = None if self.cycle is None else attempt()
+        if step is None:
+            self.cycle = None       # its coarse factor goes before the next
+            try:
+                self.cycle = _Cycle(kff.tocsr(), self.mesh, self.block)
+            except RuntimeError:    # no smoother, or a singular coarsest level
+                return None
+            step = attempt()
+        return step
+
     def _gmres(self, kff, r, rtol):
-        """Newton direction from GMRES preconditioned by the held
-        preconditioner, to relative residual rtol; None when
-        KRYLOV_MAX_ITER iterations do not reach it."""
-        m = self.precond
+        """Newton direction from GMRES preconditioned by the held cycle, to
+        relative residual rtol; None when KRYLOV_MAX_ITER iterations do not
+        reach it."""
+        m = self.cycle
         # right preconditioning: GMRES minimises the true residual
         # |kff delta + r| of delta = m.solve(y), the forcing term's measure
         kff_m = spla.LinearOperator(kff.shape, dtype=float,
                                     matvec=lambda y: kff @ m.solve(y))
         # with the legacy callback type, maxiter bounds the inner iterations
         # over all restarts (otherwise it counts restart cycles).  A Krylov
-        # basis that overflows (a huge jacobian_floor against the p=2
-        # preconditioner) ends in info > 0 or a non-finite direction, both refused.
+        # basis that overflows (a huge jacobian_floor) ends in info > 0 or a
+        # non-finite direction, both refused.
         with np.errstate(over="ignore", invalid="ignore"):
             y, info = spla.gmres(kff_m, -r, rtol=rtol,
                                  restart=KRYLOV_MAX_ITER,
@@ -501,7 +537,7 @@ class _NewtonState:
         """Damped Newton on the residual at smoothing residual_eps; returns
         (u, last rmax of that residual).  Tracks the best TRUE iterate only
         when iterating the true residual.  A step counts only once the line
-        search accepts it, whether GMRES or a fresh factor gave it."""
+        search accepts it, whether GMRES or a direct factor gave it."""
         opts = self.opts
         true_pass = residual_eps == 0.0
         r, rmax = self._residual(u, residual_eps)
@@ -516,15 +552,10 @@ class _NewtonState:
             step = None
             rnorm = self._krylov_norm(r, rmax) if krylov else None
             if rnorm is not None:
-                delta = self._gmres(kff, r, _forcing(rnorm, rnorm_prev,
-                                                     target))
+                step = self._krylov_step(
+                    kff, r, _forcing(rnorm, rnorm_prev, target), u, rmax,
+                    residual_eps)
                 rnorm_prev = rnorm
-                if delta is not None:
-                    step = self._line_search(u, delta, rmax, residual_eps)
-                # near a flux kink the Jacobian changes faster than a
-                # factor stays useful: after one failure the rest of the
-                # pass is direct
-                krylov = step is not None
             if step is None:
                 delta = self._direct(kff, r)
                 if delta is None:

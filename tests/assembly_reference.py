@@ -1,11 +1,13 @@
 """Reference assemblies for the tests, independent of the triangle-corner
 kernels: the mesh's P1 gradient operator B as a scipy sparse matrix,
 whole-mesh matrices as sparse products with it, and the stored pattern of
-a free block read off the mesh's triangles."""
+a free block read off the mesh's triangles.  ``gradients`` is the one
+exception: the kernel's whole-mesh gradients, put back in mesh order."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from moncap.assembly import _check_field, _gradients, _Triangles
 from moncap.flux import flux_jacobian
 
 # h times the hat gradients of the corners of a cell's lower (n00, n10,
@@ -23,6 +25,14 @@ def gradient_operator(mesh):
                  mesh.n ** 2), np.repeat(tri, 2, axis=0).ravel(),
          np.arange(0, 6 * len(tri) + 1, 3)),
         shape=(2 * len(tri), mesh.n_nodes))
+
+
+def gradients(mesh, u):
+    """Constant P1 gradient per triangle, shape (ntri, 2), from the
+    triangle-corner kernel."""
+    g = _gradients(mesh, _Triangles(mesh), _check_field(mesh, u))
+    # back to mesh order: cell c's lower triangle is 2c, its upper 2c + 1
+    return g.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
 
 
 def _csc(k):

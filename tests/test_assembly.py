@@ -1,17 +1,14 @@
-import gc
 import threading
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
-from assembly_reference import (gradient_operator, jacobian_reference,
-                                operator_reference, p2_reference,
-                                pattern_reference, sub_block)
+from assembly_reference import (gradient_operator, gradients,
+                                jacobian_reference, operator_reference,
+                                p2_reference, pattern_reference, sub_block)
 from moncap import assembly
-from moncap.assembly import (BAND_C, FreeBlock, _dissection_rank, _gradients,
-                             gradients, jacobian_matrix, p2_stiffness,
-                             pairing, residual)
+from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
+                             p2_stiffness, pairing, residual)
 from moncap.errors import InvalidInput
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          linear_matrix, p_laplacian, s_transform,
@@ -223,7 +220,7 @@ class TestStiffness:
         assert np.allclose(g, [2.0, 3.0], rtol=1e-13)
         for wrong in (u[:-1], np.append(u, 0.0)):
             with pytest.raises(InvalidInput, match="field has"):
-                gradients(m, wrong)
+                residual(m, p_laplacian(2.0), wrong)
 
 
 def assert_same_compressed(a, b):
@@ -284,8 +281,7 @@ class TestFreeBlock:
     """The free block of a matrix is the reference's k[nodes][:, nodes] to
     round-off, stored in the stencil pattern, and the block residual is
     r[nodes] bit for bit, with ``nodes`` the free nodes in the block's grid
-    or dissection order, built from only the triangles that touch free
-    nodes."""
+    order, built from only the triangles that touch free nodes."""
 
     def check(self, m, free, fl, u):
         block = FreeBlock(m, free)
@@ -339,20 +335,19 @@ class TestFreeBlock:
             self.check(m, free, fl, rand_field(m, 5))
 
     def test_columns_sorted_in_every_order(self):
-        # an annulus takes row-major order, a strip wider than high
-        # column-major order and a cross two nodes wide dissection order;
-        # the blocks of all three keep each column's rows sorted
+        # an annulus and a cross two nodes wide take row-major order, a
+        # strip wider than high column-major order; the blocks of all three
+        # keep each column's rows sorted
         m = build_mesh(64)
         side = m.n + 1
         cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
                             rect(0.49, 0.0, 0.52, 1.0))
         places = {
-            "row": (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4),
-                    lambda nodes: nodes),
-            "column": (shape_none(), rect(0.0, 0.45, 1.0, 0.55),
-                       lambda nodes: nodes % side * side + nodes // side),
-            "dissection": (shape_none(), cross,
-                           lambda nodes: _dissection_rank(m)[nodes]),
+            "annulus": (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4),
+                        lambda nodes: nodes),
+            "strip": (shape_none(), rect(0.0, 0.45, 1.0, 0.55),
+                      lambda nodes: nodes % side * side + nodes // side),
+            "cross": (shape_none(), cross, lambda nodes: nodes),
         }
         for order, (e_shape, f_shape, place) in places.items():
             free = pair_free(m, e_shape, f_shape)
@@ -382,7 +377,7 @@ class TestFreeBlock:
                             rect(0.49, 0.0, 0.52, 1.0))
         cases = [(m16, rng.random(m16.n_nodes) < frac)
                  for frac in (0.1, 0.5, 0.9, 1.0)]
-        # two nodes wide, the cross bands in neither grid order
+        # two nodes wide, the cross spans about a grid side in both orders
         cases.append((m64, pair_free(m64, shape_none(), cross)))
         for m, free in cases:
             a, b = m.triangles.ravel(), m.triangles[:, [1, 2, 0]].ravel()
@@ -397,10 +392,7 @@ class TestFreeBlock:
             nodes = np.flatnonzero(free)
             by_column = nodes[np.argsort(nodes % side * side + nodes // side)]
             row, column = span(nodes), span(by_column)
-            if min(row, column) > BAND_C * nodes.size ** 0.25:
-                want = nodes[np.argsort(_dissection_rank(m)[nodes])]
-            else:
-                want = by_column if column < row else nodes
+            want = by_column if column < row else nodes
             block = FreeBlock(m, free)
             assert np.array_equal(block.nodes, want)
             for k in (p2_stiffness(m, block),
@@ -450,8 +442,7 @@ class TestFreeBlock:
                                atol=ROUND_OFF * np.abs(want[finite]).max())
 
     def test_fresh_mesh_shared_by_two_threads(self):
-        # the suite's jobs=2 path shares one mesh, so its lazy caches may
-        # be filled by two threads at once
+        # the suite's jobs=2 path shares one mesh between two threads
         m = build_mesh(24)
         fl = p_laplacian(3.0)
         u = rand_field(m, 7)
@@ -478,62 +469,3 @@ class TestFreeBlock:
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
         assert_close_block(block_a, sub_block(full_a, nodes),
                            pattern_reference(m, nodes))
-
-
-class TestDissectionOrder:
-    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33])
-    def test_rank_is_a_permutation(self, n):
-        m = build_mesh(n)
-        rank = _dissection_rank(m)
-        assert np.array_equal(np.sort(rank), np.arange(m.n_nodes))
-
-    def test_built_once_per_mesh_at_first_use(self):
-        # an annulus block bands in row-major order and needs no rank; a
-        # cross two nodes wide does not band, and builds it
-        m = build_mesh(64)
-        FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)))
-        assert "dissection_rank" not in m._cache
-        cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
-                            rect(0.49, 0.0, 0.52, 1.0))
-        FreeBlock(m, pair_free(m, shape_none(), cross))
-        rank = m._cache["dissection_rank"]
-        assert not rank.flags.writeable
-        FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1), cross))
-        assert _dissection_rank(m) is rank
-
-    def test_build_leaves_no_garbage_cycles(self):
-        # cycles left per fresh mesh wait for a full collection, which let
-        # the peak RSS of repeated N = 256 solves creep upwards
-        gc.collect()
-        gc.disable()
-        try:
-            _dissection_rank(build_mesh(16))
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-    def test_first_separator_is_numbered_last(self):
-        # the middle grid line splits the square first, so it closes the
-        # order: every other node is eliminated before it
-        m = build_mesh(16)
-        rank = _dissection_rank(m)
-        mid = [m.node_index(8, j) for j in range(17)]
-        assert sorted(rank[mid]) == list(range(m.n_nodes - 17, m.n_nodes))
-
-    def test_less_fill_than_colamd(self):
-        # the block in dissection order, factored without reordering,
-        # fills less than COLAMD's order of the same block in mask order
-        m = build_mesh(128)
-        free = pair_free(m, disk(0.5, 0.5, 0.12), disk(0.5, 0.5, 0.38))
-        block = FreeBlock(m, free)
-        k = jacobian_reference(m, p_laplacian(3.0), rand_field(m, 11), 1e-10,
-                               1e-9)
-
-        def fill(a, spec):
-            lu = spla.splu(a, permc_spec=spec)
-            return lu.L.nnz + lu.U.nnz
-
-        nd = fill(jacobian_matrix(m, p_laplacian(3.0), rand_field(m, 11),
-                                  1e-10, 1e-9, block=block), "NATURAL")
-        colamd = fill(k[free][:, free].tocsc(), "COLAMD")
-        assert nd < 0.85 * colamd

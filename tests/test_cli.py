@@ -335,14 +335,33 @@ class TestCheckFluxCommand:
     ])
     def test_bad_check_block_exit_2_with_path(self, tmp_path, capsys,
                                               recwarn, check, path):
-        # rejected at parse time with the path, before any sample is drawn:
-        # nothing is allocated, nothing passes vacuously, nothing overflows
+        # rejected with the path before any sample is drawn, at parse time
+        # or by the check's own xi_radius^p bound: nothing is allocated,
+        # nothing passes vacuously, nothing overflows
         body = {"flux": {"kind": "p_laplacian", "p": 3.0}, "check": check,
                 "output_dir": str(tmp_path / "out")}
         cfg = write_cfg(tmp_path / "c.json", body)
         assert main(["check-flux", cfg]) == 2
         captured = capsys.readouterr()
         assert f"config error: {path}: " in captured.err
+        assert captured.out == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("p,check", [
+        (300.0, {}), (300.0, {"xi_radius": 3.0}), (3.0, {"xi_radius": 1e34}),
+        (3.0, {"xi_radius": 1e300})],
+        ids=["p300_default_radius", "p300", "p3", "p3_radius_1e300"])
+    def test_growth_bound_exit_2_with_path(self, tmp_path, capsys, recwarn,
+                                           p, check):
+        # xi_radius^p above 1e100, the default radius 10 included
+        body = {"flux": {"kind": "p_laplacian", "p": p},
+                "check": dict(check, n_samples=2000),
+                "output_dir": str(tmp_path / "out")}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["check-flux", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error: check.xi_radius: xi_radius must be in (0, " \
+            in captured.err
         assert captured.out == ""
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 

@@ -201,6 +201,23 @@ class TestCheckConditions:
         assert rep.all_passed
         assert all(m >= -MARGIN_TOL for m in rep.margins.values())
 
+    @pytest.mark.parametrize("flux,radius,ok", [
+        (p_laplacian(300.0), (), False), (p_laplacian(300.0), (2.15,), True),
+        (p_laplacian(3.0), (1e34,), False), (p_laplacian(3.0), (1e33,), True),
+        (p_laplacian(3.0), (0.0,), False)],
+        ids=["p300_default", "p300_bound", "p3_above", "p3_bound", "zero"])
+    def test_radius_within_growth_bound(self, flux, radius, ok, recwarn):
+        # xi_radius^p at most MAX_CHECK_GROWTH = 1e100, the default radius
+        # 10 included: beyond it a sound flux used to overflow and fail
+        # growth with margin -inf
+        if ok:
+            assert check_conditions(flux, 2000, *radius).all_passed
+        else:
+            with pytest.raises(InvalidInput) as exc:
+                check_conditions(flux, 2000, *radius)
+            assert exc.value.field == "xi_radius"
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
     def test_adversarial_fails_monotonicity_with_witness(self):
         rep = check_conditions(adversarial_fixture(), 1000, seed=2)
         assert not rep.passed["monotone"]

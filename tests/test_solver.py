@@ -8,8 +8,7 @@ import scipy.sparse.linalg as spla
 
 from assembly_reference import p2_reference
 from moncap import solver
-from moncap.assembly import (FreeBlock, _dissection_rank, jacobian_matrix,
-                             p2_stiffness, residual)
+from moncap.assembly import FreeBlock, jacobian_matrix, p2_stiffness, residual
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -355,8 +354,8 @@ class TestNewtonBudget:
     def test_iterations_within_max_newton_above_krylov_gate(
             self, max_newton, floor, monkeypatch, recwarn):
         # with the gate at 0 the block is above it: steps go through GMRES
-        # on the held factor, and a rejected GMRES step is refactored
-        # within the same budget
+        # on a multigrid cycle, and a failed GMRES step rebuilds the cycle
+        # or is factored within the same budget
         monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
         self.check_budget(max_newton, floor, recwarn)
 
@@ -390,8 +389,9 @@ def _counting(monkeypatch, owner, name, replacement=None):
 
 
 def _one_factor_at_a_time(monkeypatch):
-    """Count solver._factor calls, banded and SuperLU alike, failing any
-    call made while an earlier factor is still referenced."""
+    """Record the rows of each solver._factor call, banded and SuperLU
+    alike, failing any call made while an earlier factor is still
+    referenced."""
     live = weakref.WeakSet()
     calls = []
     real = solver._factor
@@ -402,7 +402,7 @@ def _one_factor_at_a_time(monkeypatch):
 
     def factor(*args, **kwargs):
         assert not live, "a new factor while the last one is held"
-        calls.append(1)
+        calls.append(args[0].shape[0])
         lu = Factor(real(*args, **kwargs))
         live.add(lu)
         return lu
@@ -412,9 +412,10 @@ def _one_factor_at_a_time(monkeypatch):
 
 class TestStaleFactorKrylov:
     """On blocks of at least KRYLOV_MIN_NODES free nodes a Newton step
-    solves with GMRES preconditioned by the held preconditioner and factors
-    only when GMRES or its direction fails; smaller blocks factor every
-    step."""
+    solves with GMRES preconditioned by the held multigrid cycle; when
+    GMRES or its direction fails, the cycle is rebuilt from the step's
+    Jacobian, and only when that fails too is the step solved directly.
+    Smaller blocks factor every step."""
 
     @pytest.fixture(scope="class")
     def large(self):
@@ -428,6 +429,19 @@ class TestStaleFactorKrylov:
         with monkeypatch.context() as m:
             m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
             return solve()
+
+    @staticmethod
+    def cycles(monkeypatch):
+        """The matrix each _Cycle is built from, in CSR as it is built."""
+        built = []
+        real = solver._Cycle
+
+        def cycle(a, *args):
+            assert a.format == "csr"
+            built.append(a)
+            return real(a, *args)
+        monkeypatch.setattr(solver, "_Cycle", cycle)
+        return built
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0)],
                              ids=["p_laplacian", "flat_core_p"])
@@ -444,13 +458,36 @@ class TestStaleFactorKrylov:
         assert len(factors) < field.iterations
         assert abs(krylov.c_inner - direct.c_inner) <= krylov.tol_cap
 
+    def test_failed_gmres_step_rebuilds_the_cycle(self, large, monkeypatch):
+        # GMRES fails once, on the blend start's cycle: the step rebuilds
+        # the cycle from its Jacobian, which the rest of the solve keeps,
+        # and no block factor is made
+        mesh, e, f = large
+        direct, _ = self.direct(monkeypatch, lambda: compute_capacity(
+            mesh, p_laplacian(3.0), e, f))
+        factors = _one_factor_at_a_time(monkeypatch)
+        built = self.cycles(monkeypatch)
+        real = solver.spla.gmres
+        gmres = _counting(monkeypatch, solver.spla, "gmres",
+                          lambda a, b, **kwargs: (np.zeros_like(b), 1)
+                          if len(gmres) == 1 else real(a, b, **kwargs))
+        report, field = compute_capacity(mesh, p_laplacian(3.0), e, f)
+        assert report.converged and field.iterations > 1
+        assert len(built) == 2 and len(gmres) > 2
+        # the rebuilt cycle is the first step's Jacobian, not the p = 2 block
+        assert not np.allclose(built[1].data, built[0].data)
+        assert max(factors) <= solver.COARSE_MAX_NODES
+        assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
+
     @pytest.mark.parametrize("info", [1, 0], ids=["stalled", "rejected"])
     def test_failed_gmres_step_is_refactored(self, large, info,
                                              monkeypatch):
         # info 1: GMRES misses its tolerance; info 0 with a zero direction:
-        # the line search finds no decrease.  Either way the step is solved
-        # again from a fresh factor and the rest of its Newton pass is
-        # direct, so the solve is the direct one from the same blend start
+        # the line search finds no decrease.  Either way the held cycle
+        # fails, then the cycle rebuilt from the step's Jacobian, and the
+        # step is solved from a factor; each later step builds a cycle,
+        # which fails, and factors.  So the solve is the direct one from
+        # the same blend start
         mesh, e, f = large
         start, held = solver._linear_blend_init(
             mesh, FreeBlock(mesh, f.mask & ~e.mask), np.where(e.mask, 1.0, 0.0),
@@ -460,27 +497,87 @@ class TestStaleFactorKrylov:
             mesh, p_laplacian(3.0), e, f, 1.0,
             SolverOptions(init="given", init_field=start)))
         factors = _one_factor_at_a_time(monkeypatch)
+        built = self.cycles(monkeypatch)
         gmres = _counting(monkeypatch, solver.spla, "gmres",
                           lambda a, b, **kwargs: (np.zeros_like(b), info))
         field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
-        assert field.converged and field.iterations > 1
-        # p = 3 converges in the fast pass: one GMRES try, then direct
-        assert len(gmres) == 1
-        # the blend start's coarsest-level factor, then one per step
-        assert len(factors) == field.iterations + 1
+        steps = field.iterations
+        assert field.converged and steps > 1
+        # the blend start's cycle, then one cycle per step
+        assert len(built) == steps + 1 and len(gmres) == steps + 1
+        size = np.count_nonzero(f.mask & ~e.mask)
+        assert [n for n in factors if n > solver.COARSE_MAX_NODES] \
+            == [size] * steps
+        assert len(factors) == len(built) + steps
         assert np.array_equal(field.u, direct.u)
+
+    @pytest.mark.parametrize("flux", [
+        p_laplacian(3.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]])],
+        ids=["p_laplacian", "skew_linear_matrix"])
+    def test_zero_start_builds_its_cycle_from_a_jacobian(self, flux,
+                                                         monkeypatch):
+        # no blend start, so no p = 2 cycle: the first Newton step builds
+        # the cycle from its own Jacobian, in CSR and not transposed, and
+        # no block is factored.  F is the whole square, so that the skew
+        # flux's Jacobian is not symmetric at the free nodes on its edge
+        mesh = build_mesh(96)
+        e, f = _box_sets(mesh)
+        jacobians = []
+        real = solver.jacobian_matrix
+
+        def jacobian(*args, **kwargs):
+            jacobians.append(real(*args, **kwargs))
+            return jacobians[-1]
+        monkeypatch.setattr(solver, "jacobian_matrix", jacobian)
+        factors = _one_factor_at_a_time(monkeypatch)
+        built = self.cycles(monkeypatch)
+        field = solve_dirichlet(mesh, flux, e, f, 1.0,
+                                SolverOptions(init="zero"))
+        assert field.converged and field.iterations > 0 and built
+        first = jacobians[0].tocsr()
+        if flux.describe()["kind"] == "linear_matrix":
+            assert abs(first - first.T).max() > 0.1 * abs(first).max()
+        assert np.array_equal(built[0].indptr, first.indptr)
+        assert np.array_equal(built[0].indices, first.indices)
+        assert np.array_equal(built[0].data, first.data)
+        assert max(factors) <= solver.COARSE_MAX_NODES
+
+    @pytest.mark.parametrize("init", ["linear_blend", "zero"])
+    def test_zero_diagonal_jacobian_takes_direct_steps(self, init,
+                                                       monkeypatch, recwarn):
+        # without a floor the flat core's Jacobian has zero rows, which no
+        # Jacobi smoother can divide by: such a step builds no cycle and is
+        # solved directly, and no RuntimeWarning escapes
+        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+        monkeypatch.setattr(solver, "COARSE_MAX_NODES", 50)
+        mesh = build_mesh(32)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        opts = SolverOptions(jacobian_floor=0.0, init=init)
+        report, _ = compute_capacity(mesh, flat_core_p(2.0, 3.0), e, f,
+                                     opts=opts)
+        direct, _ = self.direct(monkeypatch, lambda: compute_capacity(
+            mesh, flat_core_p(2.0, 3.0), e, f, opts=opts))
+        assert report.converged and direct.converged
+        assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_retry_frees_the_failed_attempts_factor(self, monkeypatch):
         # the zero start fails within its one-step budget; the retry's
-        # blend start factors only after that attempt's held factor is gone
+        # blend start factors only after that attempt's factors are gone.
+        # Below the gate: the zero start's step, the retry's blend start
+        # and its step each factor the block and drop it.  Above it: the
+        # zero start's cycle and the retry's blend cycle, which its step
+        # reuses
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        factors = _one_factor_at_a_time(monkeypatch)
         opts = SolverOptions(max_newton=1, init="zero")
-        with pytest.raises(SolverDiverged):
-            solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
-        # the zero start's step, the retry's blend start and its step
-        assert len(factors) == 3
+        for gate, factored in ((solver.KRYLOV_MIN_NODES, 3), (0, 2)):
+            with monkeypatch.context() as m:
+                m.setattr(solver, "KRYLOV_MIN_NODES", gate)
+                factors = _one_factor_at_a_time(m)
+                with pytest.raises(SolverDiverged):
+                    solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
+            assert len(factors) == factored
 
     def test_small_blocks_never_call_gmres(self, monkeypatch):
         # an N = 48 grid has (N - 1)^2 interior nodes, below the gate
@@ -534,8 +631,7 @@ class TestMultigridCycle:
     def cycle(mesh, e, f):
         block = FreeBlock(mesh, f.mask & ~e.mask)
         k = p2_stiffness(mesh, block)
-        side = mesh.n + 1
-        return k, solver._Cycle(k.T, block.nodes % side, block.nodes // side)
+        return k, solver._Cycle(k.T, mesh, block)
 
     def test_fixed_symmetric_linear_operator(self):
         mesh = build_mesh(96)
@@ -626,16 +722,17 @@ def _block(mesh, e_shape, f_shape):
 def _agrees_with_superlu(a, lu):
     """lu solves like a SuperLU factor of a, to round-off."""
     b = np.random.default_rng(0).standard_normal(a.shape[0])
-    want = spla.splu(a, permc_spec="NATURAL").solve(b)
+    want = spla.splu(a).solve(b)
     got = lu.solve(b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     return got
 
 
 class TestBandLU:
-    """A free block whose mesh edges span few places in a grid order is
-    assembled in that order and factored as a band by LAPACK, the rest in
-    dissection order by SuperLU; both solve in block order."""
+    """A free block is assembled in the grid order whose mesh edges span
+    fewer places; when that span is small it is factored as a band by
+    LAPACK, else by SuperLU in its own COLAMD order; both solve in block
+    order."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       anisotropic_p(1.5, 2.0, 0.5)],
@@ -684,13 +781,13 @@ class TestBandLU:
         if not stored:
             a.eliminate_zeros()
         for factor in (lambda: solver._factor(a),
-                       lambda: spla.splu(a, permc_spec="NATURAL")):
+                       lambda: spla.splu(a)):
             with pytest.raises(RuntimeError):
                 factor()
         state = solver._NewtonState(mesh, p_laplacian(3.0), block,
                                     SolverOptions(), [])
         assert state._direct(a, np.ones(a.shape[0])) is None
-        assert state.precond is None
+        assert state.cycle is None
 
     def test_one_node_block(self):
         mesh = build_mesh(8)
@@ -717,13 +814,14 @@ class TestBandLU:
 
     def test_thin_cross_goes_to_superlu(self):
         # a cross two nodes wide: in either grid order the nodes of one arm
-        # sit about a grid side apart next to the crossing, and a band that
-        # wide would cost far more than the sparse factor
+        # sit about a grid side apart next to the crossing, so the block
+        # keeps row-major order (a tie), and a band that wide would cost
+        # far more than the sparse factor
         mesh = build_mesh(256)
         cross = shape_union(rect(0.0, 0.499, 1.0, 0.504),
                             rect(0.499, 0.0, 0.504, 1.0))
         block = _block(mesh, shape_none(), cross)
-        assert np.all(np.diff(_dissection_rank(mesh)[block.nodes]) > 0)
+        assert np.all(np.diff(block.nodes) > 0)
         a = p2_stiffness(mesh, block)
         lu = solver._factor(a)
         assert isinstance(lu, spla.SuperLU)
@@ -799,8 +897,10 @@ class TestLinearBlendInit:
             e, f = annulus_sets(mesh, 0.1, 0.4)
             free = f.mask & ~e.mask
             u = np.where(e.mask, 1.0, 0.0)
-            got, _ = solver._linear_blend_init(mesh, FreeBlock(mesh, free), u,
-                                               1.0)
+            got, held = solver._linear_blend_init(mesh, FreeBlock(mesh, free),
+                                                  u, 1.0)
+            # below the gate the p = 2 factor is dropped with the start
+            assert held is None
             k = p2_reference(mesh)
             expected = u.copy()
             expected[free] = spsolve(k[free][:, free].tocsc(),
