@@ -8,10 +8,13 @@ sum_T B_T^T (|T| a(x_T, B_T u)) and its Jacobian sum_T |T| B_T^T J_T B_T.
 One kernel evaluates every residual, gradient and pairing on triangles
 stored by their corners' node ids and places in the result: B_T u is a
 gather and exact differences, B_T^T one bincount over the places.  It
-runs on the whole mesh with places equal to node ids, or on a solve's
-``FreeBlock``, whose Jacobian is one more bincount, of element matrices
-into its stencil pattern.  Bincounts sum in a fixed order, so identical
-inputs give bitwise identical outputs.
+runs on the triangles that touch a node where u is nonzero, with places
+equal to node ids, or on a solve's ``FreeBlock``, whose Jacobian is one
+more bincount, of element matrices into its stencil pattern.  A triangle
+whose corners are all 0 has gradient (+0, +0) and every flux gives
+a(x, 0) = 0 exactly, so leaving it out drops only exact zeros from each
+sum.  Bincounts sum in a fixed order, so identical inputs give bitwise
+identical outputs.
 """
 
 from __future__ import annotations
@@ -73,12 +76,13 @@ def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
 
 
 class _Triangles:
-    """The triangles ``tris`` (default all), the ``n_lower`` lower ones
-    first: their ``corners``' node ids, an upper one's as (n11, n01, n00),
-    and ``places`` in a result of ``size`` entries, by default node ids."""
+    """The triangles that touch a node of the mask ``nodes``, the
+    ``n_lower`` lower ones first: their ``corners``' node ids, an upper
+    one's as (n11, n01, n00), and ``places`` in a result of ``size``
+    entries, by default node ids."""
 
-    def __init__(self, mesh: Mesh, tris: Optional[np.ndarray] = None):
-        tris = np.arange(mesh.n_triangles) if tris is None else tris
+    def __init__(self, mesh: Mesh, nodes: np.ndarray):
+        tris = np.flatnonzero(touched_triangles(mesh, nodes))
         tris = tris[np.argsort(tris % 2 == 1, kind="stable")]
         self.n_lower, self.size = np.count_nonzero(tris % 2 == 0), mesh.n_nodes
         self.corners = self.places = mesh.triangles.take(tris, axis=0)
@@ -128,7 +132,7 @@ class FreeBlock(_Triangles):
     """
 
     def __init__(self, mesh: Mesh, free: np.ndarray):
-        super().__init__(mesh, np.flatnonzero(touched_triangles(mesh, free)))
+        super().__init__(mesh, free)
         w = mesh.n + 3                       # row width of the padded grid
         nodes = _block_order(mesh, free)
         n, k = nodes.size, len(self.corners)
@@ -158,12 +162,15 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
     """r_i = <A u, phi_i> = sum_T |T| a(x_T, grad u|_T) . grad phi_i|_T.
 
     eps > 0 evaluates the smoothed flux instead (solver continuation only;
-    reported capacities always use eps = 0).  With ``block`` the flux is
-    evaluated only on the triangles that touch free nodes and the result
+    reported capacities always use eps = 0).  The flux is evaluated only
+    on the triangles that touch a node where u is nonzero; the others add
+    exact zeros, so r is bitwise the sum over the whole mesh.  With
+    ``block`` they are the triangles that touch free nodes and the result
     is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
     """
-    tris = _Triangles(mesh) if block is None else block
-    grads = _gradients(mesh, tris, _check_field(mesh, u))
+    u = _check_field(mesh, u)
+    tris = _Triangles(mesh, u != 0) if block is None else block
+    grads = _gradients(mesh, tris, u)
     if eps == 0.0:
         a = eval_flux(flux, tris.barycenters, grads)
     else:
@@ -172,11 +179,12 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
 
 
 def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
-    """<A u, v> as a sum over triangles of |T| a(grad u) . grad v; equals
+    """<A u, v> as a sum of |T| a(grad u) . grad v over the triangles that
+    touch a node where u is nonzero (a(x, 0) = 0 on the others); equals
     dot(residual(u), v) to round-off."""
-    tris = _Triangles(mesh)
-    grads_u, grads_v = (_gradients(mesh, tris, _check_field(mesh, w))
-                        for w in (u, v))
+    u, v = _check_field(mesh, u), _check_field(mesh, v)
+    tris = _Triangles(mesh, u != 0)
+    grads_u, grads_v = _gradients(mesh, tris, u), _gradients(mesh, tris, v)
     a = eval_flux(flux, tris.barycenters, grads_u)
     return float(mesh.tri_area * np.sum(a * grads_v))
 

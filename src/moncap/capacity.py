@@ -213,21 +213,12 @@ def distributions(mesh: Mesh, flux: Flux, potential: PotentialField,
     locally constant field.
     """
     r = residual(mesh, flux, potential.u)
-    s = potential.s
-    e_mask = e.mask
-    fc_mask = ~f.mask
-    lam_w = np.zeros(mesh.n_nodes)
-    nu_w = np.zeros(mesh.n_nodes)
-    if s > 0.0:
-        lam_w[e_mask] = r[e_mask]
-        nu_w[fc_mask] = -r[fc_mask]
-        lam_carrier, nu_carrier = e_mask, fc_mask
-    elif s < 0.0:
-        lam_w[fc_mask] = r[fc_mask]
-        nu_w[e_mask] = -r[e_mask]
-        lam_carrier, nu_carrier = fc_mask, e_mask
-    else:
-        lam_carrier, nu_carrier = e_mask, fc_mask
+    lam_carrier, nu_carrier = e.mask, ~f.mask
+    if potential.s < 0.0:
+        lam_carrier, nu_carrier = nu_carrier, lam_carrier
+    # at s = 0 the potential is 0, and so are r and both measures
+    lam_w = np.where(lam_carrier, r, 0.0)
+    nu_w = np.where(nu_carrier, 0.0 - r, 0.0)
     lam = NodeMeasure(lam_w, lam_carrier, float(lam_w.sum()))
     nu = NodeMeasure(nu_w, nu_carrier, float(nu_w.sum()))
     return lam, nu

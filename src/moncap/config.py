@@ -18,8 +18,11 @@ _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
              "clip_E_to_F"}
 _MESH_KEYS = {"N", "L"}
 _FLUX_KEYS = {"kind", "p", "params"}
-_SOLVER_KEYS = {"tol_res", "max_newton", "init", "init_seed",
-                "jacobian_floor"}
+# solver keys by how parse_solver reads them; an init name goes to
+# SolverOptions as it is, which checks it (a config has no init_field for
+# "given")
+_SOLVER_KEYS = {"tol_res": "number", "max_newton": "integer", "init": "name",
+                "init_seed": "integer", "jacobian_floor": "number"}
 _SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
 _CHECK_ARGS = {"n_samples": 10_000, "xi_radius": 10.0}
 _CHAIN_KEYS = {"mode", "shapes", "fixed"}
@@ -153,23 +156,15 @@ def parse_shape(spec, path: str) -> ShapeExpr:
 def parse_solver(spec, path: str = "solver") -> SolverOptions:
     if not isinstance(spec, dict):
         raise ConfigError("solver options must be an object", path)
-    _reject_unknown(spec, _SOLVER_KEYS, path)
+    _reject_unknown(spec, set(_SOLVER_KEYS), path)
     kwargs: dict[str, Any] = {}
-    if "tol_res" in spec and spec["tol_res"] is not None:
-        kwargs["tol_res"] = _number(spec["tol_res"], f"{path}.tol_res")
-    if "max_newton" in spec:
-        kwargs["max_newton"] = _number(spec["max_newton"],
-                                       f"{path}.max_newton", integer=True)
-    if "init" in spec:
-        # SolverOptions checks the name; a config has no init_field for
-        # "given"
-        kwargs["init"] = spec["init"]
-    if "init_seed" in spec:
-        kwargs["init_seed"] = _number(spec["init_seed"], f"{path}.init_seed",
-                                      integer=True)
-    if "jacobian_floor" in spec:
-        kwargs["jacobian_floor"] = _number(spec["jacobian_floor"],
-                                           f"{path}.jacobian_floor")
+    for key, kind in _SOLVER_KEYS.items():
+        value = spec.get(key)
+        # a missing key, or a null tol_res, means the default
+        if key not in spec or key == "tol_res" and value is None:
+            continue
+        kwargs[key] = value if kind == "name" else _number(
+            value, f"{path}.{key}", integer=kind == "integer")
     try:
         return SolverOptions(**kwargs)
     except InvalidInput as exc:

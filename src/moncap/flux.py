@@ -16,7 +16,9 @@ shape (..., 2) and broadcast against each other.
 A kind is defined once: its constructor and its ``FLUX_KINDS`` entry (value,
 Jacobian, config param spec), which evaluation and ``config.parse_flux`` look
 up.  Adding a kind is one constructor, one entry, and a member of the shipped
-family in tests/test_flux.py.
+family in tests/test_flux.py.  Its value at xi = 0 must be exactly 0 (not
+only to round-off) at every x and eps, for xi = (+0, +0) and (-0, -0): the
+residual leaves out the triangles whose corners are all 0.
 """
 
 from __future__ import annotations

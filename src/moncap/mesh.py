@@ -301,21 +301,9 @@ def discrete_boundary(e: NodeSet, mesh: Mesh) -> NodeSet:
     return NodeSet(e.mask & near, f"boundary({e.name})", mesh.mesh_id)
 
 
-@dataclass
-class ValidatedPair:
-    free_mask: np.ndarray          # nodes of F \ E (the solved-for nodes)
-    touches_outer_boundary: bool   # F meets the edge of the square: natural
-                                   # zero-flux condition there, not an error
-
-
-def outer_boundary_mask(mesh: Mesh) -> np.ndarray:
-    i = np.arange(mesh.n_nodes) % (mesh.n + 1)
-    j = np.arange(mesh.n_nodes) // (mesh.n + 1)
-    return (i == 0) | (i == mesh.n) | (j == 0) | (j == mesh.n)
-
-
-def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> ValidatedPair:
-    """Check the discrete compatibility E subset-of F.
+def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> np.ndarray:
+    """Check the discrete compatibility E subset-of F and return the mask
+    of the solved-for nodes, those of F not in E.
 
     Raises IncompatiblePair when E has nodes outside F; downstream that is
     reported as capacity +infinity.
@@ -327,9 +315,7 @@ def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> ValidatedPair:
         raise IncompatiblePair(
             f"{e.name} is not contained in {f.name}; capacity is +infinity",
             e_name=e.name, f_name=f.name)
-    free = f.mask & ~e.mask
-    touches = bool(np.any(f.mask & outer_boundary_mask(mesh)))
-    return ValidatedPair(free_mask=free, touches_outer_boundary=touches)
+    return f.mask & ~e.mask
 
 
 def node_area(mesh: Mesh, s: NodeSet) -> float:

@@ -22,7 +22,7 @@ from .flux import (Flux, anisotropic_p, flat_core_p, linear_matrix,
 from .mesh import (Mesh, NodeSet, ShapeExpr, build_mesh, disk, is_subset,
                    rasterize, rect, shape_from_json, shape_intersect,
                    shape_none, shape_union)
-from .reporting import config_hash
+from .reporting import canonical_json
 from .solver import SolverOptions
 
 ORDER_TOL = 1e-6
@@ -148,25 +148,18 @@ class ShapeGen:
 
 
 class _Cache:
-    """Per-suite capacity cache keyed by config hash: identical configs
-    short-circuit to the identical report."""
+    """Per-suite capacity cache on one mesh, keyed by the flux's canonical
+    description, the E and F masks and s: identical problems short-circuit
+    to the identical report."""
 
     def __init__(self, mesh: Mesh, opts: SolverOptions):
         self.mesh = mesh
         self.opts = opts
-        self.store: dict[str, object] = {}
-
-    def key(self, flux: Flux, e: NodeSet, f: NodeSet, s: float) -> str:
-        return config_hash({
-            "mesh": self.mesh.mesh_id,
-            "flux": flux.describe(),
-            "E": e.mask.tobytes().hex(),
-            "F": f.mask.tobytes().hex(),
-            "s": s,
-        })
+        self.store: dict[tuple, object] = {}
 
     def capacity(self, flux: Flux, e: NodeSet, f: NodeSet, s: float = 1.0):
-        k = self.key(flux, e, f, s)
+        k = (canonical_json(flux.describe()), e.mask.tobytes(),
+             f.mask.tobytes(), s)
         if k not in self.store:
             self.store[k] = compute_capacity(self.mesh, flux, e, f, s,
                                              self.opts)

@@ -149,15 +149,11 @@ class PotentialField:
 
     u: np.ndarray
     s: float
-    e_name: str
-    f_name: str
-    mesh_id: str
     residual_max: float
     iterations: int
     converged: bool
     tol_res: float
     residual_history: list = dc_field(default_factory=list)
-    touches_outer_boundary: bool = False
 
 
 def _factor(a):
@@ -309,8 +305,7 @@ def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 
 def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
            opts: SolverOptions) -> PotentialField:
-    vp = validate_pair(e, f, mesh)
-    free = vp.free_mask
+    free = validate_pair(e, f, mesh)
     tol = opts.resolve_tol(flux, s)
 
     u = np.zeros(mesh.n_nodes)
@@ -318,10 +313,8 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 
     def make_field(uu, rmax, iters, converged, history):
         return PotentialField(
-            u=uu, s=float(s), e_name=e.name, f_name=f.name,
-            mesh_id=mesh.mesh_id, residual_max=rmax, iterations=iters,
-            converged=converged, tol_res=tol, residual_history=history,
-            touches_outer_boundary=vp.touches_outer_boundary)
+            u=uu, s=float(s), residual_max=rmax, iterations=iters,
+            converged=converged, tol_res=tol, residual_history=history)
 
     # s = 0: the zero field is a potential (flux vanishes at zero gradient)
     if s == 0.0 or e.count == 0:

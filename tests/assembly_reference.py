@@ -1,14 +1,16 @@
 """Reference assemblies for the tests, independent of the triangle-corner
 kernels: the mesh's P1 gradient operator B as a scipy sparse matrix,
 whole-mesh matrices as sparse products with it, and the stored pattern of
-a free block read off the mesh's triangles.  ``gradients`` is the one
-exception: the kernel's whole-mesh gradients, put back in mesh order."""
+a free block read off the mesh's triangles.  ``gradients`` and
+``residual_reference`` are the exceptions: the kernel run on every
+triangle of the mesh, as ``residual`` ran before it skipped the triangles
+whose corners are all 0."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from moncap.assembly import _check_field, _gradients, _Triangles
-from moncap.flux import flux_jacobian
+from moncap.assembly import _adjoint, _check_field, _gradients, _Triangles
+from moncap.flux import eval_flux_smoothed, flux_jacobian
 
 # h times the hat gradients of the corners of a cell's lower (n00, n10,
 # n11) and upper (n00, n11, n01) triangle
@@ -27,12 +29,25 @@ def gradient_operator(mesh):
         shape=(2 * len(tri), mesh.n_nodes))
 
 
+def all_triangles(mesh):
+    """Every triangle of the mesh, lower ones first."""
+    return _Triangles(mesh, np.ones(mesh.n_nodes, dtype=bool))
+
+
 def gradients(mesh, u):
     """Constant P1 gradient per triangle, shape (ntri, 2), from the
     triangle-corner kernel."""
-    g = _gradients(mesh, _Triangles(mesh), _check_field(mesh, u))
+    g = _gradients(mesh, all_triangles(mesh), _check_field(mesh, u))
     # back to mesh order: cell c's lower triangle is 2c, its upper 2c + 1
     return g.reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
+
+
+def residual_reference(mesh, flux, u, eps=0.0):
+    """The residual with the flux evaluated on every triangle."""
+    tris = all_triangles(mesh)
+    grads = _gradients(mesh, tris, _check_field(mesh, u))
+    return _adjoint(mesh, tris,
+                    eval_flux_smoothed(flux, tris.barycenters, grads, eps))
 
 
 def _csc(k):

@@ -5,7 +5,8 @@ import pytest
 
 from assembly_reference import (gradient_operator, gradients,
                                 jacobian_reference, operator_reference,
-                                p2_reference, pattern_reference, sub_block)
+                                p2_reference, pattern_reference,
+                                residual_reference, sub_block)
 from moncap import assembly
 from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
                              p2_stiffness, pairing, residual)
@@ -15,6 +16,7 @@ from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
                          weighted_p_laplacian)
 from moncap.mesh import (build_mesh, disk, rasterize, rect, shape_none,
                          shape_union)
+from moncap.properties import default_flux_family
 
 # one flux of each kind; a kind added to FLUX_KINDS needs an entry here
 KIND_EXAMPLES = {
@@ -129,6 +131,58 @@ class TestPairing:
                 ru = residual(m, flux, u)
                 rv = residual(m, flux, v)
                 assert float((ru - rv) @ (u - v)) >= -1e-12
+
+
+# every flux of the shipped family, an s-transformed and a weighted-sum one
+NONZERO_FLUXES = default_flux_family() + [
+    s_transform(p_laplacian(3.0), -0.7),
+    combine(p_laplacian(2.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]]),
+            1.0, 0.5)]
+
+
+def potential_like(mesh, case):
+    """A field shaped like a potential: s on E, 0 outside F, random
+    values between on the free nodes."""
+    e_r, f_r, s = {"annulus": (0.12, 0.38, 1.7), "f_is_e": (0.25, 0.25, -0.8),
+                   "s_zero": (0.12, 0.38, 0.0),
+                   "non_finite": (0.12, 0.38, 1.0)}[case]
+    e = rasterize(disk(0.5, 0.5, e_r), mesh, "E").mask
+    f = rasterize(disk(0.5, 0.5, f_r), mesh, "F").mask
+    u = np.where(e, s, 0.0)
+    free = np.flatnonzero(f & ~e)
+    u[free] = s * np.random.default_rng(3).uniform(size=free.size)
+    if case == "non_finite":
+        u[free[len(free) // 2]] = np.inf
+    return u, e, f
+
+
+class TestNonzeroTriangles:
+    """The residual evaluates the flux only on the triangles that touch a
+    node where u is nonzero, and is still bitwise the residual over the
+    whole mesh: the triangles it skips add exact zeros."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    @pytest.mark.parametrize("case", ["annulus", "f_is_e", "s_zero",
+                                      "non_finite"])
+    @pytest.mark.parametrize("flux", NONZERO_FLUXES,
+                             ids=lambda f: f"{f.kind}-p{f.p}")
+    def test_bitwise_whole_mesh_residual(self, flux, case, eps):
+        m = build_mesh(16)
+        u, e, f = potential_like(m, case)
+        if case == "f_is_e":
+            # no node is free: each nonzero triangle joins E to outside F
+            assert np.array_equal(e, f)
+        if case == "non_finite" and eps == 0.0:
+            for evaluate in (residual, residual_reference):
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    evaluate(m, flux, u, eps)
+            return
+        # the smoothed flux does not check its input: an infinite node
+        # gives NaNs, bitwise the same on both paths
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = residual(m, flux, u, eps)
+            want = residual_reference(m, flux, u, eps)
+        assert got.tobytes() == want.tobytes()
 
 
 def smooth_field(mesh):

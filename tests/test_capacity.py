@@ -180,6 +180,28 @@ class TestDistributions:
         lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
         assert lam.total == 0.0 and nu.total == 0.0
 
+    @pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
+    def test_carriers_swap_with_the_sign_of_s(self, s):
+        # the three-branch form the carrier swap replaced
+        flux = p_laplacian(3.0)
+        _, pf = compute_capacity(self.mesh, flux, self.e, self.f, s)
+        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        from moncap.assembly import residual
+        r = residual(self.mesh, flux, pf.u)
+        e_mask, fc_mask = self.e.mask, ~self.f.mask
+        lam_w, nu_w = np.zeros_like(r), np.zeros_like(r)
+        lam_c, nu_c = e_mask, fc_mask
+        if s > 0.0:
+            lam_w[e_mask], nu_w[fc_mask] = r[e_mask], -r[fc_mask]
+        elif s < 0.0:
+            lam_w[fc_mask], nu_w[e_mask] = r[fc_mask], -r[e_mask]
+            lam_c, nu_c = fc_mask, e_mask
+        for got, weights, carrier in ((lam, lam_w, lam_c), (nu, nu_w, nu_c)):
+            assert np.array_equal(got.weights, weights)
+            assert np.array_equal(got.carrier, carrier)
+            assert got.total == float(weights.sum())
+        assert (lam.total != 0.0) == (s != 0.0)
+
     def test_total_residual_closure(self):
         flux = p_laplacian(3.0)
         from moncap.assembly import residual
@@ -224,6 +246,33 @@ class TestOneSolvePerCall:
         assert len(solves) == 1
         assert solves[0][1] is flux and solves[0][4] == s
         assert rep.cp_value is None
+
+
+class TestReportWork:
+    """The report and the distributions evaluate the flux only on the
+    triangles that touch a node where the potential is nonzero."""
+
+    @pytest.mark.parametrize("s", [1.5, -2.0, 0.0])
+    def test_flux_rows_per_evaluation(self, monkeypatch, s):
+        from moncap import assembly, capacity
+        mesh = build_mesh(32)
+        e, f = annulus_sets(mesh)
+        flux = p_laplacian(3.0)
+        _, pf = compute_capacity(mesh, flux, e, f, s)
+        rows, real = [], assembly.eval_flux
+
+        def counting(flux, x, xi):
+            rows.append(len(xi))
+            return real(flux, x, xi)
+        monkeypatch.setattr(assembly, "eval_flux", counting)
+        capacity._build_report(mesh, flux, e, f, s, pf)
+        distributions(mesh, flux, pf, e, f)
+        touching = np.count_nonzero((pf.u != 0)[mesh.triangles].any(axis=1))
+        # the residual and the pairing of the report, the residual of the
+        # distributions
+        assert rows == [touching] * 3
+        assert touching < mesh.n_triangles
+        assert (touching > 0) == (s != 0)
 
 
 class TestSweepS:

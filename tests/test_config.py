@@ -6,6 +6,7 @@ from moncap.errors import ConfigError
 from moncap.flux import (adversarial_fixture, anisotropic_p, combine,
                          flat_core_p, linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
+from moncap.solver import SolverOptions
 
 M = [[1.0, 0.5], [-0.5, 1.0]]
 P2 = {"kind": "p_laplacian", "p": 2.0}
@@ -110,6 +111,18 @@ def test_bad_solver_option_names_its_key(key, value, message):
         parse_solver({key: value})
     assert exc.value.path.startswith(f"solver.{key}")
     assert message in str(exc.value)
+
+
+def test_solver_options_reach_solver_options():
+    spec = {"tol_res": 1, "max_newton": 7.0, "init": "random",
+            "init_seed": 3, "jacobian_floor": 0}
+    opts = parse_solver(spec)
+    assert opts == SolverOptions(**{**spec, "max_newton": 7})
+    assert type(opts.max_newton) is int
+    assert type(opts.tol_res) is type(opts.jacobian_floor) is float
+    # a null tol_res, like a missing key, means the default
+    assert parse_solver({"tol_res": None}) == parse_solver({}) \
+        == SolverOptions()
 
 
 def annulus_raw(**overrides):

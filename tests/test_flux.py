@@ -53,10 +53,16 @@ class TestEval:
         assert np.all(out == 0.0)
 
     def test_zero_at_zero_all_kinds(self):
-        zero = np.zeros(2)
+        # exactly 0, not to round-off, at every x and eps and at either
+        # signed zero: the residual skips triangles whose corners are all 0
+        x = np.random.default_rng(1).uniform(0.0, 1.0, size=(64, 2))
         for fl in shipped_family():
-            out = eval_flux(fl, X0, zero)
-            assert np.all(out == 0.0), fl.kind
+            for zero in (0.0, -0.0):
+                xi = np.full_like(x, zero)
+                assert np.all(eval_flux(fl, x, xi) == 0.0), fl.kind
+                for eps in (1e-10, 1e-6, 1e-2):
+                    out = eval_flux_smoothed(fl, x, xi, eps)
+                    assert np.all(out == 0.0), (fl.kind, zero, eps)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
