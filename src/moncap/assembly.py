@@ -10,7 +10,9 @@ stored by their corners' node ids and places in the result: B_T u is a
 gather and exact differences, B_T^T one bincount over the places.  It
 runs on the triangles that touch a node where u is nonzero, with places
 equal to node ids, or on a solve's ``FreeBlock``, whose Jacobian is one
-more bincount, of element matrices into its stencil pattern.  A triangle
+more bincount, of element matrices straight into LAPACK band storage on a
+compact block below the solver's Krylov gate, else into its CSC stencil
+pattern; no scipy object is built for a banded block.  A triangle
 whose corners are all 0 has gradient (+0, +0) and every flux gives
 a(x, 0) = 0 exactly, so leaving it out drops only exact zeros from each
 sum.  Bincounts sum in a fixed order, so identical inputs give bitwise
@@ -39,6 +41,14 @@ _GRADIENTS = np.array([(-1, 0), (1, -1), (0, 1)], dtype=float)
 _DIRECTIONS = np.array([3, 2, 0, 4, 3, 1, 6, 5, 3])
 _WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
                      _GRADIENTS).reshape(4, 9) / 2.0
+# A matrix of n rows whose stored entries all lie within BAND_C n^(1/4) of
+# the diagonal is factored as a band by LAPACK, any other by SuperLU in its
+# default COLAMD order.  Band LU costs about n bw^2: the constant, fitted
+# against SuperLU on compact blocks (CHANGES.md), sends compact blocks above
+# about 5,000 nodes and thin wide shapes to SuperLU.  Compact blocks that
+# large lie above the solver's Krylov gate, where only the multigrid
+# coarsest level and a step whose rebuilt cycle failed are factored.
+BAND_C = 9.5
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -62,17 +72,19 @@ def _grid_span(grid: np.ndarray) -> int:
                int((hi[1:, 1:] - lo[:-1, :-1]).max()))
 
 
-def _block_order(mesh: Mesh, free: np.ndarray) -> np.ndarray:
+def _block_order(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, int]:
     """The free nodes in grid row-major (node (i, j) at j (N+1) + i) or
     column-major order, whichever the free-free mesh edges span fewer places
-    in (row-major on a tie): that span is every block matrix's bandwidth."""
+    in (row-major on a tie), and that span: every block matrix's
+    bandwidth."""
     side = mesh.n + 1
     grid = free.reshape(side, side)          # grid[j, i] is node (i, j)
-    if _grid_span(grid.T) < _grid_span(grid):
+    by_column, by_row = _grid_span(grid.T), _grid_span(grid)
+    if by_column < by_row:
         # column-major position k = i side + j holds node j side + i
         k = np.flatnonzero(grid.T)
-        return k % side * side + k // side
-    return np.flatnonzero(free)
+        return k % side * side + k // side, by_column
+    return np.flatnonzero(free), by_row
 
 
 class _Triangles:
@@ -120,21 +132,32 @@ class FreeBlock(_Triangles):
 
     ``nodes`` lists the free nodes in ``_block_order``, so the block of a
     full matrix k is k[nodes][:, nodes], and a corner's place is its
-    node's position in ``nodes``, ``size`` (dropped) off the block.  Block
-    matrices have the CSC pattern of ``pattern``: column c stores node c
-    and its free stencil neighbours, rows sorted, and its data are
-    bincount slots 7 c + d, d the direction of the row from node c.
-    ``keys`` sends entry (a, b) of each triangle's element matrix to the
-    slot of b's place and a's direction from b, which no stored entry
-    reads when a or b is off the block.  For the N = 256 annulus E = disk
-    r 0.1, F = disk r 0.4 (62,626 triangles, 30,876 free nodes) a block
-    takes 10.7 MB, 4.5 of it in ``keys``.
+    node's position in ``nodes``, ``size`` (dropped) off the block.
+
+    Storage is decided once, here.  A block of n free nodes, fewer than
+    ``band_below``, whose span bw (its bandwidth) is at most BAND_C n^(1/4)
+    is banded: ``band`` is bw and its matrices are LAPACK band storage,
+    shape (3 bw + 1, n) in Fortran order, entry (r, c) in row 2 bw + r - c
+    of column c under bw rows left zero for the fill of row interchanges.
+    ``keys`` sends entry (a, b) of each triangle's element matrix straight
+    to the flat slot of (a's place, b's place), and an entry with a or b
+    off the block to one trailing bin.  Any other block has ``band`` None
+    and the CSC pattern of ``pattern``: column c stores node c and its free
+    stencil neighbours, rows sorted, and its data are bincount slots
+    7 c + d, d the direction of the row from node c; ``keys`` sends entry
+    (a, b) to the slot of b's place and a's direction from b, which no
+    stored entry reads when a or b is off the block.  ``keys`` is 72 bytes
+    a triangle either way.  For the N = 256 annulus E = disk r 0.1, F =
+    disk r 0.4 (62,626 triangles, 30,876 free nodes, CSC) a block takes
+    10.7 MB, 4.5 of it in ``keys``.  The N = 48 annulus of the same radii
+    (2,332 triangles, 1,084 free nodes, bw 38, banded) takes 0.33 MB, and
+    each of its band matrices 1.0 MB, where CSC would take 0.09 MB.
     """
 
-    def __init__(self, mesh: Mesh, free: np.ndarray):
+    def __init__(self, mesh: Mesh, free: np.ndarray, band_below: int = 0):
         super().__init__(mesh, free)
         w = mesh.n + 3                       # row width of the padded grid
-        nodes = _block_order(mesh, free)
+        nodes, span = _block_order(mesh, free)
         n, k = nodes.size, len(self.corners)
         nodes.setflags(write=False)
         self.free, self.nodes, self.size = free, nodes, n
@@ -145,6 +168,14 @@ class FreeBlock(_Triangles):
         padded[at] = np.arange(n)
         self.places = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(
             self.corners)
+        self.band = span if n < band_below and span <= BAND_C * n ** 0.25 \
+            else None
+        if self.band is not None:
+            rows = 3 * span + 1
+            row, col = self.places[:, :, None], self.places[:, None, :]
+            self.keys = np.where((row == n) | (col == n), n * rows,
+                                 col * (rows - 1) + row + 2 * span).ravel()
+            return
         # column c's rows by direction d, at slot 7 c + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
         rows = padded.take(at[:, None] + [-w - 1, -w, -1, 0, 1, w, w + 1])
@@ -192,7 +223,7 @@ def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
 def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
     """The block of sum_T |T| B_T^T (J_T + shift I) B_T, J_T the 2x2
     matrices in jac (changed in place): one bincount of the element
-    matrices into the block's pattern."""
+    matrices into the block's band storage or CSC pattern."""
     jac = jac.reshape(-1, 4)
     jac[:, ::3] += shift                        # the diagonal, 0 and 3
     # inf times a zero weight is NaN, as times the zero hat gradient
@@ -200,6 +231,10 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
     with np.errstate(invalid="ignore"):
         elements = jac @ _WEIGHTS
     del jac                     # freed before the bincount's arrays exist
+    if block.band is not None:
+        size = block.size * (3 * block.band + 1)
+        sums = np.bincount(block.keys, elements.ravel(), minlength=size)
+        return sums[:size].reshape(block.size, -1).T
     sums = np.bincount(block.keys, elements.ravel())
     matrix = block.pattern.copy()   # owns its index arrays, as products do
     matrix.data = sums[matrix.data]
@@ -207,9 +242,10 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
 
 
 def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
-                    shift: float = 0.0, *, block: FreeBlock) -> sp.csc_matrix:
+                    shift: float = 0.0, *, block: FreeBlock):
     """The block of the residual's Jacobian sum_T |T| B_T^T J_T B_T at u,
-    the flux Jacobians J_T evaluated on the block's triangles only.
+    the flux Jacobians J_T evaluated on the block's triangles only, in the
+    block's storage: band array or CSC matrix.
     ``shift`` adds shift*I to each (a Levenberg-style floor for degenerate
     fluxes; the residual is never shifted, so the converged solution is
     unaffected)."""
@@ -218,7 +254,8 @@ def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
                                               eps=eps), shift)
 
 
-def p2_stiffness(mesh: Mesh, block: FreeBlock) -> sp.csc_matrix:
+def p2_stiffness(mesh: Mesh, block: FreeBlock):
     """The block of the P1 stiffness matrix of the Laplacian on ``mesh``,
-    sum_T |T| B_T^T B_T (the Jacobian of the p = 2 flux)."""
+    sum_T |T| B_T^T B_T (the Jacobian of the p = 2 flux), in the block's
+    storage."""
     return _block_matrix(block, np.tile(np.eye(2), (len(block.corners), 1)))

@@ -14,9 +14,12 @@ All evaluation routines are vectorized: ``x`` and ``xi`` may be arrays of
 shape (..., 2) and broadcast against each other.
 
 A kind is defined once: its constructor and its ``FLUX_KINDS`` entry (value,
-Jacobian, config param spec), which evaluation and ``config.parse_flux`` look
-up.  Adding a kind is one constructor, one entry, and a member of the shipped
-family in tests/test_flux.py.  Its value at xi = 0 must be exactly 0 (not
+Jacobian, linearity, config param spec), which evaluation, the solver and
+``config.parse_flux`` look up.  Adding a kind is one constructor, one entry,
+and a member of the shipped family in tests/test_flux.py.  The entry declares
+whether a flux of the kind is linear in xi; the solver then starts below its
+Krylov gate from the exact solution of the linear problem, so a kind that is
+not linear must say False.  Its value at xi = 0 must be exactly 0 (not
 only to round-off) at every x and eps, for xi = (+0, +0) and (-0, -0): the
 residual leaves out the triangles whose corners are all 0.
 """
@@ -415,41 +418,53 @@ class Param:
 class FluxKind:
     """One flux kind.  ``value(flux, x, xi, eps)`` is the eps-smoothed flux
     (eps = 0 is the true flux), ``jacobian`` with the same arguments its
-    exact derivative in xi.  A config builds the kind as
-    ``build(p, **params)``, without p when ``needs_p`` is false."""
+    exact derivative in xi.  ``linear(flux)`` says whether the value is
+    linear in xi at every x and eps, so that the Jacobian is one constant
+    matrix per point.  A config builds the kind as ``build(p, **params)``,
+    without p when ``needs_p`` is false."""
 
     value: Callable
     jacobian: Callable
     build: Callable[..., Flux]
+    linear: Callable[[Flux], bool]
     params: tuple[Param, ...] = ()
     needs_p: bool = True
+
+
+def _p_is_2(flux):
+    # the power factor is exactly 1 there, and _power_jacobian returns B
+    return flux.p == 2.0
 
 
 FLUX_KINDS: dict[str, FluxKind] = {
     "p_laplacian": FluxKind(
         lambda fl, x, xi, eps: _power_factor(fl.p, xi, xi, eps) * xi,
         lambda fl, x, xi, eps: _power_jacobian(fl.p, xi, xi, _EYE, eps),
-        p_laplacian),
+        p_laplacian, _p_is_2),
     "weighted_p_laplacian": FluxKind(
-        _weighted_value, _weighted_jacobian, weighted_p_laplacian,
+        _weighted_value, _weighted_jacobian, weighted_p_laplacian, _p_is_2,
         (Param("w_min"), Param("w_max"), Param("kx", default=1.0),
          Param("ky", default=1.0))),
     "anisotropic_p": FluxKind(_anisotropic_value, _anisotropic_jacobian,
-                              anisotropic_p, (Param("alpha"), Param("beta"))),
+                              anisotropic_p, _p_is_2,
+                              (Param("alpha"), Param("beta"))),
     "linear_matrix": FluxKind(
         lambda fl, x, xi, eps: xi @ fl.params["M"].T,
         lambda fl, x, xi, eps: np.broadcast_to(
             fl.params["M"], xi.shape + (2,)).copy(),
-        lambda M: linear_matrix(M), (Param("M", "matrix"),), needs_p=False),
+        lambda M: linear_matrix(M), lambda fl: True, (Param("M", "matrix"),),
+        needs_p=False),
     "flat_core_p": FluxKind(_flat_core_value, _flat_core_jacobian,
-                            flat_core_p, (Param("rho0"),)),
+                            flat_core_p, lambda fl: False, (Param("rho0"),)),
     "s_transformed": FluxKind(
         _s_value, _s_jacobian, lambda inner, s: s_transform(inner, s),
+        lambda fl: is_linear(fl.params["inner"]),
         (Param("inner", "flux"), Param("s")), needs_p=False),
     "weighted_sum": FluxKind(
         _sum_value, _sum_jacobian,
         lambda parts: combine(parts[0][1], parts[1][1],
                               parts[0][0], parts[1][0]),
+        lambda fl: all(is_linear(f) for _, f in fl.params["parts"]),
         (Param("parts", "parts"),), needs_p=False),
 }
 
@@ -463,6 +478,12 @@ def _entry(flux: Flux) -> FluxKind:
         return FLUX_KINDS[flux.kind]
     except KeyError:
         raise InvalidInput(f"unknown flux kind {flux.kind!r}") from None
+
+
+def is_linear(flux: Flux) -> bool:
+    """Whether a(x, xi) is linear in xi, as its kind declares: then its
+    Dirichlet problem is one linear solve."""
+    return _entry(flux).linear(flux)
 
 
 def eval_flux(flux: Flux, x, xi) -> np.ndarray:

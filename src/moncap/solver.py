@@ -16,29 +16,35 @@ Each solve works on its ``FreeBlock``: the triangles that touch a free
 node, and the free nodes in grid row-major or column-major order,
 whichever keeps the block's band narrower.  Every residual the solve
 evaluates, line-search trials and true-residual checks included, and
-every Jacobian is assembled on those triangles only.  ``_factor`` reads
-only its matrix, block or multigrid coarsest level: a dense band LU
-(LAPACK dgbtrf) when every stored entry lies within BAND_C n^(1/4) of the
-diagonal, else SuperLU with its own fill-reducing order; both pivot rows
-partially, for skew and shifted degenerate Jacobians.
+every Jacobian is assembled on those triangles only, and no iterate's true
+residual is evaluated twice.  The block decides its storage once: below
+``KRYLOV_MIN_NODES`` free nodes, a block whose band is within BAND_C
+n^(1/4) of the diagonal assembles its matrices straight into LAPACK band
+storage, which ``_factor`` hands to dgbtrf in place; any other block is
+CSC.  ``_factor`` reads only its matrix: a CSC block or multigrid coarsest
+level becomes a band LU under the same rule, else a SuperLU factor with
+its own fill-reducing order; both pivot rows partially, for skew and
+shifted degenerate Jacobians.
 
 On blocks below ``KRYLOV_MIN_NODES`` free nodes a solve holds no
-preconditioner: the blend start and each Newton step factor their matrix,
-solve directly and drop the factor.  On larger blocks the one thing a
-solve holds, across Newton steps and stages, is a smoothed-aggregation
+preconditioner: the blend start and each Newton step factor their
+matrix, solve directly and drop the factor.  There a linear flux (its
+kind says so) starts from the exact solution of its own linear problem,
+so it takes no Newton step.  On larger blocks the one thing a solve
+holds, across Newton steps and stages, is a smoothed-aggregation
 multigrid cycle, whose coarsest level is its one LU factor.  The blend
 start builds it from the p=2 block and solves the p=2 problem by CG
 preconditioned with it; any other start builds it from its first
 Jacobian.  A Newton step solves with GMRES, right-preconditioned by the
 cycle, to an Eisenstat-Walker forcing term (inexact Newton).  When GMRES
 needs more than ``KRYLOV_MAX_ITER`` iterations or the line search
-rejects its direction, the cycle is rebuilt from that step's Jacobian and
-GMRES is tried once more; only when that fails too is the step solved
-directly, from a factor of its Jacobian made after the cycle is dropped,
-and the next step builds a new cycle.  Step lengths backtrack on the
-free-node residual max-norm.  Convergence is always declared on the TRUE
-flux residual at the same target, so reported capacities belong to the
-problem actually posed.
+rejects its direction, the cycle is rebuilt from that step's Jacobian
+and GMRES is tried once more; only when that fails too is the step
+solved directly, from a factor of its Jacobian made after the cycle is
+dropped, and the next step builds a new cycle.  Step lengths backtrack
+on the free-node residual max-norm.  Convergence is always declared on
+the TRUE flux residual at the same target, so reported capacities belong
+to the problem actually posed.
 """
 
 from __future__ import annotations
@@ -51,10 +57,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import (FreeBlock, _adjoint, _check_field, _gradients,
-                       jacobian_matrix, p2_stiffness, residual)
+from .assembly import (BAND_C, FreeBlock, _adjoint, _check_field,
+                       _gradients, jacobian_matrix, p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
-from .flux import Flux
+from .flux import Flux, is_linear
 from .mesh import Mesh, NodeSet, validate_pair
 
 # backtracking line search: step factor, sufficient decrease, shortest step
@@ -80,14 +86,6 @@ KRYLOV_MAX_ITER = 20
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_MAX = 0.1
-# A matrix of n rows whose stored entries all lie within BAND_C n^(1/4) of
-# the diagonal is factored as a band by LAPACK, any other by SuperLU in its
-# default COLAMD order.  Band LU costs about n bw^2: the constant, fitted
-# against SuperLU on compact blocks (CHANGES.md), sends compact blocks above
-# about 5,000 nodes and thin wide shapes to SuperLU.  Compact blocks that
-# large lie above KRYLOV_MIN_NODES, where only the multigrid coarsest level
-# and a step whose rebuilt cycle failed are factored.
-BAND_C = 9.5
 # Above the gate the preconditioner is a smoothed-aggregation cycle of the
 # p=2 block or of a Jacobian: levels coarsen to at most COARSE_MAX_NODES
 # nodes, which are factored, and smooth with JACOBI_WEIGHT D^-1
@@ -157,36 +155,40 @@ class PotentialField:
 
 
 def _factor(a):
-    """LU factor of a CSC matrix a: a banded LU when its stored entries lie
-    within BAND_C n^(1/4) of the diagonal, else SuperLU, which orders a's
-    columns by COLAMD."""
+    """LU factor of a block matrix or of a CSC matrix.  A banded block's
+    storage is factored as it is, and in place.  A CSC matrix (a multigrid
+    coarsest level, a block above the gate, or a thin wide one) is scattered
+    into band storage when its stored entries lie within BAND_C n^(1/4) of
+    the diagonal, else factored by SuperLU, which orders its columns by
+    COLAMD."""
+    if isinstance(a, np.ndarray):
+        bw = (a.shape[0] - 1) // 3
+        return _BandLU(a, bw, bw)
     n = a.shape[0]
     col = np.repeat(np.arange(n), np.diff(a.indptr))
     below = a.indices - col
     # initial=0: a Jacobian may store no entry at all
     kl, ku = int(below.max(initial=0)), -int(below.min(initial=0))
-    if max(kl, ku) <= BAND_C * n ** 0.25:
-        return _BandLU(a, col, below, kl, ku)
-    return spla.splu(a)
+    if max(kl, ku) > BAND_C * n ** 0.25:
+        return spla.splu(a)
+    # LAPACK band storage: entry (r, c) in row kl + ku + r - c of column c,
+    # under kl rows kept for the fill of row interchanges; built as its
+    # transpose in C order, the Fortran-ordered array that dgbtrf factors
+    rows = 2 * kl + ku + 1
+    ab = np.zeros(n * rows)
+    ab[col * rows + below + (kl + ku)] = a.data
+    return _BandLU(ab.reshape(n, rows).T, kl, ku)
 
 
 class _BandLU:
-    """LU factor with partial pivoting (LAPACK dgbtrf) of a CSC matrix a
-    whose stored entries sit at (col + below, col), kl below and ku above
-    the diagonal at most; ``solve`` works like a SuperLU factor's.  An
-    exactly singular pivot raises RuntimeError, as SuperLU does."""
+    """LU factor with partial pivoting (LAPACK dgbtrf) of a matrix with kl
+    sub- and ku superdiagonals, given as its band storage ab, shape
+    (2 kl + ku + 1, n) in Fortran order, which is factored in place;
+    ``solve`` works like a SuperLU factor's.  An exactly singular pivot
+    raises RuntimeError, as SuperLU does."""
 
-    def __init__(self, a, col, below, kl, ku):
-        n = a.shape[0]
-        # LAPACK band storage: entry (r, c) in row kl + ku + r - c of
-        # column c, under kl rows kept for the fill of row interchanges;
-        # built as its transpose in C order, the Fortran-ordered array that
-        # dgbtrf factors in place
-        rows = 2 * kl + ku + 1
-        ab = np.zeros(n * rows)
-        ab[col * rows + below + (kl + ku)] = a.data
-        self.lu, self.piv, info = dgbtrf(ab.reshape(n, rows).T, kl, ku,
-                                         overwrite_ab=1)
+    def __init__(self, ab, kl, ku):
+        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
         self.kl, self.ku = kl, ku
@@ -201,29 +203,50 @@ def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
     return -_adjoint(mesh, block, _gradients(mesh, block, fixed))
 
 
-def _linear_blend_init(mesh: Mesh, block: FreeBlock, u: np.ndarray, s: float):
+def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
+                       u: np.ndarray, s: float):
     """Solve the p=2 problem with the same boundary data; cheap and inside
     the comparison cone.  Returns the start and the cycle that the first
     Newton steps on large blocks hold.  Below ``KRYLOV_MIN_NODES`` free
-    nodes the p=2 LU factor gives the start directly and is dropped: the
-    cycle is None.  Above it a multigrid cycle of the p=2 block
-    preconditions a CG solve for E at level 1 that is then scaled by s.  At
-    extreme s, CG's inner products at level s would underflow or
-    overflow."""
-    k = p2_stiffness(mesh, block)
+    nodes the start is one direct solve whose factor is dropped: the cycle
+    is None.  There a linear flux (``is_linear``) solves its own problem
+    instead, by ``_linear_start``, and falls back to the p=2 one only when
+    that fails.  Above the gate a multigrid cycle of the p=2 block
+    preconditions a CG solve for E at level 1 that is then scaled by s; CG
+    needs the symmetric p=2 block.  At extreme s, CG's inner products at
+    level s would underflow or overflow."""
     out = u.copy()
     if block.nodes.size < KRYLOV_MIN_NODES:
-        out[block.nodes] = _factor(k).solve(_blend_rhs(mesh, block, u))
+        x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
+        if x is None:
+            x = _factor(p2_stiffness(mesh, block)).solve(
+                _blend_rhs(mesh, block, u))
+        out[block.nodes] = x
         return out, None
-    # k is symmetric, so its transpose is k itself in CSR, the format the
-    # cycle's products and CG's matvecs run fastest in
-    k = k.T
+    # the p=2 block is symmetric, so its transpose is itself in CSR, the
+    # format the cycle's products and CG's matvecs run fastest in
+    k = p2_stiffness(mesh, block).T
     cycle = _Cycle(k, mesh, block)
     m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
     x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=0.0,
                    atol=BLEND_CG_ATOL, maxiter=BLEND_CG_MAX_ITER, M=m)
     out[block.nodes] = s * x
     return out, cycle
+
+
+def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
+    """The free values x that solve K x = -r(u), K the Jacobian block of a
+    linear flux at shift 0, which is the same at every field: one exact
+    Newton step from u, whose free values are 0.  None when K is singular
+    (a pure skew flux on interior nodes) or x is not finite."""
+    # an overflowing residual gives a non-finite x, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            lu = _factor(jacobian_matrix(mesh, flux, u, 0.0, block=block))
+        except RuntimeError:
+            return None
+        x = lu.solve(-residual(mesh, flux, u, block=block))
+    return x if np.all(np.isfinite(x)) else None
 
 
 class _Cycle:
@@ -324,12 +347,13 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     if not free.any():
         return make_field(u, 0.0, 0, True, [0.0])
 
-    block = FreeBlock(mesh, free)
+    # only blocks below the Krylov gate, whose steps are factored, are banded
+    block = FreeBlock(mesh, free, band_below=KRYLOV_MIN_NODES)
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
     if opts.init == "linear_blend":
-        u, state.cycle = _linear_blend_init(mesh, block, u, s)
+        u, state.cycle = _linear_blend_init(mesh, flux, block, u, s)
     elif opts.init == "given":
         u = _check_field(mesh, opts.init_field).copy()
         u[e.mask] = s
@@ -431,14 +455,24 @@ class _NewtonState:
         self.best_u = None
         self.best_rmax = np.inf
         self.cycle = None
+        self._true = (None, None, None)
 
     def budget(self):
         return self.opts.max_newton - self.iterations
 
     def _residual(self, u, eps):
-        """The residual on the block's nodes and its max-norm."""
+        """The residual on the block's nodes and its max-norm.  The last
+        true one is kept with its iterate, which no stage changes in place,
+        so an iterate that one stage hands to the next (the start to the
+        fast pass, a hop that took no step to the true check) is evaluated
+        once."""
+        if eps == 0.0 and self._true[0] is u:
+            return self._true[1:]
         r = residual(self.mesh, self.flux, u, eps=eps, block=self.block)
-        return r, float(np.max(np.abs(r)))
+        rmax = float(np.max(np.abs(r)))
+        if eps == 0.0:
+            self._true = (u, r, rmax)
+        return r, rmax
 
     def true_rmax(self, u):
         _, rmax = self._residual(u, 0.0)

@@ -4,7 +4,8 @@ whole-mesh matrices as sparse products with it, and the stored pattern of
 a free block read off the mesh's triangles.  ``gradients`` and
 ``residual_reference`` are the exceptions: the kernel run on every
 triangle of the mesh, as ``residual`` ran before it skipped the triangles
-whose corners are all 0."""
+whose corners are all 0.  ``band_dense`` expands a banded block's LAPACK
+band storage."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,3 +103,15 @@ def pattern_reference(mesh, nodes):
     k = _csc(sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                            shape=(n, n)))
     return k.indptr, k.indices
+
+
+def band_dense(ab):
+    """The dense matrix of a banded block's storage ab, shape (3 bw + 1, n):
+    entry (r, c) within bw of the diagonal from row 2 bw + r - c of column
+    c, every other entry 0."""
+    bw, n = (ab.shape[0] - 1) // 3, ab.shape[1]
+    r, c = np.indices((n, n))
+    inside = np.abs(r - c) <= bw
+    dense = np.zeros((n, n))
+    dense[inside] = ab[2 * bw + r[inside] - c[inside], c[inside]]
+    return dense

@@ -3,11 +3,11 @@ import threading
 import numpy as np
 import pytest
 
-from assembly_reference import (gradient_operator, gradients,
+from assembly_reference import (band_dense, gradient_operator, gradients,
                                 jacobian_reference, operator_reference,
                                 p2_reference, pattern_reference,
                                 residual_reference, sub_block)
-from moncap import assembly
+from moncap import assembly, solver
 from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
                              p2_stiffness, pairing, residual)
 from moncap.errors import InvalidInput
@@ -523,3 +523,94 @@ class TestFreeBlock:
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
         assert_close_block(block_a, sub_block(full_a, nodes),
                            pattern_reference(m, nodes))
+
+
+def band_blocks(mesh):
+    """The annulus, strip and cross free sets of a mesh, each as a banded
+    and as a CSC block."""
+    cross = shape_union(rect(0.0, 0.45, 1.0, 0.55), rect(0.45, 0.0, 0.55, 1.0))
+    for e_shape, f_shape in ((disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
+                             (shape_none(), rect(0.0, 0.45, 1.0, 0.55)),
+                             (shape_none(), cross)):
+        free = pair_free(mesh, e_shape, f_shape)
+        yield FreeBlock(mesh, free, band_below=10**9), FreeBlock(mesh, free)
+
+
+class TestBandStorage:
+    """Below the Krylov gate a compact block's matrices are LAPACK band
+    storage filled by one bincount: bitwise the CSC block's entries, exact
+    zeros everywhere else, and a bitwise equal factor."""
+
+    @staticmethod
+    def assert_same(band, csc, bw):
+        assert band.shape == (3 * bw + 1, csc.shape[0])
+        assert band.flags.f_contiguous
+        # the bw rows of row-interchange fill, and every slot outside the
+        # stencil, hold exact zeros
+        assert not np.any(band[:bw])
+        assert band_dense(band).tobytes() == csc.toarray().tobytes()
+        b = np.random.default_rng(1).standard_normal(csc.shape[0])
+        lu_csc, lu_band = solver._factor(csc), solver._factor(band)
+        assert isinstance(lu_csc, solver._BandLU)
+        assert np.array_equal(lu_band.lu, lu_csc.lu)
+        assert np.array_equal(lu_band.piv, lu_csc.piv)
+        assert lu_band.solve(b).tobytes() == lu_csc.solve(b).tobytes()
+
+    @pytest.mark.parametrize("flux", NONZERO_FLUXES,
+                             ids=lambda f: f"{f.kind}-p{f.p}")
+    def test_bitwise_the_csc_block(self, flux):
+        m = build_mesh(24)
+        u = rand_field(m, 12)
+        for band, csc in band_blocks(m):
+            assert band.band is not None and csc.band is None
+            assert np.array_equal(band.nodes, csc.nodes)
+            assert band.places.tobytes() == csc.places.tobytes()
+            for eps in (0.0, 1e-6):
+                for shift in (0.0, 1e-9):
+                    self.assert_same(
+                        jacobian_matrix(m, flux, u, eps, shift, block=band),
+                        jacobian_matrix(m, flux, u, eps, shift, block=csc),
+                        band.band)
+            self.assert_same(p2_stiffness(m, band), p2_stiffness(m, csc),
+                             band.band)
+
+    def test_storage_rule(self):
+        # banded below band_below free nodes, and only when the span is at
+        # most BAND_C n^(1/4): a cross two nodes wide is too thin for it
+        m = build_mesh(64)
+        free = pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        n = np.count_nonzero(free)
+        span = pattern_span(m, free)
+        assert span <= assembly.BAND_C * n ** 0.25
+        assert FreeBlock(m, free).band is None
+        assert FreeBlock(m, free, band_below=n).band is None
+        assert FreeBlock(m, free, band_below=n + 1).band == span
+        thin = pair_free(m, shape_none(), shape_union(
+            rect(0.0, 0.49, 1.0, 0.52), rect(0.49, 0.0, 0.52, 1.0)))
+        assert pattern_span(m, thin) > assembly.BAND_C \
+            * np.count_nonzero(thin) ** 0.25
+        assert FreeBlock(m, thin, band_below=10**9).band is None
+
+    def test_single_free_node_and_zero_block(self):
+        m = build_mesh(8)
+        free = np.zeros(m.n_nodes, dtype=bool)
+        free[m.node_index(4, 4)] = True
+        block = FreeBlock(m, free, band_below=10**9)
+        assert block.band == 0
+        self.assert_same(p2_stiffness(m, block),
+                         p2_stiffness(m, FreeBlock(m, free)), 0)
+        # a flat Jacobian without a floor is all zeros: singular, as in CSC
+        block = next(band_blocks(m))[0]
+        zero = jacobian_matrix(m, flat_core_p(2.0, 3.0), np.zeros(m.n_nodes),
+                               0.0, block=block)
+        assert not np.any(zero)
+        with pytest.raises(RuntimeError):
+            solver._factor(zero)
+
+
+def pattern_span(mesh, free):
+    """The bandwidth of the stencil pattern of the block of free."""
+    nodes = FreeBlock(mesh, free).nodes
+    indptr, indices = pattern_reference(mesh, nodes)
+    col = np.repeat(np.arange(nodes.size), np.diff(indptr))
+    return int(np.abs(indices - col).max(initial=0))

@@ -9,7 +9,7 @@ from moncap.errors import InvalidInput
 from moncap.flux import (MARGIN_TOL, Flux, adversarial_fixture,
                          anisotropic_p, check_conditions, combine, eval_flux,
                          eval_flux_smoothed, flat_core_p, flux_jacobian,
-                         linear_matrix, p_laplacian, s_transform,
+                         is_linear, linear_matrix, p_laplacian, s_transform,
                          weighted_p_laplacian)
 
 X0 = np.array([0.3, 0.7])
@@ -72,6 +72,38 @@ class TestEval:
         xi = np.random.default_rng(0).normal(size=(7, 5, 2))
         out = eval_flux(p_laplacian(3.0), X0, xi)
         assert out.shape == xi.shape
+
+
+class TestLinearity:
+    # every kind of the shipped family, and the composites of a linear and
+    # a nonlinear part
+    CASES = shipped_family() + [
+        s_transform(flat_core_p(2.0, 1.0), -0.5),
+        combine(p_laplacian(2.0), flat_core_p(2.0, 1.0), 1.0, 1.0),
+        combine(p_laplacian(3.0), anisotropic_p(3.0, 1.5, 0.7), 1.0, 1.0),
+        adversarial_fixture()]
+
+    @pytest.mark.parametrize("flux", CASES, ids=lambda f: f"{f.kind}-p{f.p}")
+    def test_declared_as_evaluated(self, flux):
+        # a kind declared linear is linear in xi at every x and eps, with a
+        # Jacobian that is the same at every xi; one declared not linear
+        # fails that on random samples
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.0, 1.0, size=(64, 2))
+        xi, eta = rng.normal(size=(2, 64, 2)) * 3.0
+        a, b = 0.7, -1.9
+        linear = True
+        for eps in (0.0, 1e-3):
+            lhs = eval_flux_smoothed(flux, x, a * xi + b * eta, eps)
+            rhs = a * eval_flux_smoothed(flux, x, xi, eps) \
+                + b * eval_flux_smoothed(flux, x, eta, eps)
+            scale = np.abs(lhs).max() + np.abs(rhs).max()
+            linear &= bool(np.abs(lhs - rhs).max() <= 1e-12 * scale)
+            jac_xi = flux_jacobian(flux, x, xi, eps)
+            jac_eta = flux_jacobian(flux, x, eta, eps)
+            linear &= bool(np.abs(jac_xi - jac_eta).max()
+                           <= 1e-12 * np.abs(jac_xi).max())
+        assert is_linear(flux) == linear
 
 
 class TestJacobian:

@@ -6,14 +6,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from assembly_reference import p2_reference
+from assembly_reference import jacobian_reference, p2_reference
 from moncap import solver
 from moncap.assembly import FreeBlock, jacobian_matrix, p2_stiffness, residual
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
-from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
-                         p_laplacian, s_transform)
+from moncap.flux import (anisotropic_p, combine, flat_core_p, is_linear,
+                         linear_matrix, p_laplacian, s_transform,
+                         weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, difference,
                          discrete_boundary, disk, halfplane, rasterize, rect,
                          shape_all, shape_difference, shape_none, shape_union)
@@ -49,6 +50,15 @@ INVARIANCE_INSTANCES = {
          disk(0.6396740318923149, 0.4517462125174329, 0.3015040476387228),
          disk(0.7112874320096915, 0.5612699691351436, 0.04544270232287529)),
 }
+
+
+# linear fluxes that the p = 2 blend start does not solve: weighted,
+# anisotropic and composite ones
+LINEAR_FLUXES = [
+    weighted_p_laplacian(2.0, 1.0, 2.0), anisotropic_p(2.0, 2.0, 0.5),
+    s_transform(anisotropic_p(2.0, 2.0, 0.5), -0.7),
+    combine(weighted_p_laplacian(2.0, 1.0, 2.0),
+            linear_matrix([[1.0, 0.5], [-0.5, 1.0]]), 1.0, 0.5)]
 
 
 def invariance_instance(i):
@@ -401,7 +411,8 @@ def _one_factor_at_a_time(monkeypatch):
 
     def factor(*args, **kwargs):
         assert not live, "a new factor while the last one is held"
-        calls.append(args[0].shape[0])
+        # the columns: a CSC matrix's and a band array's alike
+        calls.append(args[0].shape[1])
         lu = Factor(real(*args, **kwargs))
         live.add(lu)
         return lu
@@ -489,8 +500,8 @@ class TestStaleFactorKrylov:
         # the same blend start
         mesh, e, f = large
         start, held = solver._linear_blend_init(
-            mesh, FreeBlock(mesh, f.mask & ~e.mask), np.where(e.mask, 1.0, 0.0),
-            1.0)
+            mesh, p_laplacian(3.0), FreeBlock(mesh, f.mask & ~e.mask),
+            np.where(e.mask, 1.0, 0.0), 1.0)
         assert isinstance(held, solver._Cycle)
         direct = self.direct(monkeypatch, lambda: solve_dirichlet(
             mesh, p_laplacian(3.0), e, f, 1.0,
@@ -681,7 +692,7 @@ class TestMultigridCycle:
         for a, _, p, _ in cycle.levels:
             assert p.shape[0] == a.shape[0] > p.shape[1] > 0
         block = FreeBlock(mesh, f.mask & ~e.mask)
-        start, _ = solver._linear_blend_init(mesh, block,
+        start, _ = solver._linear_blend_init(mesh, p_laplacian(3.0), block,
                                              np.where(e.mask, 1.0, 0.0), 1.0)
         r = residual(mesh, p_laplacian(2.0), start, block=block)
         assert np.linalg.norm(r) <= 2.0 * solver.BLEND_CG_ATOL
@@ -888,16 +899,16 @@ class TestFreeBlockWork:
 
 class TestLinearBlendInit:
     def test_matches_free_free_solve(self):
-        # the blend start equals the p=2 solve written with explicit
-        # free/fixed blocks, on the acceptance annulus
+        # the blend start of a flux that is not linear equals the p=2 solve
+        # written with explicit free/fixed blocks, on the acceptance annulus
         from scipy.sparse.linalg import spsolve
         for n in (32, 64):
             mesh = build_mesh(n)
             e, f = annulus_sets(mesh, 0.1, 0.4)
             free = f.mask & ~e.mask
             u = np.where(e.mask, 1.0, 0.0)
-            got, held = solver._linear_blend_init(mesh, FreeBlock(mesh, free),
-                                                  u, 1.0)
+            got, held = solver._linear_blend_init(
+                mesh, p_laplacian(3.0), FreeBlock(mesh, free), u, 1.0)
             # below the gate the p = 2 factor is dropped with the start
             assert held is None
             k = p2_reference(mesh)
@@ -906,6 +917,124 @@ class TestLinearBlendInit:
                                      -k[free][:, ~free] @ u[~free])
             assert np.array_equal(got[~free], u[~free])
             assert np.allclose(got, expected, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("flux", LINEAR_FLUXES, ids=lambda f: f.kind)
+    def test_linear_flux_solves_its_own_problem(self, flux):
+        # below the gate a linear flux starts from its own free-free solve,
+        # its Jacobian reference split into free and fixed blocks
+        from scipy.sparse.linalg import spsolve
+        mesh = build_mesh(32)
+        e, f = _box_sets(mesh)
+        free = f.mask & ~e.mask
+        u = np.where(e.mask, -0.6, 0.0)
+        got, held = solver._linear_blend_init(
+            mesh, flux, FreeBlock(mesh, free, band_below=10**9), u, -0.6)
+        assert held is None
+        k = jacobian_reference(mesh, flux, u, 0.0)
+        expected = u.copy()
+        expected[free] = spsolve(k[free][:, free].tocsc(),
+                                 -k[free][:, ~free] @ u[~free])
+        assert np.array_equal(got[~free], u[~free])
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+class TestLinearStart:
+    """Below the gate a linear flux's blend start is the exact solution of
+    its own problem, so its solve takes no Newton step; a flux that is not
+    linear keeps the p = 2 start and its steps."""
+
+    @pytest.mark.parametrize("flux", LINEAR_FLUXES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("sets", [annulus_sets, _box_sets],
+                             ids=["annulus", "box"])
+    def test_converges_without_newton_steps(self, flux, sets):
+        mesh = build_mesh(24)
+        e, f = sets(mesh)
+        assert np.count_nonzero(f.mask & ~e.mask) < solver.KRYLOV_MIN_NODES
+        report, field = compute_capacity(mesh, flux, e, f, 1.3)
+        assert report.converged and field.iterations == 0
+        zero, steps = compute_capacity(mesh, flux, e, f, 1.3,
+                                       SolverOptions(init="zero"))
+        assert zero.converged and steps.iterations > 0
+        assert abs(report.c_inner - zero.c_inner) <= report.tol_cap
+
+    # Newton steps each takes from the p = 2 blend start on the N = 16
+    # annulus r 0.12 / 0.38 at s = 1
+    PARENT_STEPS = [(p_laplacian(1.5), 5), (p_laplacian(3.0), 4),
+                    (weighted_p_laplacian(3.0, 1.0, 2.0), 4),
+                    (anisotropic_p(1.5, 2.0, 0.5), 7),
+                    (flat_core_p(2.0, 0.5), 3), (flat_core_p(2.0, 3.0), 12)]
+
+    @pytest.mark.parametrize("flux, steps", PARENT_STEPS,
+                             ids=lambda v: getattr(v, "kind", str(v)))
+    def test_other_fluxes_keep_their_steps(self, flux, steps):
+        mesh = build_mesh(16)
+        e, f = annulus_sets(mesh)
+        assert not is_linear(flux)
+        field = solve_dirichlet(mesh, flux, e, f, 1.0)
+        assert field.converged and field.iterations == steps
+
+    def test_pure_skew_block_falls_back_to_the_p2_start(self, recwarn):
+        # on interior nodes the skew flux's Jacobian block is exactly 0:
+        # its factor is singular, and the start is the p = 2 one
+        mesh = build_mesh(16)
+        e, f = annulus_sets(mesh)
+        block = FreeBlock(mesh, f.mask & ~e.mask, band_below=10**9)
+        skew = linear_matrix([[0.0, 1.0], [-1.0, 0.0]], validate=False)
+        u = np.where(e.mask, 1.0, 0.0)
+        assert not np.any(jacobian_matrix(mesh, skew, u, 0.0, block=block))
+        assert solver._linear_start(mesh, skew, block, u) is None
+        p2_start, _ = solver._linear_blend_init(mesh, p_laplacian(3.0), block,
+                                                u, 1.0)
+        field = solve_dirichlet(mesh, skew, e, f, 1.0)
+        assert field.converged and field.iterations == 0
+        assert np.array_equal(field.u, p2_start)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
+class TestSolveWork:
+    """A below-gate solve does only the work its answer needs."""
+
+    @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
+                                      weighted_p_laplacian(2.0, 1.0, 2.0)],
+                             ids=lambda f: f.kind)
+    def test_banded_solve_builds_no_sparse_matrix(self, flux, monkeypatch):
+        from scipy.sparse._base import _spbase
+        built = []
+        real = _spbase.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(_spbase, "__init__", init)
+        mesh = build_mesh(32)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        field = solve_dirichlet(mesh, flux, e, f, 1.0)
+        assert field.converged and not built
+
+    @pytest.mark.parametrize("case", ["p_laplacian", "flat_core_p",
+                                      "p_laplacian_1.5", "invariance_29"])
+    def test_no_residual_is_evaluated_twice(self, case, monkeypatch):
+        # the start's true residual is the fast pass's first, and a
+        # continuation hop that takes no step hands its iterate to the
+        # true check unevaluated
+        if case == "invariance_29":
+            mesh, flux, e, f = invariance_instance(29)
+        else:
+            mesh = build_mesh(24)
+            e, f = annulus_sets(mesh, 0.1, 0.4)
+            flux = {"p_laplacian": p_laplacian(3.0),
+                    "flat_core_p": flat_core_p(2.0, 3.0),
+                    "p_laplacian_1.5": p_laplacian(1.5)}[case]
+        seen = []
+        real = solver.residual
+
+        def counted(mesh, flux, u, eps=0.0, block=None):
+            seen.append((u.tobytes(), eps))
+            return real(mesh, flux, u, eps=eps, block=block)
+        monkeypatch.setattr(solver, "residual", counted)
+        field = solve_dirichlet(mesh, flux, e, f, 1.0)
+        assert field.converged and field.iterations > 0
+        assert len(seen) == len(set(seen))
 
 
 class TestOptionsValidation:
