@@ -41,13 +41,14 @@ _GRADIENTS = np.array([(-1, 0), (1, -1), (0, 1)], dtype=float)
 _DIRECTIONS = np.array([3, 2, 0, 4, 3, 1, 6, 5, 3])
 _WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
                      _GRADIENTS).reshape(4, 9) / 2.0
-# A matrix of n rows whose stored entries all lie within BAND_C n^(1/4) of
-# the diagonal is factored as a band by LAPACK, any other by SuperLU in its
-# default COLAMD order.  Band LU costs about n bw^2: the constant, fitted
-# against SuperLU on compact blocks (CHANGES.md), sends compact blocks above
-# about 5,000 nodes and thin wide shapes to SuperLU.  Compact blocks that
-# large lie above the solver's Krylov gate, where only the multigrid
-# coarsest level and a step whose rebuilt cycle failed are factored.
+# A free block of n nodes below the solver's Krylov gate whose span is at
+# most BAND_C n^(1/4) is assembled as a band, which LAPACK factors; any
+# other block is CSC, which SuperLU factors in its default COLAMD order.
+# Band LU costs about n bw^2: the constant, fitted against SuperLU on
+# compact blocks (CHANGES.md), sends compact blocks above about 5,000
+# nodes and thin wide shapes to SuperLU.  Compact blocks that large lie
+# above the gate, where every factor (the multigrid coarsest level, a step
+# whose rebuilt cycle failed) is SuperLU's.
 BAND_C = 9.5
 
 
@@ -134,7 +135,7 @@ class FreeBlock(_Triangles):
     full matrix k is k[nodes][:, nodes], and a corner's place is its
     node's position in ``nodes``, ``size`` (dropped) off the block.
 
-    Storage is decided once, here.  A block of n free nodes, fewer than
+    Storage is decided here alone.  A block of n free nodes, fewer than
     ``band_below``, whose span bw (its bandwidth) is at most BAND_C n^(1/4)
     is banded: ``band`` is bw and its matrices are LAPACK band storage,
     shape (3 bw + 1, n) in Fortran order, entry (r, c) in row 2 bw + r - c

@@ -17,14 +17,12 @@ node, and the free nodes in grid row-major or column-major order,
 whichever keeps the block's band narrower.  Every residual the solve
 evaluates, line-search trials and true-residual checks included, and
 every Jacobian is assembled on those triangles only, and no iterate's true
-residual is evaluated twice.  The block decides its storage once: below
-``KRYLOV_MIN_NODES`` free nodes, a block whose band is within BAND_C
-n^(1/4) of the diagonal assembles its matrices straight into LAPACK band
-storage, which ``_factor`` hands to dgbtrf in place; any other block is
-CSC.  ``_factor`` reads only its matrix: a CSC block or multigrid coarsest
-level becomes a band LU under the same rule, else a SuperLU factor with
-its own fill-reducing order; both pivot rows partially, for skew and
-shifted degenerate Jacobians.
+residual is evaluated twice.  The block alone decides its storage
+(``FreeBlock``): LAPACK band storage for a compact block below
+``KRYLOV_MIN_NODES`` free nodes, else CSC.  ``_direct_solve`` follows
+it: a band array is factored in place and solved by dgbsv, a sparse
+matrix by SuperLU in its own fill-reducing order; both pivot rows
+partially, for skew and shifted degenerate Jacobians.
 
 On blocks below ``KRYLOV_MIN_NODES`` free nodes a solve holds no
 preconditioner: the blend start and each Newton step factor their
@@ -32,7 +30,7 @@ matrix, solve directly and drop the factor.  There a linear flux (its
 kind says so) starts from the exact solution of its own linear problem,
 so it takes no Newton step.  On larger blocks the one thing a solve
 holds, across Newton steps and stages, is a smoothed-aggregation
-multigrid cycle, whose coarsest level is its one LU factor.  The blend
+multigrid cycle, whose coarsest level is its one SuperLU factor.  The blend
 start builds it from the p=2 block and solves the p=2 problem by CG
 preconditioned with it; any other start builds it from its first
 Jacobian.  A Newton step solves with GMRES, right-preconditioned by the
@@ -54,11 +52,12 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv
 
-from .assembly import (BAND_C, FreeBlock, _adjoint, _check_field,
-                       _gradients, jacobian_matrix, p2_stiffness, residual)
+from .assembly import (FreeBlock, _adjoint, _check_field, _gradients,
+                       jacobian_matrix, p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
 from .flux import Flux, is_linear
 from .mesh import Mesh, NodeSet, validate_pair
@@ -154,47 +153,18 @@ class PotentialField:
     residual_history: list = dc_field(default_factory=list)
 
 
-def _factor(a):
-    """LU factor of a block matrix or of a CSC matrix.  A banded block's
-    storage is factored as it is, and in place.  A CSC matrix (a multigrid
-    coarsest level, a block above the gate, or a thin wide one) is scattered
-    into band storage when its stored entries lie within BAND_C n^(1/4) of
-    the diagonal, else factored by SuperLU, which orders its columns by
-    COLAMD."""
+def _direct_solve(a, b):
+    """x with a x = b, from an LU factor with partial pivoting that is not
+    kept.  A banded block's storage is factored in place by LAPACK dgbsv;
+    a sparse matrix by SuperLU, which orders its columns by COLAMD.  An
+    exactly singular pivot raises RuntimeError, as SuperLU does."""
     if isinstance(a, np.ndarray):
         bw = (a.shape[0] - 1) // 3
-        return _BandLU(a, bw, bw)
-    n = a.shape[0]
-    col = np.repeat(np.arange(n), np.diff(a.indptr))
-    below = a.indices - col
-    # initial=0: a Jacobian may store no entry at all
-    kl, ku = int(below.max(initial=0)), -int(below.min(initial=0))
-    if max(kl, ku) > BAND_C * n ** 0.25:
-        return spla.splu(a)
-    # LAPACK band storage: entry (r, c) in row kl + ku + r - c of column c,
-    # under kl rows kept for the fill of row interchanges; built as its
-    # transpose in C order, the Fortran-ordered array that dgbtrf factors
-    rows = 2 * kl + ku + 1
-    ab = np.zeros(n * rows)
-    ab[col * rows + below + (kl + ku)] = a.data
-    return _BandLU(ab.reshape(n, rows).T, kl, ku)
-
-
-class _BandLU:
-    """LU factor with partial pivoting (LAPACK dgbtrf) of a matrix with kl
-    sub- and ku superdiagonals, given as its band storage ab, shape
-    (2 kl + ku + 1, n) in Fortran order, which is factored in place;
-    ``solve`` works like a SuperLU factor's.  An exactly singular pivot
-    raises RuntimeError, as SuperLU does."""
-
-    def __init__(self, ab, kl, ku):
-        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        _, _, x, info = dgbsv(bw, bw, a, b, overwrite_ab=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
-        self.kl, self.ku = kl, ku
-
-    def solve(self, b):
-        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv)[0]
+        return x
+    return spla.splu(a).solve(b)
 
 
 def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
@@ -219,8 +189,8 @@ def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
     if block.nodes.size < KRYLOV_MIN_NODES:
         x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
         if x is None:
-            x = _factor(p2_stiffness(mesh, block)).solve(
-                _blend_rhs(mesh, block, u))
+            x = _direct_solve(p2_stiffness(mesh, block),
+                              _blend_rhs(mesh, block, u))
         out[block.nodes] = x
         return out, None
     # the p=2 block is symmetric, so its transpose is itself in CSR, the
@@ -242,10 +212,11 @@ def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
     # an overflowing residual gives a non-finite x, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            lu = _factor(jacobian_matrix(mesh, flux, u, 0.0, block=block))
+            x = _direct_solve(
+                jacobian_matrix(mesh, flux, u, 0.0, block=block),
+                -residual(mesh, flux, u, block=block))
         except RuntimeError:
             return None
-        x = lu.solve(-residual(mesh, flux, u, block=block))
     return x if np.all(np.isfinite(x)) else None
 
 
@@ -260,9 +231,10 @@ class _Cycle:
     the Gershgorin bound of D^-1 a; the next level is the Galerkin product
     P^T a P at the box indices.  This handles odd grids and masked free
     sets alike.  The first level with at most ``COARSE_MAX_NODES`` nodes is
-    factored.  A level with a diagonal entry that is not positive (a flat
-    Jacobian without a floor has zero rows) has no Jacobi smoother and
-    raises RuntimeError, as a singular coarsest level does.
+    factored by SuperLU and held.  A level with a diagonal entry that is
+    not positive (a flat Jacobian without a floor has zero rows) has no
+    Jacobi smoother and raises RuntimeError, as a singular coarsest level
+    does.
     ``solve(b)`` applies one cycle: damped-Jacobi pre- and
     post-smoothing around the coarse correction, a fixed linear operator
     that stands in for a^-1, symmetric when a is.  GMRES needs no symmetry
@@ -270,9 +242,6 @@ class _Cycle:
     """
 
     def __init__(self, a, mesh: Mesh, block: FreeBlock):
-        # only solves above the gate build a hierarchy; moncap.assembly has
-        # loaded scipy.sparse already
-        import scipy.sparse as sp
         i, j = block.nodes % (mesh.n + 1), block.nodes // (mesh.n + 1)
         self.levels = []
         while a.shape[0] > COARSE_MAX_NODES:
@@ -290,7 +259,7 @@ class _Cycle:
             self.levels.append((a, JACOBI_WEIGHT / d, p, p_t))
             a = (p_t @ (a @ p)).tocsr()
             i, j = i[first], j[first]
-        self.coarse = _factor(a.tocsc())
+        self.coarse = spla.splu(a.tocsc())
 
     def solve(self, b):
         return self._cycle(0, b)
@@ -441,8 +410,8 @@ class _NewtonState:
     at least ``KRYLOV_MIN_NODES`` free nodes, held across Newton steps and
     stages: the blend start's, or one built from a step's Jacobian when
     none is held or when the held one fails that step.  It is dropped
-    before any other factor is made, so one solve never holds two factors,
-    and the factor of a direct step is dropped with the step.
+    before a direct solve, whose factor is not kept, so one solve never
+    holds two factors.
     """
 
     def __init__(self, mesh, flux, block, opts, history):
@@ -485,15 +454,13 @@ class _NewtonState:
             self.best_u = u.copy()
 
     def _direct(self, kff, r):
-        """Newton direction from an LU factor of kff, made once the cycle
-        is dropped and not held; None when the factor or the direction
-        fails."""
+        """Newton direction from a direct solve with kff, made once the
+        cycle is dropped; None when the factor or the direction fails."""
         self.cycle = None
         try:
-            lu = _factor(kff)
+            delta = _direct_solve(kff, -r)
         except RuntimeError:
             return None
-        delta = lu.solve(-r)
         return delta if np.all(np.isfinite(delta)) else None
 
     def _krylov_norm(self, r, rmax):

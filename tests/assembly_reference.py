@@ -5,7 +5,7 @@ a free block read off the mesh's triangles.  ``gradients`` and
 ``residual_reference`` are the exceptions: the kernel run on every
 triangle of the mesh, as ``residual`` ran before it skipped the triangles
 whose corners are all 0.  ``band_dense`` expands a banded block's LAPACK
-band storage."""
+band storage, and ``band_storage`` builds it from a sparse matrix."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,3 +115,15 @@ def band_dense(ab):
     dense = np.zeros((n, n))
     dense[inside] = ab[2 * bw + r[inside] - c[inside], c[inside]]
     return dense
+
+
+def band_storage(k, bw):
+    """The LAPACK band storage of a sparse matrix k whose entries lie
+    within bw of the diagonal, laid out as a banded block's: shape
+    (3 bw + 1, n) in Fortran order, entry (r, c) in row 2 bw + r - c of
+    column c."""
+    k = k.tocoo()
+    assert np.all(np.abs(k.row - k.col) <= bw)
+    ab = np.zeros((3 * bw + 1, k.shape[1]), order="F")
+    np.add.at(ab, (2 * bw + k.row - k.col, k.col), k.data)
+    return ab

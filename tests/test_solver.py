@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf
 
-from assembly_reference import jacobian_reference, p2_reference
+from assembly_reference import (band_storage, jacobian_reference,
+                                p2_reference)
 from moncap import solver
-from moncap.assembly import FreeBlock, jacobian_matrix, p2_stiffness, residual
+from moncap.assembly import (BAND_C, FreeBlock, _block_order, jacobian_matrix,
+                             p2_stiffness, residual)
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -18,7 +21,8 @@ from moncap.flux import (anisotropic_p, combine, flat_core_p, is_linear,
 from moncap.mesh import (build_mesh, complement, difference,
                          discrete_boundary, disk, halfplane, rasterize, rect,
                          shape_all, shape_difference, shape_none, shape_union)
-from moncap.properties import INVARIANCE_TOL, run_invariance_suite
+from moncap.properties import (INVARIANCE_TOL, default_flux_family,
+                               run_invariance_suite, run_order_suite)
 from moncap.solver import SolverOptions, solve_dirichlet
 
 
@@ -384,9 +388,9 @@ class TestNewtonBudget:
 
 
 def _counting(monkeypatch, owner, name, replacement=None):
-    """Record each call the solver makes to ``owner.<name>`` (``solver``'s
-    ``_factor`` or its ``spla.gmres``), passing it on to ``replacement`` or
-    to the original."""
+    """Record each call the solver makes to ``owner.<name>`` (such as
+    ``solver.spla.gmres``), passing it on to ``replacement`` or to the
+    original."""
     calls = []
     target = replacement or getattr(owner, name)
 
@@ -398,25 +402,37 @@ def _counting(monkeypatch, owner, name, replacement=None):
 
 
 def _one_factor_at_a_time(monkeypatch):
-    """Record the rows of each solver._factor call, banded and SuperLU
-    alike, failing any call made while an earlier factor is still
-    referenced."""
+    """Record the columns of each factor the solver makes: each
+    solver._direct_solve call, band array or sparse matrix alike, and each
+    SuperLU factor made outside it, which a multigrid cycle holds.  Fails
+    any call made while a held factor is still referenced."""
     live = weakref.WeakSet()
-    calls = []
-    real = solver._factor
+    calls, direct = [], []
+    real_solve, real_splu = solver._direct_solve, solver.spla.splu
 
     class Factor:
         def __init__(self, lu):
             self.solve = lu.solve
 
-    def factor(*args, **kwargs):
+    def direct_solve(a, b):
+        assert not live, "a direct solve while a cycle's factor is held"
+        calls.append(a.shape[1])
+        direct.append(1)
+        try:
+            return real_solve(a, b)
+        finally:
+            direct.pop()
+
+    def splu(a, *args, **kwargs):
+        if direct:          # the direct solve's own factor, not kept
+            return real_splu(a, *args, **kwargs)
         assert not live, "a new factor while the last one is held"
-        # the columns: a CSC matrix's and a band array's alike
-        calls.append(args[0].shape[1])
-        lu = Factor(real(*args, **kwargs))
+        calls.append(a.shape[1])
+        lu = Factor(real_splu(a, *args, **kwargs))
         live.add(lu)
         return lu
-    monkeypatch.setattr(solver, "_factor", factor)
+    monkeypatch.setattr(solver, "_direct_solve", direct_solve)
+    monkeypatch.setattr(solver.spla, "splu", splu)
     return calls
 
 
@@ -461,7 +477,7 @@ class TestStaleFactorKrylov:
         def solve():
             return compute_capacity(mesh, flux, e, f)
         direct, _ = self.direct(monkeypatch, solve)
-        factors = _counting(monkeypatch, solver, "_factor")
+        factors = _one_factor_at_a_time(monkeypatch)
         gmres = _counting(monkeypatch, solver.spla, "gmres")
         krylov, field = solve()
         assert direct.converged and krylov.converged and gmres
@@ -497,7 +513,7 @@ class TestStaleFactorKrylov:
         # fails, then the cycle rebuilt from the step's Jacobian, and the
         # step is solved from a factor; each later step builds a cycle,
         # which fails, and factors.  So the solve is the direct one from
-        # the same blend start
+        # the same blend start, to round-off
         mesh, e, f = large
         start, held = solver._linear_blend_init(
             mesh, p_laplacian(3.0), FreeBlock(mesh, f.mask & ~e.mask),
@@ -519,7 +535,10 @@ class TestStaleFactorKrylov:
         assert [n for n in factors if n > solver.COARSE_MAX_NODES] \
             == [size] * steps
         assert len(factors) == len(built) + steps
-        assert np.array_equal(field.u, direct.u)
+        # the direct path's banded block goes to LAPACK, this CSC block to
+        # SuperLU: the same steps, to round-off
+        assert field.iterations == direct.iterations
+        assert np.max(np.abs(field.u - direct.u)) <= 1e-14
 
     @pytest.mark.parametrize("flux", [
         p_laplacian(3.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]])],
@@ -595,7 +614,7 @@ class TestStaleFactorKrylov:
         assert (mesh.n - 1) ** 2 < solver.KRYLOV_MIN_NODES
         e, f = annulus_sets(mesh, 0.1, 0.45)
         gmres = _counting(monkeypatch, solver.spla, "gmres")
-        factors = _counting(monkeypatch, solver, "_factor")
+        factors = _one_factor_at_a_time(monkeypatch)
         field = solve_dirichlet(mesh, flat_core_p(2.0, 3.0), e, f, 1.0)
         assert field.converged and field.iterations > 0
         assert not gmres and len(factors) > field.iterations
@@ -724,25 +743,26 @@ class TestMultigridCycle:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-def _block(mesh, e_shape, f_shape):
+def _block(mesh, e_shape, f_shape, band_below=0):
     e, f = rasterize(e_shape, mesh, "E"), rasterize(f_shape, mesh, "F")
-    return FreeBlock(mesh, f.mask & ~e.mask)
+    return FreeBlock(mesh, f.mask & ~e.mask, band_below=band_below)
 
 
-def _agrees_with_superlu(a, lu):
-    """lu solves like a SuperLU factor of a, to round-off."""
-    b = np.random.default_rng(0).standard_normal(a.shape[0])
-    want = spla.splu(a).solve(b)
-    got = lu.solve(b)
+def _agrees_with_superlu(a, csc):
+    """_direct_solve with a solves like a SuperLU factor of csc, to
+    round-off; returns its x."""
+    b = np.random.default_rng(0).standard_normal(csc.shape[0])
+    want = spla.splu(csc).solve(b)
+    got = solver._direct_solve(a, b)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     return got
 
 
 class TestBandLU:
     """A free block is assembled in the grid order whose mesh edges span
-    fewer places; when that span is small it is factored as a band by
-    LAPACK, else by SuperLU in its own COLAMD order; both solve in block
-    order."""
+    fewer places; below the gate, when that span is small, its matrices
+    are band storage that LAPACK factors, else CSC that SuperLU factors in
+    its own COLAMD order; both solve in block order."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       anisotropic_p(1.5, 2.0, 0.5)],
@@ -754,75 +774,81 @@ class TestBandLU:
         (disk(0.6, 0.4, 0.2), shape_all())], ids=["annulus", "rect", "box"])
     def test_suite_sized_blocks_agree_with_superlu(self, flux, shapes):
         mesh = build_mesh(48)
-        block = _block(mesh, *shapes)
+        band = _block(mesh, *shapes, band_below=10**9)
+        csc = _block(mesh, *shapes)
+        assert band.band is not None
         u = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
-        for a in (p2_stiffness(mesh, block),
-                  jacobian_matrix(mesh, flux, u, 1e-10, shift=1e-9,
-                                  block=block)):
-            lu = solver._factor(a)
-            assert isinstance(lu, solver._BandLU)
-            _agrees_with_superlu(a, lu)
+        for block_matrix in (
+                lambda block: p2_stiffness(mesh, block),
+                lambda block: jacobian_matrix(mesh, flux, u, 1e-10,
+                                              shift=1e-9, block=block)):
+            _agrees_with_superlu(block_matrix(band), block_matrix(csc))
 
     def test_nonsymmetric_shifted_jacobian_needs_pivoting(self):
         # the skew Jacobian of linear_matrix, shifted down to a tenth of
         # its diagonal, with its lower triangle (in block order) scaled
         # up: off-diagonal entries now dominate, so rows are swapped
         mesh = build_mesh(24)
-        block = _block(mesh, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        shapes = (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        bw = _block(mesh, *shapes, band_below=10**9).band
         flux = linear_matrix([[1.0, 0.5], [-0.5, 1.0]])
         jac = jacobian_matrix(mesh, flux, np.zeros(mesh.n_nodes), 0.0,
-                              shift=1e-9, block=block)
+                              shift=1e-9, block=_block(mesh, *shapes))
         a = (jac - 0.9 * sp.diags(jac.diagonal())
              + 3.0 * sp.tril(jac, -1)).tocsc()
-        lu = solver._factor(a)
-        assert isinstance(lu, solver._BandLU)
-        assert np.any(lu.piv != np.arange(a.shape[0]))
-        _agrees_with_superlu(a, lu)
+        _, piv, _ = dgbtrf(band_storage(a, bw), bw, bw)
+        assert np.any(piv != np.arange(a.shape[0]))
+        _agrees_with_superlu(band_storage(a, bw), a)
 
     @pytest.mark.parametrize("stored", [True, False],
                              ids=["zero_entries", "no_entries"])
     def test_singular_block_gives_no_direction(self, stored):
         # a flat Jacobian with no floor can be all zeros, stored, as the
-        # block assembly stores them, or not stored at all
+        # block assembly stores them, or not stored at all; a banded block
+        # stores it as zero band storage
         mesh = build_mesh(16)
-        block = _block(mesh, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        shapes = (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        block = _block(mesh, *shapes)
         a = p2_stiffness(mesh, block)
         a.data[:] = 0.0
         if not stored:
             a.eliminate_zeros()
-        for factor in (lambda: solver._factor(a),
-                       lambda: spla.splu(a)):
+        band = _block(mesh, *shapes, band_below=10**9)
+        b = np.ones(a.shape[0])
+        for zero in (lambda: a, lambda: 0.0 * p2_stiffness(mesh, band)):
             with pytest.raises(RuntimeError):
-                factor()
-        state = solver._NewtonState(mesh, p_laplacian(3.0), block,
-                                    SolverOptions(), [])
-        assert state._direct(a, np.ones(a.shape[0])) is None
-        assert state.cycle is None
+                solver._direct_solve(zero(), b)
+            state = solver._NewtonState(mesh, p_laplacian(3.0), block,
+                                        SolverOptions(), [])
+            assert state._direct(zero(), b) is None
+            assert state.cycle is None
+        with pytest.raises(RuntimeError):
+            spla.splu(a)
 
     def test_one_node_block(self):
         mesh = build_mesh(8)
         free = np.zeros(mesh.n_nodes, dtype=bool)
         free[mesh.node_index(4, 4)] = True
-        block = FreeBlock(mesh, free)
-        a = p2_stiffness(mesh, block)
-        lu = solver._factor(a)
-        assert isinstance(lu, solver._BandLU) and lu.kl == lu.ku == 0
-        assert _agrees_with_superlu(a, lu).shape == (1,)
+        block = FreeBlock(mesh, free, band_below=10**9)
+        assert block.band == 0
+        x = _agrees_with_superlu(p2_stiffness(mesh, block),
+                                 p2_stiffness(mesh, FreeBlock(mesh, free)))
+        assert x.shape == (1,)
 
     def test_wide_strip_takes_column_order(self):
         # the strip is 64 nodes wide and 7 high: column-major order keeps
         # each entry within a few places of the diagonal
         mesh = build_mesh(64)
-        block = _block(mesh, shape_none(), rect(0.0, 0.45, 1.0, 0.55))
-        a = p2_stiffness(mesh, block)
+        shapes = (shape_none(), rect(0.0, 0.45, 1.0, 0.55))
+        block = _block(mesh, *shapes, band_below=10**9)
         side = mesh.n + 1
         nodes = block.nodes
         assert np.all(np.diff(nodes % side * side + nodes // side) > 0)
-        lu = solver._factor(a)
-        assert isinstance(lu, solver._BandLU) and max(lu.kl, lu.ku) < 10
-        _agrees_with_superlu(a, lu)
+        assert block.band < 10
+        _agrees_with_superlu(p2_stiffness(mesh, block),
+                             p2_stiffness(mesh, _block(mesh, *shapes)))
 
-    def test_thin_cross_goes_to_superlu(self):
+    def test_thin_cross_goes_to_superlu(self, monkeypatch):
         # a cross two nodes wide: in either grid order the nodes of one arm
         # sit about a grid side apart next to the crossing, so the block
         # keeps row-major order (a tie), and a band that wide would cost
@@ -830,18 +856,58 @@ class TestBandLU:
         mesh = build_mesh(256)
         cross = shape_union(rect(0.0, 0.499, 1.0, 0.504),
                             rect(0.499, 0.0, 0.504, 1.0))
-        block = _block(mesh, shape_none(), cross)
+        block = _block(mesh, shape_none(), cross, band_below=10**9)
         assert np.all(np.diff(block.nodes) > 0)
+        assert block.band is None
         a = p2_stiffness(mesh, block)
-        lu = solver._factor(a)
-        assert isinstance(lu, spla.SuperLU)
-        _agrees_with_superlu(a, lu)
+        factors = _counting(monkeypatch, solver.spla, "splu")
+        _agrees_with_superlu(a, a)
+        # the reference's factor, and the direct solve's
+        assert len(factors) == 2
 
     def test_coarse_level_keeps_superlu(self):
         mesh = build_mesh(96)
         _, cycle = TestMultigridCycle.cycle(mesh, *annulus_sets(mesh, 0.1,
                                                                 0.4))
         assert isinstance(cycle.coarse, spla.SuperLU)
+
+
+class TestFactorRoute:
+    """The block alone decides band or SuperLU: _direct_solve follows its
+    storage and reads no bandwidth of its own."""
+
+    def test_order_suite_solves_only_bands(self, monkeypatch):
+        # every suite block at N = 48 lies below the gate and is compact
+        storages = []
+        real = solver._direct_solve
+
+        def direct_solve(a, b):
+            storages.append(type(a))
+            return real(a, b)
+        monkeypatch.setattr(solver, "_direct_solve", direct_solve)
+        factors = _counting(monkeypatch, solver.spla, "splu")
+        report = run_order_suite(build_mesh(48), default_flux_family(), 10, 7)
+        assert report.passed and storages
+        assert set(storages) == {np.ndarray} and not factors
+
+    def test_compact_block_above_the_gate_goes_to_superlu(self, monkeypatch):
+        # the N = 96 annulus's span fits the band rule, but its block is
+        # above the gate, so it is CSC and its direct step is SuperLU's
+        mesh = build_mesh(96)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        free = f.mask & ~e.mask
+        n = np.count_nonzero(free)
+        block = FreeBlock(mesh, free, band_below=solver.KRYLOV_MIN_NODES)
+        assert n >= solver.KRYLOV_MIN_NODES and block.band is None
+        assert _block_order(mesh, free)[1] <= BAND_C * n ** 0.25
+        u = np.where(e.mask, 1.0, 0.0)
+        r = residual(mesh, p_laplacian(3.0), u, block=block)
+        state = solver._NewtonState(mesh, p_laplacian(3.0), block,
+                                    SolverOptions(), [])
+        factors = _counting(monkeypatch, solver.spla, "splu")
+        delta = state._direct(jacobian_matrix(mesh, p_laplacian(3.0), u,
+                                              1e-2, block=block), r)
+        assert len(factors) == 1 and delta is not None
 
 
 class TestFreeBlockWork:
