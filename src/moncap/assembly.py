@@ -6,17 +6,20 @@ quadrature, exact for P1 fields when the flux has no x-dependence)
 <A u, v> = sum_T |T| a(x_T, B_T u) . B_T v, so the residual is
 sum_T B_T^T (|T| a(x_T, B_T u)) and its Jacobian sum_T |T| B_T^T J_T B_T.
 One kernel evaluates every residual, gradient and pairing on triangles
-stored by their corners' node ids and places in the result: B_T u is a
-gather and exact differences, B_T^T one bincount over the places.  It
-runs on the triangles that touch a node where u is nonzero, with places
-equal to node ids, or on a solve's ``FreeBlock``, whose Jacobian is one
-more bincount, of element matrices straight into LAPACK band storage on a
-compact block below the solver's Krylov gate, else into its CSC stencil
-pattern; no scipy object is built for a banded block.  A triangle
-whose corners are all 0 has gradient (+0, +0) and every flux gives
-a(x, 0) = 0 exactly, so leaving it out drops only exact zeros from each
-sum.  Bincounts sum in a fixed order, so identical inputs give bitwise
-identical outputs.
+stored by their corners' node ids: B_T u is a gather and exact
+differences, B_T^T one bincount over the node ids.  It runs on the
+triangles that touch a node where u is nonzero, or on a solve's
+``FreeBlock``: the triangles with a corner in F and a corner outside E,
+the only ones on which a field with u = s on E and u = 0 outside F can
+have a nonzero gradient, so the block residual is exact at every node
+and the report reads its capacities from the solve's last one.  A block's
+Jacobian is one more bincount, of element matrices straight into LAPACK
+band storage on a compact block below the solver's Krylov gate, else into
+its CSC stencil pattern; no scipy object is built for a banded block.  A
+triangle whose corners all hold one value has gradient (+0, +0) or
+(-0, -0) and every flux gives a(x, 0) = 0 exactly, so leaving it out
+drops only exact zeros from each sum.  Bincounts sum in a fixed order, so
+identical inputs give bitwise identical outputs.
 """
 
 from __future__ import annotations
@@ -89,16 +92,15 @@ def _block_order(mesh: Mesh, free: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 class _Triangles:
-    """The triangles that touch a node of the mask ``nodes``, the
+    """The triangles of the mask ``tris`` (an entry per mesh triangle), the
     ``n_lower`` lower ones first: their ``corners``' node ids, an upper
-    one's as (n11, n01, n00), and ``places`` in a result of ``size``
-    entries, by default node ids."""
+    one's as (n11, n01, n00), and their barycenters."""
 
-    def __init__(self, mesh: Mesh, nodes: np.ndarray):
-        tris = np.flatnonzero(touched_triangles(mesh, nodes))
+    def __init__(self, mesh: Mesh, tris: np.ndarray):
+        tris = np.flatnonzero(tris)
         tris = tris[np.argsort(tris % 2 == 1, kind="stable")]
-        self.n_lower, self.size = np.count_nonzero(tris % 2 == 0), mesh.n_nodes
-        self.corners = self.places = mesh.triangles.take(tris, axis=0)
+        self.n_lower = np.count_nonzero(tris % 2 == 0)
+        self.corners = mesh.triangles.take(tris, axis=0)
         self.corners[self.n_lower:] = self.corners[self.n_lower:, [1, 2, 0]]
         self.barycenters = mesh.barycenters.take(tris, axis=0)
 
@@ -116,24 +118,35 @@ def _gradients(mesh: Mesh, tris: _Triangles, u: np.ndarray) -> np.ndarray:
 
 
 def _adjoint(mesh: Mesh, tris: _Triangles, a: np.ndarray) -> np.ndarray:
-    """sum_T B_T^T |T| a_T at each place, a_T the rows of a: with w =
+    """sum_T B_T^T |T| a_T at each node, a_T the rows of a: with w =
     |T| a_T / h = a_T h / 2, minus that on upper triangles, the corners get
-    (-w_x, w_x - w_y, w_y), summed over places in triangle order."""
+    (-w_x, w_x - w_y, w_y), summed over node ids in triangle order."""
     w = a * (mesh.h / 2)
     w[tris.n_lower:] *= -1
     wx, wy = w.T
     c = np.stack((-wx, wx - wy, wy), axis=1)
-    return np.bincount(tris.places.ravel(), c.ravel(),
-                       minlength=tris.size)[:tris.size]
+    return np.bincount(tris.corners.ravel(), c.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 class FreeBlock(_Triangles):
-    """The free triangles and free nodes of one solve, built per solve and
-    not cached on the mesh: a suite visits many free sets on one mesh.
+    """The triangles and free nodes of one solve of E in F, built per solve
+    and not cached on the mesh: a suite visits many free sets on one mesh.
+    ``e`` and ``f`` are the node masks of E and F, E inside F.
 
-    ``nodes`` lists the free nodes in ``_block_order``, so the block of a
-    full matrix k is k[nodes][:, nodes], and a corner's place is its
-    node's position in ``nodes``, ``size`` (dropped) off the block.
+    The triangles are those with a corner in F and a corner outside E.
+    Every other triangle has all its corners in E or all outside F, so a
+    field that is s on E and 0 outside F has a zero gradient there: the
+    block residual is the residual at every node, in E and outside F too,
+    bitwise.  The triangles that touch a free node are not enough when E
+    reaches the boundary of F: those that join E directly to the outside
+    of F carry flux out of E.  They have no free corner, so they add
+    nothing to the block's matrices.
+
+    ``nodes`` lists the free nodes, ``free`` = F \\ E, in
+    ``_block_order``, so the block of a full matrix k is
+    k[nodes][:, nodes], and a corner's place is its node's position in
+    ``nodes``, ``size`` (dropped) off the block.
 
     Storage is decided here alone.  A block of n free nodes, fewer than
     ``band_below``, whose span bw (its bandwidth) is at most BAND_C n^(1/4)
@@ -155,8 +168,11 @@ class FreeBlock(_Triangles):
     each of its band matrices 1.0 MB, where CSC would take 0.09 MB.
     """
 
-    def __init__(self, mesh: Mesh, free: np.ndarray, band_below: int = 0):
-        super().__init__(mesh, free)
+    def __init__(self, mesh: Mesh, e: np.ndarray, f: np.ndarray,
+                 band_below: int = 0):
+        super().__init__(mesh, touched_triangles(mesh, f)
+                         & touched_triangles(mesh, ~e))
+        free = f & ~e
         w = mesh.n + 3                       # row width of the padded grid
         nodes, span = _block_order(mesh, free)
         n, k = nodes.size, len(self.corners)
@@ -169,13 +185,16 @@ class FreeBlock(_Triangles):
         padded[at] = np.arange(n)
         self.places = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(
             self.corners)
+        # b's place in each triangle's element entries 3 a + b, flat
+        place_b = np.tile(self.places, 3)
         self.band = span if n < band_below and span <= BAND_C * n ** 0.25 \
             else None
         if self.band is not None:
             rows = 3 * span + 1
-            row, col = self.places[:, :, None], self.places[:, None, :]
-            self.keys = np.where((row == n) | (col == n), n * rows,
-                                 col * (rows - 1) + row + 2 * span).ravel()
+            place_a = np.repeat(self.places, 3, axis=1)
+            self.keys = np.where(
+                (place_a == n) | (place_b == n), n * rows,
+                place_b * (rows - 1) + place_a + 2 * span).ravel()
             return
         # column c's rows by direction d, at slot 7 c + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
@@ -186,22 +205,26 @@ class FreeBlock(_Triangles):
         self.pattern.sort_indices()
         keys = np.repeat([_DIRECTIONS, 6 - _DIRECTIONS],
                          (self.n_lower, k - self.n_lower), axis=0)
-        self.keys = (keys.reshape(k, 3, 3) + 7 * self.places[:, None]).ravel()
+        self.keys = (keys + 7 * place_b).ravel()
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
              block: Optional[FreeBlock] = None) -> np.ndarray:
-    """r_i = <A u, phi_i> = sum_T |T| a(x_T, grad u|_T) . grad phi_i|_T.
+    """r_i = <A u, phi_i> = sum_T |T| a(x_T, grad u|_T) . grad phi_i|_T at
+    every node i.
 
     eps > 0 evaluates the smoothed flux instead (solver continuation only;
     reported capacities always use eps = 0).  The flux is evaluated only
     on the triangles that touch a node where u is nonzero; the others add
     exact zeros, so r is bitwise the sum over the whole mesh.  With
-    ``block`` they are the triangles that touch free nodes and the result
-    is r[block.nodes], bitwise equal to ``residual(...)[block.nodes]``.
+    ``block`` it is evaluated on the block's triangles, and for a field
+    that is s on E and 0 outside F, as every iterate of a solve is, r is
+    bitwise ``residual(mesh, flux, u, eps)``; the solver reads its free
+    rows r[block.nodes].
     """
     u = _check_field(mesh, u)
-    tris = _Triangles(mesh, u != 0) if block is None else block
+    tris = block if block is not None \
+        else _Triangles(mesh, touched_triangles(mesh, u != 0))
     grads = _gradients(mesh, tris, u)
     if eps == 0.0:
         a = eval_flux(flux, tris.barycenters, grads)
@@ -213,10 +236,14 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
 def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
     """<A u, v> as a sum of |T| a(grad u) . grad v over the triangles that
     touch a node where u is nonzero (a(x, 0) = 0 on the others); equals
-    dot(residual(u), v) to round-off."""
-    u, v = _check_field(mesh, u), _check_field(mesh, v)
-    tris = _Triangles(mesh, u != 0)
-    grads_u, grads_v = _gradients(mesh, tris, u), _gradients(mesh, tris, v)
+    dot(residual(u), v) to round-off.  The self-pairing v is u takes one
+    gradient pass."""
+    same = v is u
+    u = _check_field(mesh, u)
+    tris = _Triangles(mesh, touched_triangles(mesh, u != 0))
+    grads_u = _gradients(mesh, tris, u)
+    grads_v = grads_u if same else _gradients(mesh, tris,
+                                              _check_field(mesh, v))
     a = eval_flux(flux, tris.barycenters, grads_u)
     return float(mesh.tri_area * np.sum(a * grads_v))
 

@@ -6,6 +6,10 @@ Three formulas are evaluated on every converged solve:
     c_inner  = s * sum_{i in E} r_i                     (inner distribution)
     c_outer  = -s * sum_{i not in F} r_i                (outer distribution)
 
+r is the residual the solve kept with its field (``PotentialField.residual``,
+bitwise ``residual(mesh, flux, u)``), so the report evaluates the flux only
+in the pairing.
+
 They agree up to tol_cap = (#constrained nodes) * tol_res * max(1, |s|).
 c_inner is the primary reported value; c_hat = c_inner / s is the
 s-normalized capacity, set to 0 at s = 0 by definition.
@@ -135,13 +139,14 @@ def _report(mesh: Mesh, flux: Flux, f: NodeSet, s: float,
 
 
 def _build_report(mesh, flux, e, f, s, pf) -> CapacityReport:
+    """The report of a solved field: c_inner and c_outer from the residual
+    the solve kept, c_energy from a pairing of its own."""
     # an overflow here shows as a non-finite capacity, which
     # compute_capacity rejects and a diverged report already flags
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual(mesh, flux, pf.u)
-        c_hat = float(np.sum(r[e.mask]))
+        c_hat = float(np.sum(pf.residual[e.mask]))
         c_inner = s * c_hat
-        c_outer = -s * float(np.sum(r[~f.mask]))
+        c_outer = -s * float(np.sum(pf.residual[~f.mask]))
         c_energy = pairing(mesh, flux, pf.u, pf.u)
     n_constrained = int(e.count + (~f.mask).sum())
     tol_cap = n_constrained * pf.tol_res * max(1.0, abs(s))

@@ -326,28 +326,25 @@ def node_area(mesh: Mesh, s: NodeSet) -> float:
     return float(touched_triangles(mesh, s.mask).sum()) * mesh.tri_area
 
 
-def _row_ends(rows: np.ndarray) -> np.ndarray:
-    """Mask of the first and last marked entry of each row."""
-    ends = np.zeros_like(rows)
-    hit = np.flatnonzero(rows.any(axis=1))
-    ends[hit, np.argmax(rows[hit], axis=1)] = True
-    ends[hit, rows.shape[1] - 1 - np.argmax(rows[hit, ::-1], axis=1)] = True
-    return ends
-
-
 def node_diameter(mesh: Mesh, s: NodeSet) -> float:
     """Euclidean diameter of the node set (0 for empty or singleton).
 
     A vertex of the convex hull of a grid node set is the first or last
-    node of both its row and its column, so only such nodes are compared.
+    node of its row, so only those nodes are compared: squared distances
+    dx dx + dy dy of node coordinate differences, the all-pairs bits.
     """
     side = mesh.n + 1
     rows = s.mask.reshape(side, side)
-    pts = mesh.nodes[(_row_ends(rows) & _row_ends(rows.T).T).ravel()]
-    if len(pts) < 2:
+    hit = np.flatnonzero(rows.any(axis=1))
+    if hit.size == 0:
         return 0.0
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    first = np.argmax(rows[hit], axis=1)
+    last = side - 1 - np.argmax(rows[hit, ::-1], axis=1)
+    start = hit * side
+    x, y = mesh.nodes.take(np.concatenate((start + first, start + last)),
+                           axis=0).T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    return float(np.sqrt((dx * dx + dy * dy).max()))
 
 
 # ---------------------------------------------------------------------------

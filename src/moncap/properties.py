@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .capacity import compute_capacity, p_capacity, sweep_s
+from .capacity import CapacityReport, compute_capacity, p_capacity, sweep_s
 from .errors import InvalidInput, SolverDiverged
 from .flux import (Flux, anisotropic_p, flat_core_p, linear_matrix,
                    p_laplacian, s_transform, weighted_p_laplacian)
@@ -150,19 +150,21 @@ class ShapeGen:
 class _Cache:
     """Per-suite capacity cache on one mesh, keyed by the flux's canonical
     description, the E and F masks and s: identical problems short-circuit
-    to the identical report."""
+    to the identical report.  It keeps reports only; no suite reads the
+    fields."""
 
     def __init__(self, mesh: Mesh, opts: SolverOptions):
         self.mesh = mesh
         self.opts = opts
-        self.store: dict[tuple, object] = {}
+        self.store: dict[tuple, CapacityReport] = {}
 
-    def capacity(self, flux: Flux, e: NodeSet, f: NodeSet, s: float = 1.0):
+    def capacity(self, flux: Flux, e: NodeSet, f: NodeSet,
+                 s: float = 1.0) -> CapacityReport:
         k = (canonical_json(flux.describe()), e.mask.tobytes(),
              f.mask.tobytes(), s)
         if k not in self.store:
-            self.store[k] = compute_capacity(self.mesh, flux, e, f, s,
-                                             self.opts)
+            self.store[k], _ = compute_capacity(self.mesh, flux, e, f, s,
+                                                self.opts)
         return self.store[k]
 
 
@@ -246,8 +248,8 @@ def run_order_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
 
     def ordered(i, flux, check, lo, hi):
         """Margin of C(hi) - C(lo) for two (E, F) pairs."""
-        rep_lo, _ = cache.capacity(flux, *lo)
-        rep_hi, _ = cache.capacity(flux, *hi)
+        rep_lo = cache.capacity(flux, *lo)
+        rep_hi = cache.capacity(flux, *hi)
         value = max(abs(rep_lo.c_inner), abs(rep_hi.c_inner))
         return _margin_record(
             i, flux, check, rep_hi.c_inner - rep_lo.c_inner, value, ORDER_TOL,
@@ -322,9 +324,9 @@ def _subadditivity_record(cache, fluxes, index, check, case):
     target = shape_union(*shapes)
     if "window" in case:
         target = shape_intersect(target, shape_from_json(case["window"]))
-    parts = [cache.capacity(flux, rasterize(sh, mesh, f"E{k}"), f)[0].c_inner
+    parts = [cache.capacity(flux, rasterize(sh, mesh, f"E{k}"), f).c_inner
              for k, sh in enumerate(shapes, 1)]
-    whole, _ = cache.capacity(flux, rasterize(target, mesh, "union"), f)
+    whole = cache.capacity(flux, rasterize(target, mesh, "union"), f)
     return _margin_record(index, flux, check, sum(parts) - whole.c_inner,
                           whole.c_inner, SUBADD_TOL, case=case)
 
@@ -374,9 +376,9 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
         i, flux, f_shape, e_shape, s = plan
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
-        cp = cache.capacity(p_laplacian(flux.p), e, f)[0].c_inner
-        rep, _ = cache.capacity(flux, e, f, 1.0)
-        rep_s, _ = cache.capacity(flux, e, f, s)
+        cp = cache.capacity(p_laplacian(flux.p), e, f).c_inner
+        rep = cache.capacity(flux, e, f, 1.0)
+        rep_s = cache.capacity(flux, e, f, s)
         out = [_margin_record(i, flux, f"bound_{name}", raw, cp, BOUNDS_SLACK)
                for name, raw in bound_margins(rep, cp, rep.area_f).items()]
         if flux.kind == "p_laplacian":
@@ -562,7 +564,7 @@ def run_sequence_demo(mesh: Mesh, flux: Flux, chain: list[NodeSet],
     for k, member in enumerate(chain):
         e, f = (member, fixed) if mode == "E" else (fixed, member)
         try:
-            rep, _ = cache.capacity(flux, e, f)
+            rep = cache.capacity(flux, e, f)
         except SolverDiverged:
             skipped += 1
             values.append(None)
@@ -578,7 +580,7 @@ def run_sequence_demo(mesh: Mesh, flux: Flux, chain: list[NodeSet],
     # last element IS the union/intersection: identical config, exact value
     if values and values[-1] is not None:
         e, f = (chain[-1], fixed) if mode == "E" else (fixed, chain[-1])
-        rep, _ = cache.capacity(flux, e, f)
+        rep = cache.capacity(flux, e, f)
         records.append(_record(len(chain) - 1, flux, "limit_attained",
                                -abs(rep.c_inner - values[-1]), values[-1],
                                0.0, rep.c_inner != values[-1]))

@@ -12,15 +12,17 @@ from the linear blend.  ``max_newton`` bounds the Newton steps of each
 attempt.  A start whose residual is not finite raises SolverDiverged at
 once.
 
-Each solve works on its ``FreeBlock``: the triangles that touch a free
-node, and the free nodes in grid row-major or column-major order,
-whichever keeps the block's band narrower.  Every residual the solve
-evaluates, line-search trials and true-residual checks included, and
-every Jacobian is assembled on those triangles only, and no iterate's true
-residual is evaluated twice.  The block alone decides its storage
-(``FreeBlock``): LAPACK band storage for a compact block below
-``KRYLOV_MIN_NODES`` free nodes, else CSC.  ``_direct_solve`` follows
-it: a band array is factored in place and solved by dgbsv, a sparse
+Each solve works on its ``FreeBlock``: the triangles with a corner in F
+and a corner outside E, and the free nodes in grid row-major or
+column-major order, whichever keeps the block's band narrower.  Every
+residual the solve evaluates, line-search trials and true-residual checks
+included, and every Jacobian is assembled on those triangles only, and no
+iterate's true residual is evaluated twice.  A block residual is exact at
+every node; the steps read its free rows, and the returned field keeps
+the last true one, which the capacity report reads.  The block alone
+decides its storage (``FreeBlock``): LAPACK band storage for a compact
+block below ``KRYLOV_MIN_NODES`` free nodes, else CSC.  ``_direct_solve``
+follows it: a band array is factored in place and solved by dgbsv, a sparse
 matrix by SuperLU in its own fill-reducing order; both pivot rows
 partially, for skew and shifted degenerate Jacobians.
 
@@ -145,6 +147,8 @@ class PotentialField:
     """A solved (or best-effort) capacitary potential with diagnostics."""
 
     u: np.ndarray
+    # the true residual at every node, at u: bitwise residual(mesh, flux, u)
+    residual: np.ndarray
     s: float
     residual_max: float
     iterations: int
@@ -170,7 +174,8 @@ def _direct_solve(a, b):
 def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
     """Right-hand side of the p=2 free-free problem with u's fixed values."""
     fixed = np.where(block.free, 0.0, u)
-    return -_adjoint(mesh, block, _gradients(mesh, block, fixed))
+    return -_adjoint(mesh, block, _gradients(mesh, block, fixed)).take(
+        block.nodes)
 
 
 def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
@@ -214,7 +219,7 @@ def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
         try:
             x = _direct_solve(
                 jacobian_matrix(mesh, flux, u, 0.0, block=block),
-                -residual(mesh, flux, u, block=block))
+                -residual(mesh, flux, u, block=block).take(block.nodes))
         except RuntimeError:
             return None
     return x if np.all(np.isfinite(x)) else None
@@ -303,21 +308,25 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     u = np.zeros(mesh.n_nodes)
     u[e.mask] = s
 
-    def make_field(uu, rmax, iters, converged, history):
+    def make_field(uu, r, rmax, iters, converged, history):
         return PotentialField(
-            u=uu, s=float(s), residual_max=rmax, iterations=iters,
-            converged=converged, tol_res=tol, residual_history=history)
+            u=uu, residual=r, s=float(s), residual_max=rmax,
+            iterations=iters, converged=converged, tol_res=tol,
+            residual_history=history)
 
     # s = 0: the zero field is a potential (flux vanishes at zero gradient)
     if s == 0.0 or e.count == 0:
         u[:] = 0.0
-        return make_field(u, 0.0, 0, True, [0.0])
+        return make_field(u, np.zeros(mesh.n_nodes), 0.0, 0, True, [0.0])
 
     if not free.any():
-        return make_field(u, 0.0, 0, True, [0.0])
+        # an overflow shows in the report, as a non-finite capacity
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = residual(mesh, flux, u)
+        return make_field(u, r, 0.0, 0, True, [0.0])
 
     # only blocks below the Krylov gate, whose steps are factored, are banded
-    block = FreeBlock(mesh, free, band_below=KRYLOV_MIN_NODES)
+    block = FreeBlock(mesh, e.mask, f.mask, band_below=KRYLOV_MIN_NODES)
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
@@ -335,13 +344,18 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     # a start that overflows is rejected just below as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         rmax = state.true_rmax(u)
+
+    def done(uu, rmax, converged=True):
+        return make_field(uu, state.true_residual(uu), rmax,
+                          state.iterations, converged, history)
+
     if rmax <= tol:
-        return make_field(u, rmax, 0, True, history)
+        return done(u, rmax)
     if not math.isfinite(rmax):
         # no step can reduce a NaN or infinite max-norm
         raise SolverDiverged(
             f"the start residual is not finite ({rmax}) at s = {s!r}",
-            field=make_field(u, rmax, 0, False, history), history=history)
+            field=done(u, rmax, converged=False), history=history)
 
     # fast path: damped Newton on the true flux from the given init, with a
     # small budget; this preserves initialization-dependent solutions for
@@ -349,14 +363,15 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     u, rmax = state.newton(u, residual_eps=0.0, jac_eps=FAST_JAC_EPS,
                            target=tol, max_iter=min(8, opts.max_newton))
     if rmax <= tol:
-        return make_field(u, rmax, state.iterations, True, history)
+        return done(u, rmax)
 
     def diverged(where):
         return SolverDiverged(
             f"residual {state.best_rmax:.3e} above target {tol:.3e} after "
             f"{state.iterations} iterations; {where}",
-            field=make_field(state.best_u, state.best_rmax, state.iterations,
-                             False, history),
+            field=make_field(state.best_u, state.best_residual,
+                             state.best_rmax, state.iterations, False,
+                             history),
             history=history)
 
     if state.budget() <= 0:
@@ -379,7 +394,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         hops += 1
         rmax = state.true_rmax(u)
         if rmax <= tol:
-            return make_field(u, rmax, state.iterations, True, history)
+            return done(u, rmax)
         if eps <= EPS_FLOOR:
             break
         eps_next = ratio * eps
@@ -393,7 +408,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
             ratio = min(ratio ** 0.5, 0.7)
     rmax = state.true_rmax(u)
     if rmax <= tol:
-        return make_field(u, rmax, state.iterations, True, history)
+        return done(u, rmax)
 
     cause = (f"max_newton = {opts.max_newton} ran out" if state.budget() <= 0
              else f"eps reached its floor {EPS_FLOOR:.0e}" if eps <= EPS_FLOOR
@@ -421,10 +436,10 @@ class _NewtonState:
         self.opts = opts
         self.history = history
         self.iterations = 0
-        self.best_u = None
+        self.best_u = self.best_residual = None
         self.best_rmax = np.inf
         self.cycle = None
-        self._true = (None, None, None)
+        self._true = (None, None, None, None)
 
     def budget(self):
         return self.opts.max_newton - self.iterations
@@ -432,15 +447,17 @@ class _NewtonState:
     def _residual(self, u, eps):
         """The residual on the block's nodes and its max-norm.  The last
         true one is kept with its iterate, which no stage changes in place,
-        so an iterate that one stage hands to the next (the start to the
-        fast pass, a hop that took no step to the true check) is evaluated
-        once."""
+        and with its rows at every node, so an iterate that one stage hands
+        to the next (the start to the fast pass, a hop that took no step to
+        the true check, the solution to its field) is evaluated once."""
         if eps == 0.0 and self._true[0] is u:
-            return self._true[1:]
-        r = residual(self.mesh, self.flux, u, eps=eps, block=self.block)
+            return self._true[1:3]
+        at_nodes = residual(self.mesh, self.flux, u, eps=eps,
+                            block=self.block)
+        r = at_nodes.take(self.block.nodes)
         rmax = float(np.max(np.abs(r)))
         if eps == 0.0:
-            self._true = (u, r, rmax)
+            self._true = (u, r, rmax, at_nodes)
         return r, rmax
 
     def true_rmax(self, u):
@@ -448,10 +465,18 @@ class _NewtonState:
         self._track(rmax, u)
         return rmax
 
+    def true_residual(self, u):
+        """u's true residual at every node."""
+        self._residual(u, 0.0)
+        return self._true[3]
+
     def _track(self, rmax, u):
+        """Keep u as the best iterate when rmax, the max-norm of its true
+        residual, the last one evaluated, is the least so far."""
         if rmax < self.best_rmax:
             self.best_rmax = rmax
             self.best_u = u.copy()
+            self.best_residual = self.true_residual(u)
 
     def _direct(self, kff, r):
         """Newton direction from a direct solve with kff, made once the

@@ -32,7 +32,7 @@ def gradient_operator(mesh):
 
 def all_triangles(mesh):
     """Every triangle of the mesh, lower ones first."""
-    return _Triangles(mesh, np.ones(mesh.n_nodes, dtype=bool))
+    return _Triangles(mesh, np.ones(mesh.n_triangles, dtype=bool))
 
 
 def gradients(mesh, u):

@@ -39,7 +39,7 @@ def rand_field(mesh, seed, scale=1.0):
 def whole(mesh):
     """The free block of every node; on the small meshes here it is in
     row-major order, so its matrices are the whole-mesh ones."""
-    block = FreeBlock(mesh, np.ones(mesh.n_nodes, dtype=bool))
+    block = free_block(mesh, np.ones(mesh.n_nodes, dtype=bool))
     assert np.array_equal(block.nodes, np.arange(mesh.n_nodes))
     return block
 
@@ -300,10 +300,21 @@ def assert_close_block(got, ref, pattern):
     assert abs(got - ref).max() <= ROUND_OFF * abs(ref).max()
 
 
+def pair_sets(mesh, e_shape, f_shape):
+    """The node masks of E and F."""
+    return (rasterize(e_shape, mesh, "E").mask,
+            rasterize(f_shape, mesh, "F").mask)
+
+
 def pair_free(mesh, e_shape, f_shape):
-    e = rasterize(e_shape, mesh, "E")
-    f = rasterize(f_shape, mesh, "F")
-    return f.mask & ~e.mask
+    e, f = pair_sets(mesh, e_shape, f_shape)
+    return f & ~e
+
+
+def free_block(mesh, free, band_below=0):
+    """The block of a free set as F with E empty: its triangles are those
+    that touch a free node."""
+    return FreeBlock(mesh, np.zeros_like(free), free, band_below=band_below)
 
 
 def edge_masks(mesh, seed):
@@ -338,7 +349,7 @@ class TestFreeBlock:
     order, built from only the triangles that touch free nodes."""
 
     def check(self, m, free, fl, u):
-        block = FreeBlock(m, free)
+        block = free_block(m, free)
         nodes = block.nodes
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
         pattern = pattern_reference(m, nodes)
@@ -352,7 +363,7 @@ class TestFreeBlock:
                            sub_block(p2_reference(m), nodes), pattern)
         for r_eps in (0.0, 1e-8):
             r = residual(m, fl, u, r_eps)
-            assert residual(m, fl, u, r_eps, block=block).tobytes() \
+            assert residual(m, fl, u, r_eps, block=block)[nodes].tobytes() \
                 == r[nodes].tobytes()
         tris = block_triangles(m, free)
         assert block.n_lower == np.count_nonzero(tris % 2 == 0)
@@ -388,6 +399,27 @@ class TestFreeBlock:
         for fl in (p_laplacian(3.0), flat_core_p(2.0, 0.5)):
             self.check(m, free, fl, rand_field(m, 5))
 
+    def test_triangles_join_e_to_outside_f(self):
+        # the block's triangles are those with a corner in F and a corner
+        # outside E, some of which touch no free node: for a field that is
+        # s on E and 0 outside F the block residual is then the residual at
+        # every node, in E and outside F too
+        m = build_mesh(24)
+        e, f = pair_sets(m, disk(0.5, 0.5, 0.2), disk(0.55, 0.5, 0.25))
+        block = FreeBlock(m, e, f)
+        tris = np.flatnonzero(f[m.triangles].any(axis=1)
+                              & ~e[m.triangles].all(axis=1))
+        tris = tris[np.argsort(tris % 2, kind="stable")]
+        assert len(tris) > len(block_triangles(m, f & ~e))
+        assert np.array_equal(block.barycenters, m.barycenters[tris])
+        u = np.where(e, 1.3, 0.0)
+        u[block.nodes] = np.random.default_rng(3).uniform(0.0, 1.3,
+                                                          block.size)
+        for fl in KIND_EXAMPLES.values():
+            for r_eps in (0.0, 1e-8):
+                assert residual(m, fl, u, r_eps, block=block).tobytes() \
+                    == residual(m, fl, u, r_eps).tobytes()
+
     def test_columns_sorted_in_every_order(self):
         # an annulus and a cross two nodes wide take row-major order, a
         # strip wider than high column-major order; the blocks of all three
@@ -405,7 +437,7 @@ class TestFreeBlock:
         }
         for order, (e_shape, f_shape, place) in places.items():
             free = pair_free(m, e_shape, f_shape)
-            block = FreeBlock(m, free)
+            block = free_block(m, free)
             assert np.all(np.diff(place(block.nodes)) > 0), order
             u = rand_field(m, 3)
             fl = anisotropic_p(1.5, 2.0, 0.5)
@@ -447,7 +479,7 @@ class TestFreeBlock:
             by_column = nodes[np.argsort(nodes % side * side + nodes // side)]
             row, column = span(nodes), span(by_column)
             want = by_column if column < row else nodes
-            block = FreeBlock(m, free)
+            block = free_block(m, free)
             assert np.array_equal(block.nodes, want)
             for k in (p2_stiffness(m, block),
                       *(jacobian_matrix(m, flat_core_p(2.0, 0.5),
@@ -463,7 +495,7 @@ class TestFreeBlock:
             free = np.zeros(m.n_nodes, dtype=bool)
             free[m.node_index(i, j)] = True
             self.check(m, free, p_laplacian(3.0), rand_field(m, 6))
-            assert p2_stiffness(m, FreeBlock(m, free)).shape == (1, 1)
+            assert p2_stiffness(m, free_block(m, free)).shape == (1, 1)
 
     def test_infinite_flux_jacobian_entries(self, monkeypatch):
         # an infinite flux Jacobian entry times a zero component of a hat
@@ -472,8 +504,8 @@ class TestFreeBlock:
         # two blocks have NaN and infinite entries in the same places, and
         # no RuntimeWarning escapes
         m = build_mesh(8)
-        block = FreeBlock(m, pair_free(m, disk(0.5, 0.5, 0.1),
-                                       disk(0.5, 0.5, 0.4)))
+        block = FreeBlock(m, *pair_sets(m, disk(0.5, 0.5, 0.1),
+                                        disk(0.5, 0.5, 0.4)))
         tris = block_triangles(m, block.free)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -508,7 +540,7 @@ class TestFreeBlock:
             start.wait()
             full = jacobian_reference(m, fl, u, 1e-8, 1e-9)
             block = jacobian_matrix(m, fl, u, 1e-8, 1e-9,
-                                    block=FreeBlock(m, free))
+                                    block=free_block(m, free))
             results[slot] = (full, block, p2_reference(m))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
@@ -519,7 +551,7 @@ class TestFreeBlock:
         (full_a, block_a, k2_a), (full_b, block_b, k2_b) = results
         for a, b in ((full_a, full_b), (k2_a, k2_b), (block_a, block_b)):
             assert_same_compressed(a, b)
-        nodes = FreeBlock(m, free).nodes
+        nodes = free_block(m, free).nodes
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
         assert_close_block(block_a, sub_block(full_a, nodes),
                            pattern_reference(m, nodes))
@@ -533,7 +565,8 @@ def band_blocks(mesh):
                              (shape_none(), rect(0.0, 0.45, 1.0, 0.55)),
                              (shape_none(), cross)):
         free = pair_free(mesh, e_shape, f_shape)
-        yield FreeBlock(mesh, free, band_below=10**9), FreeBlock(mesh, free)
+        yield (free_block(mesh, free, band_below=10**9),
+               free_block(mesh, free))
 
 
 class TestBandStorage:
@@ -581,23 +614,23 @@ class TestBandStorage:
         n = np.count_nonzero(free)
         span = pattern_span(m, free)
         assert span <= assembly.BAND_C * n ** 0.25
-        assert FreeBlock(m, free).band is None
-        assert FreeBlock(m, free, band_below=n).band is None
-        assert FreeBlock(m, free, band_below=n + 1).band == span
+        assert free_block(m, free).band is None
+        assert free_block(m, free, band_below=n).band is None
+        assert free_block(m, free, band_below=n + 1).band == span
         thin = pair_free(m, shape_none(), shape_union(
             rect(0.0, 0.49, 1.0, 0.52), rect(0.49, 0.0, 0.52, 1.0)))
         assert pattern_span(m, thin) > assembly.BAND_C \
             * np.count_nonzero(thin) ** 0.25
-        assert FreeBlock(m, thin, band_below=10**9).band is None
+        assert free_block(m, thin, band_below=10**9).band is None
 
     def test_single_free_node_and_zero_block(self):
         m = build_mesh(8)
         free = np.zeros(m.n_nodes, dtype=bool)
         free[m.node_index(4, 4)] = True
-        block = FreeBlock(m, free, band_below=10**9)
+        block = free_block(m, free, band_below=10**9)
         assert block.band == 0
         self.assert_same(p2_stiffness(m, block),
-                         p2_stiffness(m, FreeBlock(m, free)), 0)
+                         p2_stiffness(m, free_block(m, free)), 0)
         # a flat Jacobian without a floor is all zeros: singular, as in CSC
         block = next(band_blocks(m))[0]
         zero = jacobian_matrix(m, flat_core_p(2.0, 3.0), np.zeros(m.n_nodes),
@@ -609,7 +642,7 @@ class TestBandStorage:
 
 def pattern_span(mesh, free):
     """The bandwidth of the stencil pattern of the block of free."""
-    nodes = FreeBlock(mesh, free).nodes
+    nodes = free_block(mesh, free).nodes
     indptr, indices = pattern_reference(mesh, nodes)
     col = np.repeat(np.arange(nodes.size), np.diff(indptr))
     return int(np.abs(indices - col).max(initial=0))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from moncap import solver
+from moncap.assembly import residual
 from moncap.capacity import (compute_capacity, distributions, p_capacity,
                              sandwich_constants, sweep_s)
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
-                         halfplane, rasterize, shape_none)
+                         halfplane, rasterize, shape_none, touched_triangles)
 from moncap.properties import default_flux_family
 from moncap.solver import SolverOptions
 
@@ -249,8 +251,9 @@ class TestOneSolvePerCall:
 
 
 class TestReportWork:
-    """The report and the distributions evaluate the flux only on the
-    triangles that touch a node where the potential is nonzero."""
+    """The report reads its residual from the solve and evaluates the flux
+    only in its pairing; the pairing and the distributions evaluate it only
+    on the triangles that touch a node where the potential is nonzero."""
 
     @pytest.mark.parametrize("s", [1.5, -2.0, 0.0])
     def test_flux_rows_per_evaluation(self, monkeypatch, s):
@@ -268,11 +271,106 @@ class TestReportWork:
         capacity._build_report(mesh, flux, e, f, s, pf)
         distributions(mesh, flux, pf, e, f)
         touching = np.count_nonzero((pf.u != 0)[mesh.triangles].any(axis=1))
-        # the residual and the pairing of the report, the residual of the
-        # distributions
-        assert rows == [touching] * 3
+        # the pairing of the report, the residual of the distributions
+        assert rows == [touching] * 2
         assert touching < mesh.n_triangles
         assert (touching > 0) == (s != 0)
+
+
+def assert_kept_residual(mesh, flux, pf):
+    """The field's residual is bitwise the one evaluated from its u."""
+    assert pf.residual.shape == (mesh.n_nodes,)
+    assert pf.residual.tobytes() == residual(mesh, flux, pf.u).tobytes()
+
+
+def touching_sets(mesh):
+    """E = disk r 0.2 with F = disk r 0.25 shifted off it: E reaches the
+    outside of F, so some triangles join E to it with no free corner."""
+    return (rasterize(disk(0.5, 0.5, 0.2), mesh, "E"),
+            rasterize(disk(0.55, 0.5, 0.25), mesh, "F"))
+
+
+class TestKeptResidual:
+    """Every field the solver returns keeps its true residual at every
+    node, and the report reads c_inner and c_outer from it."""
+
+    @staticmethod
+    def assert_report_reads(report, pf, e, f, s):
+        assert report.c_inner == s * float(np.sum(pf.residual[e.mask]))
+        assert report.c_outer == -s * float(np.sum(pf.residual[~f.mask]))
+
+    @pytest.mark.parametrize("n", [48, 96], ids=["band", "krylov_csc"])
+    def test_annulus(self, n):
+        mesh = build_mesh(n)
+        e, f = annulus_sets(mesh, 0.1, 0.4)
+        free = np.count_nonzero(f.mask & ~e.mask)
+        assert (free >= solver.KRYLOV_MIN_NODES) == (n == 96)
+        flux = p_laplacian(3.0)
+        report, pf = compute_capacity(mesh, flux, e, f)
+        assert pf.converged and pf.iterations > 0
+        assert_kept_residual(mesh, flux, pf)
+        self.assert_report_reads(report, pf, e, f, 1.0)
+
+    def test_e_reaching_outside_f(self):
+        mesh = build_mesh(48)
+        e, f = touching_sets(mesh)
+        joined = touched_triangles(mesh, e.mask) \
+            & touched_triangles(mesh, ~f.mask)
+        assert joined.any()
+        flux = p_laplacian(3.0)
+        report, pf = compute_capacity(mesh, flux, e, f)
+        assert_kept_residual(mesh, flux, pf)
+        assert report.three_formula_ok
+        # the bits of the report that evaluated its own residual
+        assert report.c_inner == float.fromhex("0x1.379d5dbef3f7bp+10")
+        assert report.c_outer == float.fromhex("0x1.379d5dbef3f7cp+10")
+        assert report.c_energy == float.fromhex("0x1.379d5dbef3f7ap+10")
+
+    def test_f_equal_to_e(self):
+        mesh = build_mesh(16)
+        e = rasterize(disk(0.5, 0.5, 0.3), mesh, "E")
+        flux = p_laplacian(3.0)
+        report, pf = compute_capacity(mesh, flux, e, e, 1.5)
+        assert pf.converged and pf.iterations == 0
+        assert_kept_residual(mesh, flux, pf)
+        assert np.any(pf.residual)
+        self.assert_report_reads(report, pf, e, e, 1.5)
+
+    def test_s_zero(self):
+        mesh = build_mesh(16)
+        e, f = annulus_sets(mesh)
+        flux = p_laplacian(3.0)
+        report, pf = compute_capacity(mesh, flux, e, f, 0.0)
+        assert_kept_residual(mesh, flux, pf)
+        assert not np.any(pf.residual) and report.c_inner == 0.0
+
+    def test_diverged_field_and_report(self):
+        mesh = build_mesh(12)
+        e, f = annulus_sets(mesh)
+        flux = p_laplacian(3.0)
+        with pytest.raises(SolverDiverged) as info:
+            compute_capacity(mesh, flux, e, f, 1.0,
+                             SolverOptions(max_newton=1))
+        pf = info.value.field
+        assert not pf.converged
+        assert_kept_residual(mesh, flux, pf)
+        assert pf.residual_max == np.max(np.abs(
+            pf.residual[f.mask & ~e.mask]))
+        self.assert_report_reads(info.value.report, pf, e, f, 1.0)
+
+    def test_retry_from_a_zero_start(self):
+        # the zero start has no step to take, so it fails; the retry from
+        # the blend start converges without one
+        mesh = build_mesh(12)
+        e, f = annulus_sets(mesh)
+        flux = p_laplacian(2.0)
+        opts = SolverOptions(init="zero", max_newton=0)
+        with pytest.raises(SolverDiverged):
+            solver._solve(mesh, flux, e, f, 1.0, opts)
+        report, pf = compute_capacity(mesh, flux, e, f, 1.0, opts)
+        assert pf.converged and pf.iterations == 0
+        assert_kept_residual(mesh, flux, pf)
+        self.assert_report_reads(report, pf, e, f, 1.0)
 
 
 class TestSweepS:
