@@ -12,13 +12,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import properties
 from .capacity import compute_capacity, p_capacity, sweep_s
-from .config import ExperimentConfig, load_config
+from .config import ORACLE_ARGS, ExperimentConfig, load_config
 from .errors import ConfigError, InvalidInput, SolverDiverged
 from .flux import check_conditions, p_laplacian
 from .mesh import (build_mesh, intersect, mask_to_rle, nodeset_to_image,
@@ -52,100 +52,57 @@ def _int_at_least(low: int, high: float = math.inf):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="moncap",
-        description="capacity engine for monotone fluxes on a square grid")
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass
+class _Run:
+    """A config-driven command's output directory, config hash and start."""
+    command: str
+    out_dir: str
+    hash: str
+    t0: float
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("config", help="experiment config (JSON)")
-        # numpy seeds must be non-negative
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol-res", type=float, default=None,
-                       help="override the solver residual target")
-        p.add_argument("--quiet", action="store_true")
+    def path(self, stem: str) -> str:
+        return os.path.join(self.out_dir, f"{stem}-{self.hash[:12]}")
 
-    common(sub.add_parser("capacity", help="one capacity report"))
-    p_pot = sub.add_parser("potential", help="solve and dump the field")
-    common(p_pot)
-    p_pot.add_argument("--csv", action="store_true")
-    p_pot.add_argument("--pgm", action="store_true")
-    common(sub.add_parser("sweep-s", help="capacity along an s grid"))
-    p_suite = sub.add_parser("suite", help="run a property suite")
-    common(p_suite)
-    p_suite.add_argument("--jobs", type=_int_at_least(1), default=1,
-                         help="bound on concurrent workers of the order, "
-                         "subadditivity and bounds suites")
-    p_suite.add_argument("--name", default=None,
-                         help="suite name (overrides config)")
-    common(sub.add_parser("converge", help="grid refinement study"))
-    common(sub.add_parser("check-flux", help="randomized structural check"))
+    def ledger(self, results):
+        append_jsonl(os.path.join(self.out_dir, "runs.jsonl"), {
+            "config_hash": self.hash,
+            "command": self.command,
+            "results": results,
+            "wall_time_s": time.time() - self.t0,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        })
 
-    p_oracle = sub.add_parser("oracle", help="closed-form reference values")
-    p_oracle.add_argument("kind", choices=["radial", "strip"])
-    p_oracle.add_argument("--n", type=int, default=2)
-    p_oracle.add_argument("--p", type=float, required=True)
-    p_oracle.add_argument("--r", type=float, default=None)
-    p_oracle.add_argument("--R", dest="big_r", type=float, default=None)
-    p_oracle.add_argument("--a", type=float, default=None)
-    p_oracle.add_argument("--b", type=float, default=None)
-    p_oracle.add_argument("--Ly", dest="ly", type=float, default=1.0)
-    p_oracle.add_argument("--numeric", default=None,
-                          type=_int_at_least(4, MAX_NUMERIC_CELLS),
-                          help="also solve the 1-D problem with M cells")
-    p_oracle.add_argument("--quiet", action="store_true")
-    return parser
+    def diverged(self, exc, results=None) -> int:
+        """A diverged solve: reported on stderr and in the ledger, next to
+        the results of the run before it."""
+        print(f"solver diverged: {exc}", file=sys.stderr)
+        self.ledger({**(results or {"converged": False}),
+                     "diverged": str(exc)})
+        return EXIT_DIVERGED
 
 
-def _out_dir(args, cfg: ExperimentConfig | None) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get("MONCAP_OUT")
-    if env:
-        return env
-    return cfg.output_dir if cfg is not None else "out"
-
-
-def _ledger(out_dir, command, cfg_hash, results, t0):
-    append_jsonl(os.path.join(out_dir, "runs.jsonl"), {
-        "config_hash": cfg_hash,
-        "command": command,
-        "results": results,
-        "wall_time_s": time.time() - t0,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })
-
-
-def _diverged(exc, out_dir, command, cfg_hash, t0, results=None) -> int:
-    """A diverged solve: reported on stderr and in the ledger, next to the
-    results of the run before it."""
-    print(f"solver diverged: {exc}", file=sys.stderr)
-    _ledger(out_dir, command, cfg_hash,
-            {**(results or {"converged": False}), "diverged": str(exc)}, t0)
-    return EXIT_DIVERGED
-
-
-def _prepare(args):
+def _prepare(args, needs) -> tuple[ExperimentConfig, _Run]:
+    """Load the config, apply the --seed and --tol-res overrides, and check
+    that it has the keys the command needs; the hash covers the overrides."""
     cfg = load_config(args.config)
+    raw = cfg.raw
+    if "suite" in raw:
+        _suite(cfg.suite["name"], "suite.name")
     if args.seed is not None:
         cfg.seed = args.seed
+        raw = {**raw, "seed": args.seed}
     if args.tol_res is not None:
         try:
             cfg.solver = replace(cfg.solver, tol_res=args.tol_res)
         except InvalidInput as exc:
             raise ConfigError(str(exc), "--tol-res") from exc
-    return cfg, _out_dir(args, cfg), config_hash(cfg.raw)
-
-
-def _require(cfg, *fields):
-    missing = [name for name in fields
-               if getattr(cfg, name, None) is None]
+        raw = {**raw, "solver": {**raw.get("solver", {}),
+                                 "tol_res": args.tol_res}}
+    missing = [name for name in needs if getattr(cfg, name) is None]
     if missing:
         raise ConfigError(f"command needs config keys: {missing}")
+    out_dir = args.out or os.environ.get("MONCAP_OUT") or cfg.output_dir
+    return cfg, _Run(args.command, out_dir, config_hash(raw), time.time())
 
 
 def _geometry(cfg):
@@ -175,46 +132,38 @@ def _cp_value(mesh, e, f, cfg, report):
         cfg.solver, init="linear_blend", init_field=None))
 
 
-def cmd_capacity(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "mesh_n", "flux", "e_shape", "f_shape")
-    t0 = time.time()
+def cmd_capacity(args, cfg, run) -> int:
     mesh, e, f = _geometry(cfg)
     try:
         report, _ = compute_capacity(mesh, cfg.flux, e, f, cfg.s, cfg.solver)
     except SolverDiverged as exc:
         _emit(dumps_report(exc.report.to_dict()), args.quiet)
-        return _diverged(exc, out_dir, "capacity", h, t0)
+        return run.diverged(exc)
     try:
         report.cp_value = _cp_value(mesh, e, f, cfg, report)
     except SolverDiverged as exc:
         _emit(dumps_report(report.to_dict()), args.quiet)
-        return _diverged(f"C_p solve: {exc}", out_dir, "capacity", h, t0,
-                         {"c_inner": report.c_inner,
-                          "converged": report.converged})
+        return run.diverged(f"C_p solve: {exc}",
+                            {"c_inner": report.c_inner,
+                             "converged": report.converged})
     body = report.to_dict()
     if not report.compatible:
         body["capacity"] = "infinity"
     _emit(dumps_report(body), args.quiet)
-    write_json(os.path.join(out_dir, f"capacity-{h[:12]}.json"), body)
-    _ledger(out_dir, "capacity", h,
-            {"c_inner": body["c_inner"], "converged": report.converged}, t0)
+    write_json(run.path("capacity") + ".json", body)
+    run.ledger({"c_inner": body["c_inner"], "converged": report.converged})
     return EXIT_OK
 
 
-def cmd_potential(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "mesh_n", "flux", "e_shape", "f_shape")
-    t0 = time.time()
+def cmd_potential(args, cfg, run) -> int:
     mesh, e, f = _geometry(cfg)
+    base = run.path("potential")
     try:
         pf = solve_dirichlet(mesh, cfg.flux, e, f, cfg.s, cfg.solver)
     except SolverDiverged as exc:
         if exc.field is not None:
-            history_to_csv(os.path.join(out_dir, f"potential-{h[:12]}-history.csv"),
-                           exc.field.residual_history)
-        return _diverged(exc, out_dir, "potential", h, t0)
-    base = os.path.join(out_dir, f"potential-{h[:12]}")
+            history_to_csv(base + "-history.csv", exc.field.residual_history)
+        return run.diverged(exc)
     if args.csv:
         field_to_csv(base + ".csv", mesh, pf.u)
     if args.pgm:
@@ -228,85 +177,86 @@ def cmd_potential(args) -> int:
                "converged": pf.converged,
                "u_min": float(pf.u.min()), "u_max": float(pf.u.max())}
     _emit(dumps_report(summary), args.quiet)
-    _ledger(out_dir, "potential", h, summary, t0)
+    run.ledger(summary)
     return EXIT_OK
 
 
-def cmd_sweep_s(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "mesh_n", "flux", "e_shape", "f_shape", "s_grid")
-    t0 = time.time()
+def cmd_sweep_s(args, cfg, run) -> int:
     mesh, e, f = _geometry(cfg)
     entries = sweep_s(mesh, cfg.flux, e, f, cfg.s_grid, cfg.solver)
-    base = os.path.join(out_dir, f"sweep-{h[:12]}")
+    base = run.path("sweep")
     sweep_to_csv(base + ".csv", entries)
     body = [{"s": s, "report": rep.to_dict() if rep is not None else None}
             for s, rep in entries]
     write_json(base + ".json", body)
-    failures = sum(1 for _, rep in entries if rep is None)
-    summary = {"points": len(entries), "failures": failures}
     _emit(dumps_report([{"s": s,
                          "C_A": None if rep is None else rep.c_inner,
                          "C_hat": None if rep is None else rep.c_hat}
                         for s, rep in entries]), args.quiet)
-    _ledger(out_dir, "sweep-s", h, summary, t0)
+    run.ledger({"points": len(entries),
+                "failures": sum(1 for _, rep in entries if rep is None)})
     return EXIT_OK
 
 
-def _run_suite(cfg, name, jobs):
-    mesh = build_mesh(cfg.mesh_n, cfg.mesh_l)
-    fluxes = cfg.suite["fluxes"] if cfg.suite and cfg.suite["fluxes"] \
-        else properties.default_flux_family()
-    instances = cfg.suite["instances"] if cfg.suite else 25
-    seed = cfg.seed
-    opts = cfg.solver
-    if name == "order":
-        return properties.run_order_suite(mesh, fluxes, instances, seed,
-                                          opts, jobs)
-    if name == "subadditivity":
-        return properties.run_subadditivity_suite(mesh, fluxes, instances,
-                                                  seed, opts, jobs)
-    if name == "bounds":
-        return properties.run_bounds_suite(mesh, fluxes, instances, seed,
-                                           opts, jobs)
-    if name == "s":
-        grid = (cfg.suite or {}).get("s_grid") or cfg.s_grid \
-            or list(np.linspace(-4.0, 4.0, 17))
-        if cfg.suite and cfg.suite["fluxes"]:
-            chosen = fluxes  # explicit user choice is respected
-        else:
-            # p < 2 members make the continuity proxy unattainable (the
-            # max jump near s=0 shrinks by 2^(p-1) < 1.5 per halving)
-            chosen = [fl for fl in fluxes if fl.p >= 2.0]
-        return properties.run_s_suite(mesh, chosen, grid, seed, opts)
-    if name == "invariance":
-        return properties.run_invariance_suite(mesh, instances, seed, opts)
-    if name == "sequence":
-        if cfg.chain is None:
-            raise ConfigError("sequence suite needs a chain block")
-        flux = cfg.flux or p_laplacian(2.0)
-        sets = [rasterize(sh, mesh, f"chain{k}")
-                for k, sh in enumerate(cfg.chain["shapes"])]
-        fixed = rasterize(cfg.chain["fixed"], mesh, "fixed")
-        return properties.run_sequence_demo(mesh, flux, sets, fixed,
-                                            cfg.chain["mode"], opts)
-    raise ConfigError(f"unknown suite {name!r}")
+def _seeded(run_suite):
+    """A suite of seeded plans over the fluxes, --jobs of them at a time."""
+    return lambda cfg, mesh, fluxes, jobs: run_suite(
+        mesh, fluxes, cfg.suite["instances"], cfg.seed, cfg.solver, jobs)
 
 
-def cmd_suite(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "mesh_n")
-    name = args.name or (cfg.suite or {}).get("name")
+def _s_suite(cfg, mesh, fluxes, jobs):
+    grid = cfg.suite["s_grid"] or cfg.s_grid \
+        or list(np.linspace(-4.0, 4.0, 17))
+    if not cfg.suite["fluxes"]:  # an explicit choice is respected
+        # p < 2 members make the continuity proxy unattainable (the max
+        # jump near s=0 shrinks by 2^(p-1) < 1.5 per halving)
+        fluxes = [fl for fl in fluxes if fl.p >= 2.0]
+    return properties.run_s_suite(mesh, fluxes, grid, cfg.seed, cfg.solver)
+
+
+def _sequence_suite(cfg, mesh, fluxes, jobs):
+    if cfg.chain is None:
+        raise ConfigError("sequence suite needs a chain block")
+    sets = [rasterize(sh, mesh, f"chain{k}")
+            for k, sh in enumerate(cfg.chain["shapes"])]
+    fixed = rasterize(cfg.chain["fixed"], mesh, "fixed")
+    return properties.run_sequence_demo(mesh, cfg.flux or p_laplacian(2.0),
+                                        sets, fixed, cfg.chain["mode"],
+                                        cfg.solver)
+
+
+# suite name -> run(cfg, mesh, fluxes, jobs), fluxes being the config's
+# suite.fluxes or else the default family
+SUITES = {
+    "order": _seeded(properties.run_order_suite),
+    "subadditivity": _seeded(properties.run_subadditivity_suite),
+    "bounds": _seeded(properties.run_bounds_suite),
+    "s": _s_suite,
+    "invariance": lambda cfg, mesh, fluxes, jobs:
+        properties.run_invariance_suite(mesh, cfg.suite["instances"],
+                                        cfg.seed, cfg.solver),
+    "sequence": _sequence_suite,
+}
+
+
+def _suite(name, path=""):
+    if not isinstance(name, str) or name not in SUITES:
+        raise ConfigError(f"unknown suite {name!r}", path)
+    return SUITES[name]
+
+
+def cmd_suite(args, cfg, run) -> int:
+    name = args.name or cfg.suite["name"]
     if not name:
         raise ConfigError("suite name missing (config suite.name or --name)")
-    t0 = time.time()
-    report = _run_suite(cfg, name, args.jobs)
-    write_json(os.path.join(out_dir, f"suite-{name}-{h[:12]}.json"),
-               report.to_dict())
+    report = _suite(name)(cfg, build_mesh(cfg.mesh_n, cfg.mesh_l),
+                          cfg.suite["fluxes"]
+                          or properties.default_flux_family(), args.jobs)
+    write_json(run.path(f"suite-{name}") + ".json", report.to_dict())
     print(report.summary_line())
-    _ledger(out_dir, f"suite:{name}", h,
-            {"passed": report.passed, "violations": report.violations,
-             "worst_margin": report.worst_margin}, t0)
+    run.command = f"suite:{name}"
+    run.ledger({"passed": report.passed, "violations": report.violations,
+                "worst_margin": report.worst_margin})
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL
 
 
@@ -327,36 +277,28 @@ def _closed_form(kind, values, prefix):
         raise ConfigError(str(exc), prefix + exc.field) from exc
 
 
-def cmd_converge(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "flux", "e_shape", "f_shape", "n_list", "oracle")
-    t0 = time.time()
+def cmd_converge(args, cfg, run) -> int:
     orc = cfg.oracle
     oracle_value = orc.get("value")
-    for kind in ("radial", "strip"):
+    for kind in ORACLE_ARGS:
         if oracle_value is None and kind in orc:
             oracle_value, _ = _closed_form(kind, orc[kind],
                                            f"oracle.{kind}.")
     report = properties.run_convergence_study(
         cfg.e_shape, cfg.f_shape, cfg.flux, cfg.n_list, oracle_value,
         orc["tol"], cfg.mesh_l, orc.get("reference_flux"), cfg.solver)
-    write_json(os.path.join(out_dir, f"converge-{h[:12]}.json"),
-               report.to_dict())
+    write_json(run.path("converge") + ".json", report.to_dict())
     print(report.summary_line())
     if not args.quiet:
         for rec in report.records:
             if rec["check"] == "refinement_error":
                 print(f"  N={rec['index']:>4}  C_A={rec['value']:.8f}  "
                       f"rel_err={rec['rel_error']:.3e}")
-    _ledger(out_dir, "converge", h,
-            {"passed": report.passed, "errors": report.extras["errors"]}, t0)
+    run.ledger({"passed": report.passed, "errors": report.extras["errors"]})
     return EXIT_OK if report.passed else EXIT_SUITE_FAIL
 
 
-def cmd_check_flux(args) -> int:
-    cfg, out_dir, h = _prepare(args)
-    _require(cfg, "flux")
-    t0 = time.time()
+def cmd_check_flux(args, cfg, run) -> int:
     try:
         report = check_conditions(cfg.flux, cfg.check["n_samples"],
                                   cfg.check["xi_radius"], cfg.seed,
@@ -366,42 +308,80 @@ def cmd_check_flux(args) -> int:
         raise ConfigError(str(exc), f"check.{exc.field}") from exc
     body = report.to_dict()
     _emit(dumps_report(body), args.quiet)
-    write_json(os.path.join(out_dir, f"check-{h[:12]}.json"), body)
-    _ledger(out_dir, "check-flux", h, {"all_passed": report.all_passed}, t0)
+    write_json(run.path("check") + ".json", body)
+    run.ledger({"all_passed": report.all_passed})
     return EXIT_OK if report.all_passed else EXIT_SUITE_FAIL
 
 
 def cmd_oracle(args) -> int:
-    if args.kind == "radial":
-        if args.r is None or args.big_r is None:
-            print("radial oracle needs --r and --R", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        body = {"kind": "radial", "n": args.n, "p": args.p, "r": args.r,
-                "R": args.big_r}
-        body["value"], spec = _closed_form("radial", body, "--")
-        if args.numeric is not None:
-            body["numeric"] = radial_numeric(spec, p_laplacian(args.p),
-                                             args.numeric)
-    else:
-        if args.a is None or args.b is None:
-            print("strip oracle needs --a and --b", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        body = {"kind": "strip", "p": args.p, "a": args.a, "b": args.b,
-                "Ly": args.ly}
-        body["value"], _ = _closed_form("strip", body, "--")
-    print(dumps_report(body))
+    body = {key: getattr(args, key) for key in ORACLE_ARGS[args.kind]}
+    missing = [f"--{key}" for key, value in body.items() if value is None]
+    if missing:
+        print(f"{args.kind} oracle needs {' and '.join(missing)}",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    body["value"], spec = _closed_form(args.kind, body, "--")
+    if args.numeric is not None and spec is not None:
+        body["numeric"] = radial_numeric(spec, p_laplacian(args.p),
+                                         args.numeric)
+    print(dumps_report({"kind": args.kind, **body}))
     return EXIT_OK
 
 
-_COMMANDS = {
-    "capacity": cmd_capacity,
-    "potential": cmd_potential,
-    "sweep-s": cmd_sweep_s,
-    "suite": cmd_suite,
-    "converge": cmd_converge,
-    "check-flux": cmd_check_flux,
-    "oracle": cmd_oracle,
+_STORE = {"action": "store_true"}
+# the options of every command that reads a config
+_CONFIG_OPTIONS = {
+    "config": {"help": "experiment config (JSON)"},
+    # numpy seeds must be non-negative
+    "--seed": {"type": _int_at_least(0), "help": "override the config seed"},
+    "--out": {"help": "output directory"},
+    "--tol-res": {"type": float,
+                  "help": "override the solver residual target"},
+    "--quiet": _STORE,
 }
+_GEOMETRY = ("mesh_n", "flux", "e_shape", "f_shape")
+# command -> (run, help, the config keys it needs or None for a command
+# that reads no config, its own options)
+_COMMANDS = {
+    "capacity": (cmd_capacity, "one capacity report", _GEOMETRY, {}),
+    "potential": (cmd_potential, "solve and dump the field", _GEOMETRY,
+                  {"--csv": _STORE, "--pgm": _STORE}),
+    "sweep-s": (cmd_sweep_s, "capacity along an s grid",
+                _GEOMETRY + ("s_grid",), {}),
+    "suite": (cmd_suite, "run a property suite", ("mesh_n",), {
+        "--jobs": {"type": _int_at_least(1), "default": 1,
+                   "help": "bound on concurrent workers of the order, "
+                   "subadditivity and bounds suites"},
+        "--name": {"help": "suite name (overrides config)"}}),
+    "converge": (cmd_converge, "grid refinement study",
+                 ("flux", "e_shape", "f_shape", "n_list", "oracle"), {}),
+    "check-flux": (cmd_check_flux, "randomized structural check",
+                   ("flux",), {}),
+    "oracle": (cmd_oracle, "closed-form reference values", None, {
+        "kind": {"choices": list(ORACLE_ARGS)},
+        # the arguments of both closed forms; the dimension n is an integer
+        **{f"--{key}": {"type": int if key == "n" else float,
+                        "default": default}
+           for args in ORACLE_ARGS.values() for key, default in args.items()},
+        "--p": {"type": float, "required": True},
+        "--numeric": {"type": _int_at_least(4, MAX_NUMERIC_CELLS),
+                      "help": "also solve the 1-D problem with M cells"},
+        "--quiet": _STORE}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="moncap",
+        description="capacity engine for monotone fluxes on a square grid")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, needs, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if needs is not None:
+            options = {**_CONFIG_OPTIONS, **options}
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -410,8 +390,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
+    command, _, needs, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if needs is None:
+            return command(args)
+        return command(args, *_prepare(args, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

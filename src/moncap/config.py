@@ -10,26 +10,23 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput
 from .flux import CONFIG_KINDS, Flux
-from .mesh import ShapeExpr, shape_from_json
+from .mesh import NAME_KEYS, ShapeExpr, shape_from_json
 from .solver import SolverOptions
 
 _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
              "N_list", "oracle", "check", "chain", "output_dir", "seed",
              "clip_E_to_F"}
-_MESH_KEYS = {"N", "L"}
 _FLUX_KEYS = {"kind", "p", "params"}
 # solver keys by how parse_solver reads them; an init name goes to
 # SolverOptions as it is, which checks it (a config has no init_field for
 # "given")
 _SOLVER_KEYS = {"tol_res": "number", "max_newton": "integer", "init": "name",
                 "init_seed": "integer", "jacobian_floor": "number"}
-_SUITE_KEYS = {"name", "instances", "fluxes", "s_grid"}
 _CHECK_ARGS = {"n_samples": 10_000, "xi_radius": 10.0}
-_CHAIN_KEYS = {"mode", "shapes", "fixed"}
-_ORACLE_KEYS = {"value", "radial", "strip", "reference_flux", "tol"}
-# closed-form oracle arguments with their defaults; None marks a required key
-_RADIAL_ARGS = {"n": 2, "p": None, "r": None, "R": None}
-_STRIP_ARGS = {"p": None, "a": None, "b": None, "Ly": 1.0}
+# closed-form oracle -> its arguments with their defaults, None marking a
+# required one; a config's oracle block and the oracle command both read it
+ORACLE_ARGS = {"radial": {"n": 2, "p": None, "r": None, "R": None},
+               "strip": {"p": None, "a": None, "b": None, "Ly": 1.0}}
 
 # Largest accepted mesh.N and N_list entry: the mesh alone grows like N^2
 # (6.3 MB at N = 256) and a solve's LU factor faster, so larger grids end
@@ -44,16 +41,24 @@ MESH_L_RANGE = (1e-100, 1e100)
 MAX_CHECK_SAMPLES = 10**6
 
 
-def _reject_unknown(obj: dict, allowed: set, path: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}", path)
-
-
 def _need(obj: dict, key: str, path: str):
     if key not in obj:
         raise ConfigError(f"missing required key {key!r}", path)
     return obj[key]
+
+
+def _block(obj, keys, path: str, required=(), message=None) -> dict:
+    """An object with no key outside keys and each required one; message
+    is the error for a value that is not an object."""
+    if not isinstance(obj, dict):
+        raise ConfigError(message or f"{path.rsplit('.', 1)[-1]} must be "
+                          "an object", path)
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)}", path)
+    for key in required:
+        _need(obj, key, path)
+    return obj
 
 
 def _number(value, path: str, integer=False) -> float:
@@ -68,9 +73,7 @@ def _number(value, path: str, integer=False) -> float:
 
 def _numbers(obj, args: dict, path: str, integers=()) -> dict:
     """An object whose keys are those of args, each a finite number."""
-    if not isinstance(obj, dict):
-        raise ConfigError("expected an object", path)
-    _reject_unknown(obj, set(args), path)
+    _block(obj, args, path, message="expected an object")
     out = {}
     for key, default in args.items():
         value = obj.get(key, default)
@@ -80,11 +83,19 @@ def _numbers(obj, args: dict, path: str, integers=()) -> dict:
     return out
 
 
+def _ascending(values: list, path: str) -> list:
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{path.rsplit('.', 1)[-1]} must be strictly "
+                          "ascending", path)
+    return values
+
+
 def _s_grid(value, path: str) -> list:
     if not isinstance(value, list) or len(value) < 2:
         raise ConfigError("s_grid must be a list of at least two numbers",
                           path)
-    return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+    return _ascending([_number(v, f"{path}[{k}]")
+                       for k, v in enumerate(value)], path)
 
 
 def _parts(value, path: str) -> list:
@@ -105,18 +116,14 @@ def _matrix(value, path: str) -> np.ndarray:
 
 
 def parse_flux(spec, path: str = "flux") -> Flux:
-    if not isinstance(spec, dict):
-        raise ConfigError("flux spec must be an object", path)
-    _reject_unknown(spec, _FLUX_KEYS, path)
-    kind = _need(spec, "kind", path)
+    kind = _block(spec, _FLUX_KEYS, path, ("kind",),
+                  "flux spec must be an object")["kind"]
     entry = CONFIG_KINDS.get(kind)
     if entry is None:
         raise ConfigError(f"unknown flux kind {kind!r}", path)
-    params = spec.get("params", {})
     ppath = f"{path}.params"
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object", ppath)
-    _reject_unknown(params, {prm.name for prm in entry.params}, ppath)
+    params = _block(spec.get("params", {}),
+                    [prm.name for prm in entry.params], ppath)
 
     if entry.needs_p:
         args = [_number(_need(spec, "p", path), f"{path}.p")]
@@ -144,19 +151,35 @@ def parse_flux(spec, path: str = "flux") -> Flux:
 
 _PARAM_PARSERS = {"number": _number, "matrix": _matrix, "flux": parse_flux,
                   "parts": _parts}
+# oracle key -> reader(value, path), in the order they are checked
+_ORACLE = {
+    "tol": _number,
+    "value": _number,
+    **{kind: lambda value, path, args=args: _numbers(value, args, path,
+                                                     integers=("n",))
+       for kind, args in ORACLE_ARGS.items()},
+    "reference_flux": parse_flux,
+}
+
+
+def _shape_args(body, op, path: str) -> list:
+    """A primitive shape's body: exactly its keys, each a finite number but
+    halfplane's axis and side names (the constructor checks those)."""
+    _block(body, op.keys, path, op.keys)
+    return [body[k] if k in NAME_KEYS else _number(body[k], f"{path}.{k}")
+            for k in op.keys]
 
 
 def parse_shape(spec, path: str) -> ShapeExpr:
     try:
-        return shape_from_json(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad shape: {exc}", path) from exc
+        return shape_from_json(spec, path, _shape_args)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc), exc.field) from exc
 
 
 def parse_solver(spec, path: str = "solver") -> SolverOptions:
-    if not isinstance(spec, dict):
-        raise ConfigError("solver options must be an object", path)
-    _reject_unknown(spec, set(_SOLVER_KEYS), path)
+    _block(spec, _SOLVER_KEYS, path,
+           message="solver options must be an object")
     kwargs: dict[str, Any] = {}
     for key, kind in _SOLVER_KEYS.items():
         value = spec.get(key)
@@ -184,17 +207,15 @@ class ExperimentConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config")
+        _block(raw, _TOP_KEYS, "config")
         self.raw = raw
 
         mesh = raw.get("mesh")
         self.mesh_n: Optional[int] = None
         self.mesh_l: float = 1.0
         if mesh is not None:
-            if not isinstance(mesh, dict):
-                raise ConfigError("mesh must be an object", "mesh")
-            _reject_unknown(mesh, _MESH_KEYS, "mesh")
-            self.mesh_n = _mesh_n(_need(mesh, "N", "mesh"), "mesh.N")
+            _block(mesh, ("N", "L"), "mesh", ("N",))
+            self.mesh_n = _mesh_n(mesh["N"], "mesh.N")
             self.mesh_l = _number(mesh.get("L", 1.0), "mesh.L")
             lo, hi = MESH_L_RANGE
             if not lo <= self.mesh_l <= hi:
@@ -225,35 +246,28 @@ class ExperimentConfig:
             lst = raw["N_list"]
             if not isinstance(lst, list) or not lst:
                 raise ConfigError("N_list must be a nonempty list", "N_list")
-            self.n_list = [_mesh_n(v, f"N_list[{k}]")
-                           for k, v in enumerate(lst)]
+            self.n_list = _ascending([_mesh_n(v, f"N_list[{k}]")
+                                      for k, v in enumerate(lst)], "N_list")
 
-        self.suite = None
-        if "suite" in raw:
-            suite = raw["suite"]
-            if not isinstance(suite, dict):
-                raise ConfigError("suite must be an object", "suite")
-            _reject_unknown(suite, _SUITE_KEYS, "suite")
-            name = _need(suite, "name", "suite")
-            if name not in ("order", "subadditivity", "bounds", "s",
-                            "invariance", "sequence"):
-                raise ConfigError(f"unknown suite {name!r}", "suite.name")
-            instances = _number(suite.get("instances", 25),
-                                "suite.instances", integer=True)
-            if instances < 1:
-                raise ConfigError("instances must be >= 1",
-                                  "suite.instances")
-            fluxes = suite.get("fluxes", [])
-            if not isinstance(fluxes, list):
-                raise ConfigError("fluxes must be a list", "suite.fluxes")
-            self.suite = {
-                "name": name,
-                "instances": instances,
-                "fluxes": [parse_flux(fs, f"suite.fluxes[{k}]")
-                           for k, fs in enumerate(fluxes)],
-                "s_grid": _s_grid(suite["s_grid"], "suite.s_grid")
-                if "s_grid" in suite else None,
-            }
+        # a config without a suite block runs the suite its command names
+        suite = raw.get("suite", {"name": None})
+        _block(suite, ("name", "instances", "fluxes", "s_grid"), "suite",
+               ("name",))
+        instances = _number(suite.get("instances", 25), "suite.instances",
+                            integer=True)
+        if instances < 1:
+            raise ConfigError("instances must be >= 1", "suite.instances")
+        fluxes = suite.get("fluxes", [])
+        if not isinstance(fluxes, list):
+            raise ConfigError("fluxes must be a list", "suite.fluxes")
+        self.suite = {
+            "name": suite["name"],
+            "instances": instances,
+            "fluxes": [parse_flux(fs, f"suite.fluxes[{k}]")
+                       for k, fs in enumerate(fluxes)],
+            "s_grid": _s_grid(suite["s_grid"], "suite.s_grid")
+            if "s_grid" in suite else None,
+        }
 
         self.check = _numbers(raw.get("check", {}), _CHECK_ARGS, "check",
                               integers=("n_samples",))
@@ -266,46 +280,27 @@ class ExperimentConfig:
 
         self.chain = None
         if "chain" in raw:
-            chain = raw["chain"]
-            if not isinstance(chain, dict):
-                raise ConfigError("chain must be an object", "chain")
-            _reject_unknown(chain, _CHAIN_KEYS, "chain")
-            mode = _need(chain, "mode", "chain")
-            if mode not in ("E", "F"):
+            keys = ("mode", "shapes", "fixed")
+            chain = _block(raw["chain"], keys, "chain", keys)
+            if chain["mode"] not in ("E", "F"):
                 raise ConfigError("chain.mode must be 'E' or 'F'",
                                   "chain.mode")
-            shapes = _need(chain, "shapes", "chain")
+            shapes = chain["shapes"]
             if not isinstance(shapes, list) or len(shapes) < 2:
                 raise ConfigError("chain.shapes needs at least two entries",
                                   "chain.shapes")
             self.chain = {
-                "mode": mode,
+                "mode": chain["mode"],
                 "shapes": [parse_shape(sh, f"chain.shapes[{k}]")
                            for k, sh in enumerate(shapes)],
-                "fixed": parse_shape(_need(chain, "fixed", "chain"),
-                                     "chain.fixed"),
+                "fixed": parse_shape(chain["fixed"], "chain.fixed"),
             }
 
         self.oracle = None
         if "oracle" in raw:
-            orc = raw["oracle"]
-            if not isinstance(orc, dict):
-                raise ConfigError("oracle must be an object", "oracle")
-            _reject_unknown(orc, _ORACLE_KEYS, "oracle")
-            self.oracle = {"tol": _number(orc.get("tol", 0.05),
-                                          "oracle.tol")}
-            if "value" in orc:
-                self.oracle["value"] = _number(orc["value"], "oracle.value")
-            if "radial" in orc:
-                self.oracle["radial"] = _numbers(
-                    orc["radial"], _RADIAL_ARGS, "oracle.radial",
-                    integers=("n",))
-            if "strip" in orc:
-                self.oracle["strip"] = _numbers(orc["strip"], _STRIP_ARGS,
-                                                "oracle.strip")
-            if "reference_flux" in orc:
-                self.oracle["reference_flux"] = parse_flux(
-                    orc["reference_flux"], "oracle.reference_flux")
+            orc = {"tol": 0.05, **_block(raw["oracle"], _ORACLE, "oracle")}
+            self.oracle = {key: read(orc[key], f"oracle.{key}")
+                           for key, read in _ORACLE.items() if key in orc}
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -10,7 +10,8 @@ comparison principle holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -152,30 +153,16 @@ class ShapeExpr:
     children: tuple = ()
 
     def to_json(self):
-        if self.op in ("all", "none"):
-            return {self.op: {}}
-        if self.op == "disk":
-            cx, cy, r = self.args
-            return {"disk": {"cx": cx, "cy": cy, "r": r}}
-        if self.op == "rect":
-            x0, y0, x1, y1 = self.args
-            return {"rect": {"x0": x0, "y0": y0, "x1": x1, "y1": y1}}
-        if self.op == "halfplane":
-            axis, threshold, side = self.args
-            return {"halfplane": {"axis": axis, "threshold": threshold,
-                                  "side": side}}
-        if self.op in ("union", "intersect"):
-            return {self.op: [c.to_json() for c in self.children]}
-        if self.op == "difference":
-            return {"difference": [c.to_json() for c in self.children]}
-        if self.op == "complement":
-            return {"complement": self.children[0].to_json()}
-        raise InvalidInput(f"unknown shape op {self.op!r}")
+        op = _OPS[self.op]
+        if not op.arity:
+            return {self.op: dict(zip(op.keys, self.args))}
+        body = [c.to_json() for c in self.children]
+        return {self.op: body[0] if op.arity == 1 else body}
 
 
 def disk(cx: float, cy: float, r: float) -> ShapeExpr:
     if r < 0:
-        raise InvalidInput("disk radius must be nonnegative")
+        raise InvalidInput("disk radius must be nonnegative", "r")
     return ShapeExpr("disk", (float(cx), float(cy), float(r)))
 
 
@@ -213,71 +200,76 @@ def shape_complement(a: ShapeExpr) -> ShapeExpr:
     return ShapeExpr("complement", children=(a,))
 
 
-def shape_from_json(obj) -> ShapeExpr:
+def _halfplane_mask(x, y, axis, threshold, side):
+    v = x if axis == "x" else y
+    return v <= threshold if side == "le" else v >= threshold
+
+
+class _Op(NamedTuple):
+    build: Callable    # the constructor, from args or from children
+    mask: Callable     # mask(x, y, *args, *child masks) of the nodes inside
+    keys: tuple = ()   # a primitive's JSON keys, in ShapeExpr.args order
+    arity: int = 0     # children: 1 one, 2 a list of two, -1 a list
+
+
+# halfplane's axis and side are names; every other primitive key a number
+NAME_KEYS = ("axis", "side")
+_OPS = {
+    "disk": _Op(disk, lambda x, y, cx, cy, r:
+                (x - cx) ** 2 + (y - cy) ** 2 <= r * r, ("cx", "cy", "r")),
+    "rect": _Op(rect, lambda x, y, x0, y0, x1, y1:
+                (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1),
+                ("x0", "y0", "x1", "y1")),
+    "halfplane": _Op(halfplane, _halfplane_mask,
+                     ("axis", "threshold", "side")),
+    "all": _Op(shape_all, lambda x, y: np.ones(len(x), dtype=bool)),
+    "none": _Op(shape_none, lambda x, y: np.zeros(len(x), dtype=bool)),
+    "union": _Op(shape_union, lambda x, y, *masks: reduce(
+        np.logical_or, masks, np.zeros(len(x), dtype=bool)), arity=-1),
+    "intersect": _Op(shape_intersect, lambda x, y, *masks: reduce(
+        np.logical_and, masks, np.ones(len(x), dtype=bool)), arity=-1),
+    "difference": _Op(shape_difference, lambda x, y, a, b: a & ~b, arity=2),
+    "complement": _Op(shape_complement, lambda x, y, a: ~a, arity=1),
+}
+
+
+def shape_from_json(obj, path: str = "shape",
+                    read=lambda body, op, path: [body[k] for k in op.keys]
+                    ) -> ShapeExpr:
+    """The shape of {op: body}: a primitive's body holds its keys, read by
+    read(body, op, path), a combinator's one shape or a list of them.  An
+    error's field is the path at fault, path naming the whole shape."""
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise InvalidInput(f"shape must be a single-key object, got {obj!r}")
-    op, body = next(iter(obj.items()))
-    if op == "disk":
-        return disk(body["cx"], body["cy"], body["r"])
-    if op == "rect":
-        return rect(body["x0"], body["y0"], body["x1"], body["y1"])
-    if op == "halfplane":
-        return halfplane(body["axis"], body["threshold"], body["side"])
-    if op == "all":
-        return shape_all()
-    if op == "none":
-        return shape_none()
-    if op == "union":
-        return shape_union(*[shape_from_json(c) for c in body])
-    if op == "intersect":
-        return shape_intersect(*[shape_from_json(c) for c in body])
-    if op == "difference":
-        if len(body) != 2:
-            raise InvalidInput("difference takes exactly two shapes")
-        return shape_difference(shape_from_json(body[0]), shape_from_json(body[1]))
-    if op == "complement":
-        return shape_complement(shape_from_json(body))
-    raise InvalidInput(f"unknown shape op {op!r}")
+        raise InvalidInput(f"shape must be a single-key object, got {obj!r}",
+                           path)
+    name, body = next(iter(obj.items()))
+    if name not in _OPS:
+        raise InvalidInput(f"unknown shape op {name!r}", path)
+    op, path = _OPS[name], f"{path}.{name}"
+    if op.arity == 1:
+        return op.build(shape_from_json(body, path, read))
+    if op.arity:
+        if not isinstance(body, list) or op.arity == 2 and len(body) != 2:
+            want = "exactly two shapes" if op.arity == 2 else "a list of shapes"
+            raise InvalidInput(f"{name} takes {want}", path)
+        return op.build(*(shape_from_json(c, f"{path}[{k}]", read)
+                          for k, c in enumerate(body)))
+    try:
+        return op.build(*read(body, op, path))
+    except InvalidInput as exc:
+        raise InvalidInput(str(exc), f"{path}.{exc.field}" if exc.field
+                           else path) from exc
 
 
-def _eval_shape(shape: ShapeExpr, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    op = shape.op
-    if op == "disk":
-        cx, cy, r = shape.args
-        return (x - cx) ** 2 + (y - cy) ** 2 <= r * r
-    if op == "rect":
-        x0, y0, x1, y1 = shape.args
-        return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
-    if op == "halfplane":
-        axis, threshold, side = shape.args
-        v = x if axis == "x" else y
-        return v <= threshold if side == "le" else v >= threshold
-    if op == "all":
-        return np.ones(len(pts), dtype=bool)
-    if op == "none":
-        return np.zeros(len(pts), dtype=bool)
-    if op == "union":
-        out = np.zeros(len(pts), dtype=bool)
-        for c in shape.children:
-            out |= _eval_shape(c, pts)
-        return out
-    if op == "intersect":
-        out = np.ones(len(pts), dtype=bool)
-        for c in shape.children:
-            out &= _eval_shape(c, pts)
-        return out
-    if op == "difference":
-        a, b = shape.children
-        return _eval_shape(a, pts) & ~_eval_shape(b, pts)
-    if op == "complement":
-        return ~_eval_shape(shape.children[0], pts)
-    raise InvalidInput(f"unknown shape op {op!r}")
+def _eval_shape(shape: ShapeExpr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    masks = [_eval_shape(c, x, y) for c in shape.children]
+    return _OPS[shape.op].mask(x, y, *shape.args, *masks)
 
 
 def rasterize(shape: ShapeExpr, mesh: Mesh, name: str = "set") -> NodeSet:
     """Nodes whose coordinates satisfy the shape predicate."""
-    return NodeSet(_eval_shape(shape, mesh.nodes), name, mesh.mesh_id)
+    x, y = mesh.nodes.T
+    return NodeSet(_eval_shape(shape, x, y), name, mesh.mesh_id)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,44 @@ class TestBadConfig:
         assert main(["capacity", str(bad)]) == 2
 
 
+class TestShapeAndOrderErrors:
+    @pytest.mark.parametrize("shape,path", [
+        ({"disk": {"cx": 0.5, "cy": 0.5, "r": 0.1, "radius": 0.3}},
+         "E.disk: unknown keys ['radius']"),
+        ({"disk": {"cx": float("nan"), "cy": 0.5, "r": 0.1}},
+         "E.disk.cx: expected a number"),
+        ({"disk": {"cx": 0.5, "cy": 0.5, "r": 1e400}},
+         "E.disk.r: expected a number"),
+        ({"disk": {"cx": True, "cy": 0.5, "r": 0.1}},
+         "E.disk.cx: expected a number"),
+        ({"disk": {"cx": "0.5", "cy": 0.5, "r": 0.1}},
+         "E.disk.cx: expected a number"),
+    ])
+    def test_bad_shape_body_exit_2(self, tmp_path, capsys, shape, path):
+        body = strip_cfg(str(tmp_path / "out"), extra={"E": shape})
+        # Python's json reads 1e400 as inf
+        (tmp_path / "cfg.json").write_text(
+            json.dumps(body).replace("Infinity", "1e400"))
+        assert main(["capacity", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {path}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,extra,path", [
+        ("sweep-s", {"s_grid": [0.0, 2.0, 1.0]}, "s_grid"),
+        ("suite", {"suite": {"name": "s", "s_grid": [1.0, -1.0]}},
+         "suite.s_grid"),
+        ("converge", {"N_list": [16, 8], "oracle": {"value": 2.0}},
+         "N_list"),
+    ])
+    def test_unordered_grid_exit_2(self, tmp_path, capsys, command, extra,
+                                   path):
+        cfg = write_cfg(tmp_path / "cfg.json",
+                        strip_cfg(str(tmp_path / "out"), extra=extra))
+        assert main([command, cfg]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+
 class TestPotentialCommand:
     def test_writes_csv_and_pgm(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -530,6 +568,39 @@ class TestConfigHash:
 
     def test_differs_on_content(self):
         assert config_hash({"seed": 3}) != config_hash({"seed": 4})
+
+    @staticmethod
+    def _ledger(out):
+        return [json.loads(line)["config_hash"]
+                for line in (out / "runs.jsonl").read_text().splitlines()]
+
+    @pytest.mark.parametrize("flag,key,values", [
+        ("--seed", "seed", [1, 2]), ("--tol-res", "solver", [1e-6, 1e-7])])
+    def test_overrides_reach_the_hash(self, tmp_path, capsys, flag, key,
+                                      values):
+        out = tmp_path / "out"
+        body = {"mesh": {"N": 16}, "output_dir": str(out), "seed": 0,
+                "suite": {"name": "order", "instances": 1,
+                          "fluxes": [{"kind": "p_laplacian", "p": 2.0}]}}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        for value in values:
+            assert main(["suite", cfg, flag, str(value)]) == 0
+        # the hash is that of the config with the override written in, so
+        # two runs with different settings keep two reports
+        want = [config_hash({**body, key: value if key == "seed"
+                             else {"tol_res": value}}) for value in values]
+        assert self._ledger(out) == want
+        assert sorted(f for f in os.listdir(out) if f.startswith("suite-")) \
+            == sorted(f"suite-order-{h[:12]}.json" for h in want)
+
+    def test_no_override_keeps_the_config_hash(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = strip_cfg(str(out))
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["capacity", cfg]) == 0
+        h = config_hash(body)
+        assert self._ledger(out) == [h]
+        assert (out / f"capacity-{h[:12]}.json").exists()
 
 
 def annulus_cfg(out_dir, n=24, solver=None):

@@ -267,3 +267,78 @@ def test_growth_bound_is_left_to_the_check():
         cfg = ExperimentConfig({"flux": {"kind": "p_laplacian", "p": 300.0},
                                 "check": check})
         assert cfg.check["xi_radius"] == check.get("xi_radius", 10.0)
+
+
+DISK = {"cx": 0.5, "cy": 0.5, "r": 0.1}
+
+
+@pytest.mark.parametrize("key,shape,path,message", [
+    ("E", {"disk": {**DISK, "radius": 0.3}}, "E.disk",
+     "unknown keys ['radius']"),
+    ("E", {"disk": {"cx": 0.5, "cy": 0.5}}, "E.disk",
+     "missing required key 'r'"),
+    ("E", {"disk": {**DISK, "cx": float("nan")}}, "E.disk.cx",
+     "expected a number, got nan"),
+    ("E", {"disk": {**DISK, "r": float("inf")}}, "E.disk.r",
+     "expected a number, got inf"),
+    ("E", {"disk": {**DISK, "cx": True}}, "E.disk.cx",
+     "expected a number, got True"),
+    ("E", {"disk": {**DISK, "cx": "0.5"}}, "E.disk.cx",
+     "expected a number, got '0.5'"),
+    ("E", {"disk": {**DISK, "r": -0.1}}, "E.disk.r",
+     "disk radius must be nonnegative"),
+    ("E", {"disk": [0.5, 0.5, 0.1]}, "E.disk", "disk must be an object"),
+    ("E", {"all": {"r": 1.0}}, "E.all", "unknown keys ['r']"),
+    ("F", {"union": [{"disk": DISK}, {"rect": {
+        "x0": None, "y0": 0.0, "x1": 1.0, "y1": 1.0}}]}, "F.union[1].rect.x0",
+     "expected a number, got None"),
+    ("F", {"complement": {"halfplane": {
+        "axis": "x", "threshold": "0.75", "side": "ge"}}},
+     "F.complement.halfplane.threshold", "expected a number"),
+    ("F", {"complement": {"halfplane": {
+        "axis": "z", "threshold": 0.75, "side": "ge"}}},
+     "F.complement.halfplane", "halfplane needs axis in {x,y}"),
+    ("F", {"difference": [{"all": {}}]}, "F.difference",
+     "difference takes exactly two shapes"),
+    ("F", {"annulus": {}}, "F", "unknown shape op 'annulus'"),
+    ("F", [{"all": {}}], "F", "shape must be a single-key object"),
+])
+def test_bad_shape_names_its_path(key, shape, path, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(annulus_raw(**{key: shape}))
+    assert exc.value.path == path
+    assert message in str(exc.value)
+
+
+def test_bad_chain_shape_names_its_path():
+    chain = {"mode": "E", "fixed": {"all": {}},
+             "shapes": [{"none": {}}, {"disk": {**DISK, "cy": "x"}}]}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(annulus_raw(chain=chain))
+    assert exc.value.path == "chain.shapes[1].disk.cy"
+
+
+def test_shape_numbers_read_as_floats():
+    cfg = ExperimentConfig(annulus_raw(
+        E={"rect": {"x0": 0, "y0": 0, "x1": 1, "y1": 0.5}}))
+    assert cfg.e_shape.args == (0.0, 0.0, 1.0, 0.5)
+    assert all(type(v) is float for v in cfg.e_shape.args)
+
+
+@pytest.mark.parametrize("raw,path,message", [
+    (annulus_raw(s_grid=[-1.0, 1.0, 0.5]), "s_grid",
+     "s_grid must be strictly ascending"),
+    (annulus_raw(s_grid=[-1.0, 0.0, 0.0, 1.0]), "s_grid",
+     "s_grid must be strictly ascending"),
+    (annulus_raw(suite={"name": "s", "s_grid": [1.0, -1.0]}),
+     "suite.s_grid", "s_grid must be strictly ascending"),
+    (annulus_raw(N_list=[16, 8]), "N_list",
+     "N_list must be strictly ascending"),
+    (annulus_raw(N_list=[8, 8]), "N_list",
+     "N_list must be strictly ascending"),
+])
+def test_unordered_grid_names_its_path(raw, path, message):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(raw)
+    assert exc.value.path == path
+    assert message in str(exc.value)

@@ -90,13 +90,50 @@ class TestRasterize:
         s = rasterize(shape_difference(shape_all(), shape_all()), m)
         assert s.count == 0
 
-    def test_json_roundtrip(self):
-        shape = shape_union(disk(0.2, 0.3, 0.1),
-                            shape_complement(rect(0.1, 0.1, 0.9, 0.9)))
+    @pytest.mark.parametrize("shape", [
+        shape_union(disk(0.2, 0.3, 0.1),
+                    shape_complement(rect(0.1, 0.1, 0.9, 0.9))),
+        halfplane("y", 0.375, "ge"),
+        shape_all(),
+        shape_none(),
+        shape_intersect(disk(0.5, 0.5, 0.4), halfplane("x", 0.5, "le"),
+                        rect(0.0, 0.25, 1.0, 1.0)),
+        shape_difference(rect(0.125, 0.125, 0.875, 0.875),
+                         disk(0.5, 0.5, 0.25)),
+    ], ids=lambda shape: shape.op)
+    def test_json_roundtrip(self, shape):
         again = shape_from_json(shape.to_json())
+        assert again == shape
+        assert again.to_json() == shape.to_json()
         m = build_mesh(8)
         assert np.array_equal(rasterize(shape, m).mask,
                               rasterize(again, m).mask)
+
+    def test_json_forms(self):
+        assert halfplane("x", 0.25, "le").to_json() == {
+            "halfplane": {"axis": "x", "threshold": 0.25, "side": "le"}}
+        assert shape_difference(shape_all(), shape_none()).to_json() == {
+            "difference": [{"all": {}}, {"none": {}}]}
+        assert shape_complement(disk(0.5, 0.5, 0.1)).to_json() == {
+            "complement": {"disk": {"cx": 0.5, "cy": 0.5, "r": 0.1}}}
+
+    @pytest.mark.parametrize("obj,field,message", [
+        ([1], "shape", "single-key object"),
+        ({"disk": {}, "rect": {}}, "shape", "single-key object"),
+        ({"ellipse": {}}, "shape", "unknown shape op 'ellipse'"),
+        ({"union": {"all": {}}}, "shape.union", "takes a list of shapes"),
+        ({"difference": [{"all": {}}]}, "shape.difference",
+         "takes exactly two shapes"),
+        ({"complement": {"disk": {"cx": 0.5, "cy": 0.5, "r": -1.0}}},
+         "shape.complement.disk.r", "disk radius must be nonnegative"),
+        ({"intersect": [{"all": {}}, {"halfplane": {
+            "axis": "z", "threshold": 0.5, "side": "le"}}]},
+         "shape.intersect[1].halfplane", "halfplane needs axis"),
+    ])
+    def test_json_errors_name_their_path(self, obj, field, message):
+        with pytest.raises(InvalidInput, match=message) as exc:
+            shape_from_json(obj)
+        assert exc.value.field == field
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=100, deadline=None)
