@@ -315,9 +315,11 @@ def cmd_check_flux(args, cfg, run) -> int:
 
 def cmd_oracle(args) -> int:
     body = {key: getattr(args, key) for key in ORACLE_ARGS[args.kind]}
-    missing = [f"--{key}" for key, value in body.items() if value is None]
-    if missing:
-        print(f"{args.kind} oracle needs {' and '.join(missing)}",
+    if None in body.values():
+        # every flag of the kind without a default; argparse demands --p
+        needs = [f"--{key}" for key, default in ORACLE_ARGS[args.kind].items()
+                 if default is None and key != "p"]
+        print(f"{args.kind} oracle needs {' and '.join(needs)}",
               file=sys.stderr)
         return EXIT_BAD_CONFIG
     body["value"], spec = _closed_form(args.kind, body, "--")
@@ -359,11 +361,13 @@ _COMMANDS = {
                    ("flux",), {}),
     "oracle": (cmd_oracle, "closed-form reference values", None, {
         "kind": {"choices": list(ORACLE_ARGS)},
-        # the arguments of both closed forms; the dimension n is an integer
-        **{f"--{key}": {"type": int if key == "n" else float,
-                        "default": default}
-           for args in ORACLE_ARGS.values() for key, default in args.items()},
+        "--n": {"type": int, "default": 2},
         "--p": {"type": float, "required": True},
+        "--r": {"type": float},
+        "--R": {"type": float, "metavar": "BIG_R"},
+        "--a": {"type": float},
+        "--b": {"type": float},
+        "--Ly": {"type": float, "default": 1.0},
         "--numeric": {"type": _int_at_least(4, MAX_NUMERIC_CELLS),
                       "help": "also solve the 1-D problem with M cells"},
         "--quiet": _STORE}),

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, finite_number
 from .flux import CONFIG_KINDS, Flux
-from .mesh import NAME_KEYS, ShapeExpr, shape_from_json
+from .mesh import ShapeExpr, shape_from_json
 from .solver import SolverOptions
 
 _TOP_KEYS = {"mesh", "flux", "E", "F", "s", "solver", "suite", "s_grid",
@@ -62,13 +61,10 @@ def _block(obj, keys, path: str, required=(), message=None) -> dict:
 
 
 def _number(value, path: str, integer=False) -> float:
-    """A finite JSON number (Python's json also reads NaN and Infinity)."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-    if not ok or (integer and int(value) != value):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"expected {kind}, got {value!r}", path)
-    return int(value) if integer else float(value)
+    try:
+        return finite_number(value, path, integer)
+    except InvalidInput as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _numbers(obj, args: dict, path: str, integers=()) -> dict:
@@ -83,19 +79,21 @@ def _numbers(obj, args: dict, path: str, integers=()) -> dict:
     return out
 
 
-def _ascending(values: list, path: str) -> list:
+def _ascending(value, path: str, read, what: str, least: int) -> list:
+    """A list of at least least entries, each read by read(entry, path),
+    strictly ascending; what names the list in an error."""
+    name = path.rsplit(".", 1)[-1]
+    if not isinstance(value, list) or len(value) < least:
+        raise ConfigError(f"{name} must be {what}", path)
+    values = [read(v, f"{path}[{k}]") for k, v in enumerate(value)]
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{path.rsplit('.', 1)[-1]} must be strictly "
-                          "ascending", path)
+        raise ConfigError(f"{name} must be strictly ascending", path)
     return values
 
 
 def _s_grid(value, path: str) -> list:
-    if not isinstance(value, list) or len(value) < 2:
-        raise ConfigError("s_grid must be a list of at least two numbers",
-                          path)
-    return _ascending([_number(v, f"{path}[{k}]")
-                       for k, v in enumerate(value)], path)
+    return _ascending(value, path, _number, "a list of at least two numbers",
+                      2)
 
 
 def _parts(value, path: str) -> list:
@@ -162,17 +160,9 @@ _ORACLE = {
 }
 
 
-def _shape_args(body, op, path: str) -> list:
-    """A primitive shape's body: exactly its keys, each a finite number but
-    halfplane's axis and side names (the constructor checks those)."""
-    _block(body, op.keys, path, op.keys)
-    return [body[k] if k in NAME_KEYS else _number(body[k], f"{path}.{k}")
-            for k in op.keys]
-
-
 def parse_shape(spec, path: str) -> ShapeExpr:
     try:
-        return shape_from_json(spec, path, _shape_args)
+        return shape_from_json(spec, path)
     except InvalidInput as exc:
         raise ConfigError(str(exc), exc.field) from exc
 
@@ -241,13 +231,9 @@ class ExperimentConfig:
         self.s_grid = _s_grid(raw["s_grid"], "s_grid") if "s_grid" in raw \
             else None
 
-        self.n_list = None
-        if "N_list" in raw:
-            lst = raw["N_list"]
-            if not isinstance(lst, list) or not lst:
-                raise ConfigError("N_list must be a nonempty list", "N_list")
-            self.n_list = _ascending([_mesh_n(v, f"N_list[{k}]")
-                                      for k, v in enumerate(lst)], "N_list")
+        self.n_list = _ascending(raw["N_list"], "N_list", _mesh_n,
+                                 "a nonempty list", 1) \
+            if "N_list" in raw else None
 
         # a config without a suite block runs the suite its command names
         suite = raw.get("suite", {"name": None})

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its finite-number check."""
+
+import math
 
 
 class InvalidInput(ValueError):
@@ -8,6 +10,17 @@ class InvalidInput(ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def finite_number(value, field=None, integer=False):
+    """A finite JSON number, not a bool (Python's json also reads NaN and
+    Infinity); InvalidInput at field otherwise."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+    if not ok or (integer and int(value) != value):
+        kind = "an integer" if integer else "a number"
+        raise InvalidInput(f"expected {kind}, got {value!r}", field)
+    return int(value) if integer else float(value)
 
 
 class MeshMismatch(InvalidInput):

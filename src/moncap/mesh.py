@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IncompatiblePair, InvalidInput, MeshMismatch
+from .errors import (IncompatiblePair, InvalidInput, MeshMismatch,
+                     finite_number)
 
 
 @dataclass
@@ -212,8 +213,6 @@ class _Op(NamedTuple):
     arity: int = 0     # children: 1 one, 2 a list of two, -1 a list
 
 
-# halfplane's axis and side are names; every other primitive key a number
-NAME_KEYS = ("axis", "side")
 _OPS = {
     "disk": _Op(disk, lambda x, y, cx, cy, r:
                 (x - cx) ** 2 + (y - cy) ** 2 <= r * r, ("cx", "cy", "r")),
@@ -233,12 +232,11 @@ _OPS = {
 }
 
 
-def shape_from_json(obj, path: str = "shape",
-                    read=lambda body, op, path: [body[k] for k in op.keys]
-                    ) -> ShapeExpr:
-    """The shape of {op: body}: a primitive's body holds its keys, read by
-    read(body, op, path), a combinator's one shape or a list of them.  An
-    error's field is the path at fault, path naming the whole shape."""
+def shape_from_json(obj, path: str = "shape") -> ShapeExpr:
+    """The shape of {op: body}: a primitive's body holds exactly its keys,
+    each a finite number but halfplane's axis and side names, a
+    combinator's one shape or a list of them.  An error's field is the path
+    at fault, path naming the whole shape."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InvalidInput(f"shape must be a single-key object, got {obj!r}",
                            path)
@@ -247,15 +245,25 @@ def shape_from_json(obj, path: str = "shape",
         raise InvalidInput(f"unknown shape op {name!r}", path)
     op, path = _OPS[name], f"{path}.{name}"
     if op.arity == 1:
-        return op.build(shape_from_json(body, path, read))
+        return op.build(shape_from_json(body, path))
     if op.arity:
         if not isinstance(body, list) or op.arity == 2 and len(body) != 2:
-            want = "exactly two shapes" if op.arity == 2 else "a list of shapes"
+            want = ("exactly two shapes" if op.arity == 2
+                    else "a list of shapes")
             raise InvalidInput(f"{name} takes {want}", path)
-        return op.build(*(shape_from_json(c, f"{path}[{k}]", read)
+        return op.build(*(shape_from_json(c, f"{path}[{k}]")
                           for k, c in enumerate(body)))
+    if not isinstance(body, dict):
+        raise InvalidInput(f"{name} must be an object", path)
+    unknown = set(body) - set(op.keys)
+    if unknown:
+        raise InvalidInput(f"unknown keys {sorted(unknown)}", path)
+    missing = [key for key in op.keys if key not in body]
+    if missing:
+        raise InvalidInput(f"missing required key {missing[0]!r}", path)
     try:
-        return op.build(*read(body, op, path))
+        return op.build(*(body[k] if k in ("axis", "side")
+                          else finite_number(body[k], k) for k in op.keys))
     except InvalidInput as exc:
         raise InvalidInput(str(exc), f"{path}.{exc.field}" if exc.field
                            else path) from exc

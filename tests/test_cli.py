@@ -353,6 +353,27 @@ class TestSuiteCommand:
         cfg = write_cfg(tmp_path / "c.json", body)
         assert main(["suite", cfg, "--name", "sequence"]) == 0
 
+    @pytest.mark.parametrize("argv", [["capacity"], ["suite"],
+                                      ["suite", "--name", "x"],
+                                      ["suite", "--name", "order"]])
+    def test_unknown_config_suite_name_exit_2(self, tmp_path, capsys, argv):
+        # every command rejects a config whose suite.name is no suite
+        body = strip_cfg(str(tmp_path / "out"),
+                         extra={"suite": {"name": "x"}})
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main([argv[0], cfg, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "config error: suite.name: unknown suite 'x'" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_name_flag_exit_2(self, tmp_path, capsys):
+        body = {"mesh": {"N": 16}, "output_dir": str(tmp_path / "out")}
+        cfg = write_cfg(tmp_path / "c.json", body)
+        assert main(["suite", cfg, "--name", "x"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: unknown suite 'x'" in captured.err
+        assert captured.out == ""
+
 
 class TestCheckFluxCommand:
     def test_good_flux_exit_zero(self, tmp_path, capsys):
@@ -483,8 +504,24 @@ class TestOracleCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["numeric"] == pytest.approx(out["value"], rel=1e-9)
 
-    def test_missing_args_exit_2(self, capsys):
-        assert main(["oracle", "radial", "--p", "2"]) == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["radial"], "radial oracle needs --r and --R"),
+        (["radial", "--R", "0.4"], "radial oracle needs --r and --R"),
+        (["strip", "--a", "0.1"], "strip oracle needs --a and --b"),
+        (["strip", "--b", "0.4"], "strip oracle needs --a and --b")])
+    def test_missing_args_exit_2(self, capsys, argv, message):
+        # the message lists every flag of the kind without a default
+        assert main(["oracle", *argv, "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    def test_help_names_the_flags(self, capsys):
+        assert main(["oracle", "--help"]) == 0
+        text = capsys.readouterr().out
+        for usage in ("--n N", "--p P", "--r R", "--R BIG_R", "--a A",
+                      "--b B", "--Ly LY", "--numeric NUMERIC"):
+            assert usage in text
 
     def test_overflowing_radial_capacity_exit_2(self, capsys):
         # I^(1-p) overflowed Python floats in an OverflowError traceback

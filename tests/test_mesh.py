@@ -129,6 +129,23 @@ class TestRasterize:
         ({"intersect": [{"all": {}}, {"halfplane": {
             "axis": "z", "threshold": 0.5, "side": "le"}}]},
          "shape.intersect[1].halfplane", "halfplane needs axis"),
+        # primitive bodies are read as strictly as config values
+        ({"disk": {"cx": 0.5, "cy": 0.5}}, "shape.disk",
+         "missing required key 'r'"),
+        ({"disk": {"cx": 0.5, "cy": 0.5, "r": 0.1, "zz": 1}}, "shape.disk",
+         r"unknown keys \['zz'\]"),
+        ({"disk": [0.5, 0.5, 0.1]}, "shape.disk", "disk must be an object"),
+        ({"disk": {"cx": "0.5", "cy": 0.5, "r": 0.1}}, "shape.disk.cx",
+         "expected a number, got '0.5'"),
+        ({"rect": {"x0": 0.0, "y0": True, "x1": 1.0, "y1": 1.0}},
+         "shape.rect.y0", "expected a number, got True"),
+        ({"union": [{"all": {}}, {"disk": {
+            "cx": float("nan"), "cy": 0.5, "r": 0.1}}]},
+         "shape.union[1].disk.cx", "expected a number, got nan"),
+        ({"halfplane": {"axis": "x", "threshold": float("inf"),
+                        "side": "le"}},
+         "shape.halfplane.threshold", "expected a number, got inf"),
+        ({"none": {"r": 1.0}}, "shape.none", r"unknown keys \['r'\]"),
     ])
     def test_json_errors_name_their_path(self, obj, field, message):
         with pytest.raises(InvalidInput, match=message) as exc:
