@@ -14,8 +14,9 @@ the only ones on which a field with u = s on E and u = 0 outside F can
 have a nonzero gradient, so the block residual is exact at every node
 and the report reads its capacities from the solve's last one.  A block's
 Jacobian is one more bincount, of element matrices straight into LAPACK
-band storage on a compact block below the solver's Krylov gate, else into
-its CSC stencil pattern; no scipy object is built for a banded block.  A
+band storage on a compact block below the solver's Krylov gate (only the
+lower band when the flux's Jacobian is symmetric), else into its CSC
+stencil pattern; no scipy object is built for a banded block.  A
 triangle whose corners all hold one value has gradient (+0, +0) or
 (-0, -0) and every flux gives a(x, 0) = 0 exactly, so leaving it out
 drops only exact zeros from each sum.  Bincounts sum in a fixed order, so
@@ -51,7 +52,9 @@ _WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
 # compact blocks (CHANGES.md), sends compact blocks above about 5,000
 # nodes and thin wide shapes to SuperLU.  Compact blocks that large lie
 # above the gate, where every factor (the multigrid coarsest level, a step
-# whose rebuilt cycle failed) is SuperLU's.
+# whose rebuilt cycle failed) is SuperLU's.  It was fitted against band LU
+# and is unchanged for the band Cholesky of symmetric blocks, which costs
+# less.
 BAND_C = 9.5
 
 
@@ -150,12 +153,16 @@ class FreeBlock(_Triangles):
 
     Storage is decided here alone.  A block of n free nodes, fewer than
     ``band_below``, whose span bw (its bandwidth) is at most BAND_C n^(1/4)
-    is banded: ``band`` is bw and its matrices are LAPACK band storage,
-    shape (3 bw + 1, n) in Fortran order, entry (r, c) in row 2 bw + r - c
-    of column c under bw rows left zero for the fill of row interchanges.
-    ``keys`` sends entry (a, b) of each triangle's element matrix straight
-    to the flat slot of (a's place, b's place), and an entry with a or b
-    off the block to one trailing bin.  Any other block has ``band`` None
+    is banded: ``band`` is bw and its matrices are LAPACK band storage in
+    Fortran order.  For a flux whose Jacobian is ``symmetric`` (its kind
+    says so) the block is too, and ``lower`` is True: shape (bw + 1, n),
+    entry (r, c) with r >= c in row r - c of column c, for band Cholesky.
+    Otherwise the general band, shape (3 bw + 1, n), entry (r, c) in row
+    2 bw + r - c of column c under bw rows left zero for the fill of LU's
+    row interchanges.  ``keys`` sends entry (a, b) of each triangle's
+    element matrix straight to the flat slot of (a's place, b's place),
+    and an entry with a or b off the block, or above the diagonal of a
+    lower band, to one trailing bin.  Any other block has ``band`` None
     and the CSC pattern of ``pattern``: column c stores node c and its free
     stencil neighbours, rows sorted, and its data are bincount slots
     7 c + d, d the direction of the row from node c; ``keys`` sends entry
@@ -165,11 +172,12 @@ class FreeBlock(_Triangles):
     disk r 0.4 (62,626 triangles, 30,876 free nodes, CSC) a block takes
     10.7 MB, 4.5 of it in ``keys``.  The N = 48 annulus of the same radii
     (2,332 triangles, 1,084 free nodes, bw 38, banded) takes 0.33 MB, and
-    each of its band matrices 1.0 MB, where CSC would take 0.09 MB.
+    each of its band matrices 0.34 MB as a lower band (1.0 MB as a general
+    one), where CSC would take 0.09 MB.
     """
 
     def __init__(self, mesh: Mesh, e: np.ndarray, f: np.ndarray,
-                 band_below: int = 0):
+                 band_below: int = 0, symmetric: bool = False):
         super().__init__(mesh, touched_triangles(mesh, f)
                          & touched_triangles(mesh, ~e))
         free = f & ~e
@@ -189,12 +197,17 @@ class FreeBlock(_Triangles):
         place_b = np.tile(self.places, 3)
         self.band = span if n < band_below and span <= BAND_C * n ** 0.25 \
             else None
+        self.lower = symmetric and self.band is not None
         if self.band is not None:
-            rows = 3 * span + 1
+            # (r, c) is row top + r - c of column c: flat slot
+            # c (top + bw + 1) + top + r - c
+            top = 0 if self.lower else 2 * span
             place_a = np.repeat(self.places, 3, axis=1)
-            self.keys = np.where(
-                (place_a == n) | (place_b == n), n * rows,
-                place_b * (rows - 1) + place_a + 2 * span).ravel()
+            off = (place_a == n) | (place_a < place_b if self.lower
+                                    else place_b == n)
+            self.keys = np.where(off, n * (top + span + 1),
+                                 place_b * (top + span) + place_a + top
+                                 ).ravel()
             return
         # column c's rows by direction d, at slot 7 c + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
@@ -260,7 +273,8 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
         elements = jac @ _WEIGHTS
     del jac                     # freed before the bincount's arrays exist
     if block.band is not None:
-        size = block.size * (3 * block.band + 1)
+        size = block.size * (block.band + 1 if block.lower
+                             else 3 * block.band + 1)
         sums = np.bincount(block.keys, elements.ravel(), minlength=size)
         return sums[:size].reshape(block.size, -1).T
     sums = np.bincount(block.keys, elements.ravel())

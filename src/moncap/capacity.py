@@ -8,7 +8,7 @@ Three formulas are evaluated on every converged solve:
 
 r is the residual the solve kept with its field (``PotentialField.residual``,
 bitwise ``residual(mesh, flux, u)``), so the report evaluates the flux only
-in the pairing.
+in the pairing, and the capacitary distributions not at all.
 
 They agree up to tol_cap = (#constrained nodes) * tol_res * max(1, |s|).
 c_inner is the primary reported value; c_hat = c_inner / s is the
@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+# nothing here calls residual; benchmarks/tracer.py binds it by this name
 from .assembly import pairing, residual
 from .errors import IncompatiblePair, InvalidInput, SolverDiverged
 from .flux import Flux, p_laplacian
@@ -215,9 +216,10 @@ def distributions(mesh: Mesh, flux: Flux, potential: PotentialField,
     For s > 0, lambda_i = r_i on E and nu_j = -r_j on the complement of F;
     for s < 0 the carriers swap; s = 0 gives zero measures.  lambda is
     supported on the discrete boundary of E because interior-E nodes see a
-    locally constant field.
+    locally constant field.  r is the residual the solve of ``flux`` on
+    ``mesh`` kept with the field, ``potential.residual``.
     """
-    r = residual(mesh, flux, potential.u)
+    r = potential.residual
     lam_carrier, nu_carrier = e.mask, ~f.mask
     if potential.s < 0.0:
         lam_carrier, nu_carrier = nu_carrier, lam_carrier

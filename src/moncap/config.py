@@ -27,9 +27,12 @@ _CHECK_ARGS = {"n_samples": 10_000, "xi_radius": 10.0}
 ORACLE_ARGS = {"radial": {"n": 2, "p": None, "r": None, "R": None},
                "strip": {"p": None, "a": None, "b": None, "Ly": 1.0}}
 
-# Largest accepted mesh.N and N_list entry: the mesh alone grows like N^2
-# (6.3 MB at N = 256) and a solve's LU factor faster, so larger grids end
-# in a memory error rather than a result on a desk machine.
+# Largest accepted mesh.N and N_list entry.  One p = 3 annulus solve peaks
+# at 109 MiB at N = 256, 250 MiB at N = 512 and 818 MiB at N = 1024, where
+# the import holds 62, building the mesh adds 209, the solve's FreeBlock
+# and its indices 279, and the solve, mostly its multigrid hierarchy, 268.
+# All of it grows like N^2, so larger grids end in a memory error rather
+# than a result on a desk machine.
 MAX_MESH_N = 1024
 # Accepted mesh.L: at every accepted N, element areas h^2 and gradient
 # coefficients 1/h stay far inside floating-point range.

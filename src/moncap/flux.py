@@ -19,9 +19,12 @@ Jacobian, linearity, config param spec), which evaluation, the solver and
 and a member of the shipped family in tests/test_flux.py.  The entry declares
 whether a flux of the kind is linear in xi; the solver then starts below its
 Krylov gate from the exact solution of the linear problem, so a kind that is
-not linear must say False.  Its value at xi = 0 must be exactly 0 (not
-only to round-off) at every x and eps, for xi = (+0, +0) and (-0, -0): the
-residual leaves out the triangles whose corners are all 0.
+not linear must say False.  It declares too whether the Jacobian in xi is
+symmetric; the solver then stores a banded block's lower band only and
+factors it by band Cholesky, so a kind with a skew part must say False.
+Its value at xi = 0 must be exactly 0 (not only to round-off) at every x
+and eps, for xi = (+0, +0) and (-0, -0): the residual leaves out the
+triangles whose corners are all 0.
 """
 
 from __future__ import annotations
@@ -420,13 +423,15 @@ class FluxKind:
     (eps = 0 is the true flux), ``jacobian`` with the same arguments its
     exact derivative in xi.  ``linear(flux)`` says whether the value is
     linear in xi at every x and eps, so that the Jacobian is one constant
-    matrix per point.  A config builds the kind as ``build(p, **params)``,
-    without p when ``needs_p`` is false."""
+    matrix per point; ``symmetric(flux)`` whether that Jacobian is a
+    symmetric matrix at every x, xi and eps.  A config builds the kind as
+    ``build(p, **params)``, without p when ``needs_p`` is false."""
 
     value: Callable
     jacobian: Callable
     build: Callable[..., Flux]
     linear: Callable[[Flux], bool]
+    symmetric: Callable[[Flux], bool]
     params: tuple[Param, ...] = ()
     needs_p: bool = True
 
@@ -436,35 +441,44 @@ def _p_is_2(flux):
     return flux.p == 2.0
 
 
+def _always(flux):
+    # the gradient of a convex energy: its Hessian is symmetric
+    return True
+
+
 FLUX_KINDS: dict[str, FluxKind] = {
     "p_laplacian": FluxKind(
         lambda fl, x, xi, eps: _power_factor(fl.p, xi, xi, eps) * xi,
         lambda fl, x, xi, eps: _power_jacobian(fl.p, xi, xi, _EYE, eps),
-        p_laplacian, _p_is_2),
+        p_laplacian, _p_is_2, _always),
     "weighted_p_laplacian": FluxKind(
         _weighted_value, _weighted_jacobian, weighted_p_laplacian, _p_is_2,
-        (Param("w_min"), Param("w_max"), Param("kx", default=1.0),
-         Param("ky", default=1.0))),
+        _always, (Param("w_min"), Param("w_max"), Param("kx", default=1.0),
+                  Param("ky", default=1.0))),
     "anisotropic_p": FluxKind(_anisotropic_value, _anisotropic_jacobian,
-                              anisotropic_p, _p_is_2,
+                              anisotropic_p, _p_is_2, _always,
                               (Param("alpha"), Param("beta"))),
     "linear_matrix": FluxKind(
         lambda fl, x, xi, eps: xi @ fl.params["M"].T,
         lambda fl, x, xi, eps: np.broadcast_to(
             fl.params["M"], xi.shape + (2,)).copy(),
-        lambda M: linear_matrix(M), lambda fl: True, (Param("M", "matrix"),),
-        needs_p=False),
+        lambda M: linear_matrix(M), lambda fl: True,
+        lambda fl: bool(np.array_equal(fl.params["M"], fl.params["M"].T)),
+        (Param("M", "matrix"),), needs_p=False),
     "flat_core_p": FluxKind(_flat_core_value, _flat_core_jacobian,
-                            flat_core_p, lambda fl: False, (Param("rho0"),)),
+                            flat_core_p, lambda fl: False, _always,
+                            (Param("rho0"),)),
     "s_transformed": FluxKind(
         _s_value, _s_jacobian, lambda inner, s: s_transform(inner, s),
         lambda fl: is_linear(fl.params["inner"]),
+        lambda fl: is_symmetric(fl.params["inner"]),
         (Param("inner", "flux"), Param("s")), needs_p=False),
     "weighted_sum": FluxKind(
         _sum_value, _sum_jacobian,
         lambda parts: combine(parts[0][1], parts[1][1],
                               parts[0][0], parts[1][0]),
         lambda fl: all(is_linear(f) for _, f in fl.params["parts"]),
+        lambda fl: all(is_symmetric(f) for _, f in fl.params["parts"]),
         (Param("parts", "parts"),), needs_p=False),
 }
 
@@ -484,6 +498,12 @@ def is_linear(flux: Flux) -> bool:
     """Whether a(x, xi) is linear in xi, as its kind declares: then its
     Dirichlet problem is one linear solve."""
     return _entry(flux).linear(flux)
+
+
+def is_symmetric(flux: Flux) -> bool:
+    """Whether the Jacobian of a(x, xi) in xi is symmetric, as its kind
+    declares: then every free block of its Dirichlet problem is."""
+    return _entry(flux).symmetric(flux)
 
 
 def eval_flux(flux: Flux, x, xi) -> np.ndarray:

@@ -21,10 +21,12 @@ iterate's true residual is evaluated twice.  A block residual is exact at
 every node; the steps read its free rows, and the returned field keeps
 the last true one, which the capacity report reads.  The block alone
 decides its storage (``FreeBlock``): LAPACK band storage for a compact
-block below ``KRYLOV_MIN_NODES`` free nodes, else CSC.  ``_direct_solve``
-follows it: a band array is factored in place and solved by dgbsv, a sparse
-matrix by SuperLU in its own fill-reducing order; both pivot rows
-partially, for skew and shifted degenerate Jacobians.
+block below ``KRYLOV_MIN_NODES`` free nodes, else CSC.  The flux's kind
+decides the band's layout: a symmetric Jacobian (``is_symmetric``) keeps
+its lower band only.  ``_direct_solve`` follows the block: a lower band is
+factored in place and solved by band Cholesky (dpbsv), a general band by
+band LU (dgbsv), a sparse matrix by SuperLU in its own fill-reducing
+order; the last two pivot rows partially, for skew Jacobians.
 
 On blocks below ``KRYLOV_MIN_NODES`` free nodes a solve holds no
 preconditioner: the blend start and each Newton step factor their
@@ -56,12 +58,12 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .assembly import (FreeBlock, _adjoint, _check_field, _gradients,
                        jacobian_matrix, p2_stiffness, residual)
 from .errors import InvalidInput, SolverDiverged
-from .flux import Flux, is_linear
+from .flux import Flux, is_linear, is_symmetric
 from .mesh import Mesh, NodeSet, validate_pair
 
 # backtracking line search: step factor, sufficient decrease, shortest step
@@ -157,14 +159,20 @@ class PotentialField:
     residual_history: list = dc_field(default_factory=list)
 
 
-def _direct_solve(a, b):
-    """x with a x = b, from an LU factor with partial pivoting that is not
-    kept.  A banded block's storage is factored in place by LAPACK dgbsv;
-    a sparse matrix by SuperLU, which orders its columns by COLAMD.  An
-    exactly singular pivot raises RuntimeError, as SuperLU does."""
+def _direct_solve(a, b, lower=False):
+    """x with a x = b, from a factor that is not kept.  A banded block's
+    storage is factored in place by LAPACK: the lower band of a symmetric
+    block (``lower``, its ``FreeBlock.lower``) by band Cholesky, dpbsv,
+    the general band by LU with partial pivoting, dgbsv.  A sparse matrix
+    goes to SuperLU, which orders its columns by COLAMD and pivots too.
+    An exactly singular pivot, or a Cholesky pivot that is not positive,
+    raises RuntimeError, as SuperLU does."""
     if isinstance(a, np.ndarray):
-        bw = (a.shape[0] - 1) // 3
-        _, _, x, info = dgbsv(bw, bw, a, b, overwrite_ab=1)
+        if lower:
+            _, x, info = dpbsv(a, b, lower=1, overwrite_ab=1)
+        else:
+            bw = (a.shape[0] - 1) // 3
+            _, _, x, info = dgbsv(bw, bw, a, b, overwrite_ab=1)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
         return x
@@ -195,7 +203,7 @@ def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
         x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
         if x is None:
             x = _direct_solve(p2_stiffness(mesh, block),
-                              _blend_rhs(mesh, block, u))
+                              _blend_rhs(mesh, block, u), block.lower)
         out[block.nodes] = x
         return out, None
     # the p=2 block is symmetric, so its transpose is itself in CSR, the
@@ -219,7 +227,8 @@ def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
         try:
             x = _direct_solve(
                 jacobian_matrix(mesh, flux, u, 0.0, block=block),
-                -residual(mesh, flux, u, block=block).take(block.nodes))
+                -residual(mesh, flux, u, block=block).take(block.nodes),
+                block.lower)
         except RuntimeError:
             return None
     return x if np.all(np.isfinite(x)) else None
@@ -326,7 +335,8 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         return make_field(u, r, 0.0, 0, True, [0.0])
 
     # only blocks below the Krylov gate, whose steps are factored, are banded
-    block = FreeBlock(mesh, e.mask, f.mask, band_below=KRYLOV_MIN_NODES)
+    block = FreeBlock(mesh, e.mask, f.mask, band_below=KRYLOV_MIN_NODES,
+                      symmetric=is_symmetric(flux))
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
@@ -483,7 +493,7 @@ class _NewtonState:
         cycle is dropped; None when the factor or the direction fails."""
         self.cycle = None
         try:
-            delta = _direct_solve(kff, -r)
+            delta = _direct_solve(kff, -r, self.block.lower)
         except RuntimeError:
             return None
         return delta if np.all(np.isfinite(delta)) else None

@@ -5,7 +5,8 @@ a free block read off the mesh's triangles.  ``gradients`` and
 ``residual_reference`` are the exceptions: the kernel run on every
 triangle of the mesh, as ``residual`` ran before it skipped the triangles
 whose corners are all 0.  ``band_dense`` expands a banded block's LAPACK
-band storage, and ``band_storage`` builds it from a sparse matrix."""
+band storage, general or lower, and ``band_storage`` builds the general
+one from a sparse matrix."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,15 +106,19 @@ def pattern_reference(mesh, nodes):
     return k.indptr, k.indices
 
 
-def band_dense(ab):
-    """The dense matrix of a banded block's storage ab, shape (3 bw + 1, n):
-    entry (r, c) within bw of the diagonal from row 2 bw + r - c of column
-    c, every other entry 0."""
-    bw, n = (ab.shape[0] - 1) // 3, ab.shape[1]
+def band_dense(ab, lower=False):
+    """The dense matrix of the entries a banded block's storage ab holds,
+    every other entry 0.  The general band has shape (3 bw + 1, n): entry
+    (r, c) within bw of the diagonal from row 2 bw + r - c of column c.
+    The ``lower`` band of a symmetric block has shape (bw + 1, n): entry
+    (r, c) with 0 <= r - c <= bw from row r - c of column c."""
+    n = ab.shape[1]
+    bw = ab.shape[0] - 1 if lower else (ab.shape[0] - 1) // 3
+    top = 0 if lower else 2 * bw
     r, c = np.indices((n, n))
-    inside = np.abs(r - c) <= bw
+    inside = (r - c <= bw) & (r - c >= (0 if lower else -bw))
     dense = np.zeros((n, n))
-    dense[inside] = ab[2 * bw + r[inside] - c[inside], c[inside]]
+    dense[inside] = ab[top + r[inside] - c[inside], c[inside]]
     return dense
 
 

@@ -12,8 +12,8 @@ from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
                              p2_stiffness, pairing, residual)
 from moncap.errors import InvalidInput
 from moncap.flux import (FLUX_KINDS, anisotropic_p, combine, flat_core_p,
-                         linear_matrix, p_laplacian, s_transform,
-                         weighted_p_laplacian)
+                         is_symmetric, linear_matrix, p_laplacian,
+                         s_transform, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, disk, rasterize, rect, shape_none,
                          shape_union)
 from moncap.properties import default_flux_family
@@ -311,10 +311,11 @@ def pair_free(mesh, e_shape, f_shape):
     return f & ~e
 
 
-def free_block(mesh, free, band_below=0):
+def free_block(mesh, free, band_below=0, symmetric=False):
     """The block of a free set as F with E empty: its triangles are those
     that touch a free node."""
-    return FreeBlock(mesh, np.zeros_like(free), free, band_below=band_below)
+    return FreeBlock(mesh, np.zeros_like(free), free, band_below=band_below,
+                     symmetric=symmetric)
 
 
 def edge_masks(mesh, seed):
@@ -557,35 +558,41 @@ class TestFreeBlock:
                            pattern_reference(m, nodes))
 
 
-def band_blocks(mesh):
+def band_blocks(mesh, symmetric=False):
     """The annulus, strip and cross free sets of a mesh, each as a banded
-    and as a CSC block."""
+    block, of a symmetric flux or not, and as a CSC block."""
     cross = shape_union(rect(0.0, 0.45, 1.0, 0.55), rect(0.45, 0.0, 0.55, 1.0))
     for e_shape, f_shape in ((disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
                              (shape_none(), rect(0.0, 0.45, 1.0, 0.55)),
                              (shape_none(), cross)):
         free = pair_free(mesh, e_shape, f_shape)
-        yield (free_block(mesh, free, band_below=10**9),
+        yield (free_block(mesh, free, band_below=10**9, symmetric=symmetric),
                free_block(mesh, free))
 
 
 class TestBandStorage:
     """Below the Krylov gate a compact block's matrices are LAPACK band
     storage filled by one bincount: bitwise the CSC block's entries, exact
-    zeros everywhere else, and the same direct solve to round-off."""
+    zeros everywhere else, and the same direct solve to round-off.  The
+    block of a symmetric flux stores only its lower band."""
 
     @staticmethod
-    def assert_same(band, csc, bw):
-        assert band.shape == (3 * bw + 1, csc.shape[0])
+    def assert_same(band, csc, bw, lower=False):
+        dense = csc.toarray()
         assert band.flags.f_contiguous
-        # the bw rows of row-interchange fill, and every slot outside the
-        # stencil, hold exact zeros
-        assert not np.any(band[:bw])
-        assert band_dense(band).tobytes() == csc.toarray().tobytes()
+        if lower:
+            assert band.shape == (bw + 1, csc.shape[0])
+            dense = np.tril(dense)
+        else:
+            assert band.shape == (3 * bw + 1, csc.shape[0])
+            # the bw rows of row-interchange fill hold exact zeros
+            assert not np.any(band[:bw])
+        # every slot outside the stencil holds an exact zero
+        assert band_dense(band, lower).tobytes() == dense.tobytes()
         b = np.random.default_rng(1).standard_normal(csc.shape[0])
         # LAPACK factors the band in place, SuperLU the CSC block
         want = solver._direct_solve(csc, b)
-        got = solver._direct_solve(band, b)
+        got = solver._direct_solve(band, b, lower)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("flux", NONZERO_FLUXES,
@@ -593,8 +600,9 @@ class TestBandStorage:
     def test_bitwise_the_csc_block(self, flux):
         m = build_mesh(24)
         u = rand_field(m, 12)
-        for band, csc in band_blocks(m):
+        for band, csc in band_blocks(m, is_symmetric(flux)):
             assert band.band is not None and csc.band is None
+            assert band.lower == is_symmetric(flux) and not csc.lower
             assert np.array_equal(band.nodes, csc.nodes)
             assert band.places.tobytes() == csc.places.tobytes()
             for eps in (0.0, 1e-6):
@@ -602,9 +610,9 @@ class TestBandStorage:
                     self.assert_same(
                         jacobian_matrix(m, flux, u, eps, shift, block=band),
                         jacobian_matrix(m, flux, u, eps, shift, block=csc),
-                        band.band)
+                        band.band, band.lower)
             self.assert_same(p2_stiffness(m, band), p2_stiffness(m, csc),
-                             band.band)
+                             band.band, band.lower)
 
     def test_storage_rule(self):
         # banded below band_below free nodes, and only when the span is at
@@ -627,10 +635,12 @@ class TestBandStorage:
         m = build_mesh(8)
         free = np.zeros(m.n_nodes, dtype=bool)
         free[m.node_index(4, 4)] = True
-        block = free_block(m, free, band_below=10**9)
-        assert block.band == 0
-        self.assert_same(p2_stiffness(m, block),
-                         p2_stiffness(m, free_block(m, free)), 0)
+        for symmetric in (False, True):
+            block = free_block(m, free, band_below=10**9, symmetric=symmetric)
+            assert block.band == 0
+            self.assert_same(p2_stiffness(m, block),
+                             p2_stiffness(m, free_block(m, free)), 0,
+                             block.lower)
         # a flat Jacobian without a floor is all zeros: singular, as in CSC
         block = next(band_blocks(m))[0]
         zero = jacobian_matrix(m, flat_core_p(2.0, 3.0), np.zeros(m.n_nodes),
@@ -638,6 +648,49 @@ class TestBandStorage:
         assert not np.any(zero)
         with pytest.raises(RuntimeError):
             solver._direct_solve(zero, np.ones(zero.shape[1]))
+
+
+SKEW = linear_matrix([[1.0, 0.5], [-0.5, 1.0]])
+SYMMETRIC_FLUXES = [flux for flux in NONZERO_FLUXES if is_symmetric(flux)] + [
+    s_transform(flat_core_p(2.0, 0.5), 1.3),
+    combine(p_laplacian(3.0), weighted_p_laplacian(3.0, 1.0, 2.0), 1.0, 0.5),
+    linear_matrix([[2.0, 0.5], [0.5, 1.0]])]
+
+
+class TestSymmetricKinds:
+    """A kind that declares its Jacobian symmetric gives symmetric free
+    blocks, to round-off, at every field, eps and shift: the premise of
+    storing their lower band only.  The skew matrix declares it not, and
+    its block is not symmetric once F reaches the edge of the square."""
+
+    def test_declarations(self):
+        assert all(is_symmetric(f) for f in SYMMETRIC_FLUXES)
+        assert not is_symmetric(SKEW)
+        assert not is_symmetric(s_transform(SKEW, -0.7))
+        assert not is_symmetric(combine(p_laplacian(2.0), SKEW, 1.0, 0.5))
+        assert {f.kind for f in SYMMETRIC_FLUXES} == set(FLUX_KINDS)
+
+    @pytest.mark.parametrize("flux", SYMMETRIC_FLUXES,
+                             ids=lambda f: f"{f.kind}-p{f.p}")
+    def test_blocks_are_symmetric(self, flux):
+        m = build_mesh(24)
+        for seed in (3, 4):
+            u = rand_field(m, seed)
+            for _, csc in band_blocks(m):
+                for eps in (0.0, 1e-6):
+                    for shift in (0.0, 1e-9):
+                        k = jacobian_matrix(m, flux, u, eps, shift,
+                                            block=csc)
+                        gap = abs(k - k.T).max()
+                        assert gap <= 1e-14 * abs(k).max()
+
+    def test_skew_block_on_the_box_edge_is_not(self):
+        m = build_mesh(24)
+        strip = pair_free(m, shape_none(), rect(0.0, 0.45, 1.0, 0.55))
+        block = free_block(m, strip)
+        assert strip[m.node_index(0, 12)] and strip[m.node_index(24, 12)]
+        k = jacobian_matrix(m, SKEW, rand_field(m, 3), 0.0, block=block)
+        assert abs(k - k.T).max() >= 0.1 * abs(k).max()
 
 
 def pattern_span(mesh, free):

@@ -16,8 +16,8 @@ from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, combine, flat_core_p, is_linear,
-                         linear_matrix, p_laplacian, s_transform,
-                         weighted_p_laplacian)
+                         is_symmetric, linear_matrix, p_laplacian,
+                         s_transform, weighted_p_laplacian)
 from moncap.mesh import (build_mesh, complement, difference,
                          discrete_boundary, disk, halfplane, rasterize, rect,
                          shape_all, shape_difference, shape_none, shape_union)
@@ -414,12 +414,12 @@ def _one_factor_at_a_time(monkeypatch):
         def __init__(self, lu):
             self.solve = lu.solve
 
-    def direct_solve(a, b):
+    def direct_solve(a, b, *layout):
         assert not live, "a direct solve while a cycle's factor is held"
         calls.append(a.shape[1])
         direct.append(1)
         try:
-            return real_solve(a, b)
+            return real_solve(a, b, *layout)
         finally:
             direct.pop()
 
@@ -743,17 +743,18 @@ class TestMultigridCycle:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-def _block(mesh, e_shape, f_shape, band_below=0):
+def _block(mesh, e_shape, f_shape, band_below=0, symmetric=False):
     e, f = rasterize(e_shape, mesh, "E"), rasterize(f_shape, mesh, "F")
-    return FreeBlock(mesh, e.mask, f.mask, band_below=band_below)
+    return FreeBlock(mesh, e.mask, f.mask, band_below=band_below,
+                     symmetric=symmetric)
 
 
-def _agrees_with_superlu(a, csc):
-    """_direct_solve with a solves like a SuperLU factor of csc, to
-    round-off; returns its x."""
+def _agrees_with_superlu(a, csc, lower=False):
+    """_direct_solve with a, in the lower band layout when ``lower``,
+    solves like a SuperLU factor of csc, to round-off; returns its x."""
     b = np.random.default_rng(0).standard_normal(csc.shape[0])
     want = spla.splu(csc).solve(b)
-    got = solver._direct_solve(a, b)
+    got = solver._direct_solve(a, b, lower)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     return got
 
@@ -761,8 +762,9 @@ def _agrees_with_superlu(a, csc):
 class TestBandLU:
     """A free block is assembled in the grid order whose mesh edges span
     fewer places; below the gate, when that span is small, its matrices
-    are band storage that LAPACK factors, else CSC that SuperLU factors in
-    its own COLAMD order; both solve in block order."""
+    are band storage that LAPACK factors (the lower band of a symmetric
+    flux's block by Cholesky, else the general band by LU), else CSC that
+    SuperLU factors in its own COLAMD order; all solve in block order."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       anisotropic_p(1.5, 2.0, 0.5)],
@@ -774,15 +776,18 @@ class TestBandLU:
         (disk(0.6, 0.4, 0.2), shape_all())], ids=["annulus", "rect", "box"])
     def test_suite_sized_blocks_agree_with_superlu(self, flux, shapes):
         mesh = build_mesh(48)
-        band = _block(mesh, *shapes, band_below=10**9)
         csc = _block(mesh, *shapes)
-        assert band.band is not None
         u = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
-        for block_matrix in (
-                lambda block: p2_stiffness(mesh, block),
-                lambda block: jacobian_matrix(mesh, flux, u, 1e-10,
-                                              shift=1e-9, block=block)):
-            _agrees_with_superlu(block_matrix(band), block_matrix(csc))
+        for symmetric in (False, True):
+            band = _block(mesh, *shapes, band_below=10**9,
+                          symmetric=symmetric)
+            assert band.band is not None and band.lower == symmetric
+            for block_matrix in (
+                    lambda block: p2_stiffness(mesh, block),
+                    lambda block: jacobian_matrix(mesh, flux, u, 1e-10,
+                                                  shift=1e-9, block=block)):
+                _agrees_with_superlu(block_matrix(band), block_matrix(csc),
+                                     band.lower)
 
     def test_nonsymmetric_shifted_jacobian_needs_pivoting(self):
         # the skew Jacobian of linear_matrix, shifted down to a tenth of
@@ -805,7 +810,7 @@ class TestBandLU:
     def test_singular_block_gives_no_direction(self, stored):
         # a flat Jacobian with no floor can be all zeros, stored, as the
         # block assembly stores them, or not stored at all; a banded block
-        # stores it as zero band storage
+        # stores it as zero band storage, general or lower
         mesh = build_mesh(16)
         shapes = (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
         block = _block(mesh, *shapes)
@@ -813,12 +818,17 @@ class TestBandLU:
         a.data[:] = 0.0
         if not stored:
             a.eliminate_zeros()
-        band = _block(mesh, *shapes, band_below=10**9)
         b = np.ones(a.shape[0])
-        for zero in (lambda: a, lambda: 0.0 * p2_stiffness(mesh, band)):
+        zeros = [(block, lambda: a)]
+        for symmetric in (False, True):
+            band = _block(mesh, *shapes, band_below=10**9,
+                          symmetric=symmetric)
+            zeros.append((band, lambda band=band:
+                          0.0 * p2_stiffness(mesh, band)))
+        for held, zero in zeros:
             with pytest.raises(RuntimeError):
-                solver._direct_solve(zero(), b)
-            state = solver._NewtonState(mesh, p_laplacian(3.0), block,
+                solver._direct_solve(zero(), b, held.lower)
+            state = solver._NewtonState(mesh, p_laplacian(3.0), held,
                                         SolverOptions(), [])
             assert state._direct(zero(), b) is None
             assert state.cycle is None
@@ -874,22 +884,58 @@ class TestBandLU:
 
 
 class TestFactorRoute:
-    """The block alone decides band or SuperLU: _direct_solve follows its
-    storage and reads no bandwidth of its own."""
+    """The block alone decides band or SuperLU, and its flux's kind lower
+    or general band: _direct_solve follows its storage and reads no
+    bandwidth of its own."""
 
     def test_order_suite_solves_only_bands(self, monkeypatch):
         # every suite block at N = 48 lies below the gate and is compact
         storages = []
         real = solver._direct_solve
 
-        def direct_solve(a, b):
+        def direct_solve(a, b, *layout):
             storages.append(type(a))
-            return real(a, b)
+            return real(a, b, *layout)
         monkeypatch.setattr(solver, "_direct_solve", direct_solve)
         factors = _counting(monkeypatch, solver.spla, "splu")
         report = run_order_suite(build_mesh(48), default_flux_family(), 10, 7)
         assert report.passed and storages
         assert set(storages) == {np.ndarray} and not factors
+
+    SYMMETRIC = [flux for flux in default_flux_family()
+                 if is_symmetric(flux)] + [
+        s_transform(p_laplacian(3.0), -0.7),
+        combine(p_laplacian(2.0), flat_core_p(2.0, 0.5), 1.0, 0.5)]
+    SKEW = linear_matrix([[1.0, 0.5], [-0.5, 1.0]])
+
+    @staticmethod
+    def lapack_solves(monkeypatch, flux, sets):
+        """The band Cholesky and band LU solves of one N = 24 capacity."""
+        mesh = build_mesh(24)
+        e, f = sets(mesh)
+        cholesky = _counting(monkeypatch, solver, "dpbsv")
+        lu = _counting(monkeypatch, solver, "dgbsv")
+        report, _ = compute_capacity(mesh, flux, e, f, 1.3)
+        assert report.converged
+        return len(cholesky), len(lu)
+
+    @pytest.mark.parametrize("sets", [annulus_sets, strip_sets, _box_sets],
+                             ids=["annulus", "strip", "box"])
+    @pytest.mark.parametrize("flux", SYMMETRIC,
+                             ids=lambda f: f"{f.kind}-p{f.p}")
+    def test_symmetric_kinds_take_cholesky(self, monkeypatch, flux, sets):
+        cholesky, lu = self.lapack_solves(monkeypatch, flux, sets)
+        assert cholesky > 0 and lu == 0
+
+    @pytest.mark.parametrize("sets", [strip_sets, _box_sets],
+                             ids=["strip", "box"])
+    @pytest.mark.parametrize("flux", [
+        SKEW, combine(weighted_p_laplacian(2.0, 1.0, 2.0), SKEW, 1.0, 0.5)],
+        ids=["linear_matrix", "weighted_sum"])
+    def test_skew_kinds_take_lu(self, monkeypatch, flux, sets):
+        assert not is_symmetric(flux)
+        cholesky, lu = self.lapack_solves(monkeypatch, flux, sets)
+        assert cholesky == 0 and lu > 0
 
     def test_compact_block_above_the_gate_goes_to_superlu(self, monkeypatch):
         # the N = 96 annulus's span fits the band rule, but its block is
