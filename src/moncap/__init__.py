@@ -7,11 +7,10 @@ from .flux import (Flux, adversarial_fixture, anisotropic_p, check_conditions,
                    linear_matrix, p_laplacian, s_transform,
                    weighted_p_laplacian)
 from .mesh import (Mesh, NodeSet, ShapeExpr, build_mesh, complement,
-                   difference, discrete_boundary, disk, halfplane, intersect,
-                   is_equal, is_subset, rasterize, rect, shape_all,
-                   shape_complement, shape_difference, shape_from_json,
-                   shape_intersect, shape_none, shape_union, union,
-                   validate_pair)
+                   difference, disk, halfplane, intersect, is_subset,
+                   rasterize, rect, shape_all, shape_complement,
+                   shape_difference, shape_from_json, shape_intersect,
+                   shape_none, shape_union, union, validate_pair)
 from .assembly import pairing, residual
 from .solver import PotentialField, SolverOptions, solve_dirichlet
 from .capacity import (CapacityReport, NodeMeasure, compute_capacity,

@@ -160,16 +160,6 @@ def _build_report(mesh, flux, e, f, s, pf) -> CapacityReport:
         converged=pf.converged, three_formula_ok=three_ok)
 
 
-# optional observer invoked with every converged CapacityReport; the
-# acceptance suite uses it to audit the three-formula identity globally
-_AUDIT = None
-
-
-def set_audit(callback) -> None:
-    global _AUDIT
-    _AUDIT = callback
-
-
 def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
                      s: float = 1.0, opts: Optional[SolverOptions] = None):
     """Solve the problem once and evaluate all three capacity formulas.
@@ -197,8 +187,6 @@ def compute_capacity(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet,
     if not all(map(math.isfinite,
                    (report.c_energy, report.c_inner, report.c_outer))):
         raise InvalidInput(f"the capacity overflows at s = {s!r}", "s")
-    if _AUDIT is not None and report.converged:
-        _AUDIT(report)
     return report, pf
 
 

@@ -28,9 +28,9 @@ ORACLE_ARGS = {"radial": {"n": 2, "p": None, "r": None, "R": None},
                "strip": {"p": None, "a": None, "b": None, "Ly": 1.0}}
 
 # Largest accepted mesh.N and N_list entry.  One p = 3 annulus solve peaks
-# at 109 MiB at N = 256, 250 MiB at N = 512 and 818 MiB at N = 1024, where
-# the import holds 62, building the mesh adds 209, the solve's FreeBlock
-# and its indices 279, and the solve, mostly its multigrid hierarchy, 268.
+# at 105 MiB at N = 256, 239 MiB at N = 512 and 729 MiB at N = 1024, where
+# the import holds 62, building the mesh adds 33, the solve's FreeBlock
+# and its indices 340, and the solve, mostly its multigrid hierarchy, 294.
 # All of it grows like N^2, so larger grids end in a memory error rather
 # than a result on a desk machine.
 MAX_MESH_N = 1024

@@ -2,9 +2,13 @@
 
 The square [0, L]^2 is cut into N x N cells, each split into two right
 triangles along the diagonal of positive slope.  Node (i, j) sits at
-(i L/N, j L/N) and has row-major index j*(N+1) + i.  This triangulation is
-nonobtuse, so the assembled p=2 operator is an M-matrix and the discrete
-comparison principle holds.
+(i L/N, j L/N) and has row-major index j*(N+1) + i.  Cell c = j N + i has
+corners n00 = j*(N+1) + i, n10 = n00 + 1, n01 = n00 + N + 1 and
+n11 = n00 + N + 2; its lower triangle (n00, n10, n11) is triangle 2c and
+its upper one (n00, n11, n01) triangle 2c + 1.  The grid is the mesh: no
+triangle's corners or barycenter are stored, they follow from its id.
+This triangulation is nonobtuse, so the assembled p=2 operator is an
+M-matrix and the discrete comparison principle holds.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ class Mesh:
     n: int
     length: float
     nodes: np.ndarray        # ((N+1)^2, 2)
-    triangles: np.ndarray    # (2 N^2, 3) node indices
     tri_area: float          # L^2 / (2 N^2), same for every triangle
-    barycenters: np.ndarray  # (2 N^2, 2)
+    # (4, N): the barycenter x of a lower and of an upper triangle by cell
+    # column i, then its y of a lower and of an upper one by cell row j
+    bary_rows: np.ndarray
     mesh_id: str
 
     @property
@@ -35,7 +40,7 @@ class Mesh:
 
     @property
     def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.n * self.n
 
     @property
     def h(self) -> float:
@@ -55,35 +60,16 @@ def build_mesh(n: int, length: float = 1.0) -> Mesh:
     coords = np.arange(n + 1) * (length / n)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
-
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    n00 = jj * (n + 1) + ii
-    n10 = n00 + 1
-    n01 = n00 + (n + 1)
-    n11 = n01 + 1
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    # ((x0 + x1) + x2) / 3 per triangle, in the order and rounding of
-    # nodes[triangles].mean(axis=1), from the 1-D coordinates of each cell
+    # ((x0 + x1) + x2) / 3 per triangle, in the order and rounding of the
+    # mean of its corners' coordinates: a lower triangle's is (high, low),
+    # an upper one's (mid, high)
     c0, c1 = coords[:-1], coords[1:]
     low, high = ((c0 + c0) + c1) / 3, ((c0 + c1) + c1) / 3
     mid = ((c0 + c1) + c0) / 3
-    bary = np.empty((n, n, 2, 2))             # (j, i, lower|upper, x|y)
-    bary[:, :, 0, 0] = high[None, :]          # lower: n00, n10, n11
-    bary[:, :, 0, 1] = low[:, None]
-    bary[:, :, 1, 0] = mid[None, :]           # upper: n00, n11, n01
-    bary[:, :, 1, 1] = high[:, None]
-    barycenters = bary.reshape(2 * n * n, 2)
     tri_area = length * length / (2.0 * n * n)
     mesh_id = f"square-N{n}-L{length!r}"
-    return Mesh(n=n, length=float(length), nodes=nodes, triangles=triangles,
-                tri_area=tri_area, barycenters=barycenters, mesh_id=mesh_id)
+    return Mesh(n=n, length=float(length), nodes=nodes, tri_area=tri_area,
+                bary_rows=np.stack((high, mid, low, high)), mesh_id=mesh_id)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +115,6 @@ def complement(a: NodeSet, name: Optional[str] = None) -> NodeSet:
 def is_subset(a: NodeSet, b: NodeSet) -> bool:
     _require_same_mesh(a, b)
     return bool(np.all(~a.mask | b.mask))
-
-
-def is_equal(a: NodeSet, b: NodeSet) -> bool:
-    _require_same_mesh(a, b)
-    return bool(np.array_equal(a.mask, b.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +262,16 @@ def rasterize(shape: ShapeExpr, mesh: Mesh, name: str = "set") -> NodeSet:
 
 
 # ---------------------------------------------------------------------------
-# boundary extraction and pair validation
+# triangle masks and pair validation
 
 
 def touched_triangles(mesh: Mesh, mask: np.ndarray) -> np.ndarray:
-    """mask[mesh.triangles].any(axis=1) from four slices of the node grid:
-    a cell's lower triangle is n00, n10, n11, its upper n00, n11, n01."""
+    """Per mesh triangle, in id order, whether a corner is in mask, from
+    four slices of the node grid: a cell's lower triangle is n00, n10, n11,
+    its upper n00, n11, n01."""
     grid = mask.reshape(mesh.n + 1, mesh.n + 1)   # grid[j, i] is node (i, j)
     d = grid[:-1, :-1] | grid[1:, 1:]         # a cell's diagonal corners
     return np.stack([d | grid[:-1, 1:], d | grid[1:, :-1]], axis=-1).ravel()
-
-
-def discrete_boundary(e: NodeSet, mesh: Mesh) -> NodeSet:
-    """Nodes of e sharing a triangle with a node outside e."""
-    if e.mesh_id != mesh.mesh_id:
-        raise MeshMismatch("node set does not belong to this mesh")
-    near = np.zeros(mesh.n_nodes, dtype=bool)
-    near[mesh.triangles[touched_triangles(mesh, ~e.mask)]] = True
-    return NodeSet(e.mask & near, f"boundary({e.name})", mesh.mesh_id)
 
 
 def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> np.ndarray:

@@ -1,18 +1,55 @@
-"""Reference assemblies for the tests, independent of the triangle-corner
-kernels: the mesh's P1 gradient operator B as a scipy sparse matrix,
-whole-mesh matrices as sparse products with it, and the stored pattern of
-a free block read off the mesh's triangles.  ``gradients`` and
-``residual_reference`` are the exceptions: the kernel run on every
-triangle of the mesh, as ``residual`` ran before it skipped the triangles
-whose corners are all 0.  ``band_dense`` expands a banded block's LAPACK
-band storage, general or lower, and ``band_storage`` builds the general
-one from a sparse matrix."""
+"""Reference meshes and assemblies for the tests, independent of the
+triangle-corner kernels: the mesh's whole triangle and barycenter arrays,
+the node-set helpers only tests use, the mesh's P1 gradient operator B as
+a scipy sparse matrix, whole-mesh matrices as sparse products with it, and
+the stored pattern of a free block read off the mesh's triangles.
+``gradients`` and ``residual_reference`` are the exceptions: the kernel
+run on every triangle of the mesh, as ``residual`` ran before it skipped
+the triangles whose corners are all 0.  ``band_dense`` expands a banded
+block's LAPACK band storage, general or lower, and ``band_storage`` builds
+the general one from a sparse matrix."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from moncap.assembly import _adjoint, _check_field, _gradients, _Triangles
+from moncap.errors import MeshMismatch
 from moncap.flux import eval_flux_smoothed, flux_jacobian
+from moncap.mesh import NodeSet, _require_same_mesh, touched_triangles
+
+
+def triangles(mesh):
+    """(2 N^2, 3) node ids: cell (i, j)'s lower triangle n00, n10, n11 at
+    2 (j N + i), its upper n00, n11, n01 next."""
+    n = mesh.n
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    n00 = (jj * (n + 1) + ii).ravel()
+    n10, n01 = n00 + 1, n00 + (n + 1)
+    n11 = n01 + 1
+    tri = np.empty((2 * n * n, 3), dtype=np.int64)
+    tri[0::2] = np.column_stack([n00, n10, n11])
+    tri[1::2] = np.column_stack([n00, n11, n01])
+    return tri
+
+
+def barycenters(mesh):
+    """(2 N^2, 2), the mean of each triangle's corners."""
+    return mesh.nodes[triangles(mesh)].mean(axis=1)
+
+
+def discrete_boundary(e, mesh):
+    """Nodes of e sharing a triangle with a node outside e."""
+    if e.mesh_id != mesh.mesh_id:
+        raise MeshMismatch("node set does not belong to this mesh")
+    near = np.zeros(mesh.n_nodes, dtype=bool)
+    near[triangles(mesh)[touched_triangles(mesh, ~e.mask)]] = True
+    return NodeSet(e.mask & near, f"boundary({e.name})", mesh.mesh_id)
+
+
+def is_equal(a, b):
+    _require_same_mesh(a, b)
+    return bool(np.array_equal(a.mask, b.mask))
+
 
 # h times the hat gradients of the corners of a cell's lower (n00, n10,
 # n11) and upper (n00, n11, n01) triangle
@@ -23,7 +60,7 @@ HAT_GRADIENTS = np.array([[(-1, 0), (1, -1), (0, 1)],
 def gradient_operator(mesh):
     """B, shape (2 ntri, n_nodes): rows 2t and 2t + 1 give the x and y
     gradient of a P1 field on triangle t."""
-    tri = mesh.triangles
+    tri = triangles(mesh)
     return sp.csr_matrix(
         (np.tile((HAT_GRADIENTS / mesh.h).transpose(0, 2, 1).ravel(),
                  mesh.n ** 2), np.repeat(tri, 2, axis=0).ravel(),
@@ -74,7 +111,7 @@ def jacobian_reference(mesh, flux, u, eps, shift=0.0):
     """The residual's Jacobian B^T D B over the whole mesh, with the flux
     Jacobians (plus shift I) at the triangle barycenters."""
     b = gradient_operator(mesh)
-    jac = flux_jacobian(flux, mesh.barycenters, (b @ u).reshape(-1, 2),
+    jac = flux_jacobian(flux, barycenters(mesh), (b @ u).reshape(-1, 2),
                         eps=eps)
     return operator_reference(mesh, jac + shift * np.eye(2))
 
@@ -96,8 +133,9 @@ def pattern_reference(mesh, nodes):
     n = nodes.size
     place = np.full(mesh.n_nodes, -1)
     place[nodes] = np.arange(n)
-    a = place[mesh.triangles.ravel()]
-    b = place[mesh.triangles[:, [1, 2, 0]].ravel()]
+    tri = triangles(mesh)
+    a = place[tri.ravel()]
+    b = place[tri[:, [1, 2, 0]].ravel()]
     both = (a >= 0) & (b >= 0)
     rows = np.concatenate([a[both], b[both], np.arange(n)])
     cols = np.concatenate([b[both], a[both], np.arange(n)])

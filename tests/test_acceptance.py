@@ -2,9 +2,9 @@
 one printed pass/fail line each.
 
 The heavy suites run once in module-scoped fixtures and are shared by the
-criteria that inspect them.  A capacity audit hook observes every converged
-solve made while this module runs, so the identity checks really cover all
-suites.
+criteria that inspect them.  The audit fixture wraps the capacity report
+builder and logs every converged report made while this module runs, so
+the identity checks really cover all suites.
 """
 
 import math
@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import moncap.capacity as capacity_mod
+from assembly_reference import discrete_boundary
 from moncap.capacity import compute_capacity, distributions, p_capacity
 from moncap.flux import (adversarial_fixture, check_conditions, flat_core_p,
                          p_laplacian, s_transform, weighted_p_laplacian)
-from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
-                         halfplane, rasterize)
+from moncap.mesh import build_mesh, complement, disk, halfplane, rasterize
 from moncap.oracle import RadialSpec, radial_p_capacity, strip_capacity
 from moncap.properties import (ShapeGen, default_flux_family,
                                rerun_subadditivity_case, run_bounds_suite,
@@ -39,9 +39,17 @@ def emit(num, name, ok, detail):
 @pytest.fixture(scope="module", autouse=True)
 def audit_log():
     log = []
-    capacity_mod.set_audit(log.append)
-    yield log
-    capacity_mod.set_audit(None)
+    build = capacity_mod._build_report
+
+    def audited(*args):
+        report = build(*args)
+        if report.converged:
+            log.append(report)
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity_mod, "_build_report", audited)
+        yield log
 
 
 @pytest.fixture(scope="module")

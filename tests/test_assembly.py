@@ -3,10 +3,11 @@ import threading
 import numpy as np
 import pytest
 
-from assembly_reference import (band_dense, gradient_operator, gradients,
-                                jacobian_reference, operator_reference,
-                                p2_reference, pattern_reference,
-                                residual_reference, sub_block)
+from assembly_reference import (band_dense, barycenters, gradient_operator,
+                                gradients, jacobian_reference,
+                                operator_reference, p2_reference,
+                                pattern_reference, residual_reference,
+                                sub_block, triangles)
 from moncap import assembly, solver
 from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
                              p2_stiffness, pairing, residual)
@@ -339,7 +340,7 @@ def edge_masks(mesh, seed):
 
 def block_triangles(mesh, free):
     """The triangles with a free node, lower ones (even numbers) first."""
-    tris = np.flatnonzero(free[mesh.triangles].any(axis=1))
+    tris = np.flatnonzero(free[triangles(mesh)].any(axis=1))
     return tris[np.argsort(tris % 2, kind="stable")]
 
 
@@ -369,13 +370,13 @@ class TestFreeBlock:
         tris = block_triangles(m, free)
         assert block.n_lower == np.count_nonzero(tris % 2 == 0)
         # an upper triangle (n00, n11, n01) is stored as (n11, n01, n00)
-        corners = m.triangles[tris]
+        corners = triangles(m)[tris]
         corners[tris % 2 == 1] = np.roll(corners[tris % 2 == 1], -1, axis=1)
         assert np.array_equal(block.corners, corners)
         place = np.full(m.n_nodes, nodes.size)
         place[nodes] = np.arange(nodes.size)
         assert np.array_equal(block.places, place[block.corners])
-        assert np.array_equal(block.barycenters, m.barycenters[tris])
+        assert np.array_equal(block.barycenters, barycenters(m)[tris])
         want = (gradient_operator(m) @ u).reshape(-1, 2)[tris]
         got = _gradients(m, block, u)
         assert abs(got - want).max() <= ROUND_OFF * abs(want).max()
@@ -408,11 +409,11 @@ class TestFreeBlock:
         m = build_mesh(24)
         e, f = pair_sets(m, disk(0.5, 0.5, 0.2), disk(0.55, 0.5, 0.25))
         block = FreeBlock(m, e, f)
-        tris = np.flatnonzero(f[m.triangles].any(axis=1)
-                              & ~e[m.triangles].all(axis=1))
+        tri = triangles(m)
+        tris = np.flatnonzero(f[tri].any(axis=1) & ~e[tri].all(axis=1))
         tris = tris[np.argsort(tris % 2, kind="stable")]
         assert len(tris) > len(block_triangles(m, f & ~e))
-        assert np.array_equal(block.barycenters, m.barycenters[tris])
+        assert np.array_equal(block.barycenters, barycenters(m)[tris])
         u = np.where(e, 1.3, 0.0)
         u[block.nodes] = np.random.default_rng(3).uniform(0.0, 1.3,
                                                           block.size)
@@ -467,7 +468,8 @@ class TestFreeBlock:
         # two nodes wide, the cross spans about a grid side in both orders
         cases.append((m64, pair_free(m64, shape_none(), cross)))
         for m, free in cases:
-            a, b = m.triangles.ravel(), m.triangles[:, [1, 2, 0]].ravel()
+            tri = triangles(m)
+            a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
             both = free[a] & free[b]
 
             def span(order):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from assembly_reference import discrete_boundary, triangles
 from moncap import solver
 from moncap.assembly import residual
 from moncap.capacity import (compute_capacity, distributions, p_capacity,
@@ -10,8 +11,8 @@ from moncap.capacity import (compute_capacity, distributions, p_capacity,
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform, weighted_p_laplacian)
-from moncap.mesh import (build_mesh, complement, discrete_boundary, disk,
-                         halfplane, rasterize, shape_none, touched_triangles)
+from moncap.mesh import (build_mesh, complement, disk, halfplane, rasterize,
+                         shape_none, touched_triangles)
 from moncap.properties import default_flux_family
 from moncap.solver import SolverOptions
 
@@ -270,7 +271,7 @@ class TestReportWork:
         monkeypatch.setattr(assembly, "eval_flux", counting)
         capacity._build_report(mesh, flux, e, f, s, pf)
         distributions(mesh, flux, pf, e, f)
-        touching = np.count_nonzero((pf.u != 0)[mesh.triangles].any(axis=1))
+        touching = np.count_nonzero((pf.u != 0)[triangles(mesh)].any(axis=1))
         # the pairing of the report; the distributions read pf.residual
         assert rows == [touching]
         assert touching < mesh.n_triangles

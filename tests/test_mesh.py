@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assembly_reference import (barycenters, discrete_boundary, is_equal,
+                                triangles)
+from moncap.assembly import _Triangles
 from moncap.errors import IncompatiblePair, InvalidInput, MeshMismatch
-from moncap.mesh import (NodeSet, build_mesh, complement, difference,
-                         discrete_boundary, disk, halfplane, intersect,
-                         is_equal, is_subset, mask_to_rle, node_area,
-                         node_diameter, rasterize, rect, shape_all,
-                         shape_complement,
-                         shape_difference, shape_from_json, shape_intersect,
-                         shape_none, shape_union, touched_triangles, union,
-                         validate_pair)
+from moncap.mesh import (NodeSet, build_mesh, complement, difference, disk,
+                         halfplane, intersect, is_subset, mask_to_rle,
+                         node_area, node_diameter, rasterize, rect, shape_all,
+                         shape_complement, shape_difference, shape_from_json,
+                         shape_intersect, shape_none, shape_union,
+                         touched_triangles, union, validate_pair)
 
 
 class TestBuildMesh:
@@ -34,7 +35,7 @@ class TestBuildMesh:
 
     def test_right_triangles_with_leg_h(self):
         m = build_mesh(5, 2.0)
-        pts = m.nodes[m.triangles]
+        pts = m.nodes[triangles(m)]
         for tri in pts[:10]:
             d = [np.linalg.norm(tri[i] - tri[j])
                  for i, j in ((0, 1), (1, 2), (0, 2))]
@@ -46,26 +47,46 @@ class TestBuildMesh:
     def test_interior_node_in_six_triangles(self):
         m = build_mesh(4)
         counts = np.zeros(m.n_nodes, dtype=int)
-        np.add.at(counts, m.triangles.ravel(), 1)
+        np.add.at(counts, triangles(m).ravel(), 1)
         interior = np.ones(m.n_nodes, dtype=bool)
         i = np.arange(m.n_nodes) % 5
         j = np.arange(m.n_nodes) // 5
         interior &= (i > 0) & (i < 4) & (j > 0) & (j < 4)
         assert np.all(counts[interior] == 6)
 
-    @pytest.mark.parametrize("length", [1.0, 3.7, 2.2e-93, 1e100])
-    @pytest.mark.parametrize("n", [2, 3, 7, 48, 256])
-    def test_barycenters_bitwise_mean_of_vertices(self, n, length):
+    @pytest.mark.parametrize("mask", ["empty", "cell", "annulus", "whole"])
+    @pytest.mark.parametrize("length", [1.0, 0.3, 2.5, 2.2e-93, 1e100])
+    @pytest.mark.parametrize("n", [2, 3, 48])
+    def test_triangles_from_ids_bitwise(self, n, length, mask):
+        # a triangle subset's corners (an upper one's as n11, n01, n00),
+        # lower ones first, and barycenters are the reference's rows, the
+        # barycenters bitwise the mean of the corners' coordinates
         m = build_mesh(n, length)
-        want = m.nodes[m.triangles].mean(axis=1)
-        assert m.barycenters.tobytes() == want.tobytes()
+        tris = np.zeros(m.n_triangles, dtype=bool)
+        if mask == "cell":
+            tris[2 * (n * n // 2):][:2] = True
+        elif mask == "annulus":
+            e, f = (rasterize(disk(0.5 * length, 0.5 * length, r * length),
+                              m).mask for r in (0.1, 0.4))
+            tris = touched_triangles(m, f) & touched_triangles(m, ~e)
+        elif mask == "whole":
+            tris[:] = True
+        ids = np.flatnonzero(tris)
+        ids = ids[np.argsort(ids % 2, kind="stable")]
+        want = triangles(m)[ids]
+        upper = ids % 2 == 1
+        want[upper] = want[upper][:, [1, 2, 0]]
+        got = _Triangles(m, tris)
+        assert got.n_lower == np.count_nonzero(~upper)
+        assert got.corners.tobytes() == want.tobytes()
+        assert got.barycenters.tobytes() == barycenters(m)[ids].tobytes()
 
     def test_deterministic_rebuild(self):
         a = build_mesh(6, 1.5)
         b = build_mesh(6, 1.5)
         assert a.mesh_id == b.mesh_id
         assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.triangles, b.triangles)
+        assert np.array_equal(triangles(a), triangles(b))
 
     def test_small_n_rejected(self):
         with pytest.raises(InvalidInput):
@@ -341,7 +362,7 @@ class TestMeasures:
             mask = rng.random(m.n_nodes) < frac
             got = touched_triangles(m, mask)
             assert got.dtype == bool and got.shape == (m.n_triangles,)
-            assert np.array_equal(got, mask[m.triangles].any(axis=1))
+            assert np.array_equal(got, mask[triangles(m)].any(axis=1))
 
     def test_diameter(self):
         m = build_mesh(4)
