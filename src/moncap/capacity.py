@@ -44,12 +44,6 @@ class NodeMeasure:
     carrier: np.ndarray  # bool mask; support is contained in it
     total: float
 
-    @property
-    def min_weight(self) -> float:
-        if not self.carrier.any():
-            return 0.0
-        return float(self.weights[self.carrier].min())
-
 
 @dataclass
 class CapacityReport:
@@ -74,11 +68,6 @@ class CapacityReport:
     compatible: bool = True
     converged: bool = True
     three_formula_ok: bool = True
-
-    @property
-    def value(self) -> float:
-        """The primary reported capacity."""
-        return self.c_inner
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -197,15 +186,16 @@ def p_capacity(mesh: Mesh, p: float, e: NodeSet, f: NodeSet,
     return report.c_inner
 
 
-def distributions(mesh: Mesh, flux: Flux, potential: PotentialField,
-                  e: NodeSet, f: NodeSet):
-    """Inner and outer capacitary node measures (lambda, nu).
+def distributions(potential: PotentialField, e: NodeSet, f: NodeSet):
+    """Inner and outer capacitary node measures (lambda, nu) of a solved
+    field, e and f being the sets it was solved for.
 
     For s > 0, lambda_i = r_i on E and nu_j = -r_j on the complement of F;
     for s < 0 the carriers swap; s = 0 gives zero measures.  lambda is
     supported on the discrete boundary of E because interior-E nodes see a
-    locally constant field.  r is the residual the solve of ``flux`` on
-    ``mesh`` kept with the field, ``potential.residual``.
+    locally constant field.  r is the residual the solve kept with the
+    field, ``potential.residual``, so the measures are those of the flux
+    and mesh that field was solved on.
     """
     r = potential.residual
     lam_carrier, nu_carrier = e.mask, ~f.mask

@@ -30,28 +30,22 @@ class MeshMismatch(InvalidInput):
 class IncompatiblePair(Exception):
     """E is not contained in F; the capacity is +infinity by convention."""
 
-    def __init__(self, message, e_name="E", f_name="F"):
-        super().__init__(message)
-        self.e_name = e_name
-        self.f_name = f_name
-
 
 class SolverDiverged(RuntimeError):
     """Newton failed to reach the residual target.
 
-    Carries the best iterate found and the residual history so callers can
-    build partial reports.
+    Carries the best iterate found, with its residual history, so callers
+    can build partial reports.
     """
 
-    def __init__(self, message, field=None, history=None):
+    def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
-        self.history = list(history) if history is not None else []
 
 
 class ConfigError(ValueError):
-    """Experiment configuration failed schema validation."""
+    """Experiment configuration failed schema validation; the message
+    starts with the path at fault, when there is one."""
 
     def __init__(self, message, path=""):
-        self.path = path
         super().__init__(f"{path}: {message}" if path else message)

@@ -93,23 +93,9 @@ def _require_same_mesh(a: NodeSet, b: NodeSet):
             f"node sets live on different meshes: {a.mesh_id} vs {b.mesh_id}")
 
 
-def union(a: NodeSet, b: NodeSet, name: Optional[str] = None) -> NodeSet:
-    _require_same_mesh(a, b)
-    return NodeSet(a.mask | b.mask, name or f"({a.name})|({b.name})", a.mesh_id)
-
-
 def intersect(a: NodeSet, b: NodeSet, name: Optional[str] = None) -> NodeSet:
     _require_same_mesh(a, b)
     return NodeSet(a.mask & b.mask, name or f"({a.name})&({b.name})", a.mesh_id)
-
-
-def difference(a: NodeSet, b: NodeSet, name: Optional[str] = None) -> NodeSet:
-    _require_same_mesh(a, b)
-    return NodeSet(a.mask & ~b.mask, name or f"({a.name})-({b.name})", a.mesh_id)
-
-
-def complement(a: NodeSet, name: Optional[str] = None) -> NodeSet:
-    return NodeSet(~a.mask, name or f"~({a.name})", a.mesh_id)
 
 
 def is_subset(a: NodeSet, b: NodeSet) -> bool:
@@ -286,8 +272,7 @@ def validate_pair(e: NodeSet, f: NodeSet, mesh: Mesh) -> np.ndarray:
         raise MeshMismatch("node sets do not belong to this mesh")
     if not is_subset(e, f):
         raise IncompatiblePair(
-            f"{e.name} is not contained in {f.name}; capacity is +infinity",
-            e_name=e.name, f_name=f.name)
+            f"{e.name} is not contained in {f.name}; capacity is +infinity")
     return f.mask & ~e.mask
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,23 +179,26 @@ def _finalize(suite, records, tolerance, instances, skipped, extras=None):
                        records=records, extras=extras or {})
 
 
+def _attempt(solve: Callable, *args):
+    """solve(*args), or None when it raises SolverDiverged: the one skip
+    rule of the suites."""
+    try:
+        return solve(*args)
+    except SolverDiverged:
+        return None
+
+
 def _run_plans(suite: str, plans: list, check: Callable[..., list],
                tolerance: float, jobs: int = 1,
                extras: Optional[Callable[[list], dict]] = None) -> SuiteReport:
     """One instance per plan: check turns a plan into records, up to jobs
     plans at a time.  A plan whose check raises SolverDiverged is a skip;
     the other records keep plan order, so reports do not depend on jobs."""
-    def attempt(plan):
-        try:
-            return check(plan)
-        except SolverDiverged:
-            return None
-
     if jobs <= 1:
-        results = [attempt(plan) for plan in plans]
+        results = [_attempt(check, plan) for plan in plans]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(attempt, plans))
+            results = list(pool.map(partial(_attempt, check), plans))
     records = [rec for res in results if res is not None for rec in res]
     skipped = sum(1 for res in results if res is None)
     return _finalize(suite, records, tolerance, len(plans), skipped,
@@ -331,16 +335,6 @@ def _subadditivity_record(cache, fluxes, index, check, case):
                           whole.c_inner, SUBADD_TOL, case=case)
 
 
-def rerun_subadditivity_case(case: dict, n: int, fluxes: list[Flux],
-                             length: float = 1.0,
-                             opts: Optional[SolverOptions] = None) -> float:
-    """Deficit (negative part of the margin) of an archived case on an
-    N-cell mesh; used for the refinement-trend check."""
-    cache = _Cache(build_mesh(n, length), opts or SolverOptions())
-    rec = _subadditivity_record(cache, fluxes, None, "rerun", case)
-    return max(0.0, -rec["margin"])
-
-
 # ---------------------------------------------------------------------------
 # sandwich bounds suite
 
@@ -399,6 +393,8 @@ def run_bounds_suite(mesh: Mesh, fluxes: list[Flux], n_instances: int,
 def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
                 opts: Optional[SolverOptions] = None) -> SuiteReport:
     s_grid = [float(s) for s in s_grid]
+    if len(s_grid) < 2:
+        raise InvalidInput("s_grid needs at least two values")
     if any(s_grid[i + 1] <= s_grid[i] for i in range(len(s_grid) - 1)):
         raise InvalidInput("s_grid must be ascending")
     if not (s_grid[0] < 0.0 < s_grid[-1]):
@@ -464,8 +460,7 @@ def run_s_suite(mesh: Mesh, fluxes: list[Flux], s_grid, seed: int,
 
 
 def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
-                         opts: Optional[SolverOptions] = None,
-                         n_inits: int = 5) -> SuiteReport:
+                         opts: Optional[SolverOptions] = None) -> SuiteReport:
     rng = np.random.default_rng(seed)
     opts = opts or SolverOptions()
     gen = ShapeGen(rng, mesh)
@@ -488,9 +483,10 @@ def run_invariance_suite(mesh: Mesh, n_instances: int, seed: int,
         i, flux, f_shape, e_shape = plan
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
+        # the blend, zero and three random starts
         init_opts = [replace(opts, init="linear_blend"),
                      replace(opts, init="zero")]
-        for k in range(n_inits - len(init_opts)):
+        for k in range(3):
             init_opts.append(replace(
                 opts, init="random",
                 init_seed=opts.init_seed + seed + 37 * i + k))
@@ -556,20 +552,14 @@ def run_sequence_demo(mesh: Mesh, flux: Flux, chain: list[NodeSet],
         if not is_subset(lo, hi):
             raise InvalidInput("chain is not monotone under inclusion")
 
-    opts = opts or SolverOptions()
-    cache = _Cache(mesh, opts)
+    cache = _Cache(mesh, opts or SolverOptions())
+
+    def pair(member):
+        return (member, fixed) if mode == "E" else (fixed, member)
+
+    reps = [_attempt(cache.capacity, flux, *pair(member)) for member in chain]
+    values = [None if rep is None else rep.c_inner for rep in reps]
     records = []
-    skipped = 0
-    values = []
-    for k, member in enumerate(chain):
-        e, f = (member, fixed) if mode == "E" else (fixed, member)
-        try:
-            rep = cache.capacity(flux, e, f)
-        except SolverDiverged:
-            skipped += 1
-            values.append(None)
-            continue
-        values.append(rep.c_inner)
     for k in range(1, len(chain)):
         if values[k] is None or values[k - 1] is None:
             continue
@@ -579,13 +569,12 @@ def run_sequence_demo(mesh: Mesh, flux: Flux, chain: list[NodeSet],
                                           abs(values[k - 1])), ORDER_TOL))
     # last element IS the union/intersection: identical config, exact value
     if values and values[-1] is not None:
-        e, f = (chain[-1], fixed) if mode == "E" else (fixed, chain[-1])
-        rep = cache.capacity(flux, e, f)
+        rep = cache.capacity(flux, *pair(chain[-1]))
         records.append(_record(len(chain) - 1, flux, "limit_attained",
                                -abs(rep.c_inner - values[-1]), values[-1],
                                0.0, rep.c_inner != values[-1]))
     return _finalize(f"sequence_{mode}", records, ORDER_TOL, len(chain),
-                     skipped, extras={"values": values})
+                     values.count(None), extras={"values": values})
 
 
 # ---------------------------------------------------------------------------
@@ -604,34 +593,37 @@ def run_convergence_study(e_shape: ShapeExpr, f_shape: ShapeExpr, flux: Flux,
     oracle_value.  Asserts the final error <= tol_final and a non-increasing
     error trend, allowing one non-monotone step for rasterization noise.
     """
+    if not n_list:
+        raise InvalidInput("N_list must be nonempty")
     if any(n_list[i + 1] <= n_list[i] for i in range(len(n_list) - 1)):
         raise InvalidInput("N_list must be ascending")
     if oracle_value is None and reference_flux is None:
         raise InvalidInput("need an oracle value or a reference flux")
     opts = opts or SolverOptions()
-    records = []
-    errors = []
-    skipped = 0
-    for n in n_list:
+
+    def capacities(n):
+        """The capacity on an n-cell mesh and its reference."""
         mesh = build_mesh(n, length)
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
-        try:
-            rep, _ = compute_capacity(mesh, flux, e, f, 1.0, opts)
-            if reference_flux is not None:
-                ref_rep, _ = compute_capacity(mesh, reference_flux, e, f,
-                                              1.0, opts)
-                ref = ref_rep.c_inner
-            else:
-                ref = oracle_value
-        except SolverDiverged:
-            skipped += 1
+        rep, _ = compute_capacity(mesh, flux, e, f, 1.0, opts)
+        if reference_flux is None:
+            return rep.c_inner, oracle_value
+        ref_rep, _ = compute_capacity(mesh, reference_flux, e, f, 1.0, opts)
+        return rep.c_inner, ref_rep.c_inner
+
+    records = []
+    errors = []
+    for n in n_list:
+        pair = _attempt(capacities, n)
+        if pair is None:
             errors.append(None)
             continue
-        err = abs(rep.c_inner - ref) / (abs(ref) if abs(ref) > 1e-12 else 1.0)
+        value, ref = pair
+        err = abs(value - ref) / (abs(ref) if abs(ref) > 1e-12 else 1.0)
         errors.append(err)
-        records.append(_record(n, flux, "refinement_error", None,
-                               rep.c_inner, tol_final, False, reference=ref,
+        records.append(_record(n, flux, "refinement_error", None, value,
+                               tol_final, False, reference=ref,
                                rel_error=err))
     valid = [e for e in errors if e is not None]
     final_ok = bool(valid and valid[-1] <= tol_final)
@@ -642,5 +634,5 @@ def run_convergence_study(e_shape: ShapeExpr, f_shape: ShapeExpr, flux: Flux,
                            (tol_final - valid[-1]) if valid else None,
                            valid[-1] if valid else None, tol_final,
                            not (final_ok and trend_ok), bumps=bumps))
-    return _finalize("convergence", records, tol_final, len(n_list), skipped,
-                     extras={"errors": errors})
+    return _finalize("convergence", records, tol_final, len(n_list),
+                     errors.count(None), extras={"errors": errors})

@@ -293,7 +293,7 @@ def solve_dirichlet(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     """Solve for the capacitary potential of e in f at boundary level s.
 
     Raises IncompatiblePair when e is not inside f, SolverDiverged (carrying
-    the best iterate and residual history) on non-convergence.
+    the best iterate, with its residual history) on non-convergence.
     """
     opts = opts or SolverOptions()
     try:
@@ -365,7 +365,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
         # no step can reduce a NaN or infinite max-norm
         raise SolverDiverged(
             f"the start residual is not finite ({rmax}) at s = {s!r}",
-            field=done(u, rmax, converged=False), history=history)
+            field=done(u, rmax, converged=False))
 
     # fast path: damped Newton on the true flux from the given init, with a
     # small budget; this preserves initialization-dependent solutions for
@@ -381,8 +381,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
             f"{state.iterations} iterations; {where}",
             field=make_field(state.best_u, state.best_residual,
                              state.best_rmax, state.iterations, False,
-                             history),
-            history=history)
+                             history))
 
     if state.budget() <= 0:
         raise diverged("max_newton ran out in the fast pass")

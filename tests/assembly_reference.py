@@ -7,7 +7,9 @@ the stored pattern of a free block read off the mesh's triangles.
 run on every triangle of the mesh, as ``residual`` ran before it skipped
 the triangles whose corners are all 0.  ``band_dense`` expands a banded
 block's LAPACK band storage, general or lower, and ``band_storage`` builds
-the general one from a sparse matrix."""
+the general one from a sparse matrix.  ``min_weight`` and
+``rerun_subadditivity_case`` read a capacitary measure and rerun an
+archived subadditivity case, as only tests do."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,7 +17,10 @@ import scipy.sparse as sp
 from moncap.assembly import _adjoint, _check_field, _gradients, _Triangles
 from moncap.errors import MeshMismatch
 from moncap.flux import eval_flux_smoothed, flux_jacobian
-from moncap.mesh import NodeSet, _require_same_mesh, touched_triangles
+from moncap.mesh import (NodeSet, _require_same_mesh, build_mesh,
+                         touched_triangles)
+from moncap.properties import _Cache, _subadditivity_record
+from moncap.solver import SolverOptions
 
 
 def triangles(mesh):
@@ -49,6 +54,35 @@ def discrete_boundary(e, mesh):
 def is_equal(a, b):
     _require_same_mesh(a, b)
     return bool(np.array_equal(a.mask, b.mask))
+
+
+def union(a, b, name=None):
+    _require_same_mesh(a, b)
+    return NodeSet(a.mask | b.mask, name or f"({a.name})|({b.name})", a.mesh_id)
+
+
+def difference(a, b, name=None):
+    _require_same_mesh(a, b)
+    return NodeSet(a.mask & ~b.mask, name or f"({a.name})-({b.name})", a.mesh_id)
+
+
+def complement(a, name=None):
+    return NodeSet(~a.mask, name or f"~({a.name})", a.mesh_id)
+
+
+def min_weight(measure):
+    """The least weight of a NodeMeasure on its carrier, 0 on an empty one."""
+    if not measure.carrier.any():
+        return 0.0
+    return float(measure.weights[measure.carrier].min())
+
+
+def rerun_subadditivity_case(case, n, fluxes):
+    """Deficit (negative part of the margin) of an archived case on an
+    N-cell mesh; used for the refinement-trend check."""
+    cache = _Cache(build_mesh(n), SolverOptions())
+    rec = _subadditivity_record(cache, fluxes, None, "rerun", case)
+    return max(0.0, -rec["margin"])
 
 
 # h times the hat gradients of the corners of a cell's lower (n00, n10,

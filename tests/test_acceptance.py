@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 
 import moncap.capacity as capacity_mod
-from assembly_reference import discrete_boundary
+from assembly_reference import (complement, discrete_boundary, min_weight,
+                                rerun_subadditivity_case)
 from moncap.capacity import compute_capacity, distributions, p_capacity
 from moncap.flux import (adversarial_fixture, check_conditions, flat_core_p,
                          p_laplacian, s_transform, weighted_p_laplacian)
-from moncap.mesh import build_mesh, complement, disk, halfplane, rasterize
+from moncap.mesh import build_mesh, disk, halfplane, rasterize
 from moncap.oracle import RadialSpec, radial_p_capacity, strip_capacity
 from moncap.properties import (ShapeGen, default_flux_family,
-                               rerun_subadditivity_case, run_bounds_suite,
-                               run_convergence_study, run_invariance_suite,
-                               run_order_suite, run_s_suite,
-                               run_subadditivity_suite)
+                               run_bounds_suite, run_convergence_study,
+                               run_invariance_suite, run_order_suite,
+                               run_s_suite, run_subadditivity_suite)
 from moncap.reporting import dumps_report
 from moncap.solver import SolverOptions, solve_dirichlet
 
@@ -166,14 +166,14 @@ def test_criterion_04_distribution_structure():
         e = rasterize(e_shape, mesh, "E")
         f = rasterize(f_shape, mesh, "F")
         rep, pf = compute_capacity(mesh, flux, e, f, 1.0)
-        lam, nu = distributions(mesh, flux, pf, e, f)
+        lam, nu = distributions(pf, e, f)
         interior = e.mask & ~discrete_boundary(e, mesh).mask
         if interior.any():
             worst_support = max(worst_support,
                                 float(np.max(np.abs(lam.weights[interior]))))
         floor = -1e-8 * (1.0 + rep.c_hat)
         worst_sign = min(worst_sign,
-                         lam.min_weight - floor, nu.min_weight - floor)
+                         min_weight(lam) - floor, min_weight(nu) - floor)
         checked += 1
     ok = worst_support <= SolverOptions().resolve_tol(p_laplacian(2.0), 1.0) \
         and worst_sign >= 0.0

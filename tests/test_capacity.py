@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from assembly_reference import discrete_boundary, triangles
+from assembly_reference import (complement, discrete_boundary, min_weight,
+                                triangles)
 from moncap import solver
 from moncap.assembly import residual
 from moncap.capacity import (compute_capacity, distributions, p_capacity,
@@ -11,8 +12,8 @@ from moncap.capacity import (compute_capacity, distributions, p_capacity,
 from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
                          p_laplacian, s_transform, weighted_p_laplacian)
-from moncap.mesh import (build_mesh, complement, disk, halfplane, rasterize,
-                         shape_none, touched_triangles)
+from moncap.mesh import (build_mesh, disk, halfplane, rasterize, shape_none,
+                         touched_triangles)
 from moncap.properties import default_flux_family
 from moncap.solver import SolverOptions
 
@@ -144,14 +145,14 @@ class TestDistributions:
     def test_totals_match_c_hat(self):
         flux = p_laplacian(3.0)
         rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
-        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, nu = distributions(pf, self.e, self.f)
         assert lam.total == pytest.approx(rep.c_hat, abs=rep.tol_cap)
         assert nu.total == pytest.approx(rep.c_hat, abs=rep.tol_cap)
 
     def test_interior_weights_exactly_zero(self):
         flux = p_laplacian(2.0)
         _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
-        lam, _ = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, _ = distributions(pf, self.e, self.f)
         boundary = discrete_boundary(self.e, self.mesh).mask
         interior = self.e.mask & ~boundary
         assert interior.any()
@@ -163,24 +164,24 @@ class TestDistributions:
         for flux in (p_laplacian(2.0), p_laplacian(3.0),
                      flat_core_p(2.0, 2.0)):
             rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
-            lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+            lam, nu = distributions(pf, self.e, self.f)
             floor = -1e-8 * (1.0 + rep.c_hat)
-            assert lam.min_weight >= floor
-            assert nu.min_weight >= floor
+            assert min_weight(lam) >= floor
+            assert min_weight(nu) >= floor
 
     def test_negative_s_swaps_carriers(self):
         flux = p_laplacian(2.0)
         rep, pf = compute_capacity(self.mesh, flux, self.e, self.f, -1.0)
-        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, nu = distributions(pf, self.e, self.f)
         assert np.array_equal(lam.carrier, ~self.f.mask)
         assert np.array_equal(nu.carrier, self.e.mask)
         floor = -1e-8 * (1.0 + abs(rep.c_hat))
-        assert lam.min_weight >= floor and nu.min_weight >= floor
+        assert min_weight(lam) >= floor and min_weight(nu) >= floor
 
     def test_s_zero_zero_measures(self):
         flux = p_laplacian(2.0)
         _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 0.0)
-        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, nu = distributions(pf, self.e, self.f)
         assert lam.total == 0.0 and nu.total == 0.0
 
     @pytest.mark.parametrize("s", [1.0, -1.0, 0.0])
@@ -188,7 +189,7 @@ class TestDistributions:
         # the three-branch form the carrier swap replaced
         flux = p_laplacian(3.0)
         _, pf = compute_capacity(self.mesh, flux, self.e, self.f, s)
-        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, nu = distributions(pf, self.e, self.f)
         from moncap.assembly import residual
         r = residual(self.mesh, flux, pf.u)
         e_mask, fc_mask = self.e.mask, ~self.f.mask
@@ -209,7 +210,7 @@ class TestDistributions:
         flux = p_laplacian(3.0)
         from moncap.assembly import residual
         _, pf = compute_capacity(self.mesh, flux, self.e, self.f, 1.0)
-        lam, nu = distributions(self.mesh, flux, pf, self.e, self.f)
+        lam, nu = distributions(pf, self.e, self.f)
         r = residual(self.mesh, flux, pf.u)
         free = self.f.mask & ~self.e.mask
         gap = lam.total - nu.total + float(r[free].sum())
@@ -270,7 +271,7 @@ class TestReportWork:
             return real(flux, x, xi)
         monkeypatch.setattr(assembly, "eval_flux", counting)
         capacity._build_report(mesh, flux, e, f, s, pf)
-        distributions(mesh, flux, pf, e, f)
+        distributions(pf, e, f)
         touching = np.count_nonzero((pf.u != 0)[triangles(mesh)].any(axis=1))
         # the pairing of the report; the distributions read pf.residual
         assert rows == [touching]

@@ -12,6 +12,11 @@ M = [[1.0, 0.5], [-0.5, 1.0]]
 P2 = {"kind": "p_laplacian", "p": 2.0}
 
 
+def path_of(exc):
+    """The config path at fault, which a ConfigError's message starts with."""
+    return str(exc).split(": ", 1)[0]
+
+
 @pytest.mark.parametrize("spec,expected", [
     ({"kind": "p_laplacian", "p": 3.0}, p_laplacian(3.0)),
     ({"kind": "weighted_p_laplacian", "p": 3.0,
@@ -87,7 +92,7 @@ def test_each_kind_parses_to_its_constructor(spec, expected):
 def test_bad_spec_names_its_path(spec, message, path):
     with pytest.raises(ConfigError) as exc:
         parse_flux(spec)
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)
 
 
@@ -109,7 +114,7 @@ def test_bad_spec_names_its_path(spec, message, path):
 def test_bad_solver_option_names_its_key(key, value, message):
     with pytest.raises(ConfigError) as exc:
         parse_solver({key: value})
-    assert exc.value.path.startswith(f"solver.{key}")
+    assert path_of(exc.value).startswith(f"solver.{key}")
     assert message in str(exc.value)
 
 
@@ -151,7 +156,7 @@ def test_out_of_range_names_its_path(raw, path):
     # parsing builds no mesh, so an out-of-range size allocates nothing
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(raw)
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
 
 
 def test_mesh_size_bounds_accepted():
@@ -170,7 +175,7 @@ def test_retired_keys_rejected(block, key):
         raw[block]["name"] = "order"
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(raw)
-    assert exc.value.path == block
+    assert path_of(exc.value) == block
     assert f"unknown keys ['{key}']" in str(exc.value)
 
 
@@ -193,7 +198,7 @@ def test_retired_keys_rejected(block, key):
 def test_bad_oracle_block_names_its_path(oracle, path, message):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(annulus_raw(oracle=oracle))
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)
 
 
@@ -220,7 +225,7 @@ def test_oracle_block_defaults():
 def test_bad_suite_block_names_its_path(suite, path, message):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(annulus_raw(suite=dict(suite, name="s")))
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)
 
 
@@ -250,7 +255,7 @@ def test_bad_check_block_names_its_path(flux, check, path, message):
     raw = {"check": check} if flux is None else {"flux": flux, "check": check}
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(raw)
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)
 
 
@@ -306,7 +311,7 @@ DISK = {"cx": 0.5, "cy": 0.5, "r": 0.1}
 def test_bad_shape_names_its_path(key, shape, path, message):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(annulus_raw(**{key: shape}))
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)
 
 
@@ -315,7 +320,7 @@ def test_bad_chain_shape_names_its_path():
              "shapes": [{"none": {}}, {"disk": {**DISK, "cy": "x"}}]}
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(annulus_raw(chain=chain))
-    assert exc.value.path == "chain.shapes[1].disk.cy"
+    assert path_of(exc.value) == "chain.shapes[1].disk.cy"
 
 
 def test_shape_numbers_read_as_floats():
@@ -340,5 +345,5 @@ def test_shape_numbers_read_as_floats():
 def test_unordered_grid_names_its_path(raw, path, message):
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(raw)
-    assert exc.value.path == path
+    assert path_of(exc.value) == path
     assert message in str(exc.value)

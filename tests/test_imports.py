@@ -1,9 +1,13 @@
 """The package loads numpy and scipy.sparse only: every command runs in a
 fresh process, and scipy.optimize or scipy.spatial would add a tenth of a
-second or more to each start."""
+second or more to each start.  Every name the package exports is used by
+the package itself, the benchmark harness or the README's library
+example, never by the tests alone."""
 
+import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -44,3 +48,25 @@ def test_commands_load_neither_scipy_optimize_nor_spatial(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "runs.jsonl").exists()
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
+def _imported_names(tree):
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_export_is_used_outside_the_tests():
+    package = SRC / "moncap"
+    exports = _imported_names(ast.parse((package / "__init__.py").read_text()))
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    for path in (ROOT / "benchmarks").glob("*.py"):
+        used |= _imported_names(ast.parse(path.read_text()))
+    used |= set(re.findall(r"\bmc\.(\w+)", (ROOT / "README.md").read_text()))
+    assert sorted(exports - used) == []

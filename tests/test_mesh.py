@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_reference import (barycenters, discrete_boundary, is_equal,
-                                triangles)
+from assembly_reference import (barycenters, complement, difference,
+                                discrete_boundary, is_equal, triangles, union)
 from moncap.assembly import _Triangles
 from moncap.errors import IncompatiblePair, InvalidInput, MeshMismatch
-from moncap.mesh import (NodeSet, build_mesh, complement, difference, disk,
-                         halfplane, intersect, is_subset, mask_to_rle,
-                         node_area, node_diameter, rasterize, rect, shape_all,
-                         shape_complement, shape_difference, shape_from_json,
-                         shape_intersect, shape_none, shape_union,
-                         touched_triangles, union, validate_pair)
+from moncap.mesh import (NodeSet, build_mesh, disk, halfplane, intersect,
+                         is_subset, mask_to_rle, node_area, node_diameter,
+                         rasterize, rect, shape_all, shape_complement,
+                         shape_difference, shape_from_json, shape_intersect,
+                         shape_none, shape_union, touched_triangles,
+                         validate_pair)
 
 
 class TestBuildMesh:

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
 
-from moncap.errors import InvalidInput
+from moncap import properties
+from moncap.errors import InvalidInput, SolverDiverged
 from moncap.flux import combine, flat_core_p, linear_matrix, p_laplacian
 from moncap.mesh import build_mesh, disk, rasterize
-from moncap.properties import (default_flux_family, rerun_subadditivity_case,
-                               run_bounds_suite, run_convergence_study,
-                               run_invariance_suite, run_order_suite,
-                               run_s_suite, run_sequence_demo,
-                               run_subadditivity_suite)
+from assembly_reference import rerun_subadditivity_case
+from moncap.properties import (default_flux_family, run_bounds_suite,
+                               run_convergence_study, run_invariance_suite,
+                               run_order_suite, run_s_suite,
+                               run_sequence_demo, run_subadditivity_suite)
 
 MESH = build_mesh(20)
 FAMILY = default_flux_family()
+
+
+def diverge_when(monkeypatch, fails):
+    """Make properties' compute_capacity raise SolverDiverged on the
+    problems fails(mesh, e, f) picks, and solve the others."""
+    real = properties.compute_capacity
+
+    def solve(mesh, flux, e, f, *args):
+        if fails(mesh, e, f):
+            raise SolverDiverged("forced")
+        return real(mesh, flux, e, f, *args)
+    monkeypatch.setattr(properties, "compute_capacity", solve)
 
 
 class TestOrderSuite:
@@ -95,6 +108,12 @@ class TestSSuite:
         with pytest.raises(InvalidInput):
             run_s_suite(MESH, FAMILY[:1], [1.0, -1.0], seed=1)
 
+    @pytest.mark.parametrize("grid", [[], [1.0]])
+    def test_grid_needs_two_values(self, grid):
+        with pytest.raises(InvalidInput,
+                           match="^s_grid needs at least two values$"):
+            run_s_suite(MESH, FAMILY[:1], grid, seed=0)
+
     def test_laws_hold(self):
         grid = list(np.linspace(-2.0, 2.0, 9))
         rep = run_s_suite(MESH, [p_laplacian(2.0), flat_core_p(2.0, 2.5)],
@@ -151,8 +170,39 @@ class TestSequenceDemo:
         with pytest.raises(InvalidInput):
             run_sequence_demo(self.mesh, p_laplacian(2.0), bad, self.f, "E")
 
+    def test_diverged_member_is_a_skip(self, monkeypatch):
+        diverge_when(monkeypatch, lambda mesh, e, f: e.name == "E0.1")
+        rep = run_sequence_demo(self.mesh, p_laplacian(2.0), self.chain,
+                                self.f, "E")
+        vals = rep.extras["values"]
+        assert rep.skipped == 1 and vals[1] is None
+        assert None not in vals[:1] + vals[2:]
+        # no step touches the skipped member
+        assert [r["index"] for r in rep.records] == [3, 3]
+        assert [r["check"] for r in rep.records] == ["chain_E_step",
+                                                     "limit_attained"]
+
 
 class TestConvergenceStudy:
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(InvalidInput, match="^N_list must be nonempty$"):
+            run_convergence_study(disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4),
+                                  p_laplacian(2.0), [], oracle_value=1.0,
+                                  tol_final=1e-3)
+
+    def test_diverged_n_is_a_skip(self, monkeypatch):
+        from moncap.mesh import halfplane, shape_complement
+        diverge_when(monkeypatch, lambda mesh, e, f: mesh.n == 16)
+        rep = run_convergence_study(
+            halfplane("x", 0.25, "le"),
+            shape_complement(halfplane("x", 0.75, "ge")), p_laplacian(2.0),
+            [8, 16, 32], oracle_value=2.0, tol_final=1e-8)
+        errs = rep.extras["errors"]
+        assert rep.skipped == 1 and errs[1] is None
+        assert all(e <= 1e-10 for e in errs[:1] + errs[2:])
+        assert [r["index"] for r in rep.records] == [8, 32, 32]
+        # the trend and final error hold; one skip in three fails the suite
+        assert rep.violations == 0 and not rep.passed
     def test_strip_exact_every_n(self):
         from moncap.mesh import halfplane, shape_complement
         e_shape = halfplane("x", 0.25, "le")
