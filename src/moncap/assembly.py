@@ -198,7 +198,7 @@ class FreeBlock(_Triangles):
         free = f & ~e
         w = mesh.n + 3                       # row width of the padded grid
         nodes, span = _block_order(mesh, free)
-        n, k = nodes.size, len(self.corners)
+        n = nodes.size
         nodes.setflags(write=False)
         self.free, self.nodes, self.size = free, nodes, n
         # each node's place in the block, n off it, on the grid padded by a
@@ -218,11 +218,13 @@ class FreeBlock(_Triangles):
             # c (top + bw + 1) + top + r - c
             top = 0 if self.lower else 2 * span
             place_a = np.repeat(self.places, 3, axis=1)
-            off = (place_a == n) | (place_a < place_b if self.lower
-                                    else place_b == n)
-            self.keys = np.where(off, n * (top + span + 1),
-                                 place_b * (top + span) + place_a + top
-                                 ).ravel()
+            off = place_a == n
+            off |= place_a < place_b if self.lower else place_b == n
+            place_b *= top + span
+            place_b += place_a
+            place_b += top
+            place_b[off] = n * (top + span + 1)
+            self.keys = place_b.ravel()
             return
         # column c's rows by direction d, at slot 7 c + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
@@ -231,9 +233,10 @@ class FreeBlock(_Triangles):
         self.pattern = sp.csc_matrix((found, rows.take(found), np.searchsorted(
             found, np.arange(0, 7 * n + 1, 7)).astype(np.int32)), (n, n))
         self.pattern.sort_indices()
-        keys = np.repeat([_DIRECTIONS, 6 - _DIRECTIONS],
-                         (self.n_lower, k - self.n_lower), axis=0)
-        self.keys = (keys + 7 * place_b).ravel()
+        place_b *= 7
+        place_b[:self.n_lower] += _DIRECTIONS
+        place_b[self.n_lower:] += 6 - _DIRECTIONS
+        self.keys = place_b.ravel()
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
@@ -287,12 +290,19 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
     with np.errstate(invalid="ignore"):
         elements = jac @ _WEIGHTS
     del jac                     # freed before the bincount's arrays exist
+    return _scatter(block, elements.ravel())
+
+
+def _scatter(block: FreeBlock, elements: np.ndarray):
+    """The block matrix whose slots sum ``elements``, entry 3 a + b of
+    each triangle's element matrix flat in triangle order: one bincount
+    into the block's band storage or CSC pattern."""
     if block.band is not None:
         size = block.size * (block.band + 1 if block.lower
                              else 3 * block.band + 1)
-        sums = np.bincount(block.keys, elements.ravel(), minlength=size)
+        sums = np.bincount(block.keys, elements, minlength=size)
         return sums[:size].reshape(block.size, -1).T
-    sums = np.bincount(block.keys, elements.ravel())
+    sums = np.bincount(block.keys, elements)
     matrix = block.pattern.copy()   # owns its index arrays, as products do
     matrix.data = sums[matrix.data]
     return matrix
@@ -314,5 +324,7 @@ def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
 def p2_stiffness(mesh: Mesh, block: FreeBlock):
     """The block of the P1 stiffness matrix of the Laplacian on ``mesh``,
     sum_T |T| B_T^T B_T (the Jacobian of the p = 2 flux), in the block's
-    storage."""
-    return _block_matrix(block, np.tile(np.eye(2), (len(block.corners), 1)))
+    storage: J_T = I on every triangle, so every element matrix is the
+    one row of weights of J's entries 0 and 3."""
+    return _scatter(block, np.tile(_WEIGHTS[0] + _WEIGHTS[3],
+                                   len(block.corners)))

@@ -28,11 +28,11 @@ ORACLE_ARGS = {"radial": {"n": 2, "p": None, "r": None, "R": None},
                "strip": {"p": None, "a": None, "b": None, "Ly": 1.0}}
 
 # Largest accepted mesh.N and N_list entry.  One p = 3 annulus solve peaks
-# at 105 MiB at N = 256, 239 MiB at N = 512 and 729 MiB at N = 1024, where
-# the import holds 62, building the mesh adds 33, the solve's FreeBlock
-# and its indices 340, and the solve, mostly its multigrid hierarchy, 294.
-# All of it grows like N^2, so larger grids end in a memory error rather
-# than a result on a desk machine.
+# at 104 MiB at N = 256, 211 MiB at N = 512 and 667 MiB at N = 1024, where
+# the import holds 62, building the mesh adds 34, the solve's FreeBlock
+# and its indices 263, and the solve, its Jacobians and multigrid
+# hierarchy, 308.  All of it grows like N^2, so larger grids end in a
+# memory error rather than a result on a desk machine.
 MAX_MESH_N = 1024
 # Accepted mesh.L: at every accepted N, element areas h^2 and gradient
 # coefficients 1/h stay far inside floating-point range.

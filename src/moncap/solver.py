@@ -34,19 +34,22 @@ matrix, solve directly and drop the factor.  There a linear flux (its
 kind says so) starts from the exact solution of its own linear problem,
 so it takes no Newton step.  On larger blocks the one thing a solve
 holds, across Newton steps and stages, is a smoothed-aggregation
-multigrid cycle, whose coarsest level is its one SuperLU factor.  The blend
-start builds it from the p=2 block and solves the p=2 problem by CG
-preconditioned with it; any other start builds it from its first
-Jacobian.  A Newton step solves with GMRES, right-preconditioned by the
-cycle, to an Eisenstat-Walker forcing term (inexact Newton).  When GMRES
-needs more than ``KRYLOV_MAX_ITER`` iterations or the line search
-rejects its direction, the cycle is rebuilt from that step's Jacobian
-and GMRES is tried once more; only when that fails too is the step
-solved directly, from a factor of its Jacobian made after the cycle is
-dropped, and the next step builds a new cycle.  Step lengths backtrack
-on the free-node residual max-norm.  Convergence is always declared on
-the TRUE flux residual at the same target, so reported capacities belong
-to the problem actually posed.
+multigrid V(2,2) cycle on 3x3 aggregates, whose coarsest level is its
+one SuperLU factor.  The blend start builds it from the p=2 block and
+solves the p=2 problem by CG preconditioned with it, to an absolute
+tolerance for a linear flux, which then takes no Newton step, and only
+to a relative one for any other flux, whose Newton steps correct the
+start anyway; any other start builds the cycle from its first Jacobian.
+A Newton step solves with GMRES, right-preconditioned by the cycle, to
+an Eisenstat-Walker forcing term (inexact Newton).  When GMRES needs
+more than ``KRYLOV_MAX_ITER`` iterations or the line search rejects its
+direction, the cycle is rebuilt from that step's Jacobian and GMRES is
+tried once more; only when that fails too is the step solved directly,
+from a factor of its Jacobian made after the cycle is dropped, and the
+next step builds a new cycle.  Step lengths backtrack on the free-node
+residual max-norm.  Convergence is always declared on the TRUE flux
+residual at the same target, so reported capacities belong to the
+problem actually posed.
 """
 
 from __future__ import annotations
@@ -79,10 +82,11 @@ HOP_MAX_ITER = 8
 MAX_HOPS = 120
 EPS_FLOOR = 1e-13
 # Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on a
-# multigrid cycle.  Below about 4,000 free nodes the flat-core annulus
-# solves took 0.75-1.10x the direct time (inexact steps add Newton steps);
-# above it every measured p = 3 and flat-core case was faster
-# (table in CHANGES.md).
+# multigrid cycle.  The gate was fitted against SuperLU direct steps.  Now
+# that compact blocks are banded up to about 5,000 nodes, the Krylov path
+# took 1.1-1.6x the band-direct time of p = 3 and flat-core annulus solves
+# at 4,344-4,710 free nodes, and 0.26-0.32x at 8,188, where the band rule
+# sends the direct side to SuperLU (tables in CHANGES.md).
 KRYLOV_MIN_NODES = 4096
 KRYLOV_MAX_ITER = 20
 # Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
@@ -90,14 +94,23 @@ EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_MAX = 0.1
 # Above the gate the preconditioner is a smoothed-aggregation cycle of the
-# p=2 block or of a Jacobian: levels coarsen to at most COARSE_MAX_NODES
-# nodes, which are factored, and smooth with JACOBI_WEIGHT D^-1
+# p=2 block or of a Jacobian: levels aggregate AGGREGATE_BOX x AGGREGATE_BOX
+# boxes of grid nodes down to at most COARSE_MAX_NODES nodes, which are
+# factored, and smooth SMOOTHING_SWEEPS times with JACOBI_WEIGHT D^-1 before
+# and after each coarse correction.  One sweep on 3x3 boxes failed 16
+# GMRES steps on the family table against two sweeps' 6 (CHANGES.md).
 COARSE_MAX_NODES = 800
 JACOBI_WEIGHT = 0.6
-# The blend start's CG solve for E at level 1 stops at a residual 2-norm of
-# BLEND_CG_ATOL, a tenth of the p=2 target 1e-10 max(1, |s|) / |s| once
-# scaled by s: p=2 starts converge with no Newton step
+AGGREGATE_BOX = 3
+SMOOTHING_SWEEPS = 2
+# The blend start's CG solve for E at level 1 stops, for a linear flux, at
+# a residual 2-norm of BLEND_CG_ATOL, a tenth of the p=2 target
+# 1e-10 max(1, |s|) / |s| once scaled by s: its start converges with no
+# Newton step.  For any other flux it stops at BLEND_CG_RTOL times the
+# right-hand side's 2-norm: on the family table 1e-3 and 1e-2 kept every
+# smooth flux's Newton steps, and 3e-2 and 1e-1 added some (CHANGES.md).
 BLEND_CG_ATOL = 1e-11
+BLEND_CG_RTOL = 1e-2
 BLEND_CG_MAX_ITER = 100
 
 
@@ -197,7 +210,9 @@ def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
     that fails.  Above the gate a multigrid cycle of the p=2 block
     preconditions a CG solve for E at level 1 that is then scaled by s; CG
     needs the symmetric p=2 block.  At extreme s, CG's inner products at
-    level s would underflow or overflow."""
+    level s would underflow or overflow.  The solve is exact to
+    ``BLEND_CG_ATOL`` for a linear flux and to ``BLEND_CG_RTOL`` relative
+    for any other, whose Newton steps move the start further than that."""
     out = u.copy()
     if block.nodes.size < KRYLOV_MIN_NODES:
         x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
@@ -211,8 +226,10 @@ def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
     k = p2_stiffness(mesh, block).T
     cycle = _Cycle(k, mesh, block)
     m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
-    x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=0.0,
-                   atol=BLEND_CG_ATOL, maxiter=BLEND_CG_MAX_ITER, M=m)
+    rtol, atol = ((0.0, BLEND_CG_ATOL) if is_linear(flux)
+                  else (BLEND_CG_RTOL, 0.0))
+    x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=rtol, atol=atol,
+                   maxiter=BLEND_CG_MAX_ITER, M=m)
     out[block.nodes] = s * x
     return out, cycle
 
@@ -235,24 +252,27 @@ def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
 
 
 class _Cycle:
-    """A smoothed-aggregation V(1,1) cycle for a free-free block a in CSR
+    """A smoothed-aggregation V(2,2) cycle for a free-free block a in CSR
     (Vanek, Mandel and Brezina, Computing 56, 1996): the p=2 block, or a
     Newton step's Jacobian, which a skew flux makes nonsymmetric.
 
-    Each level aggregates its nodes by 2x2 boxes of grid indices, node
-    (i, j) into box (i // 2, j // 2), and smooths the piecewise-constant
-    prolongator once by damped Jacobi, P = (I - 4/(3 rho) D^-1 a) T with rho
-    the Gershgorin bound of D^-1 a; the next level is the Galerkin product
-    P^T a P at the box indices.  This handles odd grids and masked free
-    sets alike.  The first level with at most ``COARSE_MAX_NODES`` nodes is
-    factored by SuperLU and held.  A level with a diagonal entry that is
-    not positive (a flat Jacobian without a floor has zero rows) has no
-    Jacobi smoother and raises RuntimeError, as a singular coarsest level
-    does.
-    ``solve(b)`` applies one cycle: damped-Jacobi pre- and
-    post-smoothing around the coarse correction, a fixed linear operator
-    that stands in for a^-1, symmetric when a is.  GMRES needs no symmetry
-    of it; CG, which preconditions only the p=2 block with it, does.
+    Each level aggregates its nodes by 3x3 boxes of grid indices, node
+    (i, j) into box (i // 3, j // 3): the 7-point stencil's diameter, so
+    the smoothed prolongator reaches one node past a box and each coarse
+    level keeps a compact stencil of about 9 entries a row.  It smooths
+    the piecewise-constant prolongator once by damped Jacobi,
+    P = (I - 4/(3 rho) D^-1 a) T with rho the Gershgorin bound of D^-1 a;
+    the next level is the Galerkin product P^T a P at the box indices.
+    This handles odd grids and masked free sets alike.  The first level
+    with at most ``COARSE_MAX_NODES`` nodes is factored by SuperLU and
+    held.  A level with a diagonal entry that is not positive (a flat
+    Jacobian without a floor has zero rows) has no Jacobi smoother and
+    raises RuntimeError, as a singular coarsest level does.
+    ``solve(b)`` applies one cycle: two damped-Jacobi sweeps before and two
+    after the coarse correction, a fixed linear operator that stands in
+    for a^-1, symmetric when a is, since the sweeps after mirror those
+    before.  GMRES needs no symmetry of it; CG, which preconditions only
+    the p=2 block with it, does.
     """
 
     def __init__(self, a, mesh: Mesh, block: FreeBlock):
@@ -263,7 +283,7 @@ class _Cycle:
             if not np.all(d > 0):
                 raise RuntimeError("no Jacobi smoother: a diagonal <= 0")
             rho = float(np.max(abs(a) @ np.ones(a.shape[0]) / d))
-            i, j = i // 2, j // 2
+            i, j = i // AGGREGATE_BOX, j // AGGREGATE_BOX
             _, first, box = np.unique(j * (int(i.max()) + 1) + i,
                                       return_index=True, return_inverse=True)
             t = sp.csr_matrix((np.ones(box.size), box, np.arange(box.size + 1)),
@@ -283,8 +303,11 @@ class _Cycle:
             return self.coarse.solve(b)
         a, w, p, p_t = self.levels[level]
         x = w * b
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += w * (b - a @ x)
         x += p @ self._cycle(level + 1, p_t @ (b - a @ x))
-        x += w * (b - a @ x)
+        for _ in range(SMOOTHING_SWEEPS):
+            x += w * (b - a @ x)
         return x
 
 

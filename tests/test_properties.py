@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,31 @@ class TestSequenceDemo:
         vals = rep.extras["values"]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         last = [r for r in rep.records if r["check"] == "limit_attained"][0]
-        assert last["margin"] == 0.0
+        assert not last["violation"]
+        assert abs(last["margin"]) <= last["tolerance"]
+
+    @pytest.mark.parametrize("mode", ["E", "F"])
+    def test_limit_that_misses_the_last_value_fails(self, monkeypatch, mode):
+        # the limit is solved on its own, from the zero start, so a solve
+        # that returns another value there fails the record
+        real = properties.compute_capacity
+
+        def solve(mesh, flux, e, f, s, opts):
+            rep, field = real(mesh, flux, e, f, s, opts)
+            if opts.init == "zero":
+                rep = replace(rep, c_inner=rep.c_inner + 2.0 * rep.tol_cap)
+            return rep, field
+        monkeypatch.setattr(properties, "compute_capacity", solve)
+        e = rasterize(disk(0.5, 0.5, 0.08), self.mesh, "E")
+        fchain = [rasterize(disk(0.5, 0.5, r), self.mesh, f"F{r}")
+                  for r in (0.42, 0.3)]
+        chain, fixed = (self.chain, self.f) if mode == "E" else (fchain, e)
+        rep = run_sequence_demo(self.mesh, p_laplacian(2.0), chain, fixed,
+                                mode)
+        last = [r for r in rep.records if r["check"] == "limit_attained"]
+        assert len(last) == 1 and last[0]["violation"]
+        assert -last[0]["margin"] > last[0]["tolerance"] > 0.0
+        assert not rep.passed
 
     def test_decreasing_f_chain_nondecreasing(self):
         e = rasterize(disk(0.5, 0.5, 0.08), self.mesh, "E")

@@ -677,6 +677,17 @@ class TestMultigridCycle:
         assert x @ mx > 0 and y @ my > 0
         assert np.array_equal(cycle.solve(x), mx)
 
+    def test_operator_complexity(self):
+        # 3 x 3 boxes keep the coarse stencils compact: on the N = 96
+        # annulus the two levels hold 29,752 and 4,364 entries, an operator
+        # complexity of 1.147 (2 x 2 boxes made three levels and 1.78)
+        mesh = build_mesh(96)
+        _, cycle = self.cycle(mesh, *annulus_sets(mesh, 0.1, 0.4))
+        a, _, p, p_t = cycle.levels[-1]
+        nnz = [level[0].nnz for level in cycle.levels] + [(p_t @ a @ p).nnz]
+        assert nnz == [29752, 4364]
+        assert sum(nnz) / nnz[0] == pytest.approx(1.1467, abs=1e-4)
+
     @pytest.mark.parametrize("flux", [
         p_laplacian(2.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]])],
         ids=["p_laplacian", "skew_linear_matrix"])
@@ -710,11 +721,17 @@ class TestMultigridCycle:
         assert coarse <= solver.COARSE_MAX_NODES
         for a, _, p, _ in cycle.levels:
             assert p.shape[0] == a.shape[0] > p.shape[1] > 0
+        # the p = 2 start is as tight as a linear flux needs to take no
+        # Newton step, and only as tight as Newton needs for another flux
         block = FreeBlock(mesh, e.mask, f.mask)
-        start, _ = solver._linear_blend_init(mesh, p_laplacian(3.0), block,
-                                             np.where(e.mask, 1.0, 0.0), 1.0)
-        r = residual(mesh, p_laplacian(2.0), start, block=block)[block.nodes]
-        assert np.linalg.norm(r) <= 2.0 * solver.BLEND_CG_ATOL
+        u = np.where(e.mask, 1.0, 0.0)
+        rhs = np.linalg.norm(solver._blend_rhs(mesh, block, u))
+        for flux, bound in ((p_laplacian(2.0), solver.BLEND_CG_ATOL),
+                            (p_laplacian(3.0), solver.BLEND_CG_RTOL * rhs)):
+            start, _ = solver._linear_blend_init(mesh, flux, block, u, 1.0)
+            r = residual(mesh, p_laplacian(2.0), start,
+                         block=block)[block.nodes]
+            assert np.linalg.norm(r) <= 2.0 * bound
         report, field = compute_capacity(mesh, p_laplacian(3.0), e, f)
         monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
         direct, _ = compute_capacity(mesh, p_laplacian(3.0), e, f)
