@@ -170,8 +170,8 @@ def parse_shape(spec, path: str) -> ShapeExpr:
         raise ConfigError(str(exc), exc.field) from exc
 
 
-def parse_solver(spec, path: str = "solver") -> SolverOptions:
-    _block(spec, _SOLVER_KEYS, path,
+def parse_solver(spec) -> SolverOptions:
+    _block(spec, _SOLVER_KEYS, "solver",
            message="solver options must be an object")
     kwargs: dict[str, Any] = {}
     for key, kind in _SOLVER_KEYS.items():
@@ -180,11 +180,11 @@ def parse_solver(spec, path: str = "solver") -> SolverOptions:
         if key not in spec or key == "tol_res" and value is None:
             continue
         kwargs[key] = value if kind == "name" else _number(
-            value, f"{path}.{key}", integer=kind == "integer")
+            value, f"solver.{key}", integer=kind == "integer")
     try:
         return SolverOptions(**kwargs)
     except InvalidInput as exc:
-        raise ConfigError(str(exc), f"{path}.{exc.field}") from exc
+        raise ConfigError(str(exc), f"solver.{exc.field}") from exc
 
 
 def _mesh_n(value, path: str) -> int:

@@ -76,14 +76,18 @@ def strip_capacity(p: float, a: float, b: float, ly: float) -> float:
 # ---------------------------------------------------------------------------
 # 1-D first-integral solver
 
+# a flux is radial when, at each |xi| of RADIAL_PROBES, its tangential part
+# and its spread over angles and points stay within RADIAL_TOL relative
+RADIAL_PROBES = (0.3, 1.1, 2.7)
+RADIAL_TOL = 1e-8
 
-def _radial_profile(flux: Flux, probe_radii=(0.3, 1.1, 2.7),
-                    tol: float = 1e-8):
+
+def _radial_profile(flux: Flux):
     """Extract g with a(xi) = g(|xi|) xi/|xi|, checking isotropy and
     x-independence on a few samples."""
     xs = np.array([[0.2, 0.3], [0.5, 0.5], [0.8, 0.6]])
     angles = np.array([0.0, 0.9, 2.2, 4.0])
-    for t in probe_radii:
+    for t in RADIAL_PROBES:
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         vals = []
         for x in xs:
@@ -91,11 +95,11 @@ def _radial_profile(flux: Flux, probe_radii=(0.3, 1.1, 2.7),
             radial = np.sum(a * dirs, axis=-1)
             tangential = a - radial[:, None] * dirs
             scale = 1.0 + np.abs(radial).max()
-            if np.max(np.abs(tangential)) > tol * scale:
+            if np.max(np.abs(tangential)) > RADIAL_TOL * scale:
                 raise InvalidInput("flux is not isotropic")
             vals.append(radial)
         vals = np.concatenate(vals)
-        if vals.max() - vals.min() > tol * (1.0 + np.abs(vals).max()):
+        if vals.max() - vals.min() > RADIAL_TOL * (1.0 + np.abs(vals).max()):
             raise InvalidInput("flux is not isotropic (x- or angle-dependent)")
 
     x0 = np.array([0.5, 0.5])

@@ -89,17 +89,22 @@ def default_flux_family() -> list[Flux]:
 # ---------------------------------------------------------------------------
 # seeded geometry generator
 
+# F keeps SHAPE_MARGIN_CELLS cells from the box edge; an inner disk's radius
+# is drawn from INNER_R_LO_CELLS cells up to INNER_R_HI_FRAC of its reach
+SHAPE_MARGIN_CELLS = 2.0
+INNER_R_LO_CELLS = 1.5
+INNER_R_HI_FRAC = 0.45
+
 
 class ShapeGen:
     """Random nested disks/rectangles, snapped to exact node-level nesting
     by geometric containment.  F keeps a 2-cell margin from the box edge so
     the truncation of the plane never shows up in continuum-facing checks."""
 
-    def __init__(self, rng: np.random.Generator, mesh: Mesh,
-                 margin_cells: float = 2.0):
+    def __init__(self, rng: np.random.Generator, mesh: Mesh):
         self.rng = rng
         self.mesh = mesh
-        self.margin = margin_cells * mesh.h
+        self.margin = SHAPE_MARGIN_CELLS * mesh.h
 
     def outer_shape(self):
         """F as a disk or square well inside the box."""
@@ -116,11 +121,12 @@ class ShapeGen:
         cy = rng.uniform(m + half, length - m - half)
         return rect(cx - half, cy - half, cx + half, cy + half), (cx, cy, half)
 
-    def inner_disk(self, cx, cy, reach, r_lo_cells=1.5, r_hi_frac=0.45):
+    def inner_disk(self, cx, cy, reach):
         """A disk geometrically inside the ball of radius reach at (cx,cy)."""
         rng = self.rng
         h = self.mesh.h
-        r = rng.uniform(r_lo_cells * h, max(r_hi_frac * reach, 2.0 * h))
+        r = rng.uniform(INNER_R_LO_CELLS * h,
+                        max(INNER_R_HI_FRAC * reach, 2.0 * h))
         r = min(r, reach - 2.0 * h)
         if r <= 0:
             r = 0.5 * reach

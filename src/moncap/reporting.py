@@ -15,6 +15,9 @@ import tempfile
 
 import numpy as np
 
+# spaces per nesting level of a written report
+REPORT_INDENT = 2
+
 
 def _canonical(obj):
     if isinstance(obj, dict):
@@ -48,8 +51,8 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def dumps_report(obj, indent: int = 2) -> str:
-    return json.dumps(_canonical(obj), indent=indent, sort_keys=True,
+def dumps_report(obj) -> str:
+    return json.dumps(_canonical(obj), indent=REPORT_INDENT, sort_keys=True,
                       allow_nan=False)
 
 

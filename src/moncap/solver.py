@@ -35,13 +35,17 @@ kind says so) starts from the exact solution of its own linear problem,
 so it takes no Newton step.  On larger blocks the one thing a solve
 holds, across Newton steps and stages, is a smoothed-aggregation
 multigrid V(2,2) cycle on 3x3 aggregates, whose coarsest level is its
-one SuperLU factor.  The blend start builds it from the p=2 block and
+one SuperLU factor.  The cycle, CG and GMRES multiply in CSR.  The blend
+start builds the cycle from the p=2 block, whose CSR is the free transpose
+of its CSC with the stored zeros of the SW/NE couplings dropped, and
 solves the p=2 problem by CG preconditioned with it, to an absolute
 tolerance for a linear flux, which then takes no Newton step, and only
 to a relative one for any other flux, whose Newton steps correct the
 start anyway; any other start builds the cycle from its first Jacobian.
 A Newton step solves with GMRES, right-preconditioned by the cycle, to
-an Eisenstat-Walker forcing term (inexact Newton).  When GMRES needs
+an Eisenstat-Walker forcing term (inexact Newton), with its Jacobian in
+CSR: the free transpose of a symmetric kind's CSC block, else one
+conversion, which a cycle rebuilt from that Jacobian reuses.  When GMRES needs
 more than ``KRYLOV_MAX_ITER`` iterations or the line search rejects its
 direction, the cycle is rebuilt from that step's Jacobian and GMRES is
 tried once more; only when that fails too is the step solved directly,
@@ -222,8 +226,11 @@ def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
         out[block.nodes] = x
         return out, None
     # the p=2 block is symmetric, so its transpose is itself in CSR, the
-    # format the cycle's products and CG's matvecs run fastest in
+    # format the cycle's products and CG's matvecs run fastest in.  Its
+    # SW/NE couplings vanish on right triangles: dropping those stored
+    # zeros leaves every product's bits and a quarter fewer entries
     k = p2_stiffness(mesh, block).T
+    k.eliminate_zeros()
     cycle = _Cycle(k, mesh, block)
     m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
     rtol, atol = ((0.0, BLEND_CG_ATOL) if is_linear(flux)
@@ -253,8 +260,9 @@ def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
 
 class _Cycle:
     """A smoothed-aggregation V(2,2) cycle for a free-free block a in CSR
-    (Vanek, Mandel and Brezina, Computing 56, 1996): the p=2 block, or a
-    Newton step's Jacobian, which a skew flux makes nonsymmetric.
+    (Vanek, Mandel and Brezina, Computing 56, 1996): the p=2 block with no
+    stored zero, or the CSR of a Newton step's Jacobian that GMRES
+    multiplies by, which a skew flux makes nonsymmetric.
 
     Each level aggregates its nodes by 3x3 boxes of grid indices, node
     (i, j) into box (i // 3, j // 3): the 7-point stencil's diameter, so
@@ -532,7 +540,11 @@ class _NewtonState:
     def _krylov_step(self, kff, r, rtol, u, rmax, residual_eps):
         """The line search's (u, r, rmax) along a GMRES direction with the
         held cycle; when none is held, or the held one fails, with a cycle
-        rebuilt from kff.  None when that fails too."""
+        rebuilt from kff.  None when that fails too.  GMRES and a rebuilt
+        cycle multiply by kff in CSR: a symmetric kind's CSC block is its
+        own transpose, a free CSR view; any other is converted once."""
+        kff = kff.T if is_symmetric(self.flux) else kff.tocsr()
+
         def attempt():
             delta = self._gmres(kff, r, rtol)
             return (None if delta is None
@@ -541,7 +553,7 @@ class _NewtonState:
         if step is None:
             self.cycle = None       # its coarse factor goes before the next
             try:
-                self.cycle = _Cycle(kff.tocsr(), self.mesh, self.block)
+                self.cycle = _Cycle(kff, self.mesh, self.block)
             except RuntimeError:    # no smoother, or a singular coarsest level
                 return None
             step = attempt()
@@ -549,8 +561,8 @@ class _NewtonState:
 
     def _gmres(self, kff, r, rtol):
         """Newton direction from GMRES preconditioned by the held cycle, to
-        relative residual rtol; None when KRYLOV_MAX_ITER iterations do not
-        reach it."""
+        relative residual rtol, with kff in CSR; None when KRYLOV_MAX_ITER
+        iterations do not reach it."""
         m = self.cycle
         # right preconditioning: GMRES minimises the true residual
         # |kff delta + r| of delta = m.solve(y), the forcing term's measure

@@ -9,14 +9,18 @@ the triangles whose corners are all 0.  ``band_dense`` expands a banded
 block's LAPACK band storage, general or lower, and ``band_storage`` builds
 the general one from a sparse matrix.  ``min_weight`` and
 ``rerun_subadditivity_case`` read a capacitary measure and rerun an
-archived subadditivity case, as only tests do."""
+archived subadditivity case, as only tests do.
+``power_jacobian_reference`` and ``flat_core_jacobian_reference`` are the
+flux Jacobian kernels as (k, 2, 2) broadcasts, whose bits the column-wise
+kernels of ``moncap.flux`` keep."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from moncap.assembly import _adjoint, _check_field, _gradients, _Triangles
 from moncap.errors import MeshMismatch
-from moncap.flux import eval_flux_smoothed, flux_jacobian
+from moncap.flux import (_EYE, _core_excess, _overflowed, eval_flux_smoothed,
+                         flux_jacobian)
 from moncap.mesh import (NodeSet, _require_same_mesh, build_mesh,
                          touched_triangles)
 from moncap.properties import _Cache, _subadditivity_record
@@ -204,3 +208,42 @@ def band_storage(k, bw):
     ab = np.zeros((3 * bw + 1, k.shape[1]), order="F")
     np.add.at(ab, (2 * bw + k.row - k.col, k.col), k.data)
     return ab
+
+
+def power_jacobian_reference(p, xi, bxi, b, eps):
+    """flux._power_jacobian as one broadcast over (k, 2, 2):
+    fac B + fac2 (B xi)(B xi)^T, rows whose xi.B xi overflows rescaled."""
+    if p == 2.0:
+        return np.broadcast_to(b, xi.shape + (2,)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0 = bxi[..., 0] * xi[..., 0] + bxi[..., 1] * xi[..., 1]
+        q = q0 + eps * eps
+        safe = np.where(q > 0.0, q, 1e-300)
+        fac2 = np.where(q0 > 0.0, (p - 2.0) * safe ** ((p - 4.0) / 2.0), 0.0)
+        outer = bxi[..., :, None] * bxi[..., None, :]
+        jac = (safe ** ((p - 2.0) / 2.0))[..., None, None] * b \
+            + fac2[..., None, None] * outer
+    big, m = _overflowed(q, xi, eps)
+    if big is not None:
+        jac[big] = (m ** (p - 2.0))[:, None, None] * power_jacobian_reference(
+            p, xi[big] / m[:, None], bxi[big] / m[:, None], b, eps / m)
+    return jac
+
+
+def flat_core_jacobian_reference(flux, x, xi, eps):
+    """flux._flat_core_jacobian as one broadcast over (k, 2, 2):
+    g / r (I - hat hat^T) + dg hat hat^T, hat = xi / r."""
+    p = flux.p
+    r = np.sqrt(xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+                + eps * eps)
+    r = np.where(r > 0.0, r, 1e-300)
+    pos, dpos = _core_excess(r - flux.params["rho0"], eps)
+    g = pos ** (p - 1.0)
+    dg = np.where(
+        pos > 0.0,
+        (p - 1.0) * np.where(pos > 0.0, pos, 1.0) ** (p - 2.0) * dpos,
+        0.0)
+    hat = xi / r[..., None]
+    outer = hat[..., :, None] * hat[..., None, :]
+    return (g / r)[..., None, None] * (_EYE - outer) \
+        + dg[..., None, None] * outer

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moncap.flux
+from assembly_reference import (flat_core_jacobian_reference,
+                                power_jacobian_reference)
 from moncap.errors import InvalidInput
-from moncap.flux import (MARGIN_TOL, Flux, adversarial_fixture,
+from moncap.flux import (FLUX_KINDS, MARGIN_TOL, Flux, adversarial_fixture,
                          anisotropic_p, check_conditions, combine, eval_flux,
                          eval_flux_smoothed, flat_core_p, flux_jacobian,
                          is_linear, linear_matrix, p_laplacian, s_transform,
@@ -231,6 +235,44 @@ class TestPowerLawOverflow:
         m = np.sqrt(np.sum(xi * xi, axis=-1, keepdims=True))
         assert np.array_equal(eval_flux(flat_core_p(3.0, 0.0), x, xi),
                               m ** 2.0 / m * xi)
+
+
+class TestJacobianKernelBits:
+    """The Jacobian kernels fill (k, 2, 2) one entry at a time and keep the
+    bits of the broadcasts they replaced (tests/assembly_reference.py), for
+    every kind, at eps = 0 and 1e-3, on zero and axis gradients and on rows
+    whose xi.B xi overflows, which the power-law kinds rescale."""
+
+    FLUXES = [p_laplacian(1.5), p_laplacian(2.0), p_laplacian(3.0),
+              weighted_p_laplacian(3.0, 0.5, 1.5, kx=2.0, ky=1.0),
+              anisotropic_p(2.0, 2.0, 0.5), anisotropic_p(1.5, 2.0, 0.5),
+              flat_core_p(2.0, 0.5), flat_core_p(2.0, 3.0),
+              linear_matrix([[1.0, 0.5], [-0.5, 1.0]]),
+              s_transform(anisotropic_p(3.0, 1.5, 0.7), -2.0),
+              combine(p_laplacian(3.0), flat_core_p(3.0, 0.5), 0.7, 0.3)]
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("flux", FLUXES, ids=[
+        f"{fl.kind}-{k}" for k, fl in enumerate(FLUXES)])
+    def test_bitwise_the_broadcast_kernels(self, flux, eps, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.random((400, 2))
+        xi = rng.standard_normal((400, 2)) * 10.0 ** rng.uniform(-3, 3,
+                                                                (400, 1))
+        xi[:10] = 0.0
+        xi[10:20, 1] = 0.0
+        xi[20:40] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(np.sum(xi[20:40] * xi[20:40], axis=-1)).all()
+            jac = flux_jacobian(flux, x, xi, eps)
+            monkeypatch.setattr(moncap.flux, "_power_jacobian",
+                                power_jacobian_reference)
+            monkeypatch.setitem(FLUX_KINDS, "flat_core_p", replace(
+                FLUX_KINDS["flat_core_p"],
+                jacobian=flat_core_jacobian_reference))
+            want = flux_jacobian(flux, x, xi, eps)
+        assert jac.shape == want.shape == (400, 2, 2)
+        assert jac.tobytes() == want.tobytes()
 
 
 class TestCheckConditions:
