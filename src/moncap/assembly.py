@@ -14,9 +14,9 @@ the only ones on which a field with u = s on E and u = 0 outside F can
 have a nonzero gradient, so the block residual is exact at every node
 and the report reads its capacities from the solve's last one.  A block's
 Jacobian is one more bincount, of element matrices straight into LAPACK
-band storage on a compact block below the solver's Krylov gate (only the
-lower band when the flux's Jacobian is symmetric), else into its CSC
-stencil pattern; no scipy object is built for a banded block.  A
+band storage on a block of bandwidth at most BAND_MAX, whatever its size
+(only the lower band when the flux's Jacobian is symmetric), else into
+its CSC stencil pattern; no scipy object is built for a banded block.  A
 triangle whose corners all hold one value has gradient (+0, +0) or
 (-0, -0) and every flux gives a(x, 0) = 0 exactly, so leaving it out
 drops only exact zeros from each sum.  Bincounts sum in a fixed order, so
@@ -45,17 +45,13 @@ _GRADIENTS = np.array([(-1, 0), (1, -1), (0, 1)], dtype=float)
 _DIRECTIONS = np.array([3, 2, 0, 4, 3, 1, 6, 5, 3])
 _WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
                      _GRADIENTS).reshape(4, 9) / 2.0
-# A free block of n nodes below the solver's Krylov gate whose span is at
-# most BAND_C n^(1/4) is assembled as a band, which LAPACK factors; any
-# other block is CSC, which SuperLU factors in its default COLAMD order.
-# Band LU costs about n bw^2: the constant, fitted against SuperLU on
-# compact blocks (CHANGES.md), sends compact blocks above about 5,000
-# nodes and thin wide shapes to SuperLU.  Compact blocks that large lie
-# above the gate, where every factor (the multigrid coarsest level, a step
-# whose rebuilt cycle failed) is SuperLU's.  It was fitted against band LU
-# and is unchanged for the band Cholesky of symmetric blocks, which costs
-# less.
-BAND_C = 9.5
+# A free block whose span (its bandwidth) is at most BAND_MAX is assembled
+# as a band, which LAPACK factors, whatever its size; any other block is
+# CSC, which SuperLU factors in its default COLAMD order.  Band cost grows
+# like n bw^2, so the cap is on bw alone.  At 76 the N = 96 annulus and
+# thin strips at N = 1024 band; wider caps lost to the Krylov path:
+# flat-core at bw 100, p = 3 at bw 154 with twice the memory (CHANGES.md).
+BAND_MAX = 76
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -166,11 +162,11 @@ class FreeBlock(_Triangles):
     k[nodes][:, nodes], and a corner's place is its node's position in
     ``nodes``, ``size`` (dropped) off the block.
 
-    Storage is decided here alone.  A block of n free nodes, fewer than
-    ``band_below``, whose span bw (its bandwidth) is at most BAND_C n^(1/4)
-    is banded: ``band`` is bw and its matrices are LAPACK band storage in
-    Fortran order.  For a flux whose Jacobian is ``symmetric`` (its kind
-    says so) the block is too, and ``lower`` is True: shape (bw + 1, n),
+    Storage is decided here alone.  A block whose span bw (its bandwidth)
+    is at most BAND_MAX, whatever its n free nodes, is banded: ``band`` is
+    bw and its matrices are LAPACK band storage in Fortran order.  For a
+    flux whose Jacobian is ``symmetric`` (its kind says so) the block is
+    too, and ``lower`` is True: shape (bw + 1, n),
     entry (r, c) with r >= c in row r - c of column c, for band Cholesky.
     Otherwise the general band, shape (3 bw + 1, n), entry (r, c) in row
     2 bw + r - c of column c under bw rows left zero for the fill of LU's
@@ -188,11 +184,13 @@ class FreeBlock(_Triangles):
     10.7 MB, 4.5 of it in ``keys``.  The N = 48 annulus of the same radii
     (2,332 triangles, 1,084 free nodes, bw 38, banded) takes 0.33 MB, and
     each of its band matrices 0.34 MB as a lower band (1.0 MB as a general
-    one), where CSC would take 0.09 MB.
+    one), where CSC would take 0.09 MB.  The widest band, a 0.9 x 0.074
+    strip at N = 1024 (137,654 triangles, 67,762 free nodes, bw 76), takes
+    20.3 MB, and each band matrix 41.7 MB lower or 124 MB general.
     """
 
     def __init__(self, mesh: Mesh, e: np.ndarray, f: np.ndarray,
-                 band_below: int = 0, symmetric: bool = False):
+                 symmetric: bool = False):
         super().__init__(mesh, touched_triangles(mesh, f)
                          & touched_triangles(mesh, ~e))
         free = f & ~e
@@ -210,8 +208,7 @@ class FreeBlock(_Triangles):
             self.corners)
         # b's place in each triangle's element entries 3 a + b, flat
         place_b = np.tile(self.places, 3)
-        self.band = span if n < band_below and span <= BAND_C * n ** 0.25 \
-            else None
+        self.band = span if span <= BAND_MAX else None
         self.lower = symmetric and self.band is not None
         if self.band is not None:
             # (r, c) is row top + r - c of column c: flat slot

@@ -17,8 +17,8 @@ A kind is defined once: its constructor and its ``FLUX_KINDS`` entry (value,
 Jacobian, linearity, config param spec), which evaluation, the solver and
 ``config.parse_flux`` look up.  Adding a kind is one constructor, one entry,
 and a member of the shipped family in tests/test_flux.py.  The entry declares
-whether a flux of the kind is linear in xi; the solver then starts below its
-Krylov gate from the exact solution of the linear problem, so a kind that is
+whether a flux of the kind is linear in xi; the solver then starts off its
+Krylov path from the exact solution of the linear problem, so a kind that is
 not linear must say False.  It declares too whether the Jacobian in xi is
 symmetric; the solver then stores a banded block's lower band only and
 factors it by band Cholesky, so a kind with a skew part must say False.

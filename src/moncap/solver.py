@@ -18,41 +18,41 @@ column-major order, whichever keeps the block's band narrower.  Every
 residual the solve evaluates, line-search trials and true-residual checks
 included, and every Jacobian is assembled on those triangles only, and no
 iterate's true residual is evaluated twice.  A block residual is exact at
-every node; the steps read its free rows, and the returned field keeps
-the last true one, which the capacity report reads.  The block alone
-decides its storage (``FreeBlock``): LAPACK band storage for a compact
-block below ``KRYLOV_MIN_NODES`` free nodes, else CSC.  The flux's kind
-decides the band's layout: a symmetric Jacobian (``is_symmetric``) keeps
-its lower band only.  ``_direct_solve`` follows the block: a lower band is
-factored in place and solved by band Cholesky (dpbsv), a general band by
-band LU (dgbsv), a sparse matrix by SuperLU in its own fill-reducing
-order; the last two pivot rows partially, for skew Jacobians.
+every node; the steps read its free rows, and the returned field keeps the
+last true one, which the capacity report reads.  The block alone decides
+its storage (``FreeBlock``): LAPACK band storage for a block of bandwidth
+at most ``BAND_MAX``, whatever its size, else CSC.  The flux's kind decides
+the band's layout: a symmetric Jacobian (``is_symmetric``) keeps its lower
+band only.  ``_direct_solve`` follows the block: a lower band is factored
+in place and solved by band Cholesky (dpbsv), a general band by band LU
+(dgbsv), a sparse matrix by SuperLU in its own fill-reducing order; the
+last two pivot rows partially, for skew Jacobians.
 
-On blocks below ``KRYLOV_MIN_NODES`` free nodes a solve holds no
-preconditioner: the blend start and each Newton step factor their
-matrix, solve directly and drop the factor.  There a linear flux (its
-kind says so) starts from the exact solution of its own linear problem,
-so it takes no Newton step.  On larger blocks the one thing a solve
-holds, across Newton steps and stages, is a smoothed-aggregation
-multigrid V(2,2) cycle on 3x3 aggregates, whose coarsest level is its
-one SuperLU factor.  The cycle, CG and GMRES multiply in CSR.  The blend
-start builds the cycle from the p=2 block, whose CSR is the free transpose
-of its CSC with the stored zeros of the SW/NE couplings dropped, and
-solves the p=2 problem by CG preconditioned with it, to an absolute
-tolerance for a linear flux, which then takes no Newton step, and only
-to a relative one for any other flux, whose Newton steps correct the
-start anyway; any other start builds the cycle from its first Jacobian.
-A Newton step solves with GMRES, right-preconditioned by the cycle, to
-an Eisenstat-Walker forcing term (inexact Newton), with its Jacobian in
-CSR: the free transpose of a symmetric kind's CSC block, else one
-conversion, which a cycle rebuilt from that Jacobian reuses.  When GMRES needs
-more than ``KRYLOV_MAX_ITER`` iterations or the line search rejects its
-direction, the cycle is rebuilt from that step's Jacobian and GMRES is
-tried once more; only when that fails too is the step solved directly,
-from a factor of its Jacobian made after the cycle is dropped, and the
-next step builds a new cycle.  Step lengths backtrack on the free-node
-residual max-norm.  Convergence is always declared on the TRUE flux
-residual at the same target, so reported capacities belong to the
+On a banded block, and on a CSC block below ``KRYLOV_MIN_NODES`` free
+nodes, a solve holds no preconditioner: the blend start and each Newton
+step factor their matrix, solve directly and drop the factor.  There a
+linear flux (its kind says so) starts from the exact solution of its own
+linear problem, so it takes no Newton step.  On larger CSC blocks
+(``_krylov``) the one thing a solve holds, across Newton steps and stages,
+is a smoothed-aggregation multigrid V(2,2) cycle on 3x3 aggregates, whose
+coarsest level is its one SuperLU factor.  The cycle, CG and GMRES
+multiply in CSR.  The blend start builds the cycle from the p=2 block,
+whose CSR is the free transpose of its CSC with the stored zeros of the
+SW/NE couplings dropped, and solves the p=2 problem by CG preconditioned
+with it, to an absolute tolerance for a linear flux, which then takes no
+Newton step, and only to a relative one for any other flux, whose Newton
+steps correct the start anyway; any other start builds the cycle from its
+first Jacobian.  A Newton step solves with GMRES, right-preconditioned by
+the cycle, to an Eisenstat-Walker forcing term (inexact Newton), with its
+Jacobian in CSR: the free transpose of a symmetric kind's CSC block, else
+one conversion, which a cycle rebuilt from that Jacobian reuses.  When
+GMRES needs more than ``KRYLOV_MAX_ITER`` iterations or the line search
+rejects its direction, the cycle is rebuilt from that step's Jacobian and
+GMRES is tried once more; only when that fails too is the step solved
+directly, from a factor of its Jacobian made after the cycle is dropped,
+and the next step builds a new cycle.  Step lengths backtrack on the
+free-node residual max-norm.  Convergence is always declared on the TRUE
+flux residual at the same target, so reported capacities belong to the
 problem actually posed.
 """
 
@@ -85,24 +85,24 @@ FIRST_HOP_RATIO = 0.1
 HOP_MAX_ITER = 8
 MAX_HOPS = 120
 EPS_FLOOR = 1e-13
-# Blocks of at least KRYLOV_MIN_NODES free nodes take GMRES steps on a
-# multigrid cycle.  The gate was fitted against SuperLU direct steps.  Now
-# that compact blocks are banded up to about 5,000 nodes, the Krylov path
-# took 1.1-1.6x the band-direct time of p = 3 and flat-core annulus solves
-# at 4,344-4,710 free nodes, and 0.26-0.32x at 8,188, where the band rule
-# sends the direct side to SuperLU (tables in CHANGES.md).
+# An unbanded block of at least KRYLOV_MIN_NODES free nodes takes GMRES
+# steps on a multigrid cycle; a smaller one, too wide for a band (crosses
+# and frames), takes SuperLU steps.  Sending those to GMRES as well lost:
+# flat-core on the crosses at N = 96 and 128 stopped converging, and the
+# linear fluxes lost their exact start (cross and frame table, CHANGES.md).
 KRYLOV_MIN_NODES = 4096
 KRYLOV_MAX_ITER = 20
 # Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_MAX = 0.1
-# Above the gate the preconditioner is a smoothed-aggregation cycle of the
-# p=2 block or of a Jacobian: levels aggregate AGGREGATE_BOX x AGGREGATE_BOX
-# boxes of grid nodes down to at most COARSE_MAX_NODES nodes, which are
-# factored, and smooth SMOOTHING_SWEEPS times with JACOBI_WEIGHT D^-1 before
-# and after each coarse correction.  One sweep on 3x3 boxes failed 16
-# GMRES steps on the family table against two sweeps' 6 (CHANGES.md).
+# On the Krylov path the preconditioner is a smoothed-aggregation cycle of
+# the p=2 block or of a Jacobian: levels aggregate AGGREGATE_BOX x
+# AGGREGATE_BOX boxes of grid nodes down to at most COARSE_MAX_NODES nodes,
+# which are factored, and smooth SMOOTHING_SWEEPS times with JACOBI_WEIGHT
+# D^-1 before and after each coarse correction.  One sweep on 3x3 boxes
+# failed 16 GMRES steps on the family table against two sweeps' 6
+# (CHANGES.md).
 COARSE_MAX_NODES = 800
 JACOBI_WEIGHT = 0.6
 AGGREGATE_BOX = 3
@@ -203,22 +203,28 @@ def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
         block.nodes)
 
 
+def _krylov(block: FreeBlock) -> bool:
+    """Whether a solve on block takes GMRES steps on a multigrid cycle:
+    only an unbanded block of at least KRYLOV_MIN_NODES free nodes."""
+    return block.band is None and block.size >= KRYLOV_MIN_NODES
+
+
 def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
                        u: np.ndarray, s: float):
     """Solve the p=2 problem with the same boundary data; cheap and inside
     the comparison cone.  Returns the start and the cycle that the first
-    Newton steps on large blocks hold.  Below ``KRYLOV_MIN_NODES`` free
-    nodes the start is one direct solve whose factor is dropped: the cycle
-    is None.  There a linear flux (``is_linear``) solves its own problem
-    instead, by ``_linear_start``, and falls back to the p=2 one only when
-    that fails.  Above the gate a multigrid cycle of the p=2 block
+    Newton steps on a ``_krylov`` block hold.  On any other block the
+    start is one direct solve whose factor is dropped: the cycle is None.
+    There a linear flux (``is_linear``) solves its own problem instead,
+    by ``_linear_start``, and falls back to the p=2 one only when that
+    fails.  On a ``_krylov`` block a multigrid cycle of the p=2 block
     preconditions a CG solve for E at level 1 that is then scaled by s; CG
     needs the symmetric p=2 block.  At extreme s, CG's inner products at
     level s would underflow or overflow.  The solve is exact to
     ``BLEND_CG_ATOL`` for a linear flux and to ``BLEND_CG_RTOL`` relative
     for any other, whose Newton steps move the start further than that."""
     out = u.copy()
-    if block.nodes.size < KRYLOV_MIN_NODES:
+    if not _krylov(block):
         x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
         if x is None:
             x = _direct_solve(p2_stiffness(mesh, block),
@@ -365,9 +371,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
             r = residual(mesh, flux, u)
         return make_field(u, r, 0.0, 0, True, [0.0])
 
-    # only blocks below the Krylov gate, whose steps are factored, are banded
-    block = FreeBlock(mesh, e.mask, f.mask, band_below=KRYLOV_MIN_NODES,
-                      symmetric=is_symmetric(flux))
+    block = FreeBlock(mesh, e.mask, f.mask, symmetric=is_symmetric(flux))
     history: list[float] = []
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
@@ -461,12 +465,11 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 class _NewtonState:
     """Shared bookkeeping for the staged Newton solve.
 
-    ``cycle`` is the multigrid cycle that preconditions GMRES on blocks of
-    at least ``KRYLOV_MIN_NODES`` free nodes, held across Newton steps and
-    stages: the blend start's, or one built from a step's Jacobian when
-    none is held or when the held one fails that step.  It is dropped
-    before a direct solve, whose factor is not kept, so one solve never
-    holds two factors.
+    ``cycle`` is the multigrid cycle that preconditions GMRES on a
+    ``_krylov`` block, held across Newton steps and stages: the blend
+    start's, or one built from a step's Jacobian when none is held or when
+    the held one fails that step.  It is dropped before a direct solve,
+    whose factor is not kept, so one solve never holds two factors.
     """
 
     def __init__(self, mesh, flux, block, opts, history):
@@ -607,7 +610,7 @@ class _NewtonState:
         if true_pass:
             self._track(rmax, u)
         rnorm_prev = None
-        krylov = self.block.nodes.size >= KRYLOV_MIN_NODES
+        krylov = _krylov(self.block)
         it = 0
         while it < max_iter and self.budget() > 0 and rmax > target:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,

@@ -39,10 +39,19 @@ def rand_field(mesh, seed, scale=1.0):
 
 def whole(mesh):
     """The free block of every node; on the small meshes here it is in
-    row-major order, so its matrices are the whole-mesh ones."""
+    row-major order, so its matrices are the whole-mesh ones, in CSC under
+    ``sparse_blocks``."""
     block = free_block(mesh, np.ones(mesh.n_nodes, dtype=bool))
     assert np.array_equal(block.nodes, np.arange(mesh.n_nodes))
+    assert block.band is None
     return block
+
+
+@pytest.fixture
+def sparse_blocks(force_path):
+    """Every block in CSC, whatever its span: the tests of its stencil
+    pattern and sparse products."""
+    force_path("superlu")
 
 
 class TestResidual:
@@ -199,6 +208,7 @@ def central_difference(mesh, flux, u, w, eps, t):
             - residual(mesh, flux, u - t * w, eps)) / (2.0 * t)
 
 
+@pytest.mark.usefixtures("sparse_blocks")
 class TestJacobianApply:
     """The assembled Jacobian applied to a direction w is the directional
     derivative of the residual at the same eps."""
@@ -260,6 +270,7 @@ class TestJacobianApply:
         assert np.max(np.abs(got - expected)) <= 1e-7 * np.max(np.abs(got))
 
 
+@pytest.mark.usefixtures("sparse_blocks")
 class TestStiffness:
     def test_p2_stiffness_matches_residual(self):
         m = build_mesh(6)
@@ -312,11 +323,10 @@ def pair_free(mesh, e_shape, f_shape):
     return f & ~e
 
 
-def free_block(mesh, free, band_below=0, symmetric=False):
+def free_block(mesh, free, symmetric=False):
     """The block of a free set as F with E empty: its triangles are those
     that touch a free node."""
-    return FreeBlock(mesh, np.zeros_like(free), free, band_below=band_below,
-                     symmetric=symmetric)
+    return FreeBlock(mesh, np.zeros_like(free), free, symmetric=symmetric)
 
 
 def edge_masks(mesh, seed):
@@ -344,6 +354,7 @@ def block_triangles(mesh, free):
     return tris[np.argsort(tris % 2, kind="stable")]
 
 
+@pytest.mark.usefixtures("sparse_blocks")
 class TestFreeBlock:
     """The free block of a matrix is the reference's k[nodes][:, nodes] to
     round-off, stored in the stencil pattern, and the block residual is
@@ -352,6 +363,7 @@ class TestFreeBlock:
 
     def check(self, m, free, fl, u):
         block = free_block(m, free)
+        assert block.band is None
         nodes = block.nodes
         assert np.array_equal(np.sort(nodes), np.flatnonzero(free))
         pattern = pattern_reference(m, nodes)
@@ -440,6 +452,7 @@ class TestFreeBlock:
         for order, (e_shape, f_shape, place) in places.items():
             free = pair_free(m, e_shape, f_shape)
             block = free_block(m, free)
+            assert block.band is None
             assert np.all(np.diff(place(block.nodes)) > 0), order
             u = rand_field(m, 3)
             fl = anisotropic_p(1.5, 2.0, 0.5)
@@ -483,7 +496,7 @@ class TestFreeBlock:
             row, column = span(nodes), span(by_column)
             want = by_column if column < row else nodes
             block = free_block(m, free)
-            assert np.array_equal(block.nodes, want)
+            assert block.band is None and np.array_equal(block.nodes, want)
             for k in (p2_stiffness(m, block),
                       *(jacobian_matrix(m, flat_core_p(2.0, 0.5),
                                         rand_field(m, 9, 0.01), 0.0, shift,
@@ -509,6 +522,7 @@ class TestFreeBlock:
         m = build_mesh(8)
         block = FreeBlock(m, *pair_sets(m, disk(0.5, 0.5, 0.1),
                                         disk(0.5, 0.5, 0.4)))
+        assert block.band is None
         tris = block_triangles(m, block.free)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -560,7 +574,7 @@ class TestFreeBlock:
                            pattern_reference(m, nodes))
 
 
-def band_blocks(mesh, symmetric=False):
+def band_blocks(force_path, mesh, symmetric=False):
     """The annulus, strip and cross free sets of a mesh, each as a banded
     block, of a symmetric flux or not, and as a CSC block."""
     cross = shape_union(rect(0.0, 0.45, 1.0, 0.55), rect(0.45, 0.0, 0.55, 1.0))
@@ -568,12 +582,14 @@ def band_blocks(mesh, symmetric=False):
                              (shape_none(), rect(0.0, 0.45, 1.0, 0.55)),
                              (shape_none(), cross)):
         free = pair_free(mesh, e_shape, f_shape)
-        yield (free_block(mesh, free, band_below=10**9, symmetric=symmetric),
-               free_block(mesh, free))
+        force_path("band")
+        band = free_block(mesh, free, symmetric=symmetric)
+        force_path("superlu")
+        yield band, free_block(mesh, free)
 
 
 class TestBandStorage:
-    """Below the Krylov gate a compact block's matrices are LAPACK band
+    """A block of span at most BAND_MAX has matrices in LAPACK band
     storage filled by one bincount: bitwise the CSC block's entries, exact
     zeros everywhere else, and the same direct solve to round-off.  The
     block of a symmetric flux stores only its lower band."""
@@ -599,10 +615,10 @@ class TestBandStorage:
 
     @pytest.mark.parametrize("flux", NONZERO_FLUXES,
                              ids=lambda f: f"{f.kind}-p{f.p}")
-    def test_bitwise_the_csc_block(self, flux):
+    def test_bitwise_the_csc_block(self, flux, force_path):
         m = build_mesh(24)
         u = rand_field(m, 12)
-        for band, csc in band_blocks(m, is_symmetric(flux)):
+        for band, csc in band_blocks(force_path, m, is_symmetric(flux)):
             assert band.band is not None and csc.band is None
             assert band.lower == is_symmetric(flux) and not csc.lower
             assert np.array_equal(band.nodes, csc.nodes)
@@ -616,35 +632,43 @@ class TestBandStorage:
             self.assert_same(p2_stiffness(m, band), p2_stiffness(m, csc),
                              band.band, band.lower)
 
-    def test_storage_rule(self):
-        # banded below band_below free nodes, and only when the span is at
-        # most BAND_C n^(1/4): a cross two nodes wide is too thin for it
-        m = build_mesh(64)
-        free = pair_free(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
-        n = np.count_nonzero(free)
-        span = pattern_span(m, free)
-        assert span <= assembly.BAND_C * n ** 0.25
-        assert free_block(m, free).band is None
-        assert free_block(m, free, band_below=n).band is None
-        assert free_block(m, free, band_below=n + 1).band == span
-        thin = pair_free(m, shape_none(), shape_union(
-            rect(0.0, 0.49, 1.0, 0.52), rect(0.49, 0.0, 0.52, 1.0)))
-        assert pattern_span(m, thin) > assembly.BAND_C \
-            * np.count_nonzero(thin) ** 0.25
-        assert free_block(m, thin, band_below=10**9).band is None
+    def test_storage_rule(self, monkeypatch):
+        # banded when the span is at most BAND_MAX, whatever the size: the
+        # N = 96 annulus (4,344 free nodes, span 76) bands at the cap and
+        # not one below it, the N = 112 annulus (span 88) does not, and a
+        # cross two nodes wide (256 free nodes) spans 66 places
+        assert assembly.BAND_MAX == 76
+        thin = shape_union(rect(0.0, 0.49, 1.0, 0.52),
+                           rect(0.49, 0.0, 0.52, 1.0))
+        for n, f_shape, e_shape, size, span in (
+                (96, disk(0.5, 0.5, 0.4), disk(0.5, 0.5, 0.1), 4344, 76),
+                (112, disk(0.5, 0.5, 0.4), disk(0.5, 0.5, 0.1), 5908, 88),
+                (64, thin, shape_none(), 256, 66)):
+            m = build_mesh(n)
+            free = pair_free(m, e_shape, f_shape)
+            assert np.count_nonzero(free) == size
+            assert pattern_span(m, free) == span
+            assert free_block(m, free).band == (span if span <= 76 else None)
+            monkeypatch.setattr(assembly, "BAND_MAX", span)
+            assert free_block(m, free).band == span
+            monkeypatch.setattr(assembly, "BAND_MAX", span - 1)
+            assert free_block(m, free).band is None
+            monkeypatch.undo()
 
-    def test_single_free_node_and_zero_block(self):
+    def test_single_free_node_and_zero_block(self, force_path):
         m = build_mesh(8)
         free = np.zeros(m.n_nodes, dtype=bool)
         free[m.node_index(4, 4)] = True
         for symmetric in (False, True):
-            block = free_block(m, free, band_below=10**9, symmetric=symmetric)
-            assert block.band == 0
-            self.assert_same(p2_stiffness(m, block),
-                             p2_stiffness(m, free_block(m, free)), 0,
+            force_path("superlu")
+            csc = free_block(m, free)
+            force_path("band")
+            block = free_block(m, free, symmetric=symmetric)
+            assert block.band == 0 and csc.band is None
+            self.assert_same(p2_stiffness(m, block), p2_stiffness(m, csc), 0,
                              block.lower)
         # a flat Jacobian without a floor is all zeros: singular, as in CSC
-        block = next(band_blocks(m))[0]
+        block = next(band_blocks(force_path, m))[0]
         zero = jacobian_matrix(m, flat_core_p(2.0, 3.0), np.zeros(m.n_nodes),
                                0.0, block=block)
         assert not np.any(zero)
@@ -674,11 +698,11 @@ class TestSymmetricKinds:
 
     @pytest.mark.parametrize("flux", SYMMETRIC_FLUXES,
                              ids=lambda f: f"{f.kind}-p{f.p}")
-    def test_blocks_are_symmetric(self, flux):
+    def test_blocks_are_symmetric(self, flux, force_path):
         m = build_mesh(24)
         for seed in (3, 4):
             u = rand_field(m, seed)
-            for _, csc in band_blocks(m):
+            for _, csc in band_blocks(force_path, m):
                 for eps in (0.0, 1e-6):
                     for shift in (0.0, 1e-9):
                         k = jacobian_matrix(m, flux, u, eps, shift,
@@ -686,10 +710,12 @@ class TestSymmetricKinds:
                         gap = abs(k - k.T).max()
                         assert gap <= 1e-14 * abs(k).max()
 
-    def test_skew_block_on_the_box_edge_is_not(self):
+    def test_skew_block_on_the_box_edge_is_not(self, force_path):
         m = build_mesh(24)
         strip = pair_free(m, shape_none(), rect(0.0, 0.45, 1.0, 0.55))
+        force_path("superlu")
         block = free_block(m, strip)
+        assert block.band is None
         assert strip[m.node_index(0, 12)] and strip[m.node_index(24, 12)]
         k = jacobian_matrix(m, SKEW, rand_field(m, 3), 0.0, block=block)
         assert abs(k - k.T).max() >= 0.1 * abs(k).max()

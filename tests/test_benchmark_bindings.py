@@ -72,10 +72,11 @@ def test_traced_solve_restores_every_binding(tracer):
 
 
 def test_traced_krylov_solve_records_linear_solves(tracer):
-    # above the Krylov gate each Newton step is a GMRES solve whose
-    # preconditioner applies run the multigrid cycle, whose coarse level
-    # is a SuperLU factor: its LU solves are the traced ones
-    t, _, field, (mesh, e, f) = traced_annulus_solve(tracer, 96)
+    # the N = 128 annulus is too wide to band and above the Krylov gate:
+    # each Newton step is a GMRES solve whose preconditioner applies run
+    # the multigrid cycle, whose coarse level is a SuperLU factor: its LU
+    # solves are the traced ones
+    t, _, field, (mesh, e, f) = traced_annulus_solve(tracer, 128)
     assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
     assert any(span.name == "solver.factor" for span in t.spans)
     metrics = tracer.layer_metrics(t.spans)

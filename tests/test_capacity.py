@@ -301,15 +301,17 @@ class TestKeptResidual:
         assert report.c_inner == s * float(np.sum(pf.residual[e.mask]))
         assert report.c_outer == -s * float(np.sum(pf.residual[~f.mask]))
 
-    @pytest.mark.parametrize("n", [48, 96], ids=["band", "krylov_csc"])
-    def test_annulus(self, n):
+    @pytest.mark.parametrize("n", [48, 128], ids=["band", "krylov_csc"])
+    def test_annulus(self, n, force_path):
+        # force_path is not called: it only counts the GMRES solves
         mesh = build_mesh(n)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         free = np.count_nonzero(f.mask & ~e.mask)
-        assert (free >= solver.KRYLOV_MIN_NODES) == (n == 96)
+        assert (free >= solver.KRYLOV_MIN_NODES) == (n == 128)
         flux = p_laplacian(3.0)
         report, pf = compute_capacity(mesh, flux, e, f)
         assert pf.converged and pf.iterations > 0
+        assert (force_path.gmres > 0) == (n == 128)
         assert_kept_residual(mesh, flux, pf)
         self.assert_report_reads(report, pf, e, f, 1.0)
 

@@ -60,6 +60,33 @@ class TestOrderSuite:
         mesh = build_mesh(48)
         assert run_order_suite(mesh, FAMILY, 70, 7).passed
 
+    def test_krylov_path_gives_the_shipped_answers(self, force_path,
+                                                   monkeypatch):
+        # every block of the seed-7 N = 48 suite bands; forced onto the
+        # Krylov path the suite makes the same skips, and each solve, keyed
+        # as the suite cache keys it, gives the shipped c_inner within the
+        # larger tol_cap of the two reports
+        caches = []
+        real = properties._Cache.__init__
+
+        def init(cache, *args):
+            real(cache, *args)
+            caches.append(cache)
+        monkeypatch.setattr(properties._Cache, "__init__", init)
+        mesh = build_mesh(48)
+        shipped = run_order_suite(mesh, FAMILY, 70, 7)
+        assert force_path.gmres == 0
+        force_path("krylov")
+        krylov = run_order_suite(mesh, FAMILY, 70, 7)
+        assert force_path.gmres > 0
+        assert krylov.skipped == shipped.skipped
+        direct, iterative = (cache.store for cache in caches)
+        assert direct.keys() == iterative.keys()
+        for key, rep in direct.items():
+            other = iterative[key]
+            assert abs(rep.c_inner - other.c_inner) \
+                <= max(rep.tol_cap, other.tol_cap), key[0]
+
     def test_weighted_sum_flux(self):
         # the suite cache keys each solve on flux.describe(), which must be
         # JSON-serialisable for the nested parts of a weighted sum too

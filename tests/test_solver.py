@@ -11,8 +11,8 @@ from assembly_reference import (band_storage, complement, difference,
                                 discrete_boundary, jacobian_reference,
                                 p2_reference, triangles)
 from moncap import solver
-from moncap.assembly import (BAND_C, FreeBlock, _block_order, jacobian_matrix,
-                             p2_stiffness, residual)
+from moncap.assembly import (BAND_MAX, FreeBlock, _grid_span,
+                             jacobian_matrix, p2_stiffness, residual)
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -365,12 +365,12 @@ class TestNewtonBudget:
     @pytest.mark.parametrize("floor", [1e-9, 1e300])
     @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
     def test_iterations_within_max_newton_above_krylov_gate(
-            self, max_newton, floor, monkeypatch, recwarn):
-        # with the gate at 0 the block is above it: steps go through GMRES
-        # on a multigrid cycle, and a failed GMRES step rebuilds the cycle
-        # or is factored within the same budget
-        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+            self, max_newton, floor, force_path, recwarn):
+        # steps go through GMRES on a multigrid cycle, and a failed GMRES
+        # step rebuilds the cycle or is factored within the same budget
+        force_path("krylov")
         self.check_budget(max_newton, floor, recwarn)
+        assert (force_path.gmres > 0) == (max_newton > 0)
 
     @staticmethod
     def check_budget(max_newton, floor, recwarn):
@@ -437,24 +437,31 @@ def _one_factor_at_a_time(monkeypatch):
 
 
 class TestStaleFactorKrylov:
-    """On blocks of at least KRYLOV_MIN_NODES free nodes a Newton step
-    solves with GMRES preconditioned by the held multigrid cycle; when
-    GMRES or its direction fails, the cycle is rebuilt from the step's
-    Jacobian, and only when that fails too is the step solved directly.
-    Smaller blocks factor every step."""
+    """On an unbanded block of at least KRYLOV_MIN_NODES free nodes a
+    Newton step solves with GMRES preconditioned by the held multigrid
+    cycle; when GMRES or its direction fails, the cycle is rebuilt from the
+    step's Jacobian, and only when that fails too is the step solved
+    directly.  Any other block factors every step."""
 
     @pytest.fixture(scope="class")
     def large(self):
-        mesh = build_mesh(96)
+        # 7,736 free nodes at span 100: too wide for a band
+        mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
+        assert FreeBlock(mesh, e.mask, f.mask).band is None
         assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
         return mesh, e, f
 
     @staticmethod
-    def direct(monkeypatch, solve):
-        with monkeypatch.context() as m:
-            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-            return solve()
+    def direct(force_path, solve):
+        """solve() with every block banded and factored, then the shipped
+        rule again."""
+        gmres = force_path.gmres
+        force_path("band")
+        result = solve()
+        assert force_path.gmres == gmres
+        force_path("shipped")
+        return result
 
     @staticmethod
     def cycles(monkeypatch):
@@ -471,12 +478,13 @@ class TestStaleFactorKrylov:
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0)],
                              ids=["p_laplacian", "flat_core_p"])
-    def test_agrees_with_direct_path(self, large, flux, monkeypatch):
+    def test_agrees_with_direct_path(self, large, flux, monkeypatch,
+                                     force_path):
         mesh, e, f = large
 
         def solve():
             return compute_capacity(mesh, flux, e, f)
-        direct, _ = self.direct(monkeypatch, solve)
+        direct, _ = self.direct(force_path, solve)
         factors = _one_factor_at_a_time(monkeypatch)
         gmres = _counting(monkeypatch, solver.spla, "gmres")
         krylov, field = solve()
@@ -484,12 +492,13 @@ class TestStaleFactorKrylov:
         assert len(factors) < field.iterations
         assert abs(krylov.c_inner - direct.c_inner) <= krylov.tol_cap
 
-    def test_failed_gmres_step_rebuilds_the_cycle(self, large, monkeypatch):
+    def test_failed_gmres_step_rebuilds_the_cycle(self, large, monkeypatch,
+                                                  force_path):
         # GMRES fails once, on the blend start's cycle: the step rebuilds
         # the cycle from its Jacobian, which the rest of the solve keeps,
         # and no block factor is made
         mesh, e, f = large
-        direct, _ = self.direct(monkeypatch, lambda: compute_capacity(
+        direct, _ = self.direct(force_path, lambda: compute_capacity(
             mesh, p_laplacian(3.0), e, f))
         factors = _one_factor_at_a_time(monkeypatch)
         built = self.cycles(monkeypatch)
@@ -532,7 +541,7 @@ class TestStaleFactorKrylov:
 
     @pytest.mark.parametrize("info", [1, 0], ids=["stalled", "rejected"])
     def test_failed_gmres_step_is_refactored(self, large, info,
-                                             monkeypatch):
+                                             monkeypatch, force_path):
         # info 1: GMRES misses its tolerance; info 0 with a zero direction:
         # the line search finds no decrease.  Either way the held cycle
         # fails, then the cycle rebuilt from the step's Jacobian, and the
@@ -544,7 +553,7 @@ class TestStaleFactorKrylov:
             mesh, p_laplacian(3.0), FreeBlock(mesh, e.mask, f.mask),
             np.where(e.mask, 1.0, 0.0), 1.0)
         assert isinstance(held, solver._Cycle)
-        direct = self.direct(monkeypatch, lambda: solve_dirichlet(
+        direct = self.direct(force_path, lambda: solve_dirichlet(
             mesh, p_laplacian(3.0), e, f, 1.0,
             SolverOptions(init="given", init_field=start)))
         factors = _one_factor_at_a_time(monkeypatch)
@@ -597,41 +606,45 @@ class TestStaleFactorKrylov:
         assert max(factors) <= solver.COARSE_MAX_NODES
 
     @pytest.mark.parametrize("init", ["linear_blend", "zero"])
-    def test_zero_diagonal_jacobian_takes_direct_steps(self, init,
-                                                       monkeypatch, recwarn):
+    def test_zero_diagonal_jacobian_takes_direct_steps(
+            self, init, monkeypatch, force_path, recwarn):
         # without a floor the flat core's Jacobian has zero rows, which no
         # Jacobi smoother can divide by: such a step builds no cycle and is
         # solved directly, and no RuntimeWarning escapes
-        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+        force_path("krylov")
         monkeypatch.setattr(solver, "COARSE_MAX_NODES", 50)
         mesh = build_mesh(32)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         opts = SolverOptions(jacobian_floor=0.0, init=init)
         report, _ = compute_capacity(mesh, flat_core_p(2.0, 3.0), e, f,
                                      opts=opts)
-        direct, _ = self.direct(monkeypatch, lambda: compute_capacity(
+        assert force_path.gmres > 0
+        direct, _ = self.direct(force_path, lambda: compute_capacity(
             mesh, flat_core_p(2.0, 3.0), e, f, opts=opts))
         assert report.converged and direct.converged
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
-    def test_retry_frees_the_failed_attempts_factor(self, monkeypatch):
+    def test_retry_frees_the_failed_attempts_factor(self, monkeypatch,
+                                                    force_path):
         # the zero start fails within its one-step budget; the retry's
         # blend start factors only after that attempt's factors are gone.
-        # Below the gate: the zero start's step, the retry's blend start
-        # and its step each factor the block and drop it.  Above it: the
+        # On a band: the zero start's step, the retry's blend start and its
+        # step each factor the block and drop it.  On the Krylov path: the
         # zero start's cycle and the retry's blend cycle, which its step
         # reuses
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         opts = SolverOptions(max_newton=1, init="zero")
-        for gate, factored in ((solver.KRYLOV_MIN_NODES, 3), (0, 2)):
+        for path, factored in (("band", 3), ("krylov", 2)):
+            force_path(path)
+            gmres = force_path.gmres
             with monkeypatch.context() as m:
-                m.setattr(solver, "KRYLOV_MIN_NODES", gate)
                 factors = _one_factor_at_a_time(m)
                 with pytest.raises(SolverDiverged):
                     solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
             assert len(factors) == factored
+            assert (force_path.gmres > gmres) == (path == "krylov")
 
     def test_small_blocks_never_call_gmres(self, monkeypatch):
         # an N = 48 grid has (N - 1)^2 interior nodes, below the gate
@@ -670,6 +683,13 @@ def _split_sets(mesh):
     return e, rasterize(disk(0.5, 0.5, 0.4), mesh, "F")
 
 
+def _cross_sets(mesh, *_):
+    """E a disk at the crossing of a cross whose arms are 8 nodes wide."""
+    return (rasterize(disk(0.5, 0.5, 0.05), mesh, "E"),
+            rasterize(shape_union(rect(0.0, 0.44, 1.0, 0.56),
+                                  rect(0.44, 0.0, 0.56, 1.0)), mesh, "F"))
+
+
 def _box_sets(mesh):
     """F the whole square, so that free nodes lie on its edge."""
     return (rasterize(disk(0.3, 0.6, 0.1), mesh, "E"),
@@ -677,19 +697,23 @@ def _box_sets(mesh):
 
 
 class TestMultigridCycle:
-    """Above KRYLOV_MIN_NODES the held preconditioner is a smoothed
-    aggregation V-cycle of the blend start's p = 2 block, which also
-    preconditions the blend start's CG solve."""
+    """On the Krylov path the held preconditioner is a smoothed aggregation
+    V-cycle of the blend start's p = 2 block, which also preconditions the
+    blend start's CG solve."""
 
     @staticmethod
-    def cycle(mesh, e, f):
+    def cycle(force_path, mesh, e, f):
+        """The CSC p = 2 block of e in f and its cycle, on the Krylov
+        path."""
+        force_path("krylov")
         block = FreeBlock(mesh, e.mask, f.mask)
+        assert block.band is None
         k = p2_stiffness(mesh, block)
         return k, solver._Cycle(k.T, mesh, block)
 
-    def test_fixed_symmetric_linear_operator(self):
+    def test_fixed_symmetric_linear_operator(self, force_path):
         mesh = build_mesh(96)
-        k, cycle = self.cycle(mesh, *annulus_sets(mesh, 0.1, 0.4))
+        k, cycle = self.cycle(force_path, mesh, *annulus_sets(mesh, 0.1, 0.4))
         assert cycle.levels
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal((2, k.shape[0]))
@@ -702,12 +726,13 @@ class TestMultigridCycle:
         assert x @ mx > 0 and y @ my > 0
         assert np.array_equal(cycle.solve(x), mx)
 
-    def test_operator_complexity(self):
+    def test_operator_complexity(self, force_path):
         # 3 x 3 boxes keep the coarse stencils compact: on the N = 96
         # annulus the two levels hold 29,752 and 4,364 entries, an operator
         # complexity of 1.147 (2 x 2 boxes made three levels and 1.78)
         mesh = build_mesh(96)
-        _, cycle = self.cycle(mesh, *annulus_sets(mesh, 0.1, 0.4))
+        _, cycle = self.cycle(force_path, mesh,
+                              *annulus_sets(mesh, 0.1, 0.4))
         a, _, p, p_t = cycle.levels[-1]
         nnz = [level[0].nnz for level in cycle.levels] + [(p_t @ a @ p).nnz]
         assert nnz == [29752, 4364]
@@ -717,9 +742,10 @@ class TestMultigridCycle:
         # the p = 2 block's SW/NE couplings vanish on right triangles; the
         # blend start's cycle drops them from its finest level, and its
         # applies keep the bits of a cycle built with them
-        mesh = build_mesh(96)
+        mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         block = FreeBlock(mesh, e.mask, f.mask)
+        assert block.band is None
         _, cycle = solver._linear_blend_init(
             mesh, p_laplacian(3.0), block, np.where(e.mask, 1.0, 0.0), 1.0)
         k = p2_stiffness(mesh, block).T
@@ -733,16 +759,18 @@ class TestMultigridCycle:
     @pytest.mark.parametrize("flux", [
         p_laplacian(2.0), linear_matrix([[1.0, 0.5], [-0.5, 1.0]])],
         ids=["p_laplacian", "skew_linear_matrix"])
-    def test_p2_start_converges_without_newton_steps(self, flux, monkeypatch):
-        mesh = build_mesh(96)
+    def test_p2_start_converges_without_newton_steps(self, flux, monkeypatch,
+                                                     force_path):
+        mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
         gmres = _counting(monkeypatch, solver.spla, "gmres")
+        cycles = _counting(monkeypatch, solver, "_Cycle")
         report, field = compute_capacity(mesh, flux, e, f)
         assert report.converged and field.iterations == 0 and not gmres
-        with monkeypatch.context() as m:
-            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-            direct, _ = compute_capacity(mesh, flux, e, f)
+        assert len(cycles) == 1
+        direct, _ = TestStaleFactorKrylov.direct(
+            force_path, lambda: compute_capacity(mesh, flux, e, f))
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
 
     @pytest.mark.parametrize("n, sets, levels", [
@@ -750,13 +778,13 @@ class TestMultigridCycle:
         (128, _ring_sets, 1), (8, annulus_sets, 0)],
         ids=["odd_n", "f_on_box_edge", "two_components", "one_node_ring",
              "coarsest_only"])
-    def test_hierarchy_on_free_sets(self, n, sets, levels, monkeypatch):
-        # the gate forced to 0 puts each block on the cycle path
-        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 0)
+    def test_hierarchy_on_free_sets(self, n, sets, levels, monkeypatch,
+                                    force_path):
+        # each block forced onto the Krylov path
         monkeypatch.setattr(solver, "COARSE_MAX_NODES", 200)
         mesh = build_mesh(n)
         e, f = sets(mesh)
-        k, cycle = self.cycle(mesh, e, f)
+        k, cycle = self.cycle(force_path, mesh, e, f)
         assert len(cycle.levels) == levels
         # the coarsest level is a banded or a SuperLU factor
         coarse = cycle.levels[-1][2].shape[1] if cycle.levels else k.shape[0]
@@ -775,37 +803,37 @@ class TestMultigridCycle:
                          block=block)[block.nodes]
             assert np.linalg.norm(r) <= 2.0 * bound
         report, field = compute_capacity(mesh, p_laplacian(3.0), e, f)
-        monkeypatch.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-        direct, _ = compute_capacity(mesh, p_laplacian(3.0), e, f)
+        assert force_path.gmres > 0
+        direct, _ = TestStaleFactorKrylov.direct(
+            force_path, lambda: compute_capacity(mesh, p_laplacian(3.0), e, f))
         assert report.converged and direct.converged
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
 
     @pytest.mark.parametrize("s", [1e-150, 1e150])
-    def test_extreme_levels_match_direct_path(self, s, monkeypatch, recwarn):
+    def test_extreme_levels_match_direct_path(self, s, force_path, recwarn):
         # the blend start solves for E at level 1 and scales by s: at level
         # s, CG's inner products underflow or overflow
-        mesh = build_mesh(96)
+        mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         report, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "KRYLOV_MIN_NODES", 10**9)
-            direct, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, s)
+        direct, _ = TestStaleFactorKrylov.direct(
+            force_path, lambda: compute_capacity(mesh, p_laplacian(2.0), e, f,
+                                                 s))
         assert report.converged
         assert abs(report.c_inner - direct.c_inner) <= report.tol_cap
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_overflowing_capacity_above_the_gate(self, recwarn):
-        mesh = build_mesh(96)
+        mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         with pytest.raises(InvalidInput, match="the capacity overflows"):
             compute_capacity(mesh, p_laplacian(2.0), e, f, 1e160)
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-def _block(mesh, e_shape, f_shape, band_below=0, symmetric=False):
+def _block(mesh, e_shape, f_shape, symmetric=False):
     e, f = rasterize(e_shape, mesh, "E"), rasterize(f_shape, mesh, "F")
-    return FreeBlock(mesh, e.mask, f.mask, band_below=band_below,
-                     symmetric=symmetric)
+    return FreeBlock(mesh, e.mask, f.mask, symmetric=symmetric)
 
 
 def _agrees_with_superlu(a, csc, lower=False):
@@ -820,8 +848,8 @@ def _agrees_with_superlu(a, csc, lower=False):
 
 class TestBandLU:
     """A free block is assembled in the grid order whose mesh edges span
-    fewer places; below the gate, when that span is small, its matrices
-    are band storage that LAPACK factors (the lower band of a symmetric
+    fewer places; when that span is at most BAND_MAX, its matrices are
+    band storage that LAPACK factors (the lower band of a symmetric
     flux's block by Cholesky, else the general band by LU), else CSC that
     SuperLU factors in its own COLAMD order; all solve in block order."""
 
@@ -833,13 +861,16 @@ class TestBandLU:
         (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
         (disk(0.3, 0.6, 0.05), rect(0.1, 0.2, 0.7, 0.9)),
         (disk(0.6, 0.4, 0.2), shape_all())], ids=["annulus", "rect", "box"])
-    def test_suite_sized_blocks_agree_with_superlu(self, flux, shapes):
+    def test_suite_sized_blocks_agree_with_superlu(self, flux, shapes,
+                                                   force_path):
         mesh = build_mesh(48)
+        force_path("superlu")
         csc = _block(mesh, *shapes)
+        assert csc.band is None
         u = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
+        force_path("band")
         for symmetric in (False, True):
-            band = _block(mesh, *shapes, band_below=10**9,
-                          symmetric=symmetric)
+            band = _block(mesh, *shapes, symmetric=symmetric)
             assert band.band is not None and band.lower == symmetric
             for block_matrix in (
                     lambda block: p2_stiffness(mesh, block),
@@ -848,16 +879,20 @@ class TestBandLU:
                 _agrees_with_superlu(block_matrix(band), block_matrix(csc),
                                      band.lower)
 
-    def test_nonsymmetric_shifted_jacobian_needs_pivoting(self):
+    def test_nonsymmetric_shifted_jacobian_needs_pivoting(self, force_path):
         # the skew Jacobian of linear_matrix, shifted down to a tenth of
         # its diagonal, with its lower triangle (in block order) scaled
         # up: off-diagonal entries now dominate, so rows are swapped
         mesh = build_mesh(24)
         shapes = (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
-        bw = _block(mesh, *shapes, band_below=10**9).band
+        force_path("band")
+        bw = _block(mesh, *shapes).band
+        force_path("superlu")
+        block = _block(mesh, *shapes)
+        assert bw is not None and block.band is None
         flux = linear_matrix([[1.0, 0.5], [-0.5, 1.0]])
         jac = jacobian_matrix(mesh, flux, np.zeros(mesh.n_nodes), 0.0,
-                              shift=1e-9, block=_block(mesh, *shapes))
+                              shift=1e-9, block=block)
         a = (jac - 0.9 * sp.diags(jac.diagonal())
              + 3.0 * sp.tril(jac, -1)).tocsc()
         _, piv, _ = dgbtrf(band_storage(a, bw), bw, bw)
@@ -866,22 +901,25 @@ class TestBandLU:
 
     @pytest.mark.parametrize("stored", [True, False],
                              ids=["zero_entries", "no_entries"])
-    def test_singular_block_gives_no_direction(self, stored):
+    def test_singular_block_gives_no_direction(self, stored, force_path):
         # a flat Jacobian with no floor can be all zeros, stored, as the
         # block assembly stores them, or not stored at all; a banded block
         # stores it as zero band storage, general or lower
         mesh = build_mesh(16)
         shapes = (disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        force_path("superlu")
         block = _block(mesh, *shapes)
+        assert block.band is None
         a = p2_stiffness(mesh, block)
         a.data[:] = 0.0
         if not stored:
             a.eliminate_zeros()
         b = np.ones(a.shape[0])
         zeros = [(block, lambda: a)]
+        force_path("band")
         for symmetric in (False, True):
-            band = _block(mesh, *shapes, band_below=10**9,
-                          symmetric=symmetric)
+            band = _block(mesh, *shapes, symmetric=symmetric)
+            assert band.band is not None
             zeros.append((band, lambda band=band:
                           0.0 * p2_stiffness(mesh, band)))
         for held, zero in zeros:
@@ -894,27 +932,40 @@ class TestBandLU:
         with pytest.raises(RuntimeError):
             spla.splu(a)
 
-    def test_one_node_block(self):
+    def test_one_node_block(self, force_path):
         mesh = build_mesh(8)
         free = np.zeros(mesh.n_nodes, dtype=bool)
         free[mesh.node_index(4, 4)] = True
         e = np.zeros_like(free)
-        block = FreeBlock(mesh, e, free, band_below=10**9)
-        assert block.band == 0
+        force_path("superlu")
+        csc = FreeBlock(mesh, e, free)
+        force_path("band")
+        block = FreeBlock(mesh, e, free)
+        assert block.band == 0 and csc.band is None
         x = _agrees_with_superlu(p2_stiffness(mesh, block),
-                                 p2_stiffness(mesh, FreeBlock(mesh, e, free)))
+                                 p2_stiffness(mesh, csc))
         assert x.shape == (1,)
 
-    def test_wide_strip_takes_column_order(self):
-        # the strip is 64 nodes wide and 7 high: column-major order keeps
-        # each entry within a few places of the diagonal
-        mesh = build_mesh(64)
-        shapes = (shape_none(), rect(0.0, 0.45, 1.0, 0.55))
-        block = _block(mesh, *shapes, band_below=10**9)
+    @pytest.mark.parametrize("n, f_shape, high", [
+        (64, rect(0.0, 0.45, 1.0, 0.55), 7),
+        (256, rect(0.05, 0.45, 0.95, 0.55), 25)], ids=["N64", "N256"])
+    def test_wide_strip_takes_column_order(self, n, f_shape, high,
+                                           force_path):
+        # the strips are 65 nodes wide and 7 high, and 231 wide and 25
+        # high: column-major order keeps each entry within a few places of
+        # the diagonal.  The N = 256 strip lies above the Krylov gate and
+        # bands only in that order
+        mesh = build_mesh(n)
+        shapes = (shape_none(), f_shape)
+        block = _block(mesh, *shapes)
         side = mesh.n + 1
         nodes = block.nodes
         assert np.all(np.diff(nodes % side * side + nodes // side) > 0)
-        assert block.band < 10
+        assert np.count_nonzero(nodes % side == side // 2) == high
+        assert block.band is not None and block.band < high + 3
+        row_span = _grid_span(block.free.reshape(side, side))
+        assert (row_span > BAND_MAX) == (nodes.size >= solver.KRYLOV_MIN_NODES)
+        force_path("superlu")
         _agrees_with_superlu(p2_stiffness(mesh, block),
                              p2_stiffness(mesh, _block(mesh, *shapes)))
 
@@ -926,7 +977,7 @@ class TestBandLU:
         mesh = build_mesh(256)
         cross = shape_union(rect(0.0, 0.499, 1.0, 0.504),
                             rect(0.499, 0.0, 0.504, 1.0))
-        block = _block(mesh, shape_none(), cross, band_below=10**9)
+        block = _block(mesh, shape_none(), cross)
         assert np.all(np.diff(block.nodes) > 0)
         assert block.band is None
         a = p2_stiffness(mesh, block)
@@ -935,10 +986,10 @@ class TestBandLU:
         # the reference's factor, and the direct solve's
         assert len(factors) == 2
 
-    def test_coarse_level_keeps_superlu(self):
+    def test_coarse_level_keeps_superlu(self, force_path):
         mesh = build_mesh(96)
-        _, cycle = TestMultigridCycle.cycle(mesh, *annulus_sets(mesh, 0.1,
-                                                                0.4))
+        _, cycle = TestMultigridCycle.cycle(force_path, mesh,
+                                            *annulus_sets(mesh, 0.1, 0.4))
         assert isinstance(cycle.coarse, spla.SuperLU)
 
 
@@ -948,7 +999,7 @@ class TestFactorRoute:
     bandwidth of its own."""
 
     def test_order_suite_solves_only_bands(self, monkeypatch):
-        # every suite block at N = 48 lies below the gate and is compact
+        # every suite block at N = 48 spans at most BAND_MAX places
         storages = []
         real = solver._direct_solve
 
@@ -996,25 +1047,30 @@ class TestFactorRoute:
         cholesky, lu = self.lapack_solves(monkeypatch, flux, sets)
         assert cholesky == 0 and lu > 0
 
-    def test_compact_block_above_the_gate_goes_to_superlu(self, monkeypatch):
-        # the N = 96 annulus's span fits the band rule, but its block is
-        # above the gate, so it is CSC and its direct step is SuperLU's
-        mesh = build_mesh(96)
-        e, f = annulus_sets(mesh, 0.1, 0.4)
-        free = f.mask & ~e.mask
-        n = np.count_nonzero(free)
-        block = FreeBlock(mesh, e.mask, f.mask,
-                          band_below=solver.KRYLOV_MIN_NODES)
-        assert n >= solver.KRYLOV_MIN_NODES and block.band is None
-        assert _block_order(mesh, free)[1] <= BAND_C * n ** 0.25
-        u = np.where(e.mask, 1.0, 0.0)
-        r = residual(mesh, p_laplacian(3.0), u, block=block)[block.nodes]
-        state = solver._NewtonState(mesh, p_laplacian(3.0), block,
-                                    SolverOptions(), [])
-        factors = _counting(monkeypatch, solver.spla, "splu")
-        delta = state._direct(jacobian_matrix(mesh, p_laplacian(3.0), u,
-                                              1e-2, block=block), r)
-        assert len(factors) == 1 and delta is not None
+    @pytest.mark.parametrize("n, sets, route", [
+        (96, annulus_sets, "band"), (64, _cross_sets, "band"),
+        (128, annulus_sets, "krylov")],
+        ids=["annulus_N96", "cross_N64", "annulus_N128"])
+    def test_bandwidth_alone_decides_the_route(self, n, sets, route,
+                                               monkeypatch):
+        # the N = 96 annulus (4,344 free nodes, span 76) lies above the
+        # Krylov gate and the N = 64 cross (824 free nodes, span 63) is thin
+        # and wide, yet both band: every step is a LAPACK solve.  The
+        # N = 128 annulus (span 100) does not band and takes GMRES steps
+        mesh = build_mesh(n)
+        e, f = sets(mesh, 0.1, 0.4)
+        block = FreeBlock(mesh, e.mask, f.mask)
+        assert (block.band is not None) == (route == "band")
+        lapack = _counting(monkeypatch, solver, "dpbsv")
+        superlu = _counting(monkeypatch, solver.spla, "splu")
+        gmres = _counting(monkeypatch, solver.spla, "gmres")
+        report, field = compute_capacity(mesh, p_laplacian(3.0), e, f)
+        assert report.converged and field.iterations > 0
+        if route == "band":
+            assert len(lapack) == field.iterations + 1
+            assert not superlu and not gmres
+        else:
+            assert not lapack and gmres
 
 
 class TestFreeBlockWork:
@@ -1083,7 +1139,7 @@ class TestLinearBlendInit:
             got, held = solver._linear_blend_init(
                 mesh, p_laplacian(3.0), FreeBlock(mesh, e.mask, f.mask), u,
                 1.0)
-            # below the gate the p = 2 factor is dropped with the start
+            # off the Krylov path the p = 2 factor is dropped with the start
             assert held is None
             k = p2_reference(mesh)
             expected = u.copy()
@@ -1094,17 +1150,16 @@ class TestLinearBlendInit:
 
     @pytest.mark.parametrize("flux", LINEAR_FLUXES, ids=lambda f: f.kind)
     def test_linear_flux_solves_its_own_problem(self, flux):
-        # below the gate a linear flux starts from its own free-free solve,
-        # its Jacobian reference split into free and fixed blocks
+        # off the Krylov path a linear flux starts from its own free-free
+        # solve, its Jacobian reference split into free and fixed blocks
         from scipy.sparse.linalg import spsolve
         mesh = build_mesh(32)
         e, f = _box_sets(mesh)
         free = f.mask & ~e.mask
         u = np.where(e.mask, -0.6, 0.0)
-        got, held = solver._linear_blend_init(
-            mesh, flux, FreeBlock(mesh, e.mask, f.mask, band_below=10**9),
-            u, -0.6)
-        assert held is None
+        block = FreeBlock(mesh, e.mask, f.mask)
+        got, held = solver._linear_blend_init(mesh, flux, block, u, -0.6)
+        assert held is None and block.band is not None
         k = jacobian_reference(mesh, flux, u, 0.0)
         expected = u.copy()
         expected[free] = spsolve(k[free][:, free].tocsc(),
@@ -1114,9 +1169,9 @@ class TestLinearBlendInit:
 
 
 class TestLinearStart:
-    """Below the gate a linear flux's blend start is the exact solution of
-    its own problem, so its solve takes no Newton step; a flux that is not
-    linear keeps the p = 2 start and its steps."""
+    """Off the Krylov path a linear flux's blend start is the exact
+    solution of its own problem, so its solve takes no Newton step; a flux
+    that is not linear keeps the p = 2 start and its steps."""
 
     @pytest.mark.parametrize("flux", LINEAR_FLUXES, ids=lambda f: f.kind)
     @pytest.mark.parametrize("sets", [annulus_sets, _box_sets],
@@ -1153,7 +1208,8 @@ class TestLinearStart:
         # its factor is singular, and the start is the p = 2 one
         mesh = build_mesh(16)
         e, f = annulus_sets(mesh)
-        block = FreeBlock(mesh, e.mask, f.mask, band_below=10**9)
+        block = FreeBlock(mesh, e.mask, f.mask)
+        assert block.band is not None
         skew = linear_matrix([[0.0, 1.0], [-1.0, 0.0]], validate=False)
         u = np.where(e.mask, 1.0, 0.0)
         assert not np.any(jacobian_matrix(mesh, skew, u, 0.0, block=block))
@@ -1167,7 +1223,7 @@ class TestLinearStart:
 
 
 class TestSolveWork:
-    """A below-gate solve does only the work its answer needs."""
+    """A solve off the Krylov path does only the work its answer needs."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       weighted_p_laplacian(2.0, 1.0, 2.0)],
