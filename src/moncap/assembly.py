@@ -16,7 +16,10 @@ and the report reads its capacities from the solve's last one.  A block's
 Jacobian is one more bincount, of element matrices straight into LAPACK
 band storage on a block of bandwidth at most BAND_MAX, whatever its size
 (only the lower band when the flux's Jacobian is symmetric), else into
-its CSC stencil pattern; no scipy object is built for a banded block.  A
+its CSR stencil pattern, the one format that GMRES, the multigrid cycle
+and CG multiply in; no scipy object is built for a banded block.  The
+block also decides, once, whether its Newton steps take GMRES
+(``FreeBlock.krylov``).  A
 triangle whose corners all hold one value has gradient (+0, +0) or
 (-0, -0) and every flux gives a(x, 0) = 0 exactly, so leaving it out
 drops only exact zeros from each sum.  Bincounts sum in a fixed order, so
@@ -45,13 +48,19 @@ _GRADIENTS = np.array([(-1, 0), (1, -1), (0, 1)], dtype=float)
 _DIRECTIONS = np.array([3, 2, 0, 4, 3, 1, 6, 5, 3])
 _WEIGHTS = np.einsum("ac,bd->cdab", _GRADIENTS,
                      _GRADIENTS).reshape(4, 9) / 2.0
-# A free block whose span (its bandwidth) is at most BAND_MAX is assembled
-# as a band, which LAPACK factors, whatever its size; any other block is
-# CSC, which SuperLU factors in its default COLAMD order.  Band cost grows
-# like n bw^2, so the cap is on bw alone.  At 76 the N = 96 annulus and
-# thin strips at N = 1024 band; wider caps lost to the Krylov path:
-# flat-core at bw 100, p = 3 at bw 154 with twice the memory (CHANGES.md).
+# The route of a free block's linear solves.  A block whose span (its
+# bandwidth) is at most BAND_MAX is assembled as a band, which LAPACK
+# factors, whatever its size; any other block is CSR.  An unbanded block
+# of at least KRYLOV_MIN_NODES free nodes takes GMRES steps on a multigrid
+# cycle; a smaller one, too wide for a band (crosses and frames), takes
+# SuperLU steps.  Band cost grows like n bw^2, so the cap is on bw alone.
+# At 76 the N = 96 annulus and thin strips at N = 1024 band; wider caps
+# lost to the Krylov path: flat-core at bw 100, p = 3 at bw 154 with twice
+# the memory.  Sending the small unbanded blocks to GMRES as well lost:
+# flat-core on the crosses at N = 96 and 128 stopped converging, and the
+# linear fluxes lost their exact start (CHANGES.md).
 BAND_MAX = 76
+KRYLOV_MIN_NODES = 4096
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -157,64 +166,67 @@ class FreeBlock(_Triangles):
     of F carry flux out of E.  They have no free corner, so they add
     nothing to the block's matrices.
 
-    ``nodes`` lists the free nodes, ``free`` = F \\ E, in
-    ``_block_order``, so the block of a full matrix k is
-    k[nodes][:, nodes], and a corner's place is its node's position in
-    ``nodes``, ``size`` (dropped) off the block.
+    ``nodes`` lists the free nodes, F \\ E, in ``_block_order``, so the
+    block of a full matrix k is k[nodes][:, nodes], and a corner's place
+    is its node's position in ``nodes``, ``size`` (dropped) off the block.
 
-    Storage is decided here alone.  A block whose span bw (its bandwidth)
-    is at most BAND_MAX, whatever its n free nodes, is banded: ``band`` is
-    bw and its matrices are LAPACK band storage in Fortran order.  For a
-    flux whose Jacobian is ``symmetric`` (its kind says so) the block is
-    too, and ``lower`` is True: shape (bw + 1, n),
-    entry (r, c) with r >= c in row r - c of column c, for band Cholesky.
-    Otherwise the general band, shape (3 bw + 1, n), entry (r, c) in row
-    2 bw + r - c of column c under bw rows left zero for the fill of LU's
-    row interchanges.  ``keys`` sends entry (a, b) of each triangle's
-    element matrix straight to the flat slot of (a's place, b's place),
-    and an entry with a or b off the block, or above the diagonal of a
-    lower band, to one trailing bin.  Any other block has ``band`` None
-    and the CSC pattern of ``pattern``: column c stores node c and its free
-    stencil neighbours, rows sorted, and its data are bincount slots
-    7 c + d, d the direction of the row from node c; ``keys`` sends entry
-    (a, b) to the slot of b's place and a's direction from b, which no
-    stored entry reads when a or b is off the block.  ``keys`` is 72 bytes
-    a triangle either way.  For the N = 256 annulus E = disk r 0.1, F =
-    disk r 0.4 (62,626 triangles, 30,876 free nodes, CSC) a block takes
-    10.7 MB, 4.5 of it in ``keys``.  The N = 48 annulus of the same radii
-    (2,332 triangles, 1,084 free nodes, bw 38, banded) takes 0.33 MB, and
-    each of its band matrices 0.34 MB as a lower band (1.0 MB as a general
-    one), where CSC would take 0.09 MB.  The widest band, a 0.9 x 0.074
-    strip at N = 1024 (137,654 triangles, 67,762 free nodes, bw 76), takes
-    20.3 MB, and each band matrix 41.7 MB lower or 124 MB general.
+    The route of the block's linear solves is decided here alone.  A
+    block whose span bw (its bandwidth) is at most BAND_MAX, whatever its
+    n free nodes, is banded: ``band`` is bw and its matrices are LAPACK
+    band storage in Fortran order.  For a flux whose Jacobian is
+    ``symmetric`` (its kind says so) the block is too, and ``lower`` is
+    True: shape (bw + 1, n), entry (r, c) with r >= c in row r - c of
+    column c, for band Cholesky.  Otherwise the general band, shape
+    (3 bw + 1, n), entry (r, c) in row 2 bw + r - c of column c under bw
+    rows left zero for the fill of LU's row interchanges.  ``keys`` sends
+    entry (a, b) of each triangle's element matrix straight to the flat
+    slot of (a's place, b's place), and an entry with a or b off the
+    block, or above the diagonal of a lower band, to one trailing bin.
+    Any other block has ``band`` None and the CSR pattern of ``pattern``:
+    row r stores node r and its free stencil neighbours, columns sorted,
+    and its data are bincount slots 7 r + d, d the direction of the column
+    from node r; ``keys`` sends entry (a, b) to the slot of a's place and
+    b's direction from a, which no stored entry reads when a or b is off
+    the block.  The stencil is symmetric, so these are also the index
+    arrays of the CSC pattern.  ``krylov`` is True for an unbanded block
+    of at least KRYLOV_MIN_NODES free nodes, whose Newton steps take GMRES
+    on a multigrid cycle; a smaller one is factored by SuperLU.  ``keys``
+    is 72 bytes a triangle either way.  For the N = 256 annulus E = disk
+    r 0.1, F = disk r 0.4 (62,626 triangles, 30,876 free nodes, CSR) a
+    block takes 9.1 MB, 4.5 of it in ``keys``.  The N = 48 annulus of the
+    same radii (2,332 triangles, 1,084 free nodes, bw 38, banded) takes
+    0.27 MB, and each of its band matrices 0.34 MB as a lower band (1.0 MB
+    as a general one), where CSR would take 0.09 MB.  The widest band, a
+    0.9 x 0.074 strip at N = 1024 (137,654 triangles, 67,762 free nodes,
+    bw 76), takes 16.0 MB, and each band matrix 41.7 MB lower or 124 MB
+    general.
     """
 
     def __init__(self, mesh: Mesh, e: np.ndarray, f: np.ndarray,
                  symmetric: bool = False):
         super().__init__(mesh, touched_triangles(mesh, f)
                          & touched_triangles(mesh, ~e))
-        free = f & ~e
         w = mesh.n + 3                       # row width of the padded grid
-        nodes, span = _block_order(mesh, free)
+        nodes, span = _block_order(mesh, f & ~e)
         n = nodes.size
         nodes.setflags(write=False)
-        self.free, self.nodes, self.size = free, nodes, n
+        self.nodes, self.size = nodes, n
         # each node's place in the block, n off it, on the grid padded by a
         # ring of n so that no stencil step wraps to another row
         padded = np.full(w * w, n, dtype=np.intp)
         at = nodes + nodes // (w - 2) * 2 + w + 1
         padded[at] = np.arange(n)
-        self.places = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(
-            self.corners)
-        # b's place in each triangle's element entries 3 a + b, flat
-        place_b = np.tile(self.places, 3)
+        places = padded.reshape(w, w)[1:-1, 1:-1].ravel().take(self.corners)
+        # a's place in each triangle's element entries 3 a + b
+        place_a = np.repeat(places, 3, axis=1)
         self.band = span if span <= BAND_MAX else None
         self.lower = symmetric and self.band is not None
+        self.krylov = self.band is None and n >= KRYLOV_MIN_NODES
         if self.band is not None:
             # (r, c) is row top + r - c of column c: flat slot
             # c (top + bw + 1) + top + r - c
             top = 0 if self.lower else 2 * span
-            place_a = np.repeat(self.places, 3, axis=1)
+            place_b = np.tile(places, 3)
             off = place_a == n
             off |= place_a < place_b if self.lower else place_b == n
             place_b *= top + span
@@ -223,17 +235,18 @@ class FreeBlock(_Triangles):
             place_b[off] = n * (top + span + 1)
             self.keys = place_b.ravel()
             return
-        # column c's rows by direction d, at slot 7 c + d: in order in a
+        # row r's columns by direction d, at slot 7 r + d: in order in a
         # row-major block, sorted by scipy with the slots in the others
-        rows = padded.take(at[:, None] + [-w - 1, -w, -1, 0, 1, w, w + 1])
-        found = np.flatnonzero(rows < n).astype(np.int32)
-        self.pattern = sp.csc_matrix((found, rows.take(found), np.searchsorted(
+        cols = padded.take(at[:, None] + [-w - 1, -w, -1, 0, 1, w, w + 1])
+        found = np.flatnonzero(cols < n).astype(np.int32)
+        self.pattern = sp.csr_matrix((found, cols.take(found), np.searchsorted(
             found, np.arange(0, 7 * n + 1, 7)).astype(np.int32)), (n, n))
         self.pattern.sort_indices()
-        place_b *= 7
-        place_b[:self.n_lower] += _DIRECTIONS
-        place_b[self.n_lower:] += 6 - _DIRECTIONS
-        self.keys = place_b.ravel()
+        # b's direction from a is 6 minus a's direction from b
+        place_a *= 7
+        place_a[:self.n_lower] += 6 - _DIRECTIONS
+        place_a[self.n_lower:] += _DIRECTIONS
+        self.keys = place_a.ravel()
 
 
 def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
@@ -253,11 +266,8 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
     u = _check_field(mesh, u)
     tris = block if block is not None \
         else _Triangles(mesh, touched_triangles(mesh, u != 0))
-    grads = _gradients(mesh, tris, u)
-    if eps == 0.0:
-        a = eval_flux(flux, tris.barycenters, grads)
-    else:
-        a = eval_flux_smoothed(flux, tris.barycenters, grads, eps)
+    a = eval_flux_smoothed(flux, tris.barycenters,
+                           _gradients(mesh, tris, u), eps)
     return _adjoint(mesh, tris, a)
 
 
@@ -279,7 +289,7 @@ def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
 def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
     """The block of sum_T |T| B_T^T (J_T + shift I) B_T, J_T the 2x2
     matrices in jac (changed in place): one bincount of the element
-    matrices into the block's band storage or CSC pattern."""
+    matrices into the block's band storage or CSR pattern."""
     jac = jac.reshape(-1, 4)
     jac[:, ::3] += shift                        # the diagonal, 0 and 3
     # inf times a zero weight is NaN, as times the zero hat gradient
@@ -293,7 +303,7 @@ def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):
 def _scatter(block: FreeBlock, elements: np.ndarray):
     """The block matrix whose slots sum ``elements``, entry 3 a + b of
     each triangle's element matrix flat in triangle order: one bincount
-    into the block's band storage or CSC pattern."""
+    into the block's band storage or CSR pattern."""
     if block.band is not None:
         size = block.size * (block.band + 1 if block.lower
                              else 3 * block.band + 1)
@@ -309,7 +319,7 @@ def jacobian_matrix(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float,
                     shift: float = 0.0, *, block: FreeBlock):
     """The block of the residual's Jacobian sum_T |T| B_T^T J_T B_T at u,
     the flux Jacobians J_T evaluated on the block's triangles only, in the
-    block's storage: band array or CSC matrix.
+    block's storage: band array or CSR matrix.
     ``shift`` adds shift*I to each (a Levenberg-style floor for degenerate
     fluxes; the residual is never shifted, so the converged solution is
     unaffected)."""

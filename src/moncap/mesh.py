@@ -39,15 +39,8 @@ class Mesh:
         return self.nodes.shape[0]
 
     @property
-    def n_triangles(self) -> int:
-        return 2 * self.n * self.n
-
-    @property
     def h(self) -> float:
         return self.length / self.n
-
-    def node_index(self, i: int, j: int) -> int:
-        return j * (self.n + 1) + i
 
 
 def build_mesh(n: int, length: float = 1.0) -> Mesh:

@@ -20,32 +20,33 @@ included, and every Jacobian is assembled on those triangles only, and no
 iterate's true residual is evaluated twice.  A block residual is exact at
 every node; the steps read its free rows, and the returned field keeps the
 last true one, which the capacity report reads.  The block alone decides
-its storage (``FreeBlock``): LAPACK band storage for a block of bandwidth
-at most ``BAND_MAX``, whatever its size, else CSC.  The flux's kind decides
-the band's layout: a symmetric Jacobian (``is_symmetric``) keeps its lower
-band only.  ``_direct_solve`` follows the block: a lower band is factored
-in place and solved by band Cholesky (dpbsv), a general band by band LU
-(dgbsv), a sparse matrix by SuperLU in its own fill-reducing order; the
-last two pivot rows partially, for skew Jacobians.
+the route of every linear solve (``FreeBlock``): LAPACK band storage for a
+block of bandwidth at most ``BAND_MAX``, whatever its size, else CSR, on
+which a block of at least ``KRYLOV_MIN_NODES`` free nodes takes GMRES
+steps (``FreeBlock.krylov``) and a smaller one SuperLU steps.  The flux's
+kind decides the band's layout: a symmetric Jacobian (``is_symmetric``)
+keeps its lower band only.  ``_direct_solve`` follows the block: a lower
+band is factored in place and solved by band Cholesky (dpbsv), a general
+band by band LU (dgbsv), a CSR block by SuperLU in its own fill-reducing
+order; the last two pivot rows partially, for skew Jacobians.
+``_NewtonState`` makes every linear solve of a solve: the start, each
+Newton step and each fallback.
 
-On a banded block, and on a CSC block below ``KRYLOV_MIN_NODES`` free
-nodes, a solve holds no preconditioner: the blend start and each Newton
-step factor their matrix, solve directly and drop the factor.  There a
-linear flux (its kind says so) starts from the exact solution of its own
-linear problem, so it takes no Newton step.  On larger CSC blocks
-(``_krylov``) the one thing a solve holds, across Newton steps and stages,
-is a smoothed-aggregation multigrid V(2,2) cycle on 3x3 aggregates, whose
-coarsest level is its one SuperLU factor.  The cycle, CG and GMRES
-multiply in CSR.  The blend start builds the cycle from the p=2 block,
-whose CSR is the free transpose of its CSC with the stored zeros of the
+Off the Krylov path a solve holds no preconditioner: the blend start and
+each Newton step factor their matrix, solve directly and drop the
+factor.  There a linear flux (its kind says so) starts from the exact
+solution of its own linear problem, so it takes no Newton step.  On a
+``krylov`` block the one thing a solve holds, across Newton steps and
+stages, is a smoothed-aggregation multigrid V(2,2) cycle on 3x3
+aggregates, whose coarsest level is its one SuperLU factor.  The cycle,
+CG and GMRES multiply by the CSR blocks as they are assembled.  The blend
+start builds the cycle from the p=2 block, with the stored zeros of the
 SW/NE couplings dropped, and solves the p=2 problem by CG preconditioned
 with it, to an absolute tolerance for a linear flux, which then takes no
 Newton step, and only to a relative one for any other flux, whose Newton
 steps correct the start anyway; any other start builds the cycle from its
 first Jacobian.  A Newton step solves with GMRES, right-preconditioned by
-the cycle, to an Eisenstat-Walker forcing term (inexact Newton), with its
-Jacobian in CSR: the free transpose of a symmetric kind's CSC block, else
-one conversion, which a cycle rebuilt from that Jacobian reuses.  When
+the cycle, to an Eisenstat-Walker forcing term (inexact Newton).  When
 GMRES needs more than ``KRYLOV_MAX_ITER`` iterations or the line search
 rejects its direction, the cycle is rebuilt from that step's Jacobian and
 GMRES is tried once more; only when that fails too is the step solved
@@ -85,12 +86,6 @@ FIRST_HOP_RATIO = 0.1
 HOP_MAX_ITER = 8
 MAX_HOPS = 120
 EPS_FLOOR = 1e-13
-# An unbanded block of at least KRYLOV_MIN_NODES free nodes takes GMRES
-# steps on a multigrid cycle; a smaller one, too wide for a band (crosses
-# and frames), takes SuperLU steps.  Sending those to GMRES as well lost:
-# flat-core on the crosses at N = 96 and 128 stopped converging, and the
-# linear fluxes lost their exact start (cross and frame table, CHANGES.md).
-KRYLOV_MIN_NODES = 4096
 KRYLOV_MAX_ITER = 20
 # Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
 EW_GAMMA = 0.9
@@ -180,8 +175,9 @@ def _direct_solve(a, b, lower=False):
     """x with a x = b, from a factor that is not kept.  A banded block's
     storage is factored in place by LAPACK: the lower band of a symmetric
     block (``lower``, its ``FreeBlock.lower``) by band Cholesky, dpbsv,
-    the general band by LU with partial pivoting, dgbsv.  A sparse matrix
-    goes to SuperLU, which orders its columns by COLAMD and pivots too.
+    the general band by LU with partial pivoting, dgbsv.  A CSR block goes
+    to SuperLU as CSC, the format it factors, which orders its columns by
+    COLAMD and pivots too.
     An exactly singular pivot, or a Cholesky pivot that is not positive,
     raises RuntimeError, as SuperLU does."""
     if isinstance(a, np.ndarray):
@@ -193,81 +189,20 @@ def _direct_solve(a, b, lower=False):
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
         return x
-    return spla.splu(a).solve(b)
+    return spla.splu(a.tocsc()).solve(b)
 
 
 def _blend_rhs(mesh: Mesh, block: FreeBlock, u: np.ndarray) -> np.ndarray:
-    """Right-hand side of the p=2 free-free problem with u's fixed values."""
-    fixed = np.where(block.free, 0.0, u)
-    return -_adjoint(mesh, block, _gradients(mesh, block, fixed)).take(
+    """Right-hand side of the p=2 free-free problem with u's fixed values;
+    u is 0 at the free nodes."""
+    return -_adjoint(mesh, block, _gradients(mesh, block, u)).take(
         block.nodes)
 
 
-def _krylov(block: FreeBlock) -> bool:
-    """Whether a solve on block takes GMRES steps on a multigrid cycle:
-    only an unbanded block of at least KRYLOV_MIN_NODES free nodes."""
-    return block.band is None and block.size >= KRYLOV_MIN_NODES
-
-
-def _linear_blend_init(mesh: Mesh, flux: Flux, block: FreeBlock,
-                       u: np.ndarray, s: float):
-    """Solve the p=2 problem with the same boundary data; cheap and inside
-    the comparison cone.  Returns the start and the cycle that the first
-    Newton steps on a ``_krylov`` block hold.  On any other block the
-    start is one direct solve whose factor is dropped: the cycle is None.
-    There a linear flux (``is_linear``) solves its own problem instead,
-    by ``_linear_start``, and falls back to the p=2 one only when that
-    fails.  On a ``_krylov`` block a multigrid cycle of the p=2 block
-    preconditions a CG solve for E at level 1 that is then scaled by s; CG
-    needs the symmetric p=2 block.  At extreme s, CG's inner products at
-    level s would underflow or overflow.  The solve is exact to
-    ``BLEND_CG_ATOL`` for a linear flux and to ``BLEND_CG_RTOL`` relative
-    for any other, whose Newton steps move the start further than that."""
-    out = u.copy()
-    if not _krylov(block):
-        x = _linear_start(mesh, flux, block, u) if is_linear(flux) else None
-        if x is None:
-            x = _direct_solve(p2_stiffness(mesh, block),
-                              _blend_rhs(mesh, block, u), block.lower)
-        out[block.nodes] = x
-        return out, None
-    # the p=2 block is symmetric, so its transpose is itself in CSR, the
-    # format the cycle's products and CG's matvecs run fastest in.  Its
-    # SW/NE couplings vanish on right triangles: dropping those stored
-    # zeros leaves every product's bits and a quarter fewer entries
-    k = p2_stiffness(mesh, block).T
-    k.eliminate_zeros()
-    cycle = _Cycle(k, mesh, block)
-    m = spla.LinearOperator(k.shape, matvec=cycle.solve, dtype=float)
-    rtol, atol = ((0.0, BLEND_CG_ATOL) if is_linear(flux)
-                  else (BLEND_CG_RTOL, 0.0))
-    x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=rtol, atol=atol,
-                   maxiter=BLEND_CG_MAX_ITER, M=m)
-    out[block.nodes] = s * x
-    return out, cycle
-
-
-def _linear_start(mesh: Mesh, flux: Flux, block: FreeBlock, u: np.ndarray):
-    """The free values x that solve K x = -r(u), K the Jacobian block of a
-    linear flux at shift 0, which is the same at every field: one exact
-    Newton step from u, whose free values are 0.  None when K is singular
-    (a pure skew flux on interior nodes) or x is not finite."""
-    # an overflowing residual gives a non-finite x, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            x = _direct_solve(
-                jacobian_matrix(mesh, flux, u, 0.0, block=block),
-                -residual(mesh, flux, u, block=block).take(block.nodes),
-                block.lower)
-        except RuntimeError:
-            return None
-    return x if np.all(np.isfinite(x)) else None
-
-
 class _Cycle:
-    """A smoothed-aggregation V(2,2) cycle for a free-free block a in CSR
-    (Vanek, Mandel and Brezina, Computing 56, 1996): the p=2 block with no
-    stored zero, or the CSR of a Newton step's Jacobian that GMRES
+    """A smoothed-aggregation V(2,2) cycle for a free-free CSR block a
+    (Vanek, Mandel and Brezina, Computing 56, 1996), as assembled: the p=2
+    block with no stored zero, or a Newton step's Jacobian that GMRES
     multiplies by, which a skew flux makes nonsymmetric.
 
     Each level aggregates its nodes by 3x3 boxes of grid indices, node
@@ -376,7 +311,7 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
     state = _NewtonState(mesh, flux, block, opts, history)
     # init "zero" starts from u as it is
     if opts.init == "linear_blend":
-        u, state.cycle = _linear_blend_init(mesh, flux, block, u, s)
+        u = state.blend_start(u, s)
     elif opts.init == "given":
         u = _check_field(mesh, opts.init_field).copy()
         u[e.mask] = s
@@ -465,8 +400,10 @@ def _solve(mesh: Mesh, flux: Flux, e: NodeSet, f: NodeSet, s: float,
 class _NewtonState:
     """Shared bookkeeping for the staged Newton solve.
 
+    Every linear solve of a solve is made here: the blend start
+    (``blend_start``), each Newton step and its direct fallback.
     ``cycle`` is the multigrid cycle that preconditions GMRES on a
-    ``_krylov`` block, held across Newton steps and stages: the blend
+    ``krylov`` block, held across Newton steps and stages: the blend
     start's, or one built from a step's Jacobian when none is held or when
     the held one fails that step.  It is dropped before a direct solve,
     whose factor is not kept, so one solve never holds two factors.
@@ -486,6 +423,51 @@ class _NewtonState:
 
     def budget(self):
         return self.opts.max_newton - self.iterations
+
+    def blend_start(self, u, s):
+        """The linear-blend start from u, which is s on E and 0 elsewhere:
+        the solution of the p=2 problem with the same boundary data, cheap
+        and inside the comparison cone.  Off the Krylov path it is one
+        direct solve whose factor is dropped.  There a linear flux
+        (``is_linear``) solves its own problem instead, one exact Newton
+        step from u by ``_direct``, and falls back to the p=2 one only
+        when that fails (a pure skew flux on interior nodes has a singular
+        Jacobian).  On a ``krylov`` block a multigrid cycle of the p=2
+        block, held as ``cycle`` for the first Newton steps, preconditions
+        a CG solve for E at level 1 that is then scaled by s; CG needs the
+        symmetric p=2 block.  At extreme s, CG's inner products at level s
+        would underflow or overflow.  The solve is exact to
+        ``BLEND_CG_ATOL`` for a linear flux and to ``BLEND_CG_RTOL``
+        relative for any other, whose Newton steps move the start further
+        than that."""
+        mesh, block = self.mesh, self.block
+        out = u.copy()
+        if not block.krylov:
+            x = None
+            if is_linear(self.flux):
+                # an overflowing residual gives a non-finite x, refused
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r, _ = self._residual(u, 0.0)
+                    x = self._direct(jacobian_matrix(mesh, self.flux, u, 0.0,
+                                                     block=block), r)
+            if x is None:
+                x = _direct_solve(p2_stiffness(mesh, block),
+                                  _blend_rhs(mesh, block, u), block.lower)
+            out[block.nodes] = x
+            return out
+        # the SW/NE couplings of the p=2 block vanish on right triangles:
+        # dropping those stored zeros leaves every product's bits and a
+        # quarter fewer entries
+        k = p2_stiffness(mesh, block)
+        k.eliminate_zeros()
+        self.cycle = _Cycle(k, mesh, block)
+        m = spla.LinearOperator(k.shape, matvec=self.cycle.solve, dtype=float)
+        rtol, atol = ((0.0, BLEND_CG_ATOL) if is_linear(self.flux)
+                      else (BLEND_CG_RTOL, 0.0))
+        x, _ = spla.cg(k, _blend_rhs(mesh, block, u / s), rtol=rtol,
+                       atol=atol, maxiter=BLEND_CG_MAX_ITER, M=m)
+        out[block.nodes] = s * x
+        return out
 
     def _residual(self, u, eps):
         """The residual on the block's nodes and its max-norm.  The last
@@ -523,7 +505,8 @@ class _NewtonState:
 
     def _direct(self, kff, r):
         """Newton direction from a direct solve with kff, made once the
-        cycle is dropped; None when the factor or the direction fails."""
+        cycle is dropped, for a step or for a linear flux's start; None
+        when the factor or the direction fails."""
         self.cycle = None
         try:
             delta = _direct_solve(kff, -r, self.block.lower)
@@ -543,10 +526,8 @@ class _NewtonState:
     def _krylov_step(self, kff, r, rtol, u, rmax, residual_eps):
         """The line search's (u, r, rmax) along a GMRES direction with the
         held cycle; when none is held, or the held one fails, with a cycle
-        rebuilt from kff.  None when that fails too.  GMRES and a rebuilt
-        cycle multiply by kff in CSR: a symmetric kind's CSC block is its
-        own transpose, a free CSR view; any other is converted once."""
-        kff = kff.T if is_symmetric(self.flux) else kff.tocsr()
+        rebuilt from kff, the CSR block that GMRES and a rebuilt cycle
+        multiply by.  None when that fails too."""
 
         def attempt():
             delta = self._gmres(kff, r, rtol)
@@ -610,13 +591,12 @@ class _NewtonState:
         if true_pass:
             self._track(rmax, u)
         rnorm_prev = None
-        krylov = _krylov(self.block)
         it = 0
         while it < max_iter and self.budget() > 0 and rmax > target:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
                                   shift=opts.jacobian_floor, block=self.block)
             step = None
-            rnorm = self._krylov_norm(r, rmax) if krylov else None
+            rnorm = self._krylov_norm(r, rmax) if self.block.krylov else None
             if rnorm is not None:
                 step = self._krylov_step(
                     kff, r, _forcing(rnorm, rnorm_prev, target), u, rmax,

@@ -108,7 +108,7 @@ def gradient_operator(mesh):
 
 def all_triangles(mesh):
     """Every triangle of the mesh, lower ones first."""
-    return _Triangles(mesh, np.ones(mesh.n_triangles, dtype=bool))
+    return _Triangles(mesh, np.ones(2 * mesh.n ** 2, dtype=bool))
 
 
 def gradients(mesh, u):
@@ -127,8 +127,8 @@ def residual_reference(mesh, flux, u, eps=0.0):
                     eval_flux_smoothed(flux, tris.barycenters, grads, eps))
 
 
-def _csc(k):
-    k = k.tocsc()
+def _csr(k):
+    k = k.tocsr()
     k.sort_indices()
     return k
 
@@ -142,7 +142,7 @@ def operator_reference(mesh, jac):
         ((mesh.tri_area * jac).ravel(),
          np.repeat(np.arange(2 * k).reshape(k, 2), 2, axis=0).ravel(),
          np.arange(0, 4 * k + 1, 2)), shape=(2 * k, 2 * k))
-    return _csc(b.T @ (d @ b))
+    return _csr(b.T @ (d @ b))
 
 
 def jacobian_reference(mesh, flux, u, eps, shift=0.0):
@@ -157,16 +157,16 @@ def jacobian_reference(mesh, flux, u, eps, shift=0.0):
 def p2_reference(mesh):
     """|T| B^T B over the whole mesh."""
     b = gradient_operator(mesh)
-    return _csc(mesh.tri_area * (b.T @ b))
+    return _csr(mesh.tri_area * (b.T @ b))
 
 
 def sub_block(k, nodes):
-    """k[nodes][:, nodes] as CSC with sorted row indices."""
-    return _csc(k[nodes][:, nodes])
+    """k[nodes][:, nodes] as CSR with sorted column indices."""
+    return _csr(k[nodes][:, nodes])
 
 
 def pattern_reference(mesh, nodes):
-    """(indptr, indices) of a free block in ``nodes`` order: in each column
+    """(indptr, indices) of a free block in ``nodes`` order: in each row
     the node itself and its free neighbours along mesh edges, sorted."""
     n = nodes.size
     place = np.full(mesh.n_nodes, -1)
@@ -177,7 +177,7 @@ def pattern_reference(mesh, nodes):
     both = (a >= 0) & (b >= 0)
     rows = np.concatenate([a[both], b[both], np.arange(n)])
     cols = np.concatenate([b[both], a[both], np.arange(n)])
-    k = _csc(sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+    k = _csr(sp.coo_matrix((np.ones(rows.size), (rows, cols)),
                            shape=(n, n)))
     return k.indptr, k.indices
 

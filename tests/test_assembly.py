@@ -39,7 +39,7 @@ def rand_field(mesh, seed, scale=1.0):
 
 def whole(mesh):
     """The free block of every node; on the small meshes here it is in
-    row-major order, so its matrices are the whole-mesh ones, in CSC under
+    row-major order, so its matrices are the whole-mesh ones, in CSR under
     ``sparse_blocks``."""
     block = free_block(mesh, np.ones(mesh.n_nodes, dtype=bool))
     assert np.array_equal(block.nodes, np.arange(mesh.n_nodes))
@@ -49,7 +49,7 @@ def whole(mesh):
 
 @pytest.fixture
 def sparse_blocks(force_path):
-    """Every block in CSC, whatever its span: the tests of its stencil
+    """Every block in CSR, whatever its span: the tests of its stencil
     pattern and sparse products."""
     force_path("superlu")
 
@@ -67,13 +67,13 @@ class TestResidual:
         # independent of mesh size
         m = build_mesh(2, 1.0)
         u = np.zeros(m.n_nodes)
-        center = m.node_index(1, 1)
+        center = m.n + 2                  # node (1, 1)
         u[center] = 1.0
         r = residual(m, p_laplacian(2.0), u)
         expected = np.zeros(9)
         expected[center] = 4.0
         for i, j in ((1, 0), (0, 1), (2, 1), (1, 2)):
-            expected[m.node_index(i, j)] = -1.0
+            expected[j * (m.n + 1) + i] = -1.0
         assert np.allclose(r, expected, atol=1e-14)
 
     def test_linear_field_discretely_harmonic(self):
@@ -306,7 +306,7 @@ ROUND_OFF = 1e-14
 def assert_close_block(got, ref, pattern):
     """got stores exactly the stencil pattern, and agrees with the
     reference block ref to round-off."""
-    assert got.format == "csc" and got.shape == ref.shape
+    assert got.format == "csr" and got.shape == ref.shape
     assert np.array_equal(got.indptr, pattern[0])
     assert np.array_equal(got.indices, pattern[1])
     assert abs(got - ref).max() <= ROUND_OFF * abs(ref).max()
@@ -341,8 +341,8 @@ def edge_masks(mesh, seed):
         free = rng.random(mesh.n_nodes) < frac
         free[edge] |= rng.random(np.count_nonzero(edge)) < 0.5
         for jj in range(0, mesh.n, 3):
-            free[mesh.node_index(mesh.n, jj)] = True
-            free[mesh.node_index(0, jj + 1)] = True
+            free[jj * (mesh.n + 1) + mesh.n] = True
+            free[(jj + 1) * (mesh.n + 1)] = True
         assert all(free[side_nodes].any() for side_nodes in
                    (i == 0, i == mesh.n, j == 0, j == mesh.n))
         yield free
@@ -385,9 +385,19 @@ class TestFreeBlock:
         corners = triangles(m)[tris]
         corners[tris % 2 == 1] = np.roll(corners[tris % 2 == 1], -1, axis=1)
         assert np.array_equal(block.corners, corners)
+        # entry (a, b) of a triangle's element matrix goes to slot
+        # 7 place(a) + d, d the direction of b from a in the stencil (SW,
+        # S, W, self, E, N, NE), read off the corners' grid steps
         place = np.full(m.n_nodes, nodes.size)
         place[nodes] = np.arange(nodes.size)
-        assert np.array_equal(block.places, place[block.corners])
+        a = np.repeat(block.corners, 3, axis=1)
+        b = np.tile(block.corners, 3)
+        side = m.n + 1
+        step = (b // side - a // side + 1) * 3 + b % side - a % side + 1
+        direction = np.array([0, 1, -1, 2, 3, 4, -1, 5, 6])[step]
+        assert np.all(direction >= 0)
+        assert np.array_equal(block.keys.reshape(-1, 9),
+                              7 * place[a] + direction)
         assert np.array_equal(block.barycenters, barycenters(m)[tris])
         want = (gradient_operator(m) @ u).reshape(-1, 2)[tris]
         got = _gradients(m, block, u)
@@ -437,7 +447,7 @@ class TestFreeBlock:
     def test_columns_sorted_in_every_order(self):
         # an annulus and a cross two nodes wide take row-major order, a
         # strip wider than high column-major order; the blocks of all three
-        # keep each column's rows sorted
+        # keep each row's columns sorted
         m = build_mesh(64)
         side = m.n + 1
         cross = shape_union(rect(0.0, 0.49, 1.0, 0.52),
@@ -461,8 +471,8 @@ class TestFreeBlock:
                     (p2_stiffness(m, block), p2_reference(m)),
                     (jacobian_matrix(m, fl, u, 1e-8, 1e-9, block=block),
                      jacobian_reference(m, fl, u, 1e-8, 1e-9))):
-                col = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
-                same = np.diff(col) == 0
+                row = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+                same = np.diff(row) == 0
                 assert np.all(np.diff(k.indices)[same] > 0), order
                 assert_close_block(k, sub_block(ref, block.nodes), pattern)
 
@@ -502,14 +512,14 @@ class TestFreeBlock:
                                         rand_field(m, 9, 0.01), 0.0, shift,
                                         block=block)
                         for shift in (0.0, 1e-9))):
-                col = np.repeat(np.arange(k.shape[1]), np.diff(k.indptr))
-                assert np.abs(k.indices - col).max(initial=0) == span(want)
+                row = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+                assert np.abs(k.indices - row).max(initial=0) == span(want)
 
     def test_single_free_node(self):
         m = build_mesh(8)
         for i, j in ((4, 4), (0, 3), (8, 8)):
             free = np.zeros(m.n_nodes, dtype=bool)
-            free[m.node_index(i, j)] = True
+            free[j * (m.n + 1) + i] = True
             self.check(m, free, p_laplacian(3.0), rand_field(m, 6))
             assert p2_stiffness(m, free_block(m, free)).shape == (1, 1)
 
@@ -520,13 +530,13 @@ class TestFreeBlock:
         # two blocks have NaN and infinite entries in the same places, and
         # no RuntimeWarning escapes
         m = build_mesh(8)
-        block = FreeBlock(m, *pair_sets(m, disk(0.5, 0.5, 0.1),
-                                        disk(0.5, 0.5, 0.4)))
+        e, f = pair_sets(m, disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4))
+        block = FreeBlock(m, e, f)
         assert block.band is None
-        tris = block_triangles(m, block.free)
+        tris = block_triangles(m, f & ~e)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            jac = rng.normal(size=(m.n_triangles, 2, 2))
+            jac = rng.normal(size=(2 * m.n ** 2, 2, 2))
             hit = rng.choice(jac.size, 6, replace=False)
             jac.reshape(-1)[hit] = np.inf * rng.choice([-1.0, 1.0], 6)
             monkeypatch.setattr(assembly, "flux_jacobian",
@@ -576,7 +586,7 @@ class TestFreeBlock:
 
 def band_blocks(force_path, mesh, symmetric=False):
     """The annulus, strip and cross free sets of a mesh, each as a banded
-    block, of a symmetric flux or not, and as a CSC block."""
+    block, of a symmetric flux or not, and as a CSR block."""
     cross = shape_union(rect(0.0, 0.45, 1.0, 0.55), rect(0.45, 0.0, 0.55, 1.0))
     for e_shape, f_shape in ((disk(0.5, 0.5, 0.1), disk(0.5, 0.5, 0.4)),
                              (shape_none(), rect(0.0, 0.45, 1.0, 0.55)),
@@ -590,46 +600,47 @@ def band_blocks(force_path, mesh, symmetric=False):
 
 class TestBandStorage:
     """A block of span at most BAND_MAX has matrices in LAPACK band
-    storage filled by one bincount: bitwise the CSC block's entries, exact
+    storage filled by one bincount: bitwise the CSR block's entries, exact
     zeros everywhere else, and the same direct solve to round-off.  The
     block of a symmetric flux stores only its lower band."""
 
     @staticmethod
-    def assert_same(band, csc, bw, lower=False):
-        dense = csc.toarray()
+    def assert_same(band, csr, bw, lower=False):
+        dense = csr.toarray()
         assert band.flags.f_contiguous
         if lower:
-            assert band.shape == (bw + 1, csc.shape[0])
+            assert band.shape == (bw + 1, csr.shape[0])
             dense = np.tril(dense)
         else:
-            assert band.shape == (3 * bw + 1, csc.shape[0])
+            assert band.shape == (3 * bw + 1, csr.shape[0])
             # the bw rows of row-interchange fill hold exact zeros
             assert not np.any(band[:bw])
         # every slot outside the stencil holds an exact zero
         assert band_dense(band, lower).tobytes() == dense.tobytes()
-        b = np.random.default_rng(1).standard_normal(csc.shape[0])
-        # LAPACK factors the band in place, SuperLU the CSC block
-        want = solver._direct_solve(csc, b)
+        b = np.random.default_rng(1).standard_normal(csr.shape[0])
+        # LAPACK factors the band in place, SuperLU the CSR block
+        want = solver._direct_solve(csr, b)
         got = solver._direct_solve(band, b, lower)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("flux", NONZERO_FLUXES,
                              ids=lambda f: f"{f.kind}-p{f.p}")
-    def test_bitwise_the_csc_block(self, flux, force_path):
+    def test_bitwise_the_csr_block(self, flux, force_path):
         m = build_mesh(24)
         u = rand_field(m, 12)
-        for band, csc in band_blocks(force_path, m, is_symmetric(flux)):
-            assert band.band is not None and csc.band is None
-            assert band.lower == is_symmetric(flux) and not csc.lower
-            assert np.array_equal(band.nodes, csc.nodes)
-            assert band.places.tobytes() == csc.places.tobytes()
+        for band, csr in band_blocks(force_path, m, is_symmetric(flux)):
+            assert band.band is not None and csr.band is None
+            assert band.lower == is_symmetric(flux) and not csr.lower
+            # the same nodes and corners: the same corner places
+            assert np.array_equal(band.nodes, csr.nodes)
+            assert band.corners.tobytes() == csr.corners.tobytes()
             for eps in (0.0, 1e-6):
                 for shift in (0.0, 1e-9):
                     self.assert_same(
                         jacobian_matrix(m, flux, u, eps, shift, block=band),
-                        jacobian_matrix(m, flux, u, eps, shift, block=csc),
+                        jacobian_matrix(m, flux, u, eps, shift, block=csr),
                         band.band, band.lower)
-            self.assert_same(p2_stiffness(m, band), p2_stiffness(m, csc),
+            self.assert_same(p2_stiffness(m, band), p2_stiffness(m, csr),
                              band.band, band.lower)
 
     def test_storage_rule(self, monkeypatch):
@@ -658,16 +669,16 @@ class TestBandStorage:
     def test_single_free_node_and_zero_block(self, force_path):
         m = build_mesh(8)
         free = np.zeros(m.n_nodes, dtype=bool)
-        free[m.node_index(4, 4)] = True
+        free[4 * (m.n + 1) + 4] = True
         for symmetric in (False, True):
             force_path("superlu")
-            csc = free_block(m, free)
+            csr = free_block(m, free)
             force_path("band")
             block = free_block(m, free, symmetric=symmetric)
-            assert block.band == 0 and csc.band is None
-            self.assert_same(p2_stiffness(m, block), p2_stiffness(m, csc), 0,
+            assert block.band == 0 and csr.band is None
+            self.assert_same(p2_stiffness(m, block), p2_stiffness(m, csr), 0,
                              block.lower)
-        # a flat Jacobian without a floor is all zeros: singular, as in CSC
+        # a flat Jacobian without a floor is all zeros: singular, as in CSR
         block = next(band_blocks(force_path, m))[0]
         zero = jacobian_matrix(m, flat_core_p(2.0, 3.0), np.zeros(m.n_nodes),
                                0.0, block=block)
@@ -702,11 +713,11 @@ class TestSymmetricKinds:
         m = build_mesh(24)
         for seed in (3, 4):
             u = rand_field(m, seed)
-            for _, csc in band_blocks(force_path, m):
+            for _, csr in band_blocks(force_path, m):
                 for eps in (0.0, 1e-6):
                     for shift in (0.0, 1e-9):
                         k = jacobian_matrix(m, flux, u, eps, shift,
-                                            block=csc)
+                                            block=csr)
                         gap = abs(k - k.T).max()
                         assert gap <= 1e-14 * abs(k).max()
 
@@ -716,7 +727,7 @@ class TestSymmetricKinds:
         force_path("superlu")
         block = free_block(m, strip)
         assert block.band is None
-        assert strip[m.node_index(0, 12)] and strip[m.node_index(24, 12)]
+        assert strip[12 * (m.n + 1)] and strip[12 * (m.n + 1) + 24]
         k = jacobian_matrix(m, SKEW, rand_field(m, 3), 0.0, block=block)
         assert abs(k - k.T).max() >= 0.1 * abs(k).max()
 

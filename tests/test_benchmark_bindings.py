@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from moncap import solver
+from moncap import assembly
 from moncap.capacity import compute_capacity
 from moncap.flux import p_laplacian
 from moncap.mesh import build_mesh, disk, rasterize
@@ -77,7 +77,7 @@ def test_traced_krylov_solve_records_linear_solves(tracer):
     # the multigrid cycle, whose coarse level is a SuperLU factor: its LU
     # solves are the traced ones
     t, _, field, (mesh, e, f) = traced_annulus_solve(tracer, 128)
-    assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
+    assert np.count_nonzero(f.mask & ~e.mask) >= assembly.KRYLOV_MIN_NODES
     assert any(span.name == "solver.factor" for span in t.spans)
     metrics = tracer.layer_metrics(t.spans)
     assert metrics["solver.newton_steps"] == field.iterations > 0

@@ -19,19 +19,22 @@ class TestBuildMesh:
     def test_n2_counts(self):
         m = build_mesh(2, 1.0)
         assert m.n_nodes == 9
-        assert m.n_triangles == 8
+        assert len(triangles(m)) == 8
         assert m.tri_area == pytest.approx(0.125, abs=0)
 
     def test_node_index_row_major(self):
         m = build_mesh(4)
         k = int(np.argmin(np.sum((m.nodes - [0.5, 0.5]) ** 2, axis=1)))
-        assert k == 12
-        assert m.node_index(2, 2) == 12
+        assert k == 2 * (m.n + 1) + 2 == 12
+        i, j = np.meshgrid(np.arange(5), np.arange(5))
+        assert np.array_equal(m.nodes[j * (m.n + 1) + i],
+                              np.stack((i * m.h, j * m.h), axis=-1))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17])
     def test_total_area(self, n):
         m = build_mesh(n, 1.0)
-        assert m.n_triangles * m.tri_area == pytest.approx(1.0, rel=1e-14)
+        assert len(triangles(m)) * m.tri_area == pytest.approx(1.0,
+                                                               rel=1e-14)
 
     def test_right_triangles_with_leg_h(self):
         m = build_mesh(5, 2.0)
@@ -62,7 +65,7 @@ class TestBuildMesh:
         # lower ones first, and barycenters are the reference's rows, the
         # barycenters bitwise the mean of the corners' coordinates
         m = build_mesh(n, length)
-        tris = np.zeros(m.n_triangles, dtype=bool)
+        tris = np.zeros(2 * m.n ** 2, dtype=bool)
         if mask == "cell":
             tris[2 * (n * n // 2):][:2] = True
         elif mask == "annulus":
@@ -240,7 +243,7 @@ class TestDiscreteBoundary:
     def test_single_node(self):
         m = build_mesh(6)
         mask = np.zeros(m.n_nodes, dtype=bool)
-        mask[m.node_index(3, 3)] = True
+        mask[3 * (m.n + 1) + 3] = True
         e = NodeSet(mask, "one", m.mesh_id)
         assert np.array_equal(discrete_boundary(e, m).mask, mask)
 
@@ -255,7 +258,7 @@ class TestDiscreteBoundary:
         assert e.count == 9
         b = discrete_boundary(e, m)
         assert b.count == 8
-        center = m.node_index(4, 4)
+        center = 4 * (m.n + 1) + 4
         assert not b.mask[center]
 
     def test_boundary_subset_and_empty(self):
@@ -361,7 +364,7 @@ class TestMeasures:
         for frac in (0.0, 0.05, 0.3, 0.7, 1.0):
             mask = rng.random(m.n_nodes) < frac
             got = touched_triangles(m, mask)
-            assert got.dtype == bool and got.shape == (m.n_triangles,)
+            assert got.dtype == bool and got.shape == (2 * m.n ** 2,)
             assert np.array_equal(got, mask[triangles(m)].any(axis=1))
 
     def test_diameter(self):

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moncap import properties
+from moncap import properties, solver
 from moncap.errors import InvalidInput, SolverDiverged
-from moncap.flux import combine, flat_core_p, linear_matrix, p_laplacian
+from moncap.flux import (combine, flat_core_p, linear_matrix, p_laplacian,
+                         weighted_p_laplacian)
 from moncap.mesh import build_mesh, disk, rasterize
 from assembly_reference import rerun_subadditivity_case
 from moncap.properties import (default_flux_family, run_bounds_suite,
@@ -60,32 +61,25 @@ class TestOrderSuite:
         mesh = build_mesh(48)
         assert run_order_suite(mesh, FAMILY, 70, 7).passed
 
-    def test_krylov_path_gives_the_shipped_answers(self, force_path,
+    # Newton steps of the seed-7 N = 48 suite forced onto the Krylov path
+    # with 50 coarse nodes: 752 today.  Each of three forcing-term faults
+    # (EW_MAX = 0.9, the floor times 1000, the term held at EW_MAX) took
+    # 982 or more, and no other test sees them
+    KRYLOV_SUITE_STEPS = 800
+
+    def test_krylov_path_gives_the_shipped_answers(self, both_paths,
                                                    monkeypatch):
         # every block of the seed-7 N = 48 suite bands; forced onto the
-        # Krylov path the suite makes the same skips, and each solve, keyed
-        # as the suite cache keys it, gives the shipped c_inner within the
-        # larger tol_cap of the two reports
-        caches = []
-        real = properties._Cache.__init__
-
-        def init(cache, *args):
-            real(cache, *args)
-            caches.append(cache)
-        monkeypatch.setattr(properties._Cache, "__init__", init)
+        # Krylov path, with a real hierarchy on the small blocks too, the
+        # suite makes the same skips, and each solve gives the shipped
+        # c_inner within the larger tol_cap of the two reports, in about
+        # as many Newton steps as the forcing terms allow
+        monkeypatch.setattr(solver, "COARSE_MAX_NODES", 50)
         mesh = build_mesh(48)
-        shipped = run_order_suite(mesh, FAMILY, 70, 7)
-        assert force_path.gmres == 0
-        force_path("krylov")
-        krylov = run_order_suite(mesh, FAMILY, 70, 7)
-        assert force_path.gmres > 0
+        shipped, krylov, steps = both_paths(
+            lambda: run_order_suite(mesh, FAMILY, 70, 7))
         assert krylov.skipped == shipped.skipped
-        direct, iterative = (cache.store for cache in caches)
-        assert direct.keys() == iterative.keys()
-        for key, rep in direct.items():
-            other = iterative[key]
-            assert abs(rep.c_inner - other.c_inner) \
-                <= max(rep.tol_cap, other.tol_cap), key[0]
+        assert 0 < steps <= self.KRYLOV_SUITE_STEPS
 
     def test_weighted_sum_flux(self):
         # the suite cache keys each solve on flux.describe(), which must be
@@ -153,6 +147,19 @@ class TestSSuite:
         assert all(v >= 1.5 for v in ratios)
         zeros = [r for r in rep.records if r["check"] == "hat_zero_at_origin"]
         assert zeros and all(not r["violation"] for r in zeros)
+
+    def test_krylov_path_gives_the_shipped_answers(self, both_paths):
+        # the acceptance s-laws suite (N = 32, s from -4 to 4 in steps of
+        # 0.5 and the fine grid between, the s-transformed and C_p solves)
+        # forced onto the Krylov path: the same skips, and every capacity
+        # within the larger tol_cap
+        fluxes = [p_laplacian(2.0), p_laplacian(3.0),
+                  weighted_p_laplacian(2.0, 1.0, 2.0), flat_core_p(2.0, 3.0)]
+        grid = [float(s) for s in np.linspace(-4.0, 4.0, 17)]
+        shipped, krylov, _ = both_paths(
+            lambda: run_s_suite(build_mesh(32), fluxes, grid, seed=2027))
+        assert shipped.passed and krylov.passed
+        assert krylov.skipped == shipped.skipped
 
 
 class TestInvarianceSuite:

@@ -11,8 +11,9 @@ from assembly_reference import (band_storage, complement, difference,
                                 discrete_boundary, jacobian_reference,
                                 p2_reference, triangles)
 from moncap import solver
-from moncap.assembly import (BAND_MAX, FreeBlock, _grid_span,
-                             jacobian_matrix, p2_stiffness, residual)
+from moncap.assembly import (BAND_MAX, KRYLOV_MIN_NODES, FreeBlock,
+                             _grid_span, jacobian_matrix, p2_stiffness,
+                             residual)
 from moncap.capacity import compute_capacity, sweep_s
 from moncap.cli import main
 from moncap.errors import InvalidInput, SolverDiverged
@@ -296,6 +297,23 @@ class TestInvarianceInstances:
             caps.append(rep.c_inner)
         assert abs(caps[0] - caps[1]) <= INVARIANCE_TOL
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "the Krylov path needs 236 and 294 Newton steps on instances 29 "
+        "and 34, above the default max_newton = 200, where the direct "
+        "path needs 176 and 163"))
+    @pytest.mark.parametrize("i", [29, 34])
+    def test_krylov_path_gives_the_shipped_answers(self, i, both_paths):
+        # the instance as shipped (banded) and forced onto the Krylov path:
+        # the same skips, and the capacity within the larger tol_cap
+        mesh, flux, e, f = invariance_instance(i)
+
+        def solve():
+            try:
+                compute_capacity(mesh, flux, e, f, 1.0)
+            except SolverDiverged:
+                pass
+        both_paths(solve)
+
     def test_hardest_instance_converges_or_says_where_it_stopped(self):
         mesh, flux, e, f = invariance_instance(42)
         try:
@@ -401,6 +419,13 @@ def _counting(monkeypatch, owner, name, replacement=None):
     return calls
 
 
+def _blend_start(mesh, flux, block, u, s):
+    """The blend start from u at level s, made by a fresh solve state, and
+    the cycle it leaves held: None off the Krylov path."""
+    state = solver._NewtonState(mesh, flux, block, SolverOptions(), [])
+    return state.blend_start(u, s), state.cycle
+
+
 def _one_factor_at_a_time(monkeypatch):
     """Record the columns of each factor the solver makes: each
     solver._direct_solve call, band array or sparse matrix alike, and each
@@ -449,7 +474,7 @@ class TestStaleFactorKrylov:
         mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
         assert FreeBlock(mesh, e.mask, f.mask).band is None
-        assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
+        assert np.count_nonzero(f.mask & ~e.mask) >= KRYLOV_MIN_NODES
         return mesh, e, f
 
     @staticmethod
@@ -517,9 +542,9 @@ class TestStaleFactorKrylov:
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), LINEAR_FLUXES[-1]],
                              ids=["symmetric", "skew"])
     def test_gmres_multiplies_in_csr(self, large, flux, monkeypatch):
-        # GMRES takes the step Jacobian in CSR: the transpose of a
-        # symmetric kind's CSC block, else one conversion, which the cycle
-        # rebuilt after the first GMRES call fails reuses
+        # GMRES takes the step Jacobian in CSR as it is assembled, for a
+        # symmetric kind and a skew one alike, and the cycle rebuilt after
+        # the first GMRES call fails reuses it
         mesh, e, f = large
         assert is_symmetric(flux) == (flux.kind == "p_laplacian")
         operands = []
@@ -549,7 +574,7 @@ class TestStaleFactorKrylov:
         # which fails, and factors.  So the solve is the direct one from
         # the same blend start, to round-off
         mesh, e, f = large
-        start, held = solver._linear_blend_init(
+        start, held = _blend_start(
             mesh, p_laplacian(3.0), FreeBlock(mesh, e.mask, f.mask),
             np.where(e.mask, 1.0, 0.0), 1.0)
         assert isinstance(held, solver._Cycle)
@@ -569,7 +594,7 @@ class TestStaleFactorKrylov:
         assert [n for n in factors if n > solver.COARSE_MAX_NODES] \
             == [size] * steps
         assert len(factors) == len(built) + steps
-        # the direct path's banded block goes to LAPACK, this CSC block to
+        # the direct path's banded block goes to LAPACK, this CSR block to
         # SuperLU: the same steps, to round-off
         assert field.iterations == direct.iterations
         assert np.max(np.abs(field.u - direct.u)) <= 1e-14
@@ -597,7 +622,8 @@ class TestStaleFactorKrylov:
         field = solve_dirichlet(mesh, flux, e, f, 1.0,
                                 SolverOptions(init="zero"))
         assert field.converged and field.iterations > 0 and built
-        first = jacobians[0].tocsr()
+        first = jacobians[0]
+        assert first.format == "csr"
         if flux.describe()["kind"] == "linear_matrix":
             assert abs(first - first.T).max() > 0.1 * abs(first).max()
         assert np.array_equal(built[0].indptr, first.indptr)
@@ -649,7 +675,7 @@ class TestStaleFactorKrylov:
     def test_small_blocks_never_call_gmres(self, monkeypatch):
         # an N = 48 grid has (N - 1)^2 interior nodes, below the gate
         mesh = build_mesh(48)
-        assert (mesh.n - 1) ** 2 < solver.KRYLOV_MIN_NODES
+        assert (mesh.n - 1) ** 2 < KRYLOV_MIN_NODES
         e, f = annulus_sets(mesh, 0.1, 0.45)
         gmres = _counting(monkeypatch, solver.spla, "gmres")
         factors = _one_factor_at_a_time(monkeypatch)
@@ -703,13 +729,13 @@ class TestMultigridCycle:
 
     @staticmethod
     def cycle(force_path, mesh, e, f):
-        """The CSC p = 2 block of e in f and its cycle, on the Krylov
+        """The CSR p = 2 block of e in f and its cycle, on the Krylov
         path."""
         force_path("krylov")
         block = FreeBlock(mesh, e.mask, f.mask)
         assert block.band is None
         k = p2_stiffness(mesh, block)
-        return k, solver._Cycle(k.T, mesh, block)
+        return k, solver._Cycle(k, mesh, block)
 
     def test_fixed_symmetric_linear_operator(self, force_path):
         mesh = build_mesh(96)
@@ -746,9 +772,9 @@ class TestMultigridCycle:
         e, f = annulus_sets(mesh, 0.1, 0.4)
         block = FreeBlock(mesh, e.mask, f.mask)
         assert block.band is None
-        _, cycle = solver._linear_blend_init(
+        _, cycle = _blend_start(
             mesh, p_laplacian(3.0), block, np.where(e.mask, 1.0, 0.0), 1.0)
-        k = p2_stiffness(mesh, block).T
+        k = p2_stiffness(mesh, block)
         fine = cycle.levels[0][0]
         assert fine.format == "csr" and np.all(fine.data != 0.0)
         assert fine.nnz == np.count_nonzero(k.data) < k.nnz
@@ -763,7 +789,7 @@ class TestMultigridCycle:
                                                      force_path):
         mesh = build_mesh(128)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        assert np.count_nonzero(f.mask & ~e.mask) >= solver.KRYLOV_MIN_NODES
+        assert np.count_nonzero(f.mask & ~e.mask) >= KRYLOV_MIN_NODES
         gmres = _counting(monkeypatch, solver.spla, "gmres")
         cycles = _counting(monkeypatch, solver, "_Cycle")
         report, field = compute_capacity(mesh, flux, e, f)
@@ -798,7 +824,7 @@ class TestMultigridCycle:
         rhs = np.linalg.norm(solver._blend_rhs(mesh, block, u))
         for flux, bound in ((p_laplacian(2.0), solver.BLEND_CG_ATOL),
                             (p_laplacian(3.0), solver.BLEND_CG_RTOL * rhs)):
-            start, _ = solver._linear_blend_init(mesh, flux, block, u, 1.0)
+            start, _ = _blend_start(mesh, flux, block, u, 1.0)
             r = residual(mesh, p_laplacian(2.0), start,
                          block=block)[block.nodes]
             assert np.linalg.norm(r) <= 2.0 * bound
@@ -836,11 +862,12 @@ def _block(mesh, e_shape, f_shape, symmetric=False):
     return FreeBlock(mesh, e.mask, f.mask, symmetric=symmetric)
 
 
-def _agrees_with_superlu(a, csc, lower=False):
+def _agrees_with_superlu(a, sparse, lower=False):
     """_direct_solve with a, in the lower band layout when ``lower``,
-    solves like a SuperLU factor of csc, to round-off; returns its x."""
-    b = np.random.default_rng(0).standard_normal(csc.shape[0])
-    want = spla.splu(csc).solve(b)
+    solves like a SuperLU factor of the sparse matrix, to round-off;
+    returns its x."""
+    b = np.random.default_rng(0).standard_normal(sparse.shape[0])
+    want = spla.splu(sparse.tocsc()).solve(b)
     got = solver._direct_solve(a, b, lower)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     return got
@@ -850,8 +877,9 @@ class TestBandLU:
     """A free block is assembled in the grid order whose mesh edges span
     fewer places; when that span is at most BAND_MAX, its matrices are
     band storage that LAPACK factors (the lower band of a symmetric
-    flux's block by Cholesky, else the general band by LU), else CSC that
-    SuperLU factors in its own COLAMD order; all solve in block order."""
+    flux's block by Cholesky, else the general band by LU), else CSR that
+    SuperLU factors as CSC in its own COLAMD order; all solve in block
+    order."""
 
     @pytest.mark.parametrize("flux", [p_laplacian(3.0), flat_core_p(2.0, 3.0),
                                       anisotropic_p(1.5, 2.0, 0.5)],
@@ -865,8 +893,8 @@ class TestBandLU:
                                                    force_path):
         mesh = build_mesh(48)
         force_path("superlu")
-        csc = _block(mesh, *shapes)
-        assert csc.band is None
+        csr = _block(mesh, *shapes)
+        assert csr.band is None
         u = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
         force_path("band")
         for symmetric in (False, True):
@@ -876,7 +904,7 @@ class TestBandLU:
                     lambda block: p2_stiffness(mesh, block),
                     lambda block: jacobian_matrix(mesh, flux, u, 1e-10,
                                                   shift=1e-9, block=block)):
-                _agrees_with_superlu(block_matrix(band), block_matrix(csc),
+                _agrees_with_superlu(block_matrix(band), block_matrix(csr),
                                      band.lower)
 
     def test_nonsymmetric_shifted_jacobian_needs_pivoting(self, force_path):
@@ -930,20 +958,20 @@ class TestBandLU:
             assert state._direct(zero(), b) is None
             assert state.cycle is None
         with pytest.raises(RuntimeError):
-            spla.splu(a)
+            spla.splu(a.tocsc())
 
     def test_one_node_block(self, force_path):
         mesh = build_mesh(8)
         free = np.zeros(mesh.n_nodes, dtype=bool)
-        free[mesh.node_index(4, 4)] = True
+        free[4 * (mesh.n + 1) + 4] = True
         e = np.zeros_like(free)
         force_path("superlu")
-        csc = FreeBlock(mesh, e, free)
+        csr = FreeBlock(mesh, e, free)
         force_path("band")
         block = FreeBlock(mesh, e, free)
-        assert block.band == 0 and csc.band is None
+        assert block.band == 0 and csr.band is None
         x = _agrees_with_superlu(p2_stiffness(mesh, block),
-                                 p2_stiffness(mesh, csc))
+                                 p2_stiffness(mesh, csr))
         assert x.shape == (1,)
 
     @pytest.mark.parametrize("n, f_shape, high", [
@@ -963,8 +991,9 @@ class TestBandLU:
         assert np.all(np.diff(nodes % side * side + nodes // side) > 0)
         assert np.count_nonzero(nodes % side == side // 2) == high
         assert block.band is not None and block.band < high + 3
-        row_span = _grid_span(block.free.reshape(side, side))
-        assert (row_span > BAND_MAX) == (nodes.size >= solver.KRYLOV_MIN_NODES)
+        free = rasterize(f_shape, mesh, "F").mask
+        row_span = _grid_span(free.reshape(side, side))
+        assert (row_span > BAND_MAX) == (nodes.size >= KRYLOV_MIN_NODES)
         force_path("superlu")
         _agrees_with_superlu(p2_stiffness(mesh, block),
                              p2_stiffness(mesh, _block(mesh, *shapes)))
@@ -1086,21 +1115,19 @@ class TestFreeBlockWork:
         e, f = annulus_sets(mesh, 0.1, 0.4)
         free = f.mask & ~e.mask
         touching = int(np.count_nonzero(free[triangles(mesh)].any(axis=1)))
-        rows = {"eval_flux": [], "eval_flux_smoothed": []}
+        # the true residuals (eps = 0) and the smoothed ones alike
+        rows = {True: [], False: []}
+        real = assembly.eval_flux_smoothed
 
-        def counting(name, real):
-            def evaluate(flux, x, xi, *args, **kwargs):
-                rows[name].append(len(xi))
-                return real(flux, x, xi, *args, **kwargs)
-            return evaluate
-        for name in rows:
-            monkeypatch.setattr(assembly, name,
-                                counting(name, getattr(assembly, name)))
+        def evaluate(flux, x, xi, eps):
+            rows[eps == 0.0].append(len(xi))
+            return real(flux, x, xi, eps)
+        monkeypatch.setattr(assembly, "eval_flux_smoothed", evaluate)
         field = solve_dirichlet(mesh, flat_core_p(3.0, 3.0), e, f, 1.0)
         assert field.converged and field.iterations > 0
-        assert 0 < touching < mesh.n_triangles
-        for name, counts in rows.items():
-            assert counts and set(counts) == {touching}, name
+        assert 0 < touching < 2 * mesh.n ** 2
+        for true, counts in rows.items():
+            assert counts and set(counts) == {touching}, true
 
     def test_flux_jacobian_rows_per_assembly(self, monkeypatch):
         from moncap import assembly
@@ -1122,7 +1149,7 @@ class TestFreeBlockWork:
         monkeypatch.setattr(solver, "jacobian_matrix", counting_matrix)
         field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0)
         assert field.converged and field.iterations > 0
-        assert 0 < touching < mesh.n_triangles and calls
+        assert 0 < touching < 2 * mesh.n ** 2 and calls
         assert sum(rows) == touching * len(calls)
 
 
@@ -1136,7 +1163,7 @@ class TestLinearBlendInit:
             e, f = annulus_sets(mesh, 0.1, 0.4)
             free = f.mask & ~e.mask
             u = np.where(e.mask, 1.0, 0.0)
-            got, held = solver._linear_blend_init(
+            got, held = _blend_start(
                 mesh, p_laplacian(3.0), FreeBlock(mesh, e.mask, f.mask), u,
                 1.0)
             # off the Krylov path the p = 2 factor is dropped with the start
@@ -1158,7 +1185,7 @@ class TestLinearBlendInit:
         free = f.mask & ~e.mask
         u = np.where(e.mask, -0.6, 0.0)
         block = FreeBlock(mesh, e.mask, f.mask)
-        got, held = solver._linear_blend_init(mesh, flux, block, u, -0.6)
+        got, held = _blend_start(mesh, flux, block, u, -0.6)
         assert held is None and block.band is not None
         k = jacobian_reference(mesh, flux, u, 0.0)
         expected = u.copy()
@@ -1179,7 +1206,7 @@ class TestLinearStart:
     def test_converges_without_newton_steps(self, flux, sets):
         mesh = build_mesh(24)
         e, f = sets(mesh)
-        assert np.count_nonzero(f.mask & ~e.mask) < solver.KRYLOV_MIN_NODES
+        assert np.count_nonzero(f.mask & ~e.mask) < KRYLOV_MIN_NODES
         report, field = compute_capacity(mesh, flux, e, f, 1.3)
         assert report.converged and field.iterations == 0
         zero, steps = compute_capacity(mesh, flux, e, f, 1.3,
@@ -1213,9 +1240,12 @@ class TestLinearStart:
         skew = linear_matrix([[0.0, 1.0], [-1.0, 0.0]], validate=False)
         u = np.where(e.mask, 1.0, 0.0)
         assert not np.any(jacobian_matrix(mesh, skew, u, 0.0, block=block))
-        assert solver._linear_start(mesh, skew, block, u) is None
-        p2_start, _ = solver._linear_blend_init(mesh, p_laplacian(3.0), block,
-                                                u, 1.0)
+        # the exact Newton step from u that the start tries first fails
+        state = solver._NewtonState(mesh, skew, block, SolverOptions(), [])
+        r, _ = state._residual(u, 0.0)
+        assert state._direct(jacobian_matrix(mesh, skew, u, 0.0, block=block),
+                             r) is None
+        p2_start, _ = _blend_start(mesh, p_laplacian(3.0), block, u, 1.0)
         field = solve_dirichlet(mesh, skew, e, f, 1.0)
         assert field.converged and field.iterations == 0
         assert np.array_equal(field.u, p2_start)
