@@ -271,19 +271,15 @@ def residual(mesh: Mesh, flux: Flux, u: np.ndarray, eps: float = 0.0,
     return _adjoint(mesh, tris, a)
 
 
-def pairing(mesh: Mesh, flux: Flux, u: np.ndarray, v: np.ndarray) -> float:
-    """<A u, v> as a sum of |T| a(grad u) . grad v over the triangles that
+def pairing(mesh: Mesh, flux: Flux, u: np.ndarray) -> float:
+    """<A u, u> as a sum of |T| a(grad u) . grad u over the triangles that
     touch a node where u is nonzero (a(x, 0) = 0 on the others); equals
-    dot(residual(u), v) to round-off.  The self-pairing v is u takes one
-    gradient pass."""
-    same = v is u
+    dot(residual(u), u) to round-off."""
     u = _check_field(mesh, u)
     tris = _Triangles(mesh, touched_triangles(mesh, u != 0))
-    grads_u = _gradients(mesh, tris, u)
-    grads_v = grads_u if same else _gradients(mesh, tris,
-                                              _check_field(mesh, v))
-    a = eval_flux(flux, tris.barycenters, grads_u)
-    return float(mesh.tri_area * np.sum(a * grads_v))
+    grads = _gradients(mesh, tris, u)
+    a = eval_flux(flux, tris.barycenters, grads)
+    return float(mesh.tri_area * np.sum(a * grads))
 
 
 def _block_matrix(block: FreeBlock, jac: np.ndarray, shift: float = 0.0):

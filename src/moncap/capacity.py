@@ -23,7 +23,7 @@ it in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -70,32 +70,13 @@ class CapacityReport:
     three_formula_ok: bool = True
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            if math.isinf(v):
-                return "infinity"
-            return v
-        return {
-            "c_energy": enc(self.c_energy),
-            "c_inner": enc(self.c_inner),
-            "c_outer": enc(self.c_outer),
-            "c_hat": enc(self.c_hat),
-            "s": self.s,
-            "cp_value": enc(self.cp_value),
-            "k1": self.k1, "k2": self.k2, "k3": self.k3,
-            "c1": self.c1, "c2": self.c2, "b1": self.b1, "b2": self.b2,
-            "p": self.p,
-            "area_F": self.area_f,
-            "diam_F": self.diam_f,
-            "residual_max": self.residual_max,
-            "tol_cap": self.tol_cap,
-            "flags": {
-                "compatible": self.compatible,
-                "converged": self.converged,
-                "three_formula_ok": self.three_formula_ok,
-            },
-        }
+        """The report's fields, area_f and diam_f as area_F and diam_F and
+        the three flags under "flags"; the writers encode infinities."""
+        d = asdict(self)
+        d["area_F"], d["diam_F"] = d.pop("area_f"), d.pop("diam_f")
+        d["flags"] = {k: d.pop(k) for k in
+                      ("compatible", "converged", "three_formula_ok")}
+        return d
 
 
 def sandwich_constants(flux: Flux, area_f: float, diam_f: float):
@@ -137,7 +118,7 @@ def _build_report(mesh, flux, e, f, s, pf) -> CapacityReport:
         c_hat = float(np.sum(pf.residual[e.mask]))
         c_inner = s * c_hat
         c_outer = -s * float(np.sum(pf.residual[~f.mask]))
-        c_energy = pairing(mesh, flux, pf.u, pf.u)
+        c_energy = pairing(mesh, flux, pf.u)
     n_constrained = int(e.count + (~f.mask).sum())
     tol_cap = n_constrained * pf.tol_res * max(1.0, abs(s))
     three_ok = (abs(c_energy - c_inner) <= tol_cap

@@ -314,7 +314,8 @@ def cmd_check_flux(args, cfg, run) -> int:
 
 
 def cmd_oracle(args) -> int:
-    body = {key: getattr(args, key) for key in ORACLE_ARGS[args.kind]}
+    body = {key: default if (value := getattr(args, key)) is None else value
+            for key, default in ORACLE_ARGS[args.kind].items()}
     if None in body.values():
         # every flag of the kind without a default; argparse demands --p
         needs = [f"--{key}" for key, default in ORACLE_ARGS[args.kind].items()
@@ -361,13 +362,13 @@ _COMMANDS = {
                    ("flux",), {}),
     "oracle": (cmd_oracle, "closed-form reference values", None, {
         "kind": {"choices": list(ORACLE_ARGS)},
-        "--n": {"type": int, "default": 2},
+        "--n": {"type": int},
         "--p": {"type": float, "required": True},
         "--r": {"type": float},
         "--R": {"type": float, "metavar": "BIG_R"},
         "--a": {"type": float},
         "--b": {"type": float},
-        "--Ly": {"type": float, "default": 1.0},
+        "--Ly": {"type": float},
         "--numeric": {"type": _int_at_least(4, MAX_NUMERIC_CELLS),
                       "help": "also solve the 1-D problem with M cells"},
         "--quiet": _STORE}),

@@ -20,7 +20,7 @@ _FLUX_KEYS = {"kind", "p", "params"}
 # SolverOptions as it is, which checks it (a config has no init_field for
 # "given")
 _SOLVER_KEYS = {"tol_res": "number", "max_newton": "integer", "init": "name",
-                "init_seed": "integer", "jacobian_floor": "number"}
+                "init_seed": "integer"}
 _CHECK_ARGS = {"n_samples": 10_000, "xi_radius": 10.0}
 # closed-form oracle -> its arguments with their defaults, None marking a
 # required one; a config's oracle block and the oracle command both read it
@@ -28,11 +28,11 @@ ORACLE_ARGS = {"radial": {"n": 2, "p": None, "r": None, "R": None},
                "strip": {"p": None, "a": None, "b": None, "Ly": 1.0}}
 
 # Largest accepted mesh.N and N_list entry.  One p = 3 annulus solve peaks
-# at 104 MiB at N = 256, 211 MiB at N = 512 and 667 MiB at N = 1024, where
-# the import holds 62, building the mesh adds 34, the solve's FreeBlock
-# and its indices 263, and the solve, its Jacobians and multigrid
-# hierarchy, 308.  All of it grows like N^2, so larger grids end in a
-# memory error rather than a result on a desk machine.
+# at 100 MiB at N = 256, 202 MiB at N = 512 and 613-622 MiB at N = 1024,
+# where the import holds 62, building the mesh and its sets adds 33, the
+# solve's FreeBlock and its indices 256, and the solve, its Jacobians and
+# multigrid hierarchy, 255.  All of it grows like N^2, so larger grids end
+# in a memory error rather than a result on a desk machine.
 MAX_MESH_N = 1024
 # Accepted mesh.L: at every accepted N, element areas h^2 and gradient
 # coefficients 1/h stay far inside floating-point range.

@@ -10,7 +10,7 @@ solves are counted as skips and fail the suite beyond 2% of instances.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -52,17 +52,7 @@ class SuiteReport:
         return self.violations == 0 and ok_skips
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "records": self.records,
-            "extras": self.extras,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -1,8 +1,9 @@
 """Serialization helpers: canonical hashing, atomic file output, PGM/CSV
 dumps, and the JSONL run ledger.
 
-Capacity +infinity is encoded as the JSON string "infinity" to stay
-parser-portable.
+The writers encode every float: an infinity as the JSON string "infinity"
+or "-infinity" and NaN as "nan", to stay parser-portable, so reports hand
+them their raw fields.
 """
 
 from __future__ import annotations

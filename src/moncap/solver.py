@@ -87,6 +87,11 @@ HOP_MAX_ITER = 8
 MAX_HOPS = 120
 EPS_FLOOR = 1e-13
 KRYLOV_MAX_ITER = 20
+# Every Newton Jacobian is shifted by JACOBIAN_FLOOR * I, a Levenberg-style
+# floor for fluxes whose Jacobian degenerates (a flat core, p > 2 where the
+# gradient vanishes); the residual is never shifted, so a converged solution
+# is that of the problem posed.
+JACOBIAN_FLOOR = 1e-9
 # Eisenstat-Walker choice 2 forcing terms (SIAM J. Sci. Comput. 17, 1996)
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
@@ -120,12 +125,10 @@ class SolverOptions:
     init: str = "linear_blend"           # zero | linear_blend | given | random
     init_field: Optional[np.ndarray] = None
     init_seed: int = 0
-    jacobian_floor: float = 1e-9         # conditioning shift, see ledger
 
     def __post_init__(self):
-        # a negative budget, a non-finite or negative floor, or an infinite
-        # target would let a solve report itself converged without a
-        # Newton step that earns it
+        # a negative budget or an infinite target would let a solve report
+        # itself converged without a Newton step that earns it
         if self.tol_res is not None and not 0 < self.tol_res < math.inf:
             raise InvalidInput("tol_res must be positive and finite",
                                "tol_res")
@@ -134,9 +137,6 @@ class SolverOptions:
             if not (isinstance(value, (int, np.integer))
                     and not isinstance(value, bool) and value >= 0):
                 raise InvalidInput(f"{name} must be an integer >= 0", name)
-        if not 0 <= self.jacobian_floor < math.inf:
-            raise InvalidInput("jacobian_floor must be finite and >= 0",
-                               "jacobian_floor")
         if self.init not in ("zero", "linear_blend", "given", "random"):
             raise InvalidInput("init must be zero|linear_blend|given|random",
                                "init")
@@ -554,7 +554,7 @@ class _NewtonState:
                                     matvec=lambda y: kff @ m.solve(y))
         # with the legacy callback type, maxiter bounds the inner iterations
         # over all restarts (otherwise it counts restart cycles).  A Krylov
-        # basis that overflows (a huge jacobian_floor) ends in info > 0 or a
+        # basis that overflows (a huge JACOBIAN_FLOOR) ends in info > 0 or a
         # non-finite direction, both refused.
         with np.errstate(over="ignore", invalid="ignore"):
             y, info = spla.gmres(kff_m, -r, rtol=rtol,
@@ -585,7 +585,6 @@ class _NewtonState:
         (u, last rmax of that residual).  Tracks the best TRUE iterate only
         when iterating the true residual.  A step counts only once the line
         search accepts it, whether GMRES or a direct factor gave it."""
-        opts = self.opts
         true_pass = residual_eps == 0.0
         r, rmax = self._residual(u, residual_eps)
         if true_pass:
@@ -594,7 +593,7 @@ class _NewtonState:
         it = 0
         while it < max_iter and self.budget() > 0 and rmax > target:
             kff = jacobian_matrix(self.mesh, self.flux, u, jac_eps,
-                                  shift=opts.jacobian_floor, block=self.block)
+                                  shift=JACOBIAN_FLOOR, block=self.block)
             step = None
             rnorm = self._krylov_norm(r, rmax) if self.block.krylov else None
             if rnorm is not None:

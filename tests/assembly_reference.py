@@ -5,7 +5,8 @@ a scipy sparse matrix, whole-mesh matrices as sparse products with it, and
 the stored pattern of a free block read off the mesh's triangles.
 ``gradients`` and ``residual_reference`` are the exceptions: the kernel
 run on every triangle of the mesh, as ``residual`` ran before it skipped
-the triangles whose corners are all 0.  ``band_dense`` expands a banded
+the triangles whose corners are all 0.  ``pairing_reference`` is the
+general pairing <A u, v>, of which ``pairing`` keeps the self-pairing.  ``band_dense`` expands a banded
 block's LAPACK band storage, general or lower, and ``band_storage`` builds
 the general one from a sparse matrix.  ``min_weight`` and
 ``rerun_subadditivity_case`` read a capacitary measure and rerun an
@@ -19,8 +20,8 @@ import scipy.sparse as sp
 
 from moncap.assembly import _adjoint, _check_field, _gradients, _Triangles
 from moncap.errors import MeshMismatch
-from moncap.flux import (_EYE, _core_excess, _overflowed, eval_flux_smoothed,
-                         flux_jacobian)
+from moncap.flux import (_EYE, _core_excess, _overflowed, eval_flux,
+                         eval_flux_smoothed, flux_jacobian)
 from moncap.mesh import (NodeSet, _require_same_mesh, build_mesh,
                          touched_triangles)
 from moncap.properties import _Cache, _subadditivity_record
@@ -125,6 +126,17 @@ def residual_reference(mesh, flux, u, eps=0.0):
     grads = _gradients(mesh, tris, _check_field(mesh, u))
     return _adjoint(mesh, tris,
                     eval_flux_smoothed(flux, tris.barycenters, grads, eps))
+
+
+def pairing_reference(mesh, flux, u, v):
+    """<A u, v> as a sum of |T| a(grad u) . grad v over the triangles that
+    touch a node where u is nonzero; ``moncap.assembly.pairing`` is the
+    self-pairing v = u."""
+    u = _check_field(mesh, u)
+    tris = _Triangles(mesh, touched_triangles(mesh, u != 0))
+    a = eval_flux(flux, tris.barycenters, _gradients(mesh, tris, u))
+    return float(mesh.tri_area * np.sum(
+        a * _gradients(mesh, tris, _check_field(mesh, v))))
 
 
 def _csr(k):

@@ -6,8 +6,8 @@ import pytest
 from assembly_reference import (band_dense, barycenters, gradient_operator,
                                 gradients, jacobian_reference,
                                 operator_reference, p2_reference,
-                                pattern_reference, residual_reference,
-                                sub_block, triangles)
+                                pairing_reference, pattern_reference,
+                                residual_reference, sub_block, triangles)
 from moncap import assembly, solver
 from moncap.assembly import (FreeBlock, _gradients, jacobian_matrix,
                              p2_stiffness, pairing, residual)
@@ -112,22 +112,30 @@ class TestPairing:
         m = build_mesh(6)
         fl = weighted_p_laplacian(3.0, 1.0, 2.0)
         u, v = rand_field(m, 1), rand_field(m, 2)
-        lhs = pairing(m, fl, u, v)
+        lhs = pairing_reference(m, fl, u, v)
         rhs = float(residual(m, fl, u) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_self_pairing_equals_residual_dot(self):
+        m = build_mesh(6)
+        fl = weighted_p_laplacian(3.0, 1.0, 2.0)
+        u = rand_field(m, 1)
+        assert pairing(m, fl, u) == pairing_reference(m, fl, u, u)
+        assert pairing(m, fl, u) == pytest.approx(
+            float(residual(m, fl, u) @ u), rel=1e-12)
 
     def test_pairing_with_constant_vanishes(self):
         m = build_mesh(6)
         u = rand_field(m, 3)
-        assert pairing(m, p_laplacian(3.0), u, np.full(m.n_nodes, 5.0)) == 0.0
+        assert pairing_reference(m, p_laplacian(3.0), u,
+                                 np.full(m.n_nodes, 5.0)) == 0.0
 
     def test_self_pairing_nonnegative(self):
         m = build_mesh(6)
         for fl in (p_laplacian(1.5), flat_core_p(2.0, 0.5),
                    linear_matrix([[1.0, 0.5], [-0.5, 1.0]])):
             for seed in range(5):
-                assert pairing(m, fl, rand_field(m, seed),
-                               rand_field(m, seed)) >= 0.0
+                assert pairing(m, fl, rand_field(m, seed)) >= 0.0
 
     def test_monotone_pairing_difference(self):
         # <Au - Av, u - v> >= 0 on 100 random pairs

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from moncap.flux import (anisotropic_p, flat_core_p, linear_matrix,
 from moncap.mesh import (build_mesh, disk, halfplane, rasterize, shape_none,
                          touched_triangles)
 from moncap.properties import default_flux_family
+from moncap.reporting import dumps_report
 from moncap.solver import SolverOptions
 
 
@@ -66,7 +68,18 @@ class TestConventions:
         rep, pf = compute_capacity(mesh, p_laplacian(2.0), e, f, 1.0)
         assert pf is None
         assert math.isinf(rep.c_inner) and not rep.compatible
-        assert rep.to_dict()["c_inner"] == "infinity"
+        assert json.loads(dumps_report(rep.to_dict()))["c_inner"] \
+            == "infinity"
+
+    def test_negative_infinity_written_as_such(self):
+        # the writers encode every infinity, with its sign
+        mesh = build_mesh(8)
+        e = rasterize(disk(0.5, 0.5, 0.2), mesh, "E")
+        f = rasterize(disk(0.5, 0.5, 0.1), mesh, "F")
+        rep, _ = compute_capacity(mesh, p_laplacian(2.0), e, f, 1.0)
+        rep.c_inner = -math.inf
+        assert json.loads(dumps_report(rep.to_dict()))["c_inner"] \
+            == "-infinity"
 
     def test_overflowed_capacity_is_invalid_input(self, recwarn):
         # |s|^p = 1e360 at p = 3 is past the largest double

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
-from moncap.config import (MAX_CHECK_SAMPLES, MAX_MESH_N, ExperimentConfig,
-                           parse_flux, parse_solver)
+from moncap.config import (_SOLVER_KEYS, MAX_CHECK_SAMPLES, MAX_MESH_N,
+                           ExperimentConfig, parse_flux, parse_solver)
 from moncap.errors import ConfigError
 from moncap.flux import (adversarial_fixture, anisotropic_p, combine,
                          flat_core_p, linear_matrix, p_laplacian, s_transform,
@@ -100,11 +102,8 @@ def test_bad_spec_names_its_path(spec, message, path):
     ("max_newton", -1, "max_newton must be an integer >= 0"),
     ("max_newton", 1.5, "expected an integer"),
     ("max_newton", float("inf"), "expected an integer"),
-    # JSON has no NaN or Infinity, though Python's json module reads them
-    ("jacobian_floor", float("nan"), "expected a number, got nan"),
-    ("jacobian_floor", float("inf"), "expected a number, got inf"),
-    ("jacobian_floor", -1.0, "jacobian_floor must be finite and >= 0"),
     ("init_seed", -3, "init_seed must be an integer >= 0"),
+    # JSON has no NaN or Infinity, though Python's json module reads them
     ("tol_res", float("inf"), "expected a number, got inf"),
     ("tol_res", 0.0, "tol_res must be positive and finite"),
     ("init", "bogus", "init must be zero|linear_blend|given|random"),
@@ -118,13 +117,28 @@ def test_bad_solver_option_names_its_key(key, value, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_jacobian_floor_is_an_unknown_key(value):
+    # the floor is the solver's constant JACOBIAN_FLOOR, set by no config
+    with pytest.raises(ConfigError) as exc:
+        parse_solver({"jacobian_floor": value})
+    assert path_of(exc.value) == "solver"
+    assert "unknown keys ['jacobian_floor']" in str(exc.value)
+
+
+def test_solver_keys_are_the_option_fields():
+    # every SolverOptions field but the start field, which no config carries
+    fields = {f.name for f in dataclasses.fields(SolverOptions)}
+    assert set(_SOLVER_KEYS) == fields - {"init_field"}
+
+
 def test_solver_options_reach_solver_options():
     spec = {"tol_res": 1, "max_newton": 7.0, "init": "random",
-            "init_seed": 3, "jacobian_floor": 0}
+            "init_seed": 3}
     opts = parse_solver(spec)
     assert opts == SolverOptions(**{**spec, "max_newton": 7})
     assert type(opts.max_newton) is int
-    assert type(opts.tol_res) is type(opts.jacobian_floor) is float
+    assert type(opts.tol_res) is float
     # a null tol_res, like a missing key, means the default
     assert parse_solver({"tol_res": None}) == parse_solver({}) \
         == SolverOptions()

@@ -211,7 +211,7 @@ class TestFlatCore:
                      SolverOptions(init="random", init_seed=3)):
             pf = solve_dirichlet(mesh, flux, e, f, 1.0, opts)
             assert pf.converged
-            energies.append(pairing(mesh, flux, pf.u, pf.u))
+            energies.append(pairing(mesh, flux, pf.u))
         spread = max(energies) - min(energies)
         assert spread <= 1e-6 * (1.0 + abs(np.mean(energies)))
 
@@ -375,26 +375,28 @@ class TestDivergence:
 class TestNewtonBudget:
     @pytest.mark.parametrize("floor", [1e-9, 1e300])
     @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
-    def test_iterations_within_max_newton(self, max_newton, floor, recwarn):
+    def test_iterations_within_max_newton(self, max_newton, floor,
+                                          monkeypatch, recwarn):
         # a floor of 1e300 cripples every Newton step, so only the budget
         # rule decides how long the solve may iterate
-        self.check_budget(max_newton, floor, recwarn)
+        self.check_budget(max_newton, floor, monkeypatch, recwarn)
 
     @pytest.mark.parametrize("floor", [1e-9, 1e300])
     @pytest.mark.parametrize("max_newton", [0, 1, 2, 200])
     def test_iterations_within_max_newton_above_krylov_gate(
-            self, max_newton, floor, force_path, recwarn):
+            self, max_newton, floor, force_path, monkeypatch, recwarn):
         # steps go through GMRES on a multigrid cycle, and a failed GMRES
         # step rebuilds the cycle or is factored within the same budget
         force_path("krylov")
-        self.check_budget(max_newton, floor, recwarn)
+        self.check_budget(max_newton, floor, monkeypatch, recwarn)
         assert (force_path.gmres > 0) == (max_newton > 0)
 
     @staticmethod
-    def check_budget(max_newton, floor, recwarn):
+    def check_budget(max_newton, floor, monkeypatch, recwarn):
+        monkeypatch.setattr(solver, "JACOBIAN_FLOOR", floor)
         mesh = build_mesh(8)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        opts = SolverOptions(max_newton=max_newton, jacobian_floor=floor)
+        opts = SolverOptions(max_newton=max_newton)
         try:
             field = solve_dirichlet(mesh, p_laplacian(3.0), e, f, 1.0, opts)
         except SolverDiverged as exc:
@@ -639,9 +641,10 @@ class TestStaleFactorKrylov:
         # solved directly, and no RuntimeWarning escapes
         force_path("krylov")
         monkeypatch.setattr(solver, "COARSE_MAX_NODES", 50)
+        monkeypatch.setattr(solver, "JACOBIAN_FLOOR", 0.0)
         mesh = build_mesh(32)
         e, f = annulus_sets(mesh, 0.1, 0.4)
-        opts = SolverOptions(jacobian_floor=0.0, init=init)
+        opts = SolverOptions(init=init)
         report, _ = compute_capacity(mesh, flat_core_p(2.0, 3.0), e, f,
                                      opts=opts)
         assert force_path.gmres > 0
@@ -1305,18 +1308,15 @@ class TestOptionsValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("max_newton", -1), ("max_newton", 2.0), ("max_newton", True),
-        ("jacobian_floor", float("nan")), ("jacobian_floor", float("inf")),
-        ("jacobian_floor", -1.0), ("init_seed", -1),
-        ("tol_res", float("inf")),
+        ("init_seed", -1), ("tol_res", float("inf")),
     ])
     def test_rejected_value_names_its_field(self, key, value):
         with pytest.raises(InvalidInput) as exc:
             SolverOptions(**{key: value})
         assert exc.value.field == key
 
-    def test_zero_newton_budget_and_floor_accepted(self):
-        opts = SolverOptions(max_newton=0, jacobian_floor=0.0)
-        assert opts.max_newton == 0 and opts.jacobian_floor == 0.0
+    def test_zero_newton_budget_accepted(self):
+        assert SolverOptions(max_newton=0).max_newton == 0
 
     def test_default_tol_scales_with_s(self):
         opts = SolverOptions()
@@ -1329,8 +1329,7 @@ class TestOptionsReachSolve:
     behalf: the retry, the C_p solve of ``moncap capacity``, the sweep and
     the invariance suite."""
 
-    SET = dict(tol_res=3e-9, max_newton=77, init_seed=11,
-               jacobian_floor=2e-8)
+    SET = dict(tol_res=3e-9, max_newton=77, init_seed=11)
 
     def _record(self, monkeypatch, fail_first=False):
         real = solver._solve
